@@ -27,6 +27,10 @@ int Main(int argc, char** argv) {
   }
   const double scale = config->GetDouble("scale", 1.0);
   const uint64_t seed = config->GetInt("seed", 42);
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
   const std::vector<double> steps = {0.05, 0.1, 0.25, 0.5, 1.0};
 
   std::cout << "=== Ablation A1: degrade step C_du (Eq. 9) ===\n";

@@ -29,6 +29,10 @@ int Main(int argc, char** argv) {
   const double scale = config->GetDouble("scale", 0.5);
   const int seeds = static_cast<int>(config->GetInt("seeds", 3));
   const uint64_t seed = config->GetInt("seed", 42);
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   std::cout << "=== Ablation A5: EDF vs FCFS intra-class dispatch ===\n"
             << "(med-unif, " << seeds << " seeds; mean USM +/- stddev)\n\n";

@@ -132,6 +132,10 @@ int Main(int argc, char** argv) {
   const uint64_t seed = config->GetInt("seed", 42);
   const int reps = static_cast<int>(config->GetInt("reps", 3));
   const std::string out = config->GetString("out", "BENCH_engine.json");
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
   const std::vector<std::string> policies = {"imu", "odu", "qmf", "unit"};
 
   struct CellSpec {

@@ -28,6 +28,10 @@ int Main(int argc, char** argv) {
   }
   const double scale = config->GetDouble("scale", 1.0);
   const uint64_t seed = config->GetInt("seed", 42);
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   std::cout << "=== Extension: unit-hybrid (UNIT + just-in-time repair) "
                "===\n\n";

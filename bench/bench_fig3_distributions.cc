@@ -100,6 +100,10 @@ int Main(int argc, char** argv) {
   const double scale = config->GetDouble("scale", 1.0);
   const uint64_t seed = config->GetInt("seed", 42);
   const int buckets = static_cast<int>(config->GetInt("buckets", 32));
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   std::cout << "=== Figure 3: accesses and updates over data items ===\n";
 

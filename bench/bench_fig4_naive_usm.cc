@@ -109,6 +109,15 @@ int Main(int argc, char** argv) {
   const bool run_grid = config->GetBool("grid", true);
   const std::string trace_dir = config->GetString("trace_dir", "");
   const std::string trace_cell = config->GetString("trace_cell", "");
+  // `shards=` is the canonical spelling (matching diff_fuzz and the README
+  // knobs table); `shard=` stays accepted for older scripts.
+  const int shards =
+      static_cast<int>(config->GetInt("shards", config->GetInt("shard", 1)));
+  const int seeds = static_cast<int>(config->GetInt("seeds", 1));
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
   const std::vector<std::string> policies = {"imu", "odu", "qmf", "unit"};
 
   std::cout << "=== Figure 4: naive USM (= success ratio) ===\n";
@@ -124,10 +133,7 @@ int Main(int argc, char** argv) {
   spec.policies = policies;
   spec.scale = scale;
   spec.base_seed = seed;
-  // `shards=` is the canonical spelling (matching diff_fuzz and the README
-  // knobs table); `shard=` stays accepted for older scripts.
-  spec.shards =
-      static_cast<int>(config->GetInt("shards", config->GetInt("shard", 1)));
+  spec.shards = shards;
   if (spec.shards > 1) {
     std::cout << "(sharded runner: shards=" << spec.shards
               << ", parent-level Eq. 5 accounting)\n";
@@ -178,7 +184,6 @@ int Main(int argc, char** argv) {
     }
     // Optional multi-seed replication for error bars: the same grid with
     // `seeds` replications per cell, again fanned across the pool.
-    const int seeds = static_cast<int>(config->GetInt("seeds", 1));
     if (seeds > 1) {
       std::cout << "\n--- multi-seed (" << seeds
                 << " replications, mean +/- stddev) ---\n";

@@ -103,6 +103,10 @@ int Main(int argc, char** argv) {
   const double scale = config->GetDouble("scale", 1.0);
   const uint64_t seed = config->GetInt("seed", 42);
   const int jobs = ResolveJobs(static_cast<int>(config->GetInt("jobs", 0)));
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   std::cout << "=== Figure 5: USM under non-zero penalty costs ===\n\n";
   const auto below = Table2WeightsBelowOne();

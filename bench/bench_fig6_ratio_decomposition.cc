@@ -94,6 +94,10 @@ int Main(int argc, char** argv) {
   // `shards=` is the canonical spelling; `shard=` stays accepted.
   spec.shards =
       static_cast<int>(config->GetInt("shards", config->GetInt("shard", 1)));
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   std::cout << "=== Figure 6: outcome-ratio decomposition (med-unif) ===\n";
   if (spec.shards > 1) {

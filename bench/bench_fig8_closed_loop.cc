@@ -57,8 +57,8 @@ struct CellResult {
 };
 
 /// sessions=0 must take zero divergent branches regardless of the other
-/// session knobs: compare every headline metric against the plain engine,
-/// bit for bit, exactly like bench_fig7's empty-schedule gate.
+/// session knobs: every metric must equal the plain engine's, bit for bit,
+/// exactly like bench_fig7's empty-schedule gate.
 Status CheckSessionsOffNoOp(const Workload& workload,
                             const std::string& policy,
                             const UsmWeights& weights) {
@@ -74,21 +74,7 @@ Status CheckSessionsOffNoOp(const Workload& workload,
   auto plain = RunExperiment(workload, policy, weights);
   if (!plain.ok()) return plain.status();
 
-  const RunMetrics& a = with->metrics;
-  const RunMetrics& b = plain->metrics;
-  const bool same =
-      with->usm == plain->usm && a.counts.submitted == b.counts.submitted &&
-      a.counts.success == b.counts.success &&
-      a.counts.rejected == b.counts.rejected && a.counts.dmf == b.counts.dmf &&
-      a.counts.dsf == b.counts.dsf && a.busy_s == b.busy_s &&
-      a.events_processed == b.events_processed &&
-      a.events_cancelled == b.events_cancelled &&
-      a.preemptions == b.preemptions && a.lock_restarts == b.lock_restarts &&
-      a.update_commits == b.update_commits &&
-      a.query_response_s.sum() == b.query_response_s.sum() &&
-      a.session_requests == 0 && a.session_retries == 0 &&
-      a.session_abandons == 0 && a.queries_shed == 0;
-  if (!same) {
+  if (!(with->metrics == plain->metrics)) {
     return Status(StatusCode::kInternal,
                   "disabled session layer perturbed policy '" + policy +
                       "' (usm " + Fmt(with->usm, 6) + " vs " +
@@ -170,6 +156,10 @@ int Main(int argc, char** argv) {
   const int shed_watermark = static_cast<int>(config->GetInt("shed", 8));
   const std::string policy = config->GetString("policy", "unit");
   const std::string out = config->GetString("out", "BENCH_session.json");
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
   std::vector<int> session_counts;
   for (const std::string& tok :
        SplitCsv(config->GetString("sessions", "8,24,48"))) {

@@ -52,8 +52,8 @@ struct CellResult {
 };
 
 /// capacity=0 must take zero divergent branches regardless of the other
-/// cache knobs: compare every headline metric against the plain engine,
-/// bit for bit, exactly like bench_fig8's sessions-off gate.
+/// cache knobs: every metric must equal the plain engine's, bit for bit,
+/// exactly like bench_fig8's sessions-off gate.
 Status CheckCacheOffNoOp(const Workload& workload, const std::string& policy,
                          const UsmWeights& weights) {
   EngineParams off;
@@ -64,22 +64,7 @@ Status CheckCacheOffNoOp(const Workload& workload, const std::string& policy,
   auto plain = RunExperiment(workload, policy, weights);
   if (!plain.ok()) return plain.status();
 
-  const RunMetrics& a = with->metrics;
-  const RunMetrics& b = plain->metrics;
-  const bool same =
-      with->usm == plain->usm && a.counts.submitted == b.counts.submitted &&
-      a.counts.success == b.counts.success &&
-      a.counts.rejected == b.counts.rejected && a.counts.dmf == b.counts.dmf &&
-      a.counts.dsf == b.counts.dsf && a.busy_s == b.busy_s &&
-      a.events_processed == b.events_processed &&
-      a.events_cancelled == b.events_cancelled &&
-      a.preemptions == b.preemptions && a.lock_restarts == b.lock_restarts &&
-      a.update_commits == b.update_commits &&
-      a.query_response_s.sum() == b.query_response_s.sum() &&
-      a.query_freshness.sum() == b.query_freshness.sum() &&
-      a.cache_hits == 0 && a.cache_misses == 0 && a.cache_invalidations == 0 &&
-      a.cache_stale_skips == 0;
-  if (!same) {
+  if (!(with->metrics == plain->metrics)) {
     return Status(StatusCode::kInternal,
                   "disabled result cache perturbed policy '" + policy +
                       "' (usm " + Fmt(with->usm, 6) + " vs " +
@@ -142,6 +127,10 @@ int Main(int argc, char** argv) {
   const std::string policy = config->GetString("policy", "unit");
   const int64_t max_hit_udrop = config->GetInt("max_hit_udrop", -1);
   const std::string out = config->GetString("out", "BENCH_cache.json");
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
   std::vector<int> capacities;
   for (const std::string& tok :
        SplitCsv(config->GetString("capacities", "0,16,64,256"))) {

@@ -155,6 +155,10 @@ int Main(int argc, char** argv) {
   const int reps = static_cast<int>(config->GetInt("reps", 2));
   const std::string policy = config->GetString("policy", "unit");
   const std::string out = config->GetString("out", "BENCH_scale.json");
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   // Two Poisson regimes, both with a saturating live population: clearly
   // stable (demand well under capacity, live set = in-flight arrivals) and

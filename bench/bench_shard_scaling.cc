@@ -153,6 +153,10 @@ int Main(int argc, char** argv) {
   const std::string policy = config->GetString("policy", "unit");
   const int jobs_override = static_cast<int>(config->GetInt("jobs", 0));
   const std::string out = config->GetString("out", "BENCH_shard.json");
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
   const double base_s = 120.0 * scale;
 
   const int shard_counts[] = {1, 2, 4, 8};

@@ -47,6 +47,10 @@ int Main(int argc, char** argv) {
   // `shards=` is the canonical spelling; `shard=` stays accepted.
   const int shard =
       static_cast<int>(config->GetInt("shards", config->GetInt("shard", 0)));
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   std::cout << "=== Table 1: update traces ===\n"
             << "(paper: 6144 / 30000 / 61440 updates = 15% / 75% / 150% CPU;\n"

@@ -88,6 +88,10 @@ int main(int argc, char** argv) {
   }
   const double scale = config->GetDouble("scale", 0.5);
   const uint64_t seed = config->GetInt("seed", 42);
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kUniform, scale, seed);

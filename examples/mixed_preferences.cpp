@@ -30,6 +30,10 @@ int main(int argc, char** argv) {
   }
   const double scale = config->GetDouble("scale", 1.0);
   const uint64_t seed = config->GetInt("seed", 42);
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   // Two preference classes, assigned uniformly by the generator.
   QueryTraceParams qp;

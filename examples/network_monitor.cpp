@@ -29,6 +29,10 @@ int main(int argc, char** argv) {
   const double duration_s = config->GetDouble("duration_s", 400.0);
   const int hosts = static_cast<int>(config->GetInt("hosts", 512));
   const uint64_t seed = config->GetInt("seed", 23);
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   // Analyst queries: bursty (incident response!), strongly skewed toward
   // the hosts under investigation, mixed deadlines.

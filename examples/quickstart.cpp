@@ -44,6 +44,10 @@ int main(int argc, char** argv) {
   weights.c_r = config->GetDouble("c_r", 0.0);
   weights.c_fm = config->GetDouble("c_fm", 0.0);
   weights.c_fs = config->GetDouble("c_fs", 0.0);
+  if (unitdb::Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   auto workload = unitdb::MakeStandardWorkload(volume, dist, scale, seed);
   if (!workload.ok()) {

@@ -88,6 +88,10 @@ int main(int argc, char** argv) {
   }
   const double duration_s = config->GetDouble("duration_s", 600.0);
   const uint64_t seed = config->GetInt("seed", 17);
+  if (Status s = config->CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
 
   Workload market = BuildMarket(duration_s, seed);
   std::cout << "stock ticker: " << market.queries.size() << " portfolio "

@@ -46,6 +46,10 @@ int Generate(const Config& config) {
   qp.seed = config.GetInt("seed", 42);
   qp.num_preference_classes =
       static_cast<int>(config.GetInt("classes", 1));
+  if (Status s = config.CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
   auto workload = GenerateQueryTrace(qp);
   if (!workload.ok()) {
     std::cerr << workload.status().ToString() << "\n";
@@ -106,15 +110,19 @@ int Inspect(const Config& config) {
 }
 
 int Replay(const Config& config) {
+  UsmWeights weights;
+  weights.c_r = config.GetDouble("c_r", 0.0);
+  weights.c_fm = config.GetDouble("c_fm", 0.0);
+  weights.c_fs = config.GetDouble("c_fs", 0.0);
+  if (Status s = config.CheckNumbers(); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
+    return 1;
+  }
   auto workload = LoadWorkload(config.GetString("in"));
   if (!workload.ok()) {
     std::cerr << workload.status().ToString() << "\n";
     return 1;
   }
-  UsmWeights weights;
-  weights.c_r = config.GetDouble("c_r", 0.0);
-  weights.c_fm = config.GetDouble("c_fm", 0.0);
-  weights.c_fs = config.GetDouble("c_fs", 0.0);
   const std::string policy = config.GetString("policy", "unit");
   auto r = RunExperiment(*workload, policy, weights);
   if (!r.ok()) {

@@ -1,7 +1,8 @@
 #include "unit/common/config.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 namespace unitdb {
 
@@ -72,17 +73,34 @@ std::string Config::GetString(const std::string& key,
   return it == values_.end() ? def : it->second;
 }
 
-int64_t Config::GetInt(const std::string& key, int64_t def) const {
+template <typename T>
+T Config::GetNumber(const std::string& key, T def, const char* what) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string& v = it->second;
+  T x{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  if (v.empty() || ec != std::errc() || end != v.data() + v.size()) {
+    if (bad_number_.ok()) {
+      const std::string why = ec == std::errc::result_out_of_range
+                                  ? "out of range"
+                                  : std::string("not ") + what;
+      bad_number_ = Status::InvalidArgument(key + "=" + v + " is " + why);
+    }
+    return def;
+  }
+  return x;
+}
+
+int64_t Config::GetInt(const std::string& key, int64_t def) const {
+  return GetNumber<int64_t>(key, def, "an integer");
 }
 
 double Config::GetDouble(const std::string& key, double def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  return GetNumber<double>(key, def, "a number");
 }
+
+Status Config::CheckNumbers() const { return bad_number_; }
 
 bool Config::GetBool(const std::string& key, bool def) const {
   auto it = values_.find(key);

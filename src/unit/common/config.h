@@ -32,6 +32,9 @@ class Config {
 
   std::string GetString(const std::string& key,
                         const std::string& def = "") const;
+  /// GetInt and GetDouble accept only a whole, in-range number in
+  /// std::from_chars syntax. Anything else returns `def` and is reported by
+  /// CheckNumbers.
   int64_t GetInt(const std::string& key, int64_t def) const;
   double GetDouble(const std::string& key, double def) const;
   bool GetBool(const std::string& key, bool def) const;
@@ -46,8 +49,17 @@ class Config {
   /// a benchmark CLI can have.
   Status ExpectKeys(const std::vector<std::string>& allowed) const;
 
+  /// Fails with InvalidArgument, naming the key and the value, if a GetInt
+  /// or GetDouble call so far met a value that is not a number. Call it
+  /// once after the last numeric getter, before using the values.
+  Status CheckNumbers() const;
+
  private:
+  template <typename T>
+  T GetNumber(const std::string& key, T def, const char* what) const;
+
   std::map<std::string, std::string> values_;
+  mutable Status bad_number_;  ///< first malformed numeric value read
 };
 
 }  // namespace unitdb

@@ -28,6 +28,8 @@ class RunningStat {
   double max() const;
   double sum() const { return sum_; }
 
+  bool operator==(const RunningStat&) const = default;
+
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;

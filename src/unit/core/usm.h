@@ -31,15 +31,33 @@ struct UsmWeights {
   bool operator==(const UsmWeights&) const = default;
 };
 
+/// The UsmBreakdown field table, X(name): the average success gain and the
+/// average rejection, DMF and DSF costs.
+#define UNIT_USM_BREAKDOWN_FIELDS(X) X(s) X(r) X(fm) X(fs)
+
 /// Per-term decomposition of the average USM (Eq. 5): USM = S - R - Fm - Fs.
 struct UsmBreakdown {
-  double s = 0.0;   ///< average success gain
-  double r = 0.0;   ///< average rejection cost
-  double fm = 0.0;  ///< average DMF cost
-  double fs = 0.0;  ///< average DSF cost
+#define UNIT_DECLARE_FIELD(name) double name = 0.0;
+  UNIT_USM_BREAKDOWN_FIELDS(UNIT_DECLARE_FIELD)
+#undef UNIT_DECLARE_FIELD
 
   double Value() const { return s - r - fm - fs; }
 };
+
+/// Name and member of every field, in declaration order (see the
+/// OutcomeCounts overload).
+inline const auto& FieldsOf(const UsmBreakdown&) {
+  struct Field {
+    const char* name;
+    double UsmBreakdown::*member;
+  };
+  static constexpr Field kFields[] = {
+#define UNIT_FIELD_ENTRY(name) {#name, &UsmBreakdown::name},
+      UNIT_USM_BREAKDOWN_FIELDS(UNIT_FIELD_ENTRY)
+#undef UNIT_FIELD_ENTRY
+  };
+  return kFields;
+}
 
 /// Total USM over all submitted queries (Eq. 4).
 double UsmTotal(const OutcomeCounts& counts, const UsmWeights& weights);

@@ -130,6 +130,8 @@ StatusOr<FaultScenarioSpec> FaultScenarioSpec::FromConfig(
   FaultScenarioSpec spec;
   spec.name = config.GetString("name", "scenario");
   spec.seed = static_cast<uint64_t>(config.GetInt("seed", 7));
+  s = config.CheckNumbers();
+  if (!s.ok()) return s;
   spec.faults.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     const std::string p = FaultPrefix(i);
@@ -147,6 +149,8 @@ StatusOr<FaultScenarioSpec> FaultScenarioSpec::FromConfig(
     fault.rate_hz = config.GetDouble(p + "rate_hz", 0.0);
     fault.factor = config.GetDouble(p + "factor", 0.0);
     fault.delta = config.GetDouble(p + "delta", 0.0);
+    s = config.CheckNumbers();
+    if (!s.ok()) return s;
 
     // Fields the kind does not consume must be absent.
     const KindFields fields = FieldsOf(fault.kind);

@@ -1,8 +1,10 @@
 #include "unit/model/diff.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -138,23 +140,36 @@ class Comparer {
     }
   }
 
-  void Counts(const std::string& prefix, const OutcomeCounts& a,
-              const OutcomeCounts& b) {
-    Eq(prefix + ".submitted", a.submitted, b.submitted);
-    Eq(prefix + ".success", a.success, b.success);
-    Eq(prefix + ".rejected", a.rejected, b.rejected);
-    Eq(prefix + ".dmf", a.dmf, b.dmf);
-    Eq(prefix + ".dsf", a.dsf, b.dsf);
-  }
-
-  void Stat(const std::string& prefix, const RunningStat& a,
-            const RunningStat& b) {
-    Eq(prefix + ".count", a.count(), b.count());
-    EqBits(prefix + ".sum", a.sum(), b.sum());
-    EqBits(prefix + ".mean", a.mean(), b.mean());
-    EqBits(prefix + ".variance", a.variance(), b.variance());
-    EqBits(prefix + ".min", a.min(), b.min());
-    EqBits(prefix + ".max", a.max(), b.max());
+  /// Compares one table field, recursing into vectors ("name.size", then
+  /// "name[i]") and into structs with a field table ("name.member").
+  /// Doubles compare bit for bit.
+  template <typename T>
+  void Field(const std::string& name, const T& a, const T& b) {
+    if constexpr (std::is_floating_point_v<T>) {
+      EqBits(name, a, b);
+    } else if constexpr (std::is_integral_v<T>) {
+      Eq(name, a, b);
+    } else if constexpr (std::is_same_v<T, RunningStat>) {
+      Eq(name + ".count", a.count(), b.count());
+      EqBits(name + ".sum", a.sum(), b.sum());
+      EqBits(name + ".mean", a.mean(), b.mean());
+      EqBits(name + ".variance", a.variance(), b.variance());
+      EqBits(name + ".min", a.min(), b.min());
+      EqBits(name + ".max", a.max(), b.max());
+    } else if constexpr (std::is_same_v<T, WindowSample>) {
+      ForEachWindowSampleField([&]<typename F>(F field) {
+        Field(name + "." + field.name, a.*F::member, b.*F::member);
+      });
+    } else if constexpr (requires { a.size(); }) {
+      Eq(name + ".size", a.size(), b.size());
+      for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+        Field(name + "[" + std::to_string(i) + "]", a[i], b[i]);
+      }
+    } else {
+      for (const auto& f : FieldsOf(a)) {
+        Field(name + "." + f.name, a.*f.member, b.*f.member);
+      }
+    }
   }
 
  private:
@@ -172,48 +187,7 @@ void Compare(const DiffCase& c, const DiffOptions& opts, DiffResult* out) {
   Comparer cmp(out, opts);
   const RunMetrics& a = out->optimized.metrics;
   const RunMetrics& b = out->reference.metrics;
-
-  // Final semantic metrics. Hot-path telemetry (events_processed,
-  // events_cancelled, event_compactions, events_compacted,
-  // peak_ready_depth, obs_*) is implementation-specific and excluded.
-  cmp.Counts("counts", a.counts, b.counts);
-  cmp.Eq("per_class_counts.size", a.per_class_counts.size(),
-         b.per_class_counts.size());
-  const size_t classes =
-      std::min(a.per_class_counts.size(), b.per_class_counts.size());
-  for (size_t i = 0; i < classes; ++i) {
-    cmp.Counts(Idx("per_class_counts", i, "counts"), a.per_class_counts[i],
-               b.per_class_counts[i]);
-  }
-  cmp.Stat("query_response_s", a.query_response_s, b.query_response_s);
-  cmp.Stat("query_freshness", a.query_freshness, b.query_freshness);
-  cmp.Stat("update_latency_s", a.update_latency_s, b.update_latency_s);
-  cmp.EqBits("duration_s", a.duration_s, b.duration_s);
-  cmp.EqBits("busy_s", a.busy_s, b.busy_s);
-  cmp.Eq("preemptions", a.preemptions, b.preemptions);
-  cmp.Eq("lock_restarts", a.lock_restarts, b.lock_restarts);
-  cmp.Eq("update_commits", a.update_commits, b.update_commits);
-  cmp.Eq("on_demand_updates", a.on_demand_updates, b.on_demand_updates);
-  cmp.Eq("updates_generated", a.updates_generated, b.updates_generated);
-  cmp.Eq("updates_dropped", a.updates_dropped, b.updates_dropped);
-  cmp.Eq("fault_edges", a.fault_edges, b.fault_edges);
-  cmp.Eq("fault_injected_queries", a.fault_injected_queries,
-         b.fault_injected_queries);
-  cmp.Eq("fault_injected_updates", a.fault_injected_updates,
-         b.fault_injected_updates);
-  cmp.Eq("fault_suppressed_updates", a.fault_suppressed_updates,
-         b.fault_suppressed_updates);
-  cmp.Eq("session_requests", a.session_requests, b.session_requests);
-  cmp.Eq("session_retries", a.session_retries, b.session_retries);
-  cmp.Eq("session_successes", a.session_successes, b.session_successes);
-  cmp.Eq("session_abandons", a.session_abandons, b.session_abandons);
-  cmp.Eq("queries_shed", a.queries_shed, b.queries_shed);
-  cmp.Stat("session_retry_delay_s", a.session_retry_delay_s,
-           b.session_retry_delay_s);
-  cmp.Eq("cache_hits", a.cache_hits, b.cache_hits);
-  cmp.Eq("cache_misses", a.cache_misses, b.cache_misses);
-  cmp.Eq("cache_invalidations", a.cache_invalidations, b.cache_invalidations);
-  cmp.Eq("cache_stale_skips", a.cache_stale_skips, b.cache_stale_skips);
+  DiffMetrics(a, b, opts, out);
 
   // Closed-loop conservation: every session request resolves to exactly one
   // terminal outcome, and no chain retries past its budget. Checked on each
@@ -243,20 +217,6 @@ void Compare(const DiffCase& c, const DiffOptions& opts, DiffResult* out) {
     conservation("optimized", a, c.engine.session.max_retries);
     conservation("reference", b, c.engine.session.max_retries);
   }
-  cmp.Eq("per_item_accesses.size", a.per_item_accesses.size(),
-         b.per_item_accesses.size());
-  for (size_t i = 0;
-       i < std::min(a.per_item_accesses.size(), b.per_item_accesses.size());
-       ++i) {
-    cmp.Eq(Idx("per_item_accesses", i, "n"), a.per_item_accesses[i],
-           b.per_item_accesses[i]);
-  }
-  for (size_t i = 0; i < std::min(a.per_item_applied_updates.size(),
-                                  b.per_item_applied_updates.size());
-       ++i) {
-    cmp.Eq(Idx("per_item_applied_updates", i, "n"),
-           a.per_item_applied_updates[i], b.per_item_applied_updates[i]);
-  }
 
   // Per-query outcomes, in resolution order.
   cmp.Eq("queries.size", out->optimized.queries.size(),
@@ -279,41 +239,11 @@ void Compare(const DiffCase& c, const DiffOptions& opts, DiffResult* out) {
 
   // Window series, bit-for-bit, plus the naive per-window USM cross-check.
   if (opts.compare_series) {
-    cmp.Eq("series.size", out->optimized.series.size(),
-           out->reference.series.size());
-    const size_t ns =
-        std::min(out->optimized.series.size(), out->reference.series.size());
-    for (size_t i = 0; i < ns; ++i) {
-      const WindowSample& sa = out->optimized.series[i];
-      const WindowSample& sb = out->reference.series[i];
-      cmp.EqBits(Idx("series", i, "t_s"), sa.t_s, sb.t_s);
-      cmp.Counts(Idx("series", i, "window"), sa.window, sb.window);
-      cmp.EqBits(Idx("series", i, "usm.s"), sa.usm.s, sb.usm.s);
-      cmp.EqBits(Idx("series", i, "usm.r"), sa.usm.r, sb.usm.r);
-      cmp.EqBits(Idx("series", i, "usm.fm"), sa.usm.fm, sb.usm.fm);
-      cmp.EqBits(Idx("series", i, "usm.fs"), sa.usm.fs, sb.usm.fs);
-      cmp.EqBits(Idx("series", i, "utilization"), sa.utilization,
-                 sb.utilization);
-      cmp.Eq(Idx("series", i, "ready_queries"), sa.ready_queries,
-             sb.ready_queries);
-      cmp.Eq(Idx("series", i, "ready_updates"), sa.ready_updates,
-             sb.ready_updates);
-      cmp.EqBits(Idx("series", i, "udrop_p50"), sa.udrop_p50, sb.udrop_p50);
-      cmp.EqBits(Idx("series", i, "udrop_p90"), sa.udrop_p90, sb.udrop_p90);
-      cmp.Eq(Idx("series", i, "udrop_max"), sa.udrop_max, sb.udrop_max);
-      cmp.EqBits(Idx("series", i, "admission_knob"), sa.admission_knob,
-                 sb.admission_knob);
-      cmp.Eq(Idx("series", i, "degraded_items"), sa.degraded_items,
-             sb.degraded_items);
-      cmp.Eq(Idx("series", i, "retries"), sa.retries, sb.retries);
-      cmp.Eq(Idx("series", i, "abandons"), sa.abandons, sb.abandons);
-      cmp.Eq(Idx("series", i, "shed"), sa.shed, sb.shed);
-      cmp.Eq(Idx("series", i, "cache_hits"), sa.cache_hits, sb.cache_hits);
-      cmp.Eq(Idx("series", i, "cache_invalidations"), sa.cache_invalidations,
-             sb.cache_invalidations);
-
+    DiffSeries(out->optimized.series, out->reference.series, opts, out);
+    for (size_t i = 0; i < out->reference.series.size(); ++i) {
       // Cross-check the recorder's Eq. 5 decomposition against the naive
       // one-at-a-time accumulation (tolerance: accumulation-order error).
+      const WindowSample& sb = out->reference.series[i];
       const UsmBreakdown naive =
           ReferenceUsmDecompose(sb.window, c.weights);
       cmp.Near(Idx("series", i, "usm.s(naive)"), sb.usm.s, naive.s, kUsmEps);
@@ -474,22 +404,7 @@ StatusOr<DiffResult> RunShardedDiff(const DiffCase& c,
         }
         const auto drop = [&r](OutcomeCounts& counts) {
           --counts.submitted;
-          switch (r.outcome) {
-            case Outcome::kRejected:
-              --counts.rejected;
-              break;
-            case Outcome::kDeadlineMiss:
-              --counts.dmf;
-              break;
-            case Outcome::kDataStale:
-              --counts.dsf;
-              break;
-            case Outcome::kSuccess:
-              --counts.success;
-              break;
-            case Outcome::kPending:
-              break;
-          }
+          counts.Bump(r.outcome, -1);
         };
         drop(rm.counts);
         if (static_cast<size_t>(r.preference_class) <
@@ -546,6 +461,22 @@ StatusOr<DiffResult> RunShardedDiff(const DiffCase& c,
 }
 
 }  // namespace
+
+void DiffMetrics(const RunMetrics& optimized, const RunMetrics& reference,
+                 const DiffOptions& opts, DiffResult* out) {
+  Comparer cmp(out, opts);
+  ForEachRunMetricsField([&]<typename F>(F field) {
+    if constexpr (F::oracle == OracleRole::kCompared) {
+      cmp.Field(field.name, optimized.*F::member, reference.*F::member);
+    }
+  });
+}
+
+void DiffSeries(const std::vector<WindowSample>& optimized,
+                const std::vector<WindowSample>& reference,
+                const DiffOptions& opts, DiffResult* out) {
+  Comparer(out, opts).Field("series", optimized, reference);
+}
 
 StatusOr<DiffResult> RunDiff(const DiffCase& c, const DiffOptions& opts) {
   if (c.shards >= 1) return RunShardedDiff(c, opts);

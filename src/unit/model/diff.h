@@ -130,12 +130,23 @@ struct DiffResult {
 };
 
 /// Runs the optimized engine and the naive reference model on `c` and
-/// compares semantic RunMetrics fields, per-query outcomes, and (optionally)
-/// window series bit-for-bit. Hot-path telemetry (events_*, compactions,
-/// peak depths, obs_* snapshots) is excluded — it legitimately differs
-/// between implementations. Fails (Status) only on setup errors: unknown
-/// policy or a fault scenario that does not compile against the workload.
+/// compares the RunMetrics fields tagged kCompared (sched/metrics.h),
+/// per-query outcomes, and (optionally) window series bit-for-bit. Fails
+/// (Status) only on setup errors: unknown policy or a fault scenario that
+/// does not compile against the workload.
 StatusOr<DiffResult> RunDiff(const DiffCase& c, const DiffOptions& opts = {});
+
+/// Compares every RunMetrics field tagged OracleRole::kCompared bit for bit,
+/// counting each mismatch in `out` and recording it as "<field>[.<part>]:
+/// optimized=... reference=...". Telemetry and obs fields are skipped.
+void DiffMetrics(const RunMetrics& optimized, const RunMetrics& reference,
+                 const DiffOptions& opts, DiffResult* out);
+
+/// Compares two window series field by field ("series.size", then
+/// "series[i].<field>[.<part>]"), bit for bit.
+void DiffSeries(const std::vector<WindowSample>& optimized,
+                const std::vector<WindowSample>& reference,
+                const DiffOptions& opts, DiffResult* out);
 
 /// ddmin-lite shrink: repeatedly halves the query-arrival list and the
 /// fault list (and finally tries dropping the fault layer whole) while the

@@ -11,6 +11,7 @@
 #include "unit/core/policy.h"
 #include "unit/db/database.h"
 #include "unit/db/lock_manager.h"
+#include "unit/obs/timeseries.h"
 #include "unit/sched/engine_context.h"
 #include "unit/sched/event_queue.h"
 #include "unit/sched/metrics.h"
@@ -228,14 +229,9 @@ class ReferenceEngine final : public EngineContext {
   int64_t retry_decisions_ = 0;
   std::vector<SessionAttempt> resubmits_;
 
-  OutcomeCounts series_last_counts_;
+  WindowSample series_totals_;  ///< run counters at the last sample
   double series_last_busy_ = 0.0;
   SimTime series_last_sample_ = 0;
-  int64_t series_last_retries_ = 0;
-  int64_t series_last_abandons_ = 0;
-  int64_t series_last_shed_ = 0;
-  int64_t series_last_cache_hits_ = 0;
-  int64_t series_last_cache_invalidations_ = 0;
   std::vector<int64_t> udrop_scratch_;
 
   /// Naive result cache: item ids in first-population order (front oldest).

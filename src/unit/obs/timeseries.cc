@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <type_traits>
+#include <utility>
 
 namespace unitdb {
 
@@ -13,30 +15,30 @@ std::string FmtG(double v) {
   return tmp;
 }
 
+/// Calls `cell(column, text)` for every CSV column of `s`, in table order;
+/// a struct field contributes one column per member.
+template <typename F>
+void ForEachCell(const WindowSample& s, F&& cell) {
+  const auto emit = [&cell](const std::string& column, auto v) {
+    cell(column, std::is_floating_point_v<decltype(v)> ? FmtG(v)
+                                                        : std::to_string(v));
+  };
+  ForEachWindowSampleField([&]<typename Field>(Field field) {
+    const auto& v = s.*Field::member;
+    if constexpr (std::is_class_v<std::remove_cvref_t<decltype(v)>>) {
+      for (const auto& m : FieldsOf(v)) {
+        emit(std::string(field.column) + m.name, v.*m.member);
+      }
+    } else {
+      emit(field.column, v);
+    }
+  });
+}
+
 void AppendRowValues(const WindowSample& s, std::vector<std::string>& out) {
-  out.push_back(FmtG(s.t_s));
-  out.push_back(std::to_string(s.window.submitted));
-  out.push_back(std::to_string(s.window.success));
-  out.push_back(std::to_string(s.window.rejected));
-  out.push_back(std::to_string(s.window.dmf));
-  out.push_back(std::to_string(s.window.dsf));
-  out.push_back(FmtG(s.usm.s));
-  out.push_back(FmtG(s.usm.r));
-  out.push_back(FmtG(s.usm.fm));
-  out.push_back(FmtG(s.usm.fs));
-  out.push_back(FmtG(s.utilization));
-  out.push_back(std::to_string(s.ready_queries));
-  out.push_back(std::to_string(s.ready_updates));
-  out.push_back(FmtG(s.udrop_p50));
-  out.push_back(FmtG(s.udrop_p90));
-  out.push_back(std::to_string(s.udrop_max));
-  out.push_back(FmtG(s.admission_knob));
-  out.push_back(std::to_string(s.degraded_items));
-  out.push_back(std::to_string(s.retries));
-  out.push_back(std::to_string(s.abandons));
-  out.push_back(std::to_string(s.shed));
-  out.push_back(std::to_string(s.cache_hits));
-  out.push_back(std::to_string(s.cache_invalidations));
+  ForEachCell(s, [&out](const std::string&, std::string text) {
+    out.push_back(std::move(text));
+  });
 }
 
 Status WriteStringToFile(const std::string& text, const std::string& path) {
@@ -51,6 +53,16 @@ Status WriteStringToFile(const std::string& text, const std::string& path) {
 
 }  // namespace
 
+void TakeWindowDeltas(const RunMetrics& run, WindowSample* last,
+                      WindowSample* sample) {
+  ForEachWindowSampleField([&]<typename Field>(Field) {
+    if constexpr (!std::is_null_pointer_v<decltype(Field::source)>) {
+      sample->*Field::member = run.*Field::source - last->*Field::member;
+      last->*Field::member = run.*Field::source;
+    }
+  });
+}
+
 TimeSeriesRecorder::TimeSeriesRecorder(const UsmWeights& weights)
     : weights_(weights) {}
 
@@ -60,13 +72,14 @@ void TimeSeriesRecorder::Record(WindowSample sample) {
 }
 
 const std::vector<std::string>& TimeSeriesRecorder::ColumnNames() {
-  static const std::vector<std::string> kColumns = {
-      "t_s",         "submitted",     "success",       "rejected",
-      "dmf",         "dsf",           "usm_s",         "usm_r",
-      "usm_fm",      "usm_fs",        "utilization",   "ready_queries",
-      "ready_updates", "udrop_p50",   "udrop_p90",     "udrop_max",
-      "c_flex",      "degraded_items", "retries",      "abandons",
-      "shed",        "cache_hits",    "cache_inval"};
+  static const std::vector<std::string> kColumns = [] {
+    std::vector<std::string> columns;
+    ForEachCell(WindowSample{}, [&columns](const std::string& column,
+                                           const std::string&) {
+      columns.push_back(column);
+    });
+    return columns;
+  }();
   return kColumns;
 }
 

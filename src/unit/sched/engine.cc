@@ -664,33 +664,15 @@ void Engine::AbortQuery(Transaction* t, Outcome outcome) {
 void Engine::ResolveQuery(Transaction* t, Outcome outcome) {
   t->set_outcome(outcome);
   if (tracing()) TraceQueryResolution(*t, outcome);
+  assert(outcome != Outcome::kPending && "resolving with pending outcome");
   const size_t cls = static_cast<size_t>(t->preference_class());
   if (metrics_.per_class_counts.size() <= cls) {
     metrics_.per_class_counts.resize(cls + 1);
   }
   OutcomeCounts& class_counts = metrics_.per_class_counts[cls];
   ++class_counts.submitted;
-  switch (outcome) {
-    case Outcome::kSuccess:
-      ++metrics_.counts.success;
-      ++class_counts.success;
-      break;
-    case Outcome::kRejected:
-      ++metrics_.counts.rejected;
-      ++class_counts.rejected;
-      break;
-    case Outcome::kDeadlineMiss:
-      ++metrics_.counts.dmf;
-      ++class_counts.dmf;
-      break;
-    case Outcome::kDataStale:
-      ++metrics_.counts.dsf;
-      ++class_counts.dsf;
-      break;
-    case Outcome::kPending:
-      assert(false && "resolving with pending outcome");
-      break;
-  }
+  class_counts.Bump(outcome);
+  metrics_.counts.Bump(outcome);
   policy_->OnQueryResolved(*this, *t, outcome);
   if (sessions_.Eligible(t->trace_id())) {
     const SessionDecision d = sessions_.OnOutcome(t->trace_id(), outcome);
@@ -947,8 +929,7 @@ UNIT_COLD void Engine::TraceFaultEdge(const FaultEdge& edge) {
 void Engine::RecordWindowSample() {
   WindowSample s;
   s.t_s = SimToSeconds(now_);
-  s.window = metrics_.counts - series_last_counts_;
-  series_last_counts_ = metrics_.counts;
+  TakeWindowDeltas(metrics_, &series_totals_, &s);
   const double busy = BusySeconds();
   const double window_s = SimToSeconds(now_ - series_last_sample_);
   s.utilization =
@@ -972,17 +953,6 @@ void Engine::RecordWindowSample() {
   }
   s.admission_knob = policy_->AdmissionKnob();
   s.degraded_items = db_.DegradedCount();
-  s.retries = metrics_.session_retries - series_last_retries_;
-  s.abandons = metrics_.session_abandons - series_last_abandons_;
-  s.shed = metrics_.queries_shed - series_last_shed_;
-  series_last_retries_ = metrics_.session_retries;
-  series_last_abandons_ = metrics_.session_abandons;
-  series_last_shed_ = metrics_.queries_shed;
-  s.cache_hits = metrics_.cache_hits - series_last_cache_hits_;
-  s.cache_invalidations =
-      metrics_.cache_invalidations - series_last_cache_invalidations_;
-  series_last_cache_hits_ = metrics_.cache_hits;
-  series_last_cache_invalidations_ = metrics_.cache_invalidations;
   params_.series->Record(s);
 }
 

@@ -11,6 +11,7 @@
 #include "unit/core/policy.h"
 #include "unit/db/database.h"
 #include "unit/db/lock_manager.h"
+#include "unit/obs/timeseries.h"
 #include "unit/sched/engine_context.h"
 #include "unit/sched/event_queue.h"
 #include "unit/sched/metrics.h"
@@ -26,7 +27,6 @@ namespace unitdb {
 class CounterRegistry;
 class FaultSchedule;
 struct FaultEdge;
-class TimeSeriesRecorder;
 class TraceSink;
 enum class TraceEventType : uint8_t;
 
@@ -282,14 +282,9 @@ class Engine final : public EngineContext {
 
   // Observability bookkeeping (only touched when the hooks are set).
   const char* pending_reject_reason_ = nullptr;
-  OutcomeCounts series_last_counts_;
+  WindowSample series_totals_;  ///< run counters at the last sample
   double series_last_busy_ = 0.0;
   SimTime series_last_sample_ = 0;
-  int64_t series_last_retries_ = 0;
-  int64_t series_last_abandons_ = 0;
-  int64_t series_last_shed_ = 0;
-  int64_t series_last_cache_hits_ = 0;
-  int64_t series_last_cache_invalidations_ = 0;
   std::vector<int64_t> udrop_scratch_;
 
   RunMetrics metrics_;

@@ -12,90 +12,136 @@
 
 namespace unitdb {
 
+/// How the sharded runner folds one field of the per-shard metrics into the
+/// merged view (MergeShardMetrics, shard/sharded.h).
+enum class ShardMerge {
+  kSum,      ///< summed over shards
+  kMax,      ///< largest shard value
+  kStat,     ///< RunningStat::Merge
+  kPerItem,  ///< element-wise sum over the item ids every shard has
+  kSame,     ///< identical on every shard; shard 0's copy stands
+  kJoin,     ///< recomputed over the joined parent queries
+  kObs,      ///< per-shard registry snapshot; dropped when shards > 1
+};
+
+/// What the differential oracle (model/diff.h) does with one field.
+enum class OracleRole {
+  kCompared,   ///< must equal the reference engine's value bit for bit
+  kTelemetry,  ///< implementation telemetry; the two engines differ by design
+  kObs,        ///< observability side channel; never compared
+};
+
+using ObsCounterSnapshot = std::vector<std::pair<std::string, int64_t>>;
+using ObsGaugeSnapshot = std::vector<std::pair<std::string, double>>;
+
+/// The RunMetrics field table, X(type, name, ShardMerge, OracleRole), in
+/// declaration order. It declares the members, so every field has exactly
+/// one line here; adding a metric takes that line plus the engine code that
+/// increments it, and the shard merge and the oracle pick it up.
+#define UNIT_RUN_METRICS_FIELDS(X)                                            \
+  /* Outcome counts (they feed the USM), and the same per preference class   \
+     (index = preference_class, sized to the largest class seen). */         \
+  X(OutcomeCounts, counts, kJoin, kCompared)                                 \
+  X(std::vector<OutcomeCounts>, per_class_counts, kJoin, kCompared)         \
+  /* Response time (s) and observed Eq. 1 read-set freshness of committed    \
+     queries; arrival-to-commit latency of update transactions (s). */       \
+  X(RunningStat, query_response_s, kJoin, kCompared)                         \
+  X(RunningStat, query_freshness, kJoin, kCompared)                          \
+  X(RunningStat, update_latency_s, kStat, kCompared)                         \
+  /* Simulated run length and CPU busy time (aggregate over shard CPUs). */  \
+  X(double, duration_s, kSame, kCompared)                                    \
+  X(double, busy_s, kSum, kCompared)                                         \
+  /* Engine hot path: events popped, events tombstoned by lazy               \
+     cancellation, heap compaction passes, dead events removed, largest      \
+     ready-queue size. */                                                    \
+  X(int64_t, events_processed, kSum, kTelemetry)                             \
+  X(int64_t, events_cancelled, kSum, kTelemetry)                             \
+  X(int64_t, event_compactions, kSum, kTelemetry)                            \
+  X(int64_t, events_compacted, kSum, kTelemetry)                             \
+  X(int, peak_ready_depth, kMax, kTelemetry)                                 \
+  /* Transaction slab and read sets: peak live transactions (bounds the      \
+     arena whatever the run length), slots ever allocated, slots recycled,   \
+     read sets held inline, read sets spilled to the heap. */                \
+  X(int64_t, txn_live_peak, kSum, kTelemetry)                                \
+  X(int64_t, txn_slots_created, kSum, kTelemetry)                            \
+  X(int64_t, txn_released, kSum, kTelemetry)                                 \
+  X(int64_t, readset_inline, kSum, kTelemetry)                               \
+  X(int64_t, readset_spill, kSum, kTelemetry)                                \
+  /* Fault layer (0 without a schedule): start/stop edges processed,         \
+     injected query arrivals, burst update deliveries, deliveries swallowed  \
+     by outages. */                                                          \
+  X(int64_t, fault_edges, kSum, kCompared)                                   \
+  X(int64_t, fault_injected_queries, kSum, kCompared)                        \
+  X(int64_t, fault_injected_updates, kSum, kCompared)                        \
+  X(int64_t, fault_suppressed_updates, kSum, kCompared)                      \
+  /* Closed-loop sessions (0 when sessions and shedding are off): requests   \
+     entering a session, resubmissions, requests that committed, requests    \
+     given up, ready queries evicted by shedding, and the client-observed    \
+     retry delay (think + backoff + jitter, s). */                           \
+  X(int64_t, session_requests, kSum, kCompared)                              \
+  X(int64_t, session_retries, kSum, kCompared)                               \
+  X(int64_t, session_successes, kSum, kCompared)                             \
+  X(int64_t, session_abandons, kSum, kCompared)                              \
+  X(int64_t, queries_shed, kSum, kCompared)                                  \
+  X(RunningStat, session_retry_delay_s, kStat, kCompared)                    \
+  /* Result cache (0 when capacity is 0): arrivals answered from cache,      \
+     arrivals with an uncovered read set, entries erased by update           \
+     installs, covered arrivals too stale to serve. */                       \
+  X(int64_t, cache_hits, kSum, kCompared)                                    \
+  X(int64_t, cache_misses, kSum, kCompared)                                  \
+  X(int64_t, cache_invalidations, kSum, kCompared)                           \
+  X(int64_t, cache_stale_skips, kSum, kCompared)                             \
+  /* Preemptions, 2PL-HP aborts of shared holders, update commits, ODU       \
+     refreshes, update txns created (periodic + on demand), source arrivals  \
+     shed by frequency modulation. */                                        \
+  X(int64_t, preemptions, kSum, kCompared)                                   \
+  X(int64_t, lock_restarts, kSum, kCompared)                                 \
+  X(int64_t, update_commits, kSum, kCompared)                                \
+  X(int64_t, on_demand_updates, kSum, kCompared)                             \
+  X(int64_t, updates_generated, kSum, kCompared)                             \
+  X(int64_t, updates_dropped, kSum, kCompared)                               \
+  /* Per-item counters copied from the database at end of run. */            \
+  X(std::vector<int64_t>, per_item_accesses, kPerItem, kCompared)           \
+  X(std::vector<int64_t>, per_item_applied_updates, kPerItem, kCompared)    \
+  /* EngineParams::counters snapshot at end of run; empty unless tracing     \
+     registered something. Tracing must change no other field. */            \
+  X(ObsCounterSnapshot, obs_counters, kObs, kObs)                            \
+  X(ObsGaugeSnapshot, obs_gauges, kObs, kObs)
+
 /// Everything one engine run records. Outcome counts feed the USM; the rest
 /// supports the paper's distribution plots (Fig. 3), the ratio decomposition
 /// (Fig. 6), and general sanity reporting.
 struct RunMetrics {
-  OutcomeCounts counts;
-  /// Per-preference-class outcome counters (index = preference_class;
-  /// sized to the largest class seen; empty when no query resolved).
-  std::vector<OutcomeCounts> per_class_counts;
+#define UNIT_DECLARE_FIELD(type, name, merge, oracle) type name{};
+  UNIT_RUN_METRICS_FIELDS(UNIT_DECLARE_FIELD)
+#undef UNIT_DECLARE_FIELD
 
-  /// Response time of committed queries, seconds.
-  RunningStat query_response_s;
-  /// Observed read-set freshness of committed queries (Eq. 1 value).
-  RunningStat query_freshness;
-  /// Arrival-to-commit latency of update transactions, seconds.
-  RunningStat update_latency_s;
-
-  double duration_s = 0.0;
-  double busy_s = 0.0;  ///< CPU busy time
   double Utilization() const {
     return duration_s > 0.0 ? busy_s / duration_s : 0.0;
   }
-
-  // --- engine hot-path telemetry (perf tracking; bench_engine_throughput
-  // reports these as BENCH_engine.json fields) ---
-  int64_t events_processed = 0;   ///< events popped off the event queue
-  int64_t events_cancelled = 0;   ///< events tombstoned by lazy cancellation
-  int64_t event_compactions = 0;  ///< event-heap compaction passes
-  int64_t events_compacted = 0;   ///< dead events physically removed
-  int peak_ready_depth = 0;       ///< largest ready-queue size observed
-
-  // --- transaction-slab / read-set telemetry (memory-flat hot path; the
-  // slab recycles slots, so slots_created is the arena's whole footprint
-  // and live_peak bounds it regardless of how many transactions a run
-  // processes in total) ---
-  int64_t txn_live_peak = 0;      ///< max simultaneously live transactions
-  int64_t txn_slots_created = 0;  ///< distinct slab slots ever allocated
-  int64_t txn_released = 0;       ///< slots recycled over the run
-  int64_t readset_inline = 0;     ///< read sets held in the inline buffer
-  int64_t readset_spill = 0;      ///< read sets spilled to a heap block
-
-  // --- fault-injection telemetry (src/unit/faults/; all 0 when no fault
-  // schedule is attached or the schedule is empty) ---
-  int64_t fault_edges = 0;               ///< fault start/stop edges processed
-  int64_t fault_injected_queries = 0;    ///< load-step query arrivals injected
-  int64_t fault_injected_updates = 0;    ///< burst update deliveries ingested
-  int64_t fault_suppressed_updates = 0;  ///< deliveries swallowed by outages
-
-  // --- closed-loop session telemetry (src/unit/session/; all 0 when
-  // SessionParams::sessions == 0 and shedding is off) ---
-  int64_t session_requests = 0;   ///< distinct trace requests entering a session
-  int64_t session_retries = 0;    ///< resubmissions scheduled by sessions
-  int64_t session_successes = 0;  ///< requests that eventually committed
-  int64_t session_abandons = 0;   ///< requests given up (retries/patience spent)
-  int64_t queries_shed = 0;       ///< ready queries evicted by overload shedding
-  /// Client-observed retry delay (think + backoff + jitter), seconds.
-  RunningStat session_retry_delay_s;
-
-  // --- result-cache telemetry (src/unit/cache/; all 0 when
-  // CacheParams::capacity == 0) ---
-  int64_t cache_hits = 0;           ///< queries answered from cache on arrival
-  int64_t cache_misses = 0;         ///< arrivals with an uncovered read set
-  int64_t cache_invalidations = 0;  ///< entries erased by update installs
-  int64_t cache_stale_skips = 0;    ///< covered arrivals too stale to serve
-
-  int64_t preemptions = 0;
-  int64_t lock_restarts = 0;      ///< 2PL-HP aborts of shared holders
-  int64_t update_commits = 0;
-  int64_t on_demand_updates = 0;  ///< refresh transactions issued by ODU-style policies
-  int64_t updates_generated = 0;  ///< update txns the server created (periodic + on-demand)
-  int64_t updates_dropped = 0;    ///< source arrivals shed by frequency modulation
-
-  /// Per-item counters copied from the database at end of run.
-  std::vector<int64_t> per_item_accesses;
-  std::vector<int64_t> per_item_applied_updates;
-
-  /// Observability registry snapshot (EngineParams::counters), taken at end
-  /// of run. Empty unless a registry was attached AND something registered
-  /// into it (sinks / recorders only register when tracing is on — the
-  /// trace-off overhead test asserts these stay empty). Excluded from
-  /// behavior-equivalence comparisons: tracing must not change any other
-  /// field of this struct.
-  std::vector<std::pair<std::string, int64_t>> obs_counters;
-  std::vector<std::pair<std::string, double>> obs_gauges;
+  bool operator==(const RunMetrics&) const = default;
 };
+
+/// One RunMetrics table row as ForEachRunMetricsField hands it out; the
+/// member and the tags are compile-time constants.
+template <auto Member, ShardMerge Merge, OracleRole Oracle>
+struct RunMetricsField {
+  static constexpr auto member = Member;
+  static constexpr ShardMerge merge = Merge;
+  static constexpr OracleRole oracle = Oracle;
+  const char* name;
+};
+
+/// Calls `f(RunMetricsField<...>{name})` for every field, in declaration
+/// order.
+template <typename F>
+constexpr void ForEachRunMetricsField(F&& f) {
+#define UNIT_VISIT_FIELD(type, name, merge, oracle)                     \
+  f(RunMetricsField<&RunMetrics::name, ShardMerge::merge,              \
+                    OracleRole::oracle>{#name});
+  UNIT_RUN_METRICS_FIELDS(UNIT_VISIT_FIELD)
+#undef UNIT_VISIT_FIELD
+}
 
 }  // namespace unitdb
 

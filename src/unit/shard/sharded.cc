@@ -294,73 +294,6 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
   return out;
 }
 
-/// Folds per-shard window series into the merged global series: samples
-/// with the same window-end instant are combined (counts / depths /
-/// utilization summed, Udrop percentiles max'd, admission knob averaged
-/// over shards that have one, USM re-derived from the merged window), in
-/// (t, shard, index) order — deterministic for any jobs count.
-std::vector<WindowSample> MergeSeries(
-    const std::vector<std::vector<WindowSample>>& per_shard,
-    const UsmWeights& weights) {
-  if (per_shard.size() == 1) return per_shard[0];
-  struct Tagged {
-    double t;
-    int shard;
-    size_t idx;
-    const WindowSample* s;
-  };
-  std::vector<Tagged> all;
-  for (size_t s = 0; s < per_shard.size(); ++s) {
-    for (size_t i = 0; i < per_shard[s].size(); ++i) {
-      all.push_back(
-          Tagged{per_shard[s][i].t_s, static_cast<int>(s), i, &per_shard[s][i]});
-    }
-  }
-  std::sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
-    return std::tie(a.t, a.shard, a.idx) < std::tie(b.t, b.shard, b.idx);
-  });
-
-  std::vector<WindowSample> merged;
-  size_t i = 0;
-  while (i < all.size()) {
-    WindowSample m = *all[i].s;
-    double knob_sum = std::isnan(m.admission_knob) ? 0.0 : m.admission_knob;
-    int knob_n = std::isnan(m.admission_knob) ? 0 : 1;
-    size_t j = i + 1;
-    for (; j < all.size() && all[j].t == all[i].t; ++j) {
-      const WindowSample& s = *all[j].s;
-      m.window.submitted += s.window.submitted;
-      m.window.success += s.window.success;
-      m.window.rejected += s.window.rejected;
-      m.window.dmf += s.window.dmf;
-      m.window.dsf += s.window.dsf;
-      m.utilization += s.utilization;  // aggregate over N shard CPUs
-      m.ready_queries += s.ready_queries;
-      m.ready_updates += s.ready_updates;
-      m.degraded_items += s.degraded_items;
-      m.retries += s.retries;
-      m.abandons += s.abandons;
-      m.shed += s.shed;
-      m.cache_hits += s.cache_hits;
-      m.cache_invalidations += s.cache_invalidations;
-      m.udrop_p50 = std::max(m.udrop_p50, s.udrop_p50);
-      m.udrop_p90 = std::max(m.udrop_p90, s.udrop_p90);
-      m.udrop_max = std::max(m.udrop_max, s.udrop_max);
-      if (!std::isnan(s.admission_knob)) {
-        knob_sum += s.admission_knob;
-        ++knob_n;
-      }
-    }
-    m.admission_knob = knob_n > 0
-                           ? knob_sum / static_cast<double>(knob_n)
-                           : std::numeric_limits<double>::quiet_NaN();
-    m.usm = UsmDecompose(m.window, weights);
-    merged.push_back(m);
-    i = j;
-  }
-  return merged;
-}
-
 /// Writes the merged global trace: every shard's tagged events, sorted by
 /// (time, shard, per-shard emission order).
 Status WriteMergedTrace(const std::vector<ShardRunOutput>& outputs,
@@ -417,6 +350,81 @@ struct ParentAgg {
 };
 
 }  // namespace
+
+void MergeShardMetrics(RunMetrics& merged, const RunMetrics& shard) {
+  ForEachRunMetricsField([&]<typename Field>(Field) {
+    auto& into = merged.*Field::member;
+    const auto& from = shard.*Field::member;
+    if constexpr (Field::merge == ShardMerge::kSum) {
+      into += from;
+    } else if constexpr (Field::merge == ShardMerge::kMax) {
+      into = std::max(into, from);
+    } else if constexpr (Field::merge == ShardMerge::kStat) {
+      into.Merge(from);
+    } else if constexpr (Field::merge == ShardMerge::kPerItem) {
+      for (size_t i = 0; i < std::min(into.size(), from.size()); ++i) {
+        into[i] += from[i];
+      }
+    } else if constexpr (Field::merge == ShardMerge::kObs) {
+      into.clear();  // same names, different per-shard meanings
+    }
+  });
+}
+
+std::vector<WindowSample> MergeSeries(
+    const std::vector<std::vector<WindowSample>>& per_shard,
+    const UsmWeights& weights) {
+  if (per_shard.size() == 1) return per_shard[0];
+  struct Tagged {
+    double t;
+    int shard;
+    size_t idx;
+    const WindowSample* s;
+  };
+  std::vector<Tagged> all;
+  for (size_t s = 0; s < per_shard.size(); ++s) {
+    for (size_t i = 0; i < per_shard[s].size(); ++i) {
+      all.push_back(
+          Tagged{per_shard[s][i].t_s, static_cast<int>(s), i, &per_shard[s][i]});
+    }
+  }
+  std::sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
+    return std::tie(a.t, a.shard, a.idx) < std::tie(b.t, b.shard, b.idx);
+  });
+
+  TimeSeriesRecorder merged(weights);  // Record() re-derives `usm`
+  size_t i = 0;
+  while (i < all.size()) {
+    size_t end = i + 1;
+    while (end < all.size() && all[end].t == all[i].t) ++end;
+    WindowSample m = *all[i].s;
+    ForEachWindowSampleField([&]<typename Field>(Field) {
+      auto& into = m.*Field::member;
+      if constexpr (Field::merge == WindowMerge::kSum) {
+        for (size_t j = i + 1; j < end; ++j) into += all[j].s->*Field::member;
+      } else if constexpr (Field::merge == WindowMerge::kMax) {
+        for (size_t j = i + 1; j < end; ++j) {
+          into = std::max(into, all[j].s->*Field::member);
+        }
+      } else if constexpr (Field::merge == WindowMerge::kKnobMean) {
+        int n = std::isnan(into) ? 0 : 1;
+        double sum = n > 0 ? into : 0.0;
+        for (size_t j = i + 1; j < end; ++j) {
+          const double v = all[j].s->*Field::member;
+          if (!std::isnan(v)) {
+            sum += v;
+            ++n;
+          }
+        }
+        into = n > 0 ? sum / static_cast<double>(n)
+                     : std::numeric_limits<double>::quiet_NaN();
+      }
+    });
+    merged.Record(m);
+    i = end;
+  }
+  return merged.samples();
+}
 
 StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
                                            const ShardRouter& router) {
@@ -562,62 +570,12 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
     result.merged_series = MergeSeries(result.per_shard_series, weights);
   }
 
-  // Scalar counters: shard 0's metrics as the base, every other shard
-  // summed in (max for the depth peak). duration_s is per-wall-clock and
-  // identical on every shard, so shard 0's copy stands.
+  // Shard 0's metrics as the base, every other shard folded in by each
+  // field's ShardMerge rule; the join below recomputes the kJoin fields.
   RunMetrics& merged = result.metrics;
   merged = outputs[0].metrics;
   for (int s = 1; s < n; ++s) {
-    const RunMetrics& m = outputs[static_cast<size_t>(s)].metrics;
-    merged.busy_s += m.busy_s;  // aggregate over N shard CPUs
-    merged.events_processed += m.events_processed;
-    merged.events_cancelled += m.events_cancelled;
-    merged.event_compactions += m.event_compactions;
-    merged.events_compacted += m.events_compacted;
-    merged.peak_ready_depth = std::max(merged.peak_ready_depth,
-                                       m.peak_ready_depth);
-    merged.txn_live_peak += m.txn_live_peak;  // aggregate arena footprint
-    merged.txn_slots_created += m.txn_slots_created;
-    merged.txn_released += m.txn_released;
-    merged.readset_inline += m.readset_inline;
-    merged.readset_spill += m.readset_spill;
-    merged.fault_edges += m.fault_edges;
-    merged.fault_injected_queries += m.fault_injected_queries;
-    merged.fault_injected_updates += m.fault_injected_updates;
-    merged.fault_suppressed_updates += m.fault_suppressed_updates;
-    merged.preemptions += m.preemptions;
-    merged.lock_restarts += m.lock_restarts;
-    merged.update_commits += m.update_commits;
-    merged.on_demand_updates += m.on_demand_updates;
-    merged.updates_generated += m.updates_generated;
-    merged.updates_dropped += m.updates_dropped;
-    merged.update_latency_s.Merge(m.update_latency_s);
-    merged.session_requests += m.session_requests;
-    merged.session_retries += m.session_retries;
-    merged.session_successes += m.session_successes;
-    merged.session_abandons += m.session_abandons;
-    merged.queries_shed += m.queries_shed;
-    merged.session_retry_delay_s.Merge(m.session_retry_delay_s);
-    merged.cache_hits += m.cache_hits;
-    merged.cache_misses += m.cache_misses;
-    merged.cache_invalidations += m.cache_invalidations;
-    merged.cache_stale_skips += m.cache_stale_skips;
-    const size_t items = std::min(merged.per_item_accesses.size(),
-                                  m.per_item_accesses.size());
-    for (size_t i = 0; i < items; ++i) {
-      merged.per_item_accesses[i] += m.per_item_accesses[i];
-    }
-    const size_t applied = std::min(merged.per_item_applied_updates.size(),
-                                    m.per_item_applied_updates.size());
-    for (size_t i = 0; i < applied; ++i) {
-      merged.per_item_applied_updates[i] += m.per_item_applied_updates[i];
-    }
-  }
-  if (n > 1) {
-    // Per-shard registries can't be merged meaningfully (same counter names
-    // with different per-shard meanings); the per_shard metrics keep them.
-    merged.obs_counters.clear();
-    merged.obs_gauges.clear();
+    MergeShardMetrics(merged, outputs[static_cast<size_t>(s)].metrics);
   }
 
   // Join sub-queries back into parents. Workload parents are keyed by the
@@ -718,31 +676,16 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
   merged.query_freshness.Clear();
   result.queries.reserve(order.size());
   for (const ParentAgg* p : order) {
-    auto count = [&](OutcomeCounts& c) {
-      ++c.submitted;
-      switch (p->outcome) {
-        case Outcome::kSuccess:
-          ++c.success;
-          break;
-        case Outcome::kRejected:
-          ++c.rejected;
-          break;
-        case Outcome::kDeadlineMiss:
-          ++c.dmf;
-          break;
-        case Outcome::kDataStale:
-          ++c.dsf;
-          break;
-        case Outcome::kPending:
-          break;
-      }
-    };
-    count(merged.counts);
+    ++merged.counts.submitted;
+    merged.counts.Bump(p->outcome);
     if (static_cast<size_t>(p->pref_class) >= merged.per_class_counts.size()) {
       merged.per_class_counts.resize(
           static_cast<size_t>(p->pref_class) + 1);
     }
-    count(merged.per_class_counts[static_cast<size_t>(p->pref_class)]);
+    OutcomeCounts& class_counts =
+        merged.per_class_counts[static_cast<size_t>(p->pref_class)];
+    ++class_counts.submitted;
+    class_counts.Bump(p->outcome);
     const bool committed = p->outcome == Outcome::kSuccess ||
                            p->outcome == Outcome::kDataStale;
     if (committed) {

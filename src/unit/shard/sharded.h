@@ -116,23 +116,31 @@ StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
 /// sub-query met both its deadline and its freshness bound.
 Outcome CrossShardJoin(Outcome a, Outcome b);
 
+/// Folds one more shard's metrics into `merged` by each field's ShardMerge
+/// tag (sched/metrics.h). kJoin fields are left for the parent join.
+void MergeShardMetrics(RunMetrics& merged, const RunMetrics& shard);
+
+/// Folds per-shard window series into the merged global series: samples
+/// with the same window-end instant combine by each field's WindowMerge tag
+/// (obs/timeseries.h), in (t, shard, index) order, so the result is the same
+/// for any jobs count. A single shard's series passes through unchanged.
+std::vector<WindowSample> MergeSeries(
+    const std::vector<std::vector<WindowSample>>& per_shard,
+    const UsmWeights& weights);
+
 /// Everything one sharded run produced: per-shard views plus the merged
 /// global view with parent-level (Eq. 5) outcome accounting.
 struct ShardedResult {
-  /// Merged global view. Outcome counts, per-class counts, and the
-  /// response/freshness stats are parent-level (post-join, in deterministic
-  /// merged resolution order); scalar counters are summed across shards
-  /// (peak_ready_depth: max); per-item arrays are summed elementwise;
-  /// busy_s is the aggregate over all shard CPUs (utilization can exceed 1).
+  /// Merged global view (MergeShardMetrics). Outcome counts, per-class
+  /// counts, and the response/freshness stats are parent-level (post-join,
+  /// in deterministic merged resolution order). busy_s sums over the shard
+  /// CPUs, so Utilization() can exceed 1.
   RunMetrics metrics;
   double usm = 0.0;  ///< average USM (Eq. 5) over parent outcomes
   UsmBreakdown breakdown;
   /// Per-shard RunMetrics, sub-query level (shard-local accounting).
   std::vector<RunMetrics> per_shard;
-  /// Merged window series (record_series): per window, outcome counts and
-  /// depths summed across shards, USM re-derived from the merged window,
-  /// utilization summed (aggregate of N CPUs), Udrop percentiles max'd,
-  /// admission knob averaged over shards that have one.
+  /// Merged window series (record_series; MergeSeries).
   std::vector<WindowSample> merged_series;
   std::vector<std::vector<WindowSample>> per_shard_series;
   /// Joined parent records in merged resolution order (the order the

@@ -141,5 +141,51 @@ TEST(ConfigTest, ExpectKeysRejectsUnknownKey) {
   EXPECT_NE(s.ToString().find("seed"), std::string::npos) << s.ToString();
 }
 
+TEST(ConfigTest, WholeNumbersParseCleanly) {
+  Config c;
+  c.Set("i", "-42");
+  c.Set("d", "2.5e-3");
+  EXPECT_EQ(c.GetInt("i", 0), -42);
+  EXPECT_DOUBLE_EQ(c.GetDouble("d", 0.0), 2.5e-3);
+  EXPECT_TRUE(c.CheckNumbers().ok());
+}
+
+// A value that is not a whole, in-range number returns the default and is
+// reported by CheckNumbers, naming the key and the value.
+TEST(ConfigTest, MalformedNumbersFailLoudly) {
+  struct Case {
+    const char* value;
+    bool as_int;
+  };
+  for (const Case& k : {Case{"abc", true}, Case{"", true}, Case{"12x", true},
+                        Case{"1.5", true}, Case{"99999999999999999999", true},
+                        Case{"abc", false}, Case{"", false},
+                        Case{"0.1x", false}, Case{"1e999", false}}) {
+    SCOPED_TRACE(std::string(k.value) + (k.as_int ? " as int" : " as double"));
+    Config c;
+    c.Set("key", k.value);
+    if (k.as_int) {
+      EXPECT_EQ(c.GetInt("key", 7), 7);
+    } else {
+      EXPECT_DOUBLE_EQ(c.GetDouble("key", 7.0), 7.0);
+    }
+    const Status s = c.CheckNumbers();
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find(std::string("key=") + k.value),
+              std::string::npos)
+        << s.ToString();
+  }
+}
+
+TEST(ConfigTest, CheckNumbersReportsTheFirstBadValue) {
+  Config c;
+  c.Set("jobs", "abc");
+  c.Set("scale", "0.1x");
+  c.GetInt("jobs", 0);
+  c.GetDouble("scale", 1.0);
+  EXPECT_EQ(c.CheckNumbers().message(), "jobs=abc is not an integer");
+}
+
 }  // namespace
 }  // namespace unitdb

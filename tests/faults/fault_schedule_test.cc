@@ -139,6 +139,18 @@ TEST(FaultScenarioSpecTest, RejectsMalformedSpecs) {
                   .ok());
 }
 
+// A number with trailing junk would otherwise parse as its prefix ("2s" as
+// 2) and yield a valid-looking window.
+TEST(FaultScenarioSpecTest, RejectsMalformedNumbers) {
+  auto spec = FaultScenarioSpec::Parse(
+      "fault0.kind = load-step\nfault0.start_s = 1\nfault0.end_s = 2s\n"
+      "fault0.rate_hz = 5\n");
+  ASSERT_FALSE(spec.ok());
+  EXPECT_NE(spec.status().message().find("fault0.end_s=2s"), std::string::npos)
+      << spec.status().ToString();
+  EXPECT_FALSE(FaultScenarioSpec::Parse("name = quiet\nseed = abc\n").ok());
+}
+
 TEST(FaultScheduleTest, EmptySpecCompilesToEmptySchedule) {
   const Workload w = SmallWorkload();
   auto s = FaultSchedule::Compile(FaultScenarioSpec{}, w, 42);

@@ -77,6 +77,29 @@ TEST(TimeSeriesRecorderTest, CsvHasHeaderAndOneRowPerSample) {
   EXPECT_EQ(rows, 2);
 }
 
+// Pins the writer byte for byte: the full header, then one row in which
+// every column is non-zero, so a dropped, duplicated or reordered cell shows.
+TEST(TimeSeriesRecorderTest, CsvHeaderAndRowAreByteStable) {
+  TimeSeriesRecorder rec(UsmWeights{1.0, 0.5, 1.0, 0.5});
+  WindowSample s = Sample(1.5);
+  s.utilization = 0.75;
+  s.udrop_p50 = 1.0;
+  s.retries = 7;
+  s.abandons = 2;
+  s.shed = 3;
+  s.cache_hits = 9;
+  s.cache_invalidations = 8;
+  rec.Record(s);
+  EXPECT_EQ(rec.ToCsv(),
+            "t_s,submitted,success,rejected,dmf,dsf,usm_s,usm_r,usm_fm,"
+            "usm_fs,utilization,ready_queries,ready_updates,udrop_p50,"
+            "udrop_p90,udrop_max,c_flex,degraded_items,retries,abandons,"
+            "shed,cache_hits,cache_inval\n"
+            "1.5,10,6,2,1,1,0.59999999999999998,0.10000000000000001,"
+            "0.10000000000000001,0.050000000000000003,0.75,3,1,1,2,5,"
+            "1.1000000000000001,4,7,2,3,9,8\n");
+}
+
 TEST(TimeSeriesRecorderTest, JsonEncodesNanKnobAsNull) {
   TimeSeriesRecorder rec;
   WindowSample s = Sample(1.0);

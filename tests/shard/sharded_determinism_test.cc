@@ -26,26 +26,13 @@ std::string Slurp(const std::filesystem::path& p) {
   return os.str();
 }
 
-// Every semantically meaningful merged field, plus the full window series.
-// EXPECT_EQ on doubles is exact equality — the determinism contract is
-// bit-identical, not approximately equal.
+// Every merged and per-shard metric, plus the full window series. Equality
+// on doubles is exact — the determinism contract is bit-identical, not
+// approximately equal.
 void ExpectIdentical(const ShardedResult& a, const ShardedResult& b,
                      int jobs) {
-  EXPECT_EQ(a.metrics.counts.submitted, b.metrics.counts.submitted) << jobs;
-  EXPECT_EQ(a.metrics.counts.success, b.metrics.counts.success) << jobs;
-  EXPECT_EQ(a.metrics.counts.rejected, b.metrics.counts.rejected) << jobs;
-  EXPECT_EQ(a.metrics.counts.dmf, b.metrics.counts.dmf) << jobs;
-  EXPECT_EQ(a.metrics.counts.dsf, b.metrics.counts.dsf) << jobs;
-  EXPECT_EQ(a.metrics.busy_s, b.metrics.busy_s) << jobs;
-  EXPECT_EQ(a.metrics.events_processed, b.metrics.events_processed) << jobs;
-  EXPECT_EQ(a.metrics.preemptions, b.metrics.preemptions) << jobs;
-  EXPECT_EQ(a.metrics.lock_restarts, b.metrics.lock_restarts) << jobs;
-  EXPECT_EQ(a.metrics.update_commits, b.metrics.update_commits) << jobs;
-  EXPECT_EQ(a.metrics.txn_live_peak, b.metrics.txn_live_peak) << jobs;
-  EXPECT_EQ(a.metrics.query_response_s.sum(), b.metrics.query_response_s.sum())
-      << jobs;
-  EXPECT_EQ(a.metrics.query_freshness.sum(), b.metrics.query_freshness.sum())
-      << jobs;
+  EXPECT_TRUE(a.metrics == b.metrics) << jobs;
+  EXPECT_TRUE(a.per_shard == b.per_shard) << jobs;
   EXPECT_EQ(a.usm, b.usm) << jobs;
   EXPECT_EQ(a.cross_shard_queries, b.cross_shard_queries) << jobs;
   EXPECT_EQ(a.subqueries, b.subqueries) << jobs;
