@@ -137,7 +137,7 @@ BENCHMARK(BM_FreshnessProbe);
 
 // Admission control: cost of one Admit() decision as the ready queue grows.
 // arg0 = queue length, arg1 = 0 for the seed's naive O(N_rq) scan, 1 for the
-// incremental Fenwick/segment-tree index (O(log N_rq)). Built by flooding an
+// online order-statistic index (O(log N_rq)). Built by flooding an
 // engine with long-deadline queries behind a long-running head query, then
 // timing decisions via the policy hook on repeated replays.
 void BM_AdmissionScan(benchmark::State& state) {

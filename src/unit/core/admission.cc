@@ -2,170 +2,198 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <numeric>
 #include <vector>
 
+#include "unit/common/rng.h"
 #include "unit/sched/engine_context.h"
 
 namespace unitdb {
 
 // --- AdmissionIndex -------------------------------------------------------
 
-void AdmissionIndex::Init(const Workload& workload,
-                          const std::vector<QueryRequest>* injected) {
-  const size_t nw = workload.queries.size();
-  const size_t n = nw + (injected != nullptr ? injected->size() : 0);
-  num_workload_ = nw;
-  initialized_ = true;
-
-  // Combined index space: [0, nw) are workload queries, [nw, n) injected
-  // ones (fault-schedule order). Request `qi` resolves through this.
-  auto request_of = [&workload, injected, nw](size_t qi) -> const QueryRequest& {
-    return qi < nw ? workload.queries[qi] : (*injected)[qi - nw];
-  };
-
-  // Creation order of query transactions equals arrival order: the event
-  // queue breaks time ties by push sequence — workload index order first,
-  // then injected index order (ScheduleInitialEvents pushes every workload
-  // query arrival before any injected one, so the stable sort's tie-break
-  // matches the pop order at equal timestamps).
-  std::vector<size_t> creation(n);
-  std::iota(creation.begin(), creation.end(), size_t{0});
-  std::stable_sort(creation.begin(), creation.end(),
-                   [&request_of](size_t a, size_t b) {
-                     return request_of(a).arrival < request_of(b).arrival;
-                   });
-
-  // Rank order (deadline, creation position) matches the naive scan's EDF
-  // (deadline, txn id) order, since query txn ids increase with creation.
-  auto deadline_of = [&request_of](size_t qi) {
-    return request_of(qi).arrival + request_of(qi).relative_deadline;
-  };
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&creation, &deadline_of](size_t a, size_t b) {
-              const SimTime da = deadline_of(creation[a]);
-              const SimTime db = deadline_of(creation[b]);
-              if (da != db) return da < db;
-              return a < b;
-            });
-
-  ranks_.assign(n, -1);
-  rank_deadline_.resize(n);
-  for (size_t r = 0; r < n; ++r) {
-    const size_t qi = creation[order[r]];
-    ranks_[qi] = static_cast<int32_t>(r);
-    rank_deadline_[r] = deadline_of(qi);
-  }
-
-  work_.Reset(n);
-  leaf_count_ = 1;
-  while (leaf_count_ < std::max<size_t>(n, 1)) leaf_count_ <<= 1;
-  nodes_.assign(2 * leaf_count_, Node{});
+void AdmissionIndex::Init(const Workload& /*workload*/) {
+  enabled_ = true;
+  root_ = kNil;
+  free_ = kNil;
+  nodes_.clear();
 }
 
-AdmissionIndex::Node AdmissionIndex::Merge(const Node& l, const Node& r) {
-  Node p;
-  p.count = l.count + r.count;
-  p.work = l.work + r.work;
-  if (l.count == 0) {  // l.work == 0, so the right half shifts by nothing
-    p.min_m = r.min_m;
-    p.max_m = r.max_m;
-  } else if (r.count == 0) {
-    p.min_m = l.min_m;
-    p.max_m = l.max_m;
+void AdmissionIndex::Pull(int32_t x) {
+  Node& n = nodes_[x];
+  int64_t through = n.own_work;  // work in EDF order up to and including n
+  n.count = 1;
+  if (n.left != kNil) {
+    const Node& l = nodes_[n.left];
+    through += l.work;
+    n.count += l.count;
+    n.min_m = std::min(l.min_m, n.deadline - through);
+    n.max_m = std::max(l.max_m, n.deadline - through);
   } else {
-    p.min_m = std::min(l.min_m, r.min_m - l.work);
-    p.max_m = std::max(l.max_m, r.max_m - l.work);
+    n.min_m = n.max_m = n.deadline - through;
   }
-  return p;
+  if (n.right != kNil) {
+    // The right subtree's lags shift down by everything before it.
+    const Node& r = nodes_[n.right];
+    n.count += r.count;
+    n.min_m = std::min(n.min_m, r.min_m - through);
+    n.max_m = std::max(n.max_m, r.max_m - through);
+    through += r.work;
+  }
+  n.work = through;
 }
 
-void AdmissionIndex::PullUp(size_t leaf) {
-  for (size_t i = leaf >> 1; i >= 1; i >>= 1) {
-    nodes_[i] = Merge(nodes_[2 * i], nodes_[2 * i + 1]);
+void AdmissionIndex::Split(int32_t t, SimTime deadline, TxnId id,
+                           int32_t* before, int32_t* after) {
+  if (t == kNil) {
+    *before = *after = kNil;
+    return;
   }
+  Node& n = nodes_[t];
+  if (KeyBefore(deadline, id, n)) {
+    Split(n.left, deadline, id, before, &n.left);
+    *after = t;
+  } else {
+    Split(n.right, deadline, id, &n.right, after);
+    *before = t;
+  }
+  Pull(t);
+}
+
+int32_t AdmissionIndex::InsertAt(int32_t t, int32_t x) {
+  if (t == kNil) return x;
+  Node& n = nodes_[t];
+  Node& node = nodes_[x];
+  if (node.priority > n.priority) {
+    // x becomes this subtree's root: split only the subtree it displaces.
+    Split(t, node.deadline, node.id, &node.left, &node.right);
+    Pull(x);
+    return x;
+  }
+  if (KeyBefore(node.deadline, node.id, n)) {
+    n.left = InsertAt(n.left, x);
+  } else {
+    n.right = InsertAt(n.right, x);
+  }
+  Pull(t);
+  return t;
+}
+
+int32_t AdmissionIndex::Join(int32_t a, int32_t b) {
+  if (a == kNil) return b;
+  if (b == kNil) return a;
+  if (nodes_[a].priority > nodes_[b].priority) {
+    nodes_[a].right = Join(nodes_[a].right, b);
+    Pull(a);
+    return a;
+  }
+  nodes_[b].left = Join(a, nodes_[b].left);
+  Pull(b);
+  return b;
+}
+
+int32_t AdmissionIndex::EraseAt(int32_t t, SimTime deadline, TxnId id) {
+  assert(t != kNil && "erasing a query the index does not hold");
+  Node& n = nodes_[t];
+  if (n.deadline == deadline && n.id == id) {
+    const int32_t joined = Join(n.left, n.right);
+    n.left = free_;
+    free_ = t;
+    return joined;
+  }
+  if (KeyBefore(deadline, id, n)) {
+    n.left = EraseAt(n.left, deadline, id);
+  } else {
+    n.right = EraseAt(n.right, deadline, id);
+  }
+  Pull(t);
+  return t;
 }
 
 void AdmissionIndex::OnInsert(const Transaction& query) {
-  assert(query.is_query() && query.admission_rank() >= 0);
-  const size_t r = static_cast<size_t>(query.admission_rank());
-  const int64_t rem = query.remaining();
-  work_.Set(r, rem);
-  Node& leaf = nodes_[leaf_count_ + r];
-  leaf.count = 1;
-  leaf.work = rem;
-  leaf.min_m = leaf.max_m = query.absolute_deadline() - rem;
-  PullUp(leaf_count_ + r);
+  assert(query.is_query());
+  int32_t x = free_;
+  if (x != kNil) {
+    free_ = nodes_[x].left;
+  } else {
+    x = static_cast<int32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  Node& n = nodes_[x];
+  n.deadline = query.absolute_deadline();
+  n.id = query.id();
+  n.priority = static_cast<uint32_t>(
+      SplitMix64(static_cast<uint64_t>(query.id())) >> 32);
+  n.own_work = query.remaining();
+  n.left = n.right = kNil;
+  Pull(x);
+  root_ = InsertAt(root_, x);
 }
 
 void AdmissionIndex::OnRemove(const Transaction& query) {
-  assert(query.is_query() && query.admission_rank() >= 0);
-  const size_t r = static_cast<size_t>(query.admission_rank());
-  work_.Set(r, 0);
-  nodes_[leaf_count_ + r] = Node{};
-  PullUp(leaf_count_ + r);
-}
-
-size_t AdmissionIndex::BoundaryRank(SimTime deadline) const {
-  return static_cast<size_t>(
-      std::upper_bound(rank_deadline_.begin(), rank_deadline_.end(),
-                       deadline) -
-      rank_deadline_.begin());
+  assert(query.is_query());
+  root_ = EraseAt(root_, query.absolute_deadline(), query.id());
 }
 
 SimDuration AdmissionIndex::EarlierWork(SimTime deadline) const {
-  return work_.PrefixSum(BoundaryRank(deadline));
-}
-
-int64_t AdmissionIndex::CountFromRec(size_t idx, size_t l, size_t r,
-                                     size_t from) const {
-  if (r <= from || nodes_[idx].count == 0) return 0;
-  if (l >= from) return nodes_[idx].count;
-  const size_t mid = (l + r) / 2;
-  return CountFromRec(2 * idx, l, mid, from) +
-         CountFromRec(2 * idx + 1, mid, r, from);
+  SimDuration work = 0;
+  for (int32_t t = root_; t != kNil;) {
+    const Node& n = nodes_[t];
+    if (n.deadline <= deadline) {
+      work += n.own_work + (n.left != kNil ? nodes_[n.left].work : 0);
+      t = n.right;
+    } else {
+      t = n.left;
+    }
+  }
+  return work;
 }
 
 int64_t AdmissionIndex::LaterCount(SimTime deadline) const {
-  if (leaf_count_ == 0) return 0;
-  return CountFromRec(1, 0, leaf_count_, BoundaryRank(deadline));
+  int64_t count = 0;
+  for (int32_t t = root_; t != kNil;) {
+    const Node& n = nodes_[t];
+    if (n.deadline > deadline) {
+      count += 1 + (n.right != kNil ? nodes_[n.right].count : 0);
+      t = n.left;
+    } else {
+      t = n.right;
+    }
+  }
+  return count;
 }
 
-int64_t AdmissionIndex::EndangeredRec(size_t idx, size_t l, size_t r,
-                                      size_t from, int64_t lo, int64_t hi,
-                                      int64_t& acc) const {
-  const Node& nd = nodes_[idx];
-  if (r <= from || nd.count == 0) return 0;  // out of range / empty: no work
-  if (l >= from) {
-    // Fully inside the rank range: the subtree's lags, shifted by the work
-    // accumulated to its left, span [min_m - acc, max_m - acc].
-    const int64_t mn = nd.min_m - acc;
-    const int64_t mx = nd.max_m - acc;
+int64_t AdmissionIndex::Endangered(int32_t t, SimTime d, int64_t lo,
+                                   int64_t hi, int64_t& acc) const {
+  if (t == kNil) return 0;
+  const Node& n = nodes_[t];
+  if (n.deadline <= d) return Endangered(n.right, d, lo, hi, acc);
+  if (d == kWholeSubtree) {
+    // The subtree's lags, shifted by the work accumulated before it, span
+    // [min_m - acc, max_m - acc].
+    const int64_t mn = n.min_m - acc;
+    const int64_t mx = n.max_m - acc;
     if (mx < lo || mn >= hi) {
-      acc += nd.work;
+      acc += n.work;
       return 0;
     }
     if (lo <= mn && mx < hi) {
-      acc += nd.work;
-      return nd.count;
+      acc += n.work;
+      return n.count;
     }
-    // A leaf has mn == mx, so it always lands in one of the cases above.
   }
-  const size_t mid = (l + r) / 2;
-  int64_t c = EndangeredRec(2 * idx, l, mid, from, lo, hi, acc);
-  c += EndangeredRec(2 * idx + 1, mid, r, from, lo, hi, acc);
-  return c;
+  // In EDF order: the left subtree, which may straddle d, then n, then the
+  // right subtree, which lies wholly past d.
+  int64_t c = Endangered(n.left, d, lo, hi, acc);
+  acc += n.own_work;
+  const int64_t m = n.deadline - acc;
+  if (lo <= m && m < hi) ++c;
+  return c + Endangered(n.right, kWholeSubtree, lo, hi, acc);
 }
 
 int64_t AdmissionIndex::CountEndangered(SimTime deadline, int64_t lo,
                                         int64_t hi) const {
-  if (leaf_count_ == 0) return 0;
   int64_t acc = 0;
-  return EndangeredRec(1, 0, leaf_count_, BoundaryRank(deadline), lo, hi,
-                       acc);
+  return Endangered(root_, deadline, lo, hi, acc);
 }
 
 // --- AdmissionController --------------------------------------------------
@@ -183,8 +211,7 @@ bool AdmissionController::Admit(const EngineContext& engine,
                                 const Transaction& candidate,
                                 const UsmWeights& weights) {
   const AdmissionIndex& index = engine.admission_index();
-  if (params_.use_index && index.enabled() &&
-      candidate.admission_rank() >= 0) {
+  if (params_.use_index && index.enabled()) {
     return AdmitIndexed(engine, index, candidate, weights);
   }
   return AdmitNaive(engine, candidate, weights);

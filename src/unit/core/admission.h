@@ -2,9 +2,9 @@
 #define UNIT_CORE_ADMISSION_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
-#include "unit/common/fenwick.h"
 #include "unit/common/types.h"
 #include "unit/core/usm.h"
 #include "unit/txn/transaction.h"
@@ -26,7 +26,7 @@ struct AdmissionParams {
   /// zero (the naive setting): endangered transactions and the candidate are
   /// then compared at unit cost.
   double zero_weight_unit_cost = 1.0;
-  /// Answers both admission checks from the engine's incremental admission
+  /// Answers both admission checks from the engine's online admission
   /// index (O(log N_rq) per arrival) instead of the seed's naive ready-queue
   /// scan (O(N_rq)). The two paths make bit-identical decisions; the naive
   /// scan is kept as the oracle for the equivalence property tests and A/B
@@ -34,49 +34,39 @@ struct AdmissionParams {
   bool use_index = true;
 };
 
-/// Incremental EST/admission index, owned by the engine and kept in sync at
-/// every ready-queue mutation of a query transaction.
+/// Online EST/admission index over the queued queries, owned by the engine
+/// and kept in sync at every ready-queue mutation of a query transaction.
 ///
-/// Every workload query's absolute deadline is known up front, so each query
-/// gets a static slot ordered by (deadline, arrival order) — the exact EDF
-/// tie-break the ready queue uses, since query transaction ids increase in
-/// arrival order. Two aggregates live over the occupied slots:
+/// A treap keyed on (absolute deadline, txn id) — the ready queue's EDF
+/// order — holds exactly the queued queries, whatever their origin (trace,
+/// stream, fault injection or session retry), so nothing is precomputed.
+/// Each node aggregates its subtree's query count, remaining service demand
+/// and min/max "lag" m_k = deadline_k - P_k (P_k = EDF-prefix remaining work
+/// through query k within the subtree). That answers, in O(log N):
 ///
-///  - a Fenwick tree of remaining service demand: the deadline check's
-///    earlier-deadline work term (EST) is one prefix sum, O(log N);
-///  - a segment tree over the per-query "lag" m_k = deadline_k - P_k (P_k =
-///    EDF-prefix remaining work through query k within the queried rank
-///    suffix), answering "how many queued queries with deadline > d have lag
-///    in [lo, hi)" — exactly the set of transactions the candidate would
-///    newly endanger. Subtrees whose [min, max] lag window misses [lo, hi)
-///    are pruned, so the count is O(log N) except when many queries straddle
-///    the window.
+///  - the deadline check's earlier-deadline work term (EST);
+///  - "how many queued queries with deadline > d have lag in [lo, hi)",
+///    with P_k taken over that deadline suffix — exactly the set of
+///    transactions the candidate would newly endanger. Subtrees whose
+///    shifted [min, max] lag window misses or lies inside [lo, hi) are
+///    answered from their aggregates, so the count is O(log N) except when
+///    many queries straddle the window.
+///
+/// Treap priorities hash the txn id with SplitMix64, so the index draws
+/// nothing from the engine RNG. Nodes live in a pooled vector with a free
+/// list: once the pool has grown to the peak queue depth, an insert
+/// allocates nothing.
 ///
 /// Integer (SimTime) arithmetic end to end, so every comparison matches the
 /// naive scan bit for bit.
 class AdmissionIndex {
  public:
-  /// Precomputes deadline ranks for every query in `workload`, plus the
-  /// fault layer's injected queries when a schedule supplies them — injected
-  /// arrivals are known up front too (compiled before the run), so they get
-  /// static slots like everyone else. Ranks assume EDF dispatch order; do
-  /// not enable the index under other disciplines.
-  void Init(const Workload& workload,
-            const std::vector<QueryRequest>* injected = nullptr);
+  /// Empties the index and enables it; O(1). `workload` is not read: the
+  /// index holds only queued queries. Its key order is EDF order, so do not
+  /// enable it under other disciplines.
+  void Init(const Workload& workload);
 
-  bool enabled() const { return initialized_; }
-
-  /// Deadline rank of workload query `query_index` (its slot); the engine
-  /// stamps this onto the Transaction at creation.
-  int32_t RankOfQuery(size_t query_index) const {
-    return ranks_[query_index];
-  }
-
-  /// Deadline rank of injected query `injected_index` (fault schedule
-  /// order). Only valid when Init saw the injected list.
-  int32_t RankOfInjected(size_t injected_index) const {
-    return ranks_[num_workload_ + injected_index];
-  }
+  bool enabled() const { return enabled_; }
 
   /// The query entered the ready queue (remaining stays fixed while queued).
   void OnInsert(const Transaction& query);
@@ -95,30 +85,53 @@ class AdmissionIndex {
   int64_t CountEndangered(SimTime deadline, int64_t lo, int64_t hi) const;
 
   /// Number of currently indexed (queued) queries.
-  int64_t occupied() const { return leaf_count_ == 0 ? 0 : nodes_[1].count; }
+  int64_t occupied() const { return root_ == kNil ? 0 : nodes_[root_].count; }
 
  private:
-  struct Node {
-    int64_t work = 0;    ///< sum of remaining demand in the subtree
-    int64_t min_m = 0;   ///< min over subtree of deadline - local prefix work
-    int64_t max_m = 0;   ///< max of the same (valid only when count > 0)
-    int32_t count = 0;   ///< occupied slots in the subtree
+  static constexpr int32_t kNil = -1;
+  static constexpr SimTime kWholeSubtree = std::numeric_limits<SimTime>::min();
+
+  /// One cache line per node.
+  struct alignas(64) Node {
+    SimTime deadline = 0;  ///< key, major
+    TxnId id = 0;          ///< key, minor
+    int64_t own_work = 0;  ///< this query's remaining demand
+    int64_t work = 0;      ///< sum of remaining demand in the subtree
+    int64_t min_m = 0;     ///< min over subtree of deadline - local prefix work
+    int64_t max_m = 0;     ///< max of the same
+    int32_t left = kNil;   ///< doubles as the free-list link of a free node
+    int32_t right = kNil;
+    int32_t count = 1;     ///< queries in the subtree
+    /// Max-heap order: the high half of SplitMix64(id). A tie only affects
+    /// the tree's shape, never an answer.
+    uint32_t priority = 0;
   };
 
-  static Node Merge(const Node& l, const Node& r);
-  void PullUp(size_t leaf);
-  size_t BoundaryRank(SimTime deadline) const;
-  int64_t CountFromRec(size_t idx, size_t l, size_t r, size_t from) const;
-  int64_t EndangeredRec(size_t idx, size_t l, size_t r, size_t from,
-                        int64_t lo, int64_t hi, int64_t& acc) const;
+  /// Whether (deadline, id) sorts before node `n`'s key.
+  static bool KeyBefore(SimTime deadline, TxnId id, const Node& n) {
+    return deadline != n.deadline ? deadline < n.deadline : id < n.id;
+  }
+  /// Recomputes node `x`'s aggregates from its children.
+  void Pull(int32_t x);
+  /// Inserts node `x` into subtree `t`; returns the new subtree root.
+  int32_t InsertAt(int32_t t, int32_t x);
+  /// Splits subtree `t` into the keys before and after (deadline, id).
+  void Split(int32_t t, SimTime deadline, TxnId id, int32_t* before,
+             int32_t* after);
+  /// Joins subtrees `a` and `b`, every key of `a` before every key of `b`.
+  int32_t Join(int32_t a, int32_t b);
+  /// Erases key (deadline, id) from subtree `t`; returns its new root.
+  int32_t EraseAt(int32_t t, SimTime deadline, TxnId id);
+  /// Endangered count over the keys of subtree `t` with deadline > `d`
+  /// (every key when d == kWholeSubtree); `acc` carries the suffix work
+  /// before the subtree and is advanced past it.
+  int64_t Endangered(int32_t t, SimTime d, int64_t lo, int64_t hi,
+                     int64_t& acc) const;
 
-  bool initialized_ = false;
-  size_t num_workload_ = 0;             ///< injected queries rank after these
-  std::vector<int32_t> ranks_;          ///< workload query index -> rank
-  std::vector<SimTime> rank_deadline_;  ///< rank -> absolute deadline (sorted)
-  BasicFenwickTree<int64_t> work_;      ///< rank -> remaining demand
-  size_t leaf_count_ = 0;               ///< segment-tree width (power of two)
-  std::vector<Node> nodes_;             ///< 1-based segment tree
+  bool enabled_ = false;
+  int32_t root_ = kNil;
+  int32_t free_ = kNil;     ///< head of the free-node list
+  std::vector<Node> nodes_;  ///< node pool
 };
 
 /// The paper's two-stage admission control:

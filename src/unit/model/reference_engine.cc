@@ -393,8 +393,7 @@ bool ReferenceEngine::TryServeFromCache(Transaction* t) {
 }
 
 void ReferenceEngine::HandleClientResubmit(int64_t resubmit_index) {
-  QueryRequest request =
-      resubmits_[static_cast<size_t>(resubmit_index)].request;
+  QueryRequest request = resubmits_[static_cast<size_t>(resubmit_index)];
   request.arrival = now_;
   AdmitArrivedQuery(request, /*resubmit=*/true);
 }
@@ -711,11 +710,7 @@ void ReferenceEngine::OnSessionOutcome(Transaction* t, Outcome outcome) {
   }
   c.retries += 1;
   c.prev_delay = delay;
-  SessionAttempt attempt;
-  attempt.request = c.request;
-  attempt.attempt = c.retries + 1;
-  attempt.prev_delay = delay;
-  resubmits_.push_back(std::move(attempt));
+  resubmits_.push_back(c.request);
   Push(now_ + delay, EventType::kClientResubmit,
        static_cast<int64_t>(resubmits_.size() - 1));
   ++metrics_.session_retries;

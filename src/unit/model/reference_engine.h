@@ -37,7 +37,7 @@ namespace unitdb {
 ///    and queue depths are recomputed by full sums/counts on every call;
 ///  - admission: the AdmissionIndex member is never initialized, so the
 ///    shared AdmissionController always takes its naive O(N_rq)
-///    ready-queue-scan path (no Fenwick tree, no segment tree);
+///    ready-queue-scan path (no order-statistic tree);
 ///  - closed-loop sessions: the optimized engine's SessionPool (hash-map
 ///    retry chains) is mirrored with a flat vector scanned linearly per
 ///    outcome, reusing only the pure SessionOf / RetryDelay helpers — the
@@ -227,7 +227,9 @@ class ReferenceEngine final : public EngineContext {
   std::vector<RefChain> chains_;
   std::vector<SimDuration> session_patience_;
   int64_t retry_decisions_ = 0;
-  std::vector<SessionAttempt> resubmits_;
+  /// Original request of every scheduled retry, in scheduling order; a
+  /// kClientResubmit event's payload indexes it.
+  std::vector<QueryRequest> resubmits_;
 
   WindowSample series_totals_;  ///< run counters at the last sample
   double series_last_busy_ = 0.0;

@@ -40,18 +40,11 @@ Engine::Engine(const Workload& workload, Policy* policy, EngineParams params)
     UNIT_LOG(Error) << "bad workload update specs: " << s.ToString();
   }
   metrics_.duration_s = SimToSeconds(workload.duration);
-  // The admission index precomputes ranks from the materialized query list;
-  // a streamed workload has none, so fall back to the naive admission scan
-  // (bit-identical decisions, just O(N_rq) per arrival). Session
-  // resubmissions likewise have no precomputed rank — a single un-indexed
-  // ready query would make the index's answers wrong, so the closed loop
-  // also falls back to the scan.
-  if (params_.use_admission_index && workload.query_source == nullptr &&
-      params_.discipline == QueueDiscipline::kEdf &&
-      params_.session.sessions == 0) {
-    admission_index_.Init(workload, params_.faults != nullptr
-                                        ? &params_.faults->injected_queries()
-                                        : nullptr);
+  // The admission index orders queued queries by (deadline, id), the EDF
+  // queue order, so it serves every EDF run; FCFS keeps the naive scan.
+  if (params_.use_admission_index &&
+      params_.discipline == QueueDiscipline::kEdf) {
+    admission_index_.Init(workload);
   }
   if (params_.faults != nullptr) {
     item_outage_.assign(workload.num_items, 0);
@@ -112,6 +105,7 @@ RunMetrics Engine::Run() {
   }
   assert(running_ == nullptr);
   assert(ready_.empty());
+  assert(admission_index_.occupied() == 0);
   metrics_.txn_live_peak = txns_.high_water();
   metrics_.txn_slots_created = txns_.slots_created();
   metrics_.txn_released = txns_.released();
@@ -130,7 +124,7 @@ RunMetrics Engine::Run() {
   return metrics_;
 }
 
-Transaction* Engine::NewQueryTxn(const QueryRequest& request, int32_t rank) {
+Transaction* Engine::NewQueryTxn(const QueryRequest& request) {
   const TxnId id = next_txn_id_++;
   SimDuration exec = request.exec;
   double freshness_req = request.freshness_req;
@@ -158,7 +152,6 @@ Transaction* Engine::NewQueryTxn(const QueryRequest& request, int32_t rank) {
   } else {
     ++metrics_.readset_spill;
   }
-  if (rank >= 0) t->set_admission_rank(rank);
   if (params_.estimate_noise_sigma > 0.0) {
     const double factor =
         rng_.LogNormal(0.0, params_.estimate_noise_sigma);
@@ -223,9 +216,8 @@ void Engine::ScheduleInitialEvents() {
     events_.Push(params_.control_period, EventType::kControlTick, 0);
   }
   // Fault events are pushed after every workload event so that, at equal
-  // timestamps, workload arrivals pop first — the admission index's
-  // creation-order assumption (workload queries before injected ones)
-  // depends on this FIFO tie-break.
+  // timestamps, workload arrivals pop first. The reference engine pushes in
+  // the same order, and FIFO tie-breaks (hence txn ids) must agree.
   if (params_.faults != nullptr) {
     const FaultSchedule& faults = *params_.faults;
     for (size_t i = 0; i < faults.edges().size(); ++i) {
@@ -246,7 +238,7 @@ void Engine::ScheduleInitialEvents() {
 void Engine::HandleQueryArrival(int64_t query_index) {
   if (query_cursor_ != nullptr) {
     assert(staged_query_.id == static_cast<TxnId>(query_index));
-    AdmitArrivedQuery(staged_query_, /*rank=*/-1);
+    AdmitArrivedQuery(staged_query_);
     // Stage arrival query_index + 1 under its reserved sequence. Arrivals
     // are non-decreasing in time, so the event is never in the past.
     if (query_cursor_->Next(&staged_query_)) {
@@ -258,17 +250,11 @@ void Engine::HandleQueryArrival(int64_t query_index) {
     }
     return;
   }
-  const QueryRequest& request = workload_.queries[query_index];
-  const int32_t rank =
-      admission_index_.enabled()
-          ? admission_index_.RankOfQuery(static_cast<size_t>(query_index))
-          : -1;
-  AdmitArrivedQuery(request, rank);
+  AdmitArrivedQuery(workload_.queries[query_index]);
 }
 
-void Engine::AdmitArrivedQuery(const QueryRequest& request, int32_t rank,
-                               bool resubmit) {
-  Transaction* t = NewQueryTxn(request, rank);
+void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
+  Transaction* t = NewQueryTxn(request);
   ++metrics_.counts.submitted;
   if (!resubmit && sessions_.Eligible(t->trace_id())) {
     ++metrics_.session_requests;
@@ -359,14 +345,15 @@ bool Engine::TryServeFromCache(Transaction* t) {
   return true;
 }
 
-void Engine::HandleClientResubmit(int64_t resubmit_index) {
-  QueryRequest request =
-      resubmits_[static_cast<size_t>(resubmit_index)].request;
+void Engine::HandleClientResubmit(int64_t trace_id) {
+  const QueryRequest* original = sessions_.Request(trace_id);
+  assert(original != nullptr && "a pending retry keeps its chain");
+  QueryRequest request = *original;
   // The retry arrives now: its deadline clock restarts, and any active
   // fault adjustments (slowdown, freshness shift) apply to this attempt
   // exactly as they would to a fresh arrival.
   request.arrival = now_;
-  AdmitArrivedQuery(request, /*rank=*/-1, /*resubmit=*/true);
+  AdmitArrivedQuery(request, /*resubmit=*/true);
 }
 
 void Engine::HandleUpdateArrival(ItemId item) {
@@ -474,15 +461,8 @@ void Engine::HandleFaultEdge(int64_t edge_index) {
 }
 
 void Engine::HandleFaultQueryArrival(int64_t injected_index) {
-  const QueryRequest& request =
-      params_.faults->injected_queries()[injected_index];
-  const int32_t rank =
-      admission_index_.enabled()
-          ? admission_index_.RankOfInjected(
-                static_cast<size_t>(injected_index))
-          : -1;
   ++metrics_.fault_injected_queries;
-  AdmitArrivedQuery(request, rank);
+  AdmitArrivedQuery(params_.faults->injected_queries()[injected_index]);
 }
 
 void Engine::HandleFaultUpdateArrival(int64_t injected_index) {
@@ -678,12 +658,10 @@ void Engine::ResolveQuery(Transaction* t, Outcome outcome) {
     const SessionDecision d = sessions_.OnOutcome(t->trace_id(), outcome);
     switch (d.kind) {
       case SessionDecision::kRetry: {
-        const QueryRequest* original = sessions_.Request(t->trace_id());
-        assert(original != nullptr && "retry decision keeps the chain");
-        resubmits_.push_back(
-            SessionAttempt{*original, d.attempt + 1, d.delay});
+        // The chain keeps the original request until the retry resolves, so
+        // the event carries only the trace id.
         events_.Push(now_ + d.delay, EventType::kClientResubmit,
-                     static_cast<int64_t>(resubmits_.size() - 1));
+                     t->trace_id());
         ++metrics_.session_retries;
         metrics_.session_retry_delay_s.Add(SimToSeconds(d.delay));
         if (tracing()) {
@@ -958,14 +936,14 @@ void Engine::RecordWindowSample() {
 
 void Engine::ReadyInsert(Transaction* t) {
   ready_.Insert(t);
-  if (t->is_query() && t->admission_rank() >= 0) {
+  if (t->is_query() && admission_index_.enabled()) {
     admission_index_.OnInsert(*t);
   }
 }
 
 void Engine::ReadyRemove(Transaction* t) {
   ready_.Remove(t);
-  if (t->is_query() && t->admission_rank() >= 0) {
+  if (t->is_query() && admission_index_.enabled()) {
     admission_index_.OnRemove(*t);
   }
 }

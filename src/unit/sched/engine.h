@@ -97,8 +97,8 @@ class Engine final : public EngineContext {
     ready_.ForEachQuery([visit, ctx](const Transaction& q) { visit(ctx, q); });
   }
 
-  /// Incremental admission index; enabled when EngineParams asks for it and
-  /// dispatch is EDF (empty/disabled otherwise).
+  /// Online admission index over the queued queries; enabled when
+  /// EngineParams asks for it and dispatch is EDF (disabled otherwise).
   const AdmissionIndex& admission_index() const override {
     return admission_index_;
   }
@@ -123,11 +123,10 @@ class Engine final : public EngineContext {
   }
 
  private:
-  /// Creates the query transaction for `request` with precomputed admission
-  /// rank `rank` (-1: not indexed), applying any active fault adjustments
-  /// (service slowdown, freshness shift). Shared by workload and injected
-  /// arrivals.
-  Transaction* NewQueryTxn(const QueryRequest& request, int32_t rank);
+  /// Creates the query transaction for `request`, applying any active fault
+  /// adjustments (service slowdown, freshness shift). Shared by workload,
+  /// injected and resubmitted arrivals.
+  Transaction* NewQueryTxn(const QueryRequest& request);
   Transaction* NewUpdateTxn(ItemId item, SimDuration relative_deadline,
                             bool on_demand);
 
@@ -181,14 +180,14 @@ class Engine final : public EngineContext {
   void HandleFaultQueryArrival(int64_t injected_index);
   /// Burst delivery: a forced source message the server must ingest.
   void HandleFaultUpdateArrival(int64_t injected_index);
-  /// Session retry firing: resubmits the original request at the current
-  /// instant through the shared admission path.
-  void HandleClientResubmit(int64_t resubmit_index);
+  /// Session retry firing: resubmits the original request of trace query
+  /// `trace_id`, held by its session's retry chain, at the current instant
+  /// through the shared admission path.
+  void HandleClientResubmit(int64_t trace_id);
   /// Arrival-side admission path shared by workload arrivals, injected
   /// queries, and session resubmissions (`resubmit` marks the latter so the
   /// request is not re-registered with its session).
-  void AdmitArrivedQuery(const QueryRequest& request, int32_t rank,
-                         bool resubmit = false);
+  void AdmitArrivedQuery(const QueryRequest& request, bool resubmit = false);
   /// Overload shedding: while more than EngineParams::shed_watermark queries
   /// sit in the ready queue, evicts the oldest (min (arrival, id)) with a
   /// rejection. Called only when the watermark is set.
@@ -253,10 +252,10 @@ class Engine final : public EngineContext {
   bool ran_ = false;
 
   // Closed-loop session state (inert when params_.session.sessions == 0).
-  // Resubmissions are parked in resubmits_ and referenced by index from
-  // kClientResubmit event payloads, keeping events POD.
+  // A kClientResubmit event carries the trace id of its retry chain, which
+  // holds the original request, so events stay POD and memory stays bounded
+  // by the requests in flight.
   SessionPool sessions_;
-  std::vector<SessionAttempt> resubmits_;
   // Overload-shedding state: resolving_shed_ flags the ResolveQuery calls
   // made on shedding victims so their terminal trace event is kShed (with
   // the pre-eviction depth) instead of kReject.

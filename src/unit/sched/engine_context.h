@@ -43,9 +43,10 @@ struct EngineParams {
   /// Intra-class dispatch order (EDF per the paper; FCFS for the
   /// scheduling ablation).
   QueueDiscipline discipline = QueueDiscipline::kEdf;
-  /// Maintains the incremental admission index (core/admission.h) so
-  /// admission control can answer in O(log N_rq). Only takes effect under
-  /// EDF dispatch — the index's deadline ranks assume EDF order.
+  /// Maintains the online admission index (core/admission.h) so admission
+  /// control can answer in O(log N_rq) on every run: materialized or
+  /// streamed, with faults, sessions or a cache. Only takes effect under EDF
+  /// dispatch — the index keeps queued queries in EDF order.
   bool use_admission_index = true;
   /// Periodically compacts tombstoned (lazily cancelled) events out of the
   /// event heap. Pop order of live events is unaffected either way.
@@ -139,7 +140,7 @@ class EngineContext {
   /// Number of queued updates.
   virtual int ReadyUpdateCount() const = 0;
 
-  /// Incremental admission index; enabled when EngineParams asks for it and
+  /// Online admission index; enabled when EngineParams asks for it and
   /// dispatch is EDF. Always disabled on the reference engine, which routes
   /// admission through the naive ready-queue scan.
   virtual const AdmissionIndex& admission_index() const = 0;

@@ -20,7 +20,8 @@ enum class EventType {
   kFaultEdge,          ///< payload: index into the fault schedule's edges
   kFaultQueryArrival,  ///< payload: index into the injected query list
   kFaultUpdateArrival, ///< payload: index into the injected update list
-  kClientResubmit,     ///< payload: index into the engine's resubmit list
+  kClientResubmit,     ///< payload: trace id of the retried request (Engine);
+                       ///< index into the resubmit list (ReferenceEngine)
 };
 
 /// One scheduled event. `seq` breaks time ties deterministically in FIFO

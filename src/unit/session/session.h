@@ -96,17 +96,6 @@ inline SimDuration RetryDelay(const SessionParams& p, int session,
   return std::max<SimDuration>(delay, 1);
 }
 
-/// One queued resubmission, owned by the engine and referenced by a
-/// kClientResubmit event's payload (an index, so the event stays POD).
-/// `request` is the ORIGINAL trace request — fault scaling / freshness
-/// shifts are applied per attempt at transaction creation, exactly as they
-/// were for the first submission.
-struct SessionAttempt {
-  QueryRequest request;
-  int attempt = 2;            ///< attempt number being submitted (first = 1)
-  SimDuration prev_delay = 0; ///< delay that scheduled this attempt
-};
-
 /// What the pool decided about one resolved attempt.
 struct SessionDecision {
   enum Kind {

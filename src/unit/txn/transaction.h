@@ -114,12 +114,6 @@ class Transaction {
   int32_t ready_pos() const { return ready_pos_; }
   void set_ready_pos(int32_t pos) { ready_pos_ = pos; }
 
-  /// Static deadline rank of a workload query in the engine's admission
-  /// index (-1 for updates, or when the index is disabled). Assigned once
-  /// at query creation.
-  int32_t admission_rank() const { return admission_rank_; }
-  void set_admission_rank(int32_t rank) { admission_rank_ = rank; }
-
   /// Freshness of the read set at commit (queries only; -1 before commit).
   double observed_freshness() const { return observed_freshness_; }
   void set_observed_freshness(double f) { observed_freshness_ = f; }
@@ -158,7 +152,6 @@ class Transaction {
   SimTime commit_time_ = -1;
   double observed_freshness_ = -1.0;
   int32_t ready_pos_ = -1;
-  int32_t admission_rank_ = -1;
   int64_t slab_handle_ = 0;
 };
 

@@ -1,11 +1,12 @@
-// Equivalence properties of the incremental admission index (PR's tentpole):
-// the Fenwick/segment-tree path must make bit-identical decisions to the
-// seed's naive ready-queue scan, on every arrival, across every Table 1
-// trace, policy, weight setting, and C_flex.
+// Equivalence properties of the online admission index: the order-statistic
+// tree path must make bit-identical decisions to the naive ready-queue scan,
+// on every arrival, across every Table 1 trace, policy, weight setting and
+// C_flex, and on streamed, closed-loop, shedding and cached runs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <random>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "unit/faults/schedule.h"
 #include "unit/sched/engine.h"
 #include "unit/sim/experiment.h"
+#include "unit/workload/query_source.h"
 #include "unit/workload/spec.h"
 
 namespace unitdb {
@@ -34,14 +36,15 @@ struct ProbeStats {
   int64_t decisions = 0;
   int64_t rejections = 0;
   int64_t nonempty_queue = 0;  ///< decisions taken with queued queries
+  RunMetrics metrics;          ///< the probed run's own metrics
 };
 
-/// Runs one standard workload under a FakePolicy that consults two
-/// controllers per arrival — indexed and naive-scan — and asserts they agree
-/// on every single decision (the engine proceeds with the indexed one).
+/// Runs one workload under a FakePolicy that consults two controllers per
+/// arrival — indexed and naive-scan — and asserts they agree on every single
+/// decision (the engine proceeds with the indexed one).
 ProbeStats RunProbed(const Workload& w, double c_flex,
                      const UsmWeights& weights,
-                     const FaultSchedule* faults = nullptr) {
+                     const EngineParams& params = {}) {
   AdmissionParams indexed_params;
   indexed_params.initial_c_flex = c_flex;
   indexed_params.use_index = true;
@@ -62,10 +65,9 @@ ProbeStats RunProbed(const Workload& w, double c_flex,
     if (engine.ReadyQueryCount() > 0) ++stats.nonempty_queue;
     return a;
   };
-  EngineParams params;
-  params.faults = faults;
   Engine engine(w, &policy, params);
-  engine.Run();
+  EXPECT_TRUE(engine.admission_index().enabled());
+  stats.metrics = engine.Run();
 
   // The two controllers saw identical inputs, so their counters must agree.
   EXPECT_EQ(indexed.admitted(), naive.admitted());
@@ -143,10 +145,9 @@ TEST(AdmissionIndexEquivalenceTest, FullRunsMatchOnAllTracesAndPolicies) {
   }
 }
 
-// A burst-plus-outage-plus-load-step schedule: injected queries enter the
-// ready queue through RankOfInjected, so the indexed controller must agree
-// with the naive scan while the queue holds a mix of workload and injected
-// transactions.
+// A burst-plus-outage-plus-load-step schedule: the indexed controller must
+// agree with the naive scan while the queue holds a mix of workload and
+// injected transactions.
 StatusOr<FaultSchedule> StressSchedule(const Workload& w) {
   const double duration_s = SimToSeconds(w.duration);
   auto spec = FaultScenarioSpec::Parse(
@@ -176,8 +177,10 @@ TEST(AdmissionIndexEquivalenceTest, FaultLadenArrivalsMatchNaive) {
     auto faults = StressSchedule(*w);
     ASSERT_TRUE(faults.ok()) << faults.status().ToString();
     ASSERT_FALSE(faults->injected_queries().empty());
+    EngineParams params;
+    params.faults = &*faults;
     for (double c_flex : {0.5, 1.0}) {
-      const ProbeStats s = RunProbed(*w, c_flex, weights, &*faults);
+      const ProbeStats s = RunProbed(*w, c_flex, weights, params);
       // Injected queries face the same admission decision as workload ones.
       EXPECT_GT(s.decisions, static_cast<int64_t>(w->queries.size()));
       total.decisions += s.decisions;
@@ -241,6 +244,57 @@ TEST(AdmissionIndexEquivalenceTest, EventCompactionDoesNotChangeOutcomes) {
   }
 }
 
+// The streamed, closed-loop workload: arrivals come from a cursor, rejected
+// and missed queries come back as session retries, shedding evicts queued
+// queries and cache hits never enter the ready queue. Every one of those
+// arrivals is indexed, so the indexed controller must still agree.
+TEST(AdmissionIndexEquivalenceTest,
+     StreamedSessionsSheddingAndCacheMatchNaive) {
+  auto w = MakeStandardWorkload(UpdateVolume::kMedium,
+                                UpdateDistribution::kUniform,
+                                /*scale=*/0.02, /*seed=*/42);
+  ASSERT_TRUE(w.ok());
+  ConvertToStreamingWorkload(&*w);
+  EngineParams params;
+  params.session.sessions = 4;
+  params.shed_watermark = 6;
+  params.cache.capacity = 32;
+  ProbeStats total;
+  int64_t shed = 0;
+  for (double c_flex : {0.5, 1.0, 4.0}) {
+    for (const UsmWeights& weights :
+         {UsmWeights{}, UsmWeights{1.0, 0.5, 1.0, 0.5}}) {
+      const ProbeStats s = RunProbed(*w, c_flex, weights, params);
+      total.rejections += s.rejections;
+      total.nonempty_queue += s.nonempty_queue;
+      // The mix must really retry, shed and serve from the cache.
+      EXPECT_GT(s.metrics.session_retries, 0);
+      EXPECT_GT(s.metrics.cache_hits, 0);
+      shed += s.metrics.queries_shed;
+    }
+  }
+  EXPECT_GT(total.rejections, 0);
+  EXPECT_GT(total.nonempty_queue, 0);
+  EXPECT_GT(shed, 0);
+}
+
+TEST(AdmissionIndexTest, EnabledOnStreamedAndSessionEngines) {
+  auto w = MakeStandardWorkload(UpdateVolume::kLow, UpdateDistribution::kUniform,
+                                /*scale=*/0.01, /*seed=*/42);
+  ASSERT_TRUE(w.ok());
+  Workload streamed = *w;
+  ConvertToStreamingWorkload(&streamed);
+  FakePolicy policy;
+  EngineParams sessions;
+  sessions.session.sessions = 4;
+  EXPECT_TRUE(Engine(*w, &policy, sessions).admission_index().enabled());
+  EXPECT_TRUE(
+      Engine(streamed, &policy, EngineParams{}).admission_index().enabled());
+  Engine streamed_sessions(streamed, &policy, sessions);
+  EXPECT_TRUE(streamed_sessions.admission_index().enabled());
+  streamed_sessions.Run();
+}
+
 TEST(AdmissionIndexTest, DisabledUnderFcfsDispatch) {
   auto w = MakeStandardWorkload(UpdateVolume::kLow, UpdateDistribution::kUniform,
                                 /*scale=*/0.01, /*seed=*/42);
@@ -259,37 +313,26 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
   std::mt19937_64 rng(20260805);
   const int kQueries = 200;
 
-  Workload w;
-  w.num_items = 4;
-  w.duration = SecondsToSim(1000.0);
-  SimTime arrival = 0;
-  for (int i = 0; i < kQueries; ++i) {
-    QueryRequest q;
-    q.id = i;
-    arrival += static_cast<SimTime>(rng() % MillisToSim(50));
-    q.arrival = arrival;  // already arrival-sorted: creation order == index
-    q.exec = 1 + static_cast<SimDuration>(rng() % MillisToSim(200));
-    q.relative_deadline = 1 + static_cast<SimDuration>(rng() % SecondsToSim(2.0));
-    q.freshness_req = 0.9;
-    q.items = {0};
-    w.queries.push_back(q);
-  }
-
-  AdmissionIndex index;
-  index.Init(w);
-
+  // Ids are a shuffled, gapped permutation (not monotone in arrival), and
+  // deadlines come from a few dozen values, so equal-deadline runs are long
+  // and only the id tie-break orders them.
+  std::vector<TxnId> ids(kQueries);
+  std::iota(ids.begin(), ids.end(), TxnId{0});
+  std::shuffle(ids.begin(), ids.end(), rng);
   std::vector<Transaction> txns;
   txns.reserve(kQueries);
   for (int i = 0; i < kQueries; ++i) {
-    const QueryRequest& q = w.queries[i];
-    txns.push_back(Transaction::MakeQuery(i, q.arrival, q.exec,
-                                          q.relative_deadline,
-                                          q.freshness_req, q.items));
-    ASSERT_GE(index.RankOfQuery(i), 0);
-    txns.back().set_admission_rank(index.RankOfQuery(i));
+    const SimTime arrival = static_cast<SimTime>(rng() % MillisToSim(500));
+    const SimTime deadline = MillisToSim(100) * (1 + rng() % 30);
+    const SimDuration exec =
+        1 + static_cast<SimDuration>(rng() % MillisToSim(200));
+    txns.push_back(Transaction::MakeQuery(3 * ids[i] + 1, arrival, exec,
+                                          deadline + MillisToSim(500) - arrival,
+                                          0.9, {0}));
   }
 
   std::vector<bool> queued(kQueries, false);
+  int64_t queued_count = 0;
   // Reference answers come from re-simulating the naive scan over the queued
   // set in EDF (deadline, id) order.
   auto brute = [&](SimTime d, int64_t lo, int64_t hi, SimDuration* earlier,
@@ -320,26 +363,19 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
     }
     return endangered;
   };
-
-  for (int step = 0; step < 3000; ++step) {
-    const int i = static_cast<int>(rng() % kQueries);
-    if (queued[i]) {
-      index.OnRemove(txns[i]);
-      queued[i] = false;
-    } else {
-      // Remaining work only changes while a query is out of the queue.
-      txns[i].set_remaining(1 + static_cast<SimDuration>(
-                                    rng() % txns[i].exec_time()));
-      index.OnInsert(txns[i]);
-      queued[i] = true;
-    }
-
-    // Probe with a deadline near a random query's and a random lag window.
-    const int probe = static_cast<int>(rng() % kQueries);
-    const SimTime d = txns[probe].absolute_deadline() +
-                      static_cast<SimTime>(rng() % MillisToSim(10)) -
-                      MillisToSim(5);
-    const int64_t lo = static_cast<int64_t>(rng() % SecondsToSim(3.0));
+  AdmissionIndex index;
+  index.Init(Workload{});
+  int64_t empty_probes = 0;
+  auto probe = [&](int step) {
+    ASSERT_EQ(index.occupied(), queued_count) << "step " << step;
+    if (queued_count == 0) ++empty_probes;
+    // Probe near a random query's deadline (often exactly on a tie run)
+    // with a random lag window.
+    const int at = static_cast<int>(rng() % kQueries);
+    const SimTime d = txns[at].absolute_deadline() +
+                      static_cast<SimTime>(rng() % 3) - 1;
+    const int64_t lo = static_cast<int64_t>(rng() % SecondsToSim(3.5)) -
+                       SecondsToSim(0.5);
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng() % SecondsToSim(1.0));
     SimDuration want_earlier = 0;
     int64_t want_later = 0;
@@ -348,32 +384,87 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
     ASSERT_EQ(index.LaterCount(d), want_later) << "step " << step;
     ASSERT_EQ(index.CountEndangered(d, lo, hi), want_endangered)
         << "step " << step << " d=" << d << " lo=" << lo << " hi=" << hi;
+  };
+
+  probe(-1);  // a fresh index
+  for (int step = 0; step < 6000; ++step) {
+    if (step % 1500 == 1499) {
+      // Drain in random order: probes the empty index again, and the
+      // refill after it reuses freed nodes.
+      for (int i = 0; i < kQueries; ++i) {
+        if (!queued[i]) continue;
+        index.OnRemove(txns[i]);
+        queued[i] = false;
+        --queued_count;
+      }
+      probe(step);
+      continue;
+    }
+    const int i = static_cast<int>(rng() % kQueries);
+    if (queued[i]) {
+      index.OnRemove(txns[i]);
+      queued[i] = false;
+      --queued_count;
+    } else {
+      // Remaining work only changes while a query is out of the queue.
+      txns[i].set_remaining(1 + static_cast<SimDuration>(
+                                    rng() % txns[i].exec_time()));
+      index.OnInsert(txns[i]);
+      queued[i] = true;
+      ++queued_count;
+    }
+    probe(step);
   }
+  EXPECT_GE(empty_probes, 5);
 }
 
-TEST(AdmissionIndexTest, RanksFollowDeadlineThenArrivalOrder) {
-  Workload w;
-  w.num_items = 1;
-  w.duration = SecondsToSim(10.0);
-  // Arrivals 0,1,2,3 with deadlines 5s, 2s, 5s, 1s.
-  const double deadlines_s[] = {5.0, 2.0, 5.0, 1.0};
-  for (int i = 0; i < 4; ++i) {
-    QueryRequest q;
-    q.id = i;
-    q.arrival = SecondsToSim(static_cast<double>(i) * 0.1);
-    q.exec = MillisToSim(10);
-    q.relative_deadline =
-        SecondsToSim(deadlines_s[i]) - q.arrival;  // absolute = deadlines_s
-    q.freshness_req = 0.9;
-    q.items = {0};
-    w.queries.push_back(q);
+TEST(AdmissionIndexTest, EqualDeadlinesOrderByTxnIdWhateverInsertionOrder) {
+  // Four queries share deadline 5 s; one more is due at 2 s. In EDF order
+  // (deadline, id) the tie run is ids 2, 4, 7, 9 with work 20, 80, 10, 40 ms,
+  // so past the 2 s boundary their lags are 5 s minus 20, 100, 110 and
+  // 150 ms. Any other tie order gives other lags.
+  struct Q {
+    TxnId id;
+    double deadline_s;
+    double work_ms;
+  };
+  const Q qs[] = {{7, 5.0, 10}, {2, 5.0, 20}, {9, 5.0, 40}, {4, 5.0, 80},
+                  {1, 2.0, 5}};
+  std::vector<Transaction> txns;
+  for (const Q& q : qs) {
+    txns.push_back(Transaction::MakeQuery(q.id, 0, MillisToSim(q.work_ms),
+                                          SecondsToSim(q.deadline_s), 0.9,
+                                          {0}));
   }
-  AdmissionIndex index;
-  index.Init(w);
-  EXPECT_EQ(index.RankOfQuery(3), 0);  // 1s
-  EXPECT_EQ(index.RankOfQuery(1), 1);  // 2s
-  EXPECT_EQ(index.RankOfQuery(0), 2);  // 5s, earlier arrival
-  EXPECT_EQ(index.RankOfQuery(2), 3);  // 5s, later arrival
+  const SimTime d5 = SecondsToSim(5.0);
+  const double want_lag_ms[] = {20, 100, 110, 150};
+  std::vector<int> order = {0, 1, 2, 3, 4};
+  int permutations = 0;
+  do {
+    AdmissionIndex index;
+    index.Init(Workload{});
+    for (int k : order) index.OnInsert(txns[static_cast<size_t>(k)]);
+    SCOPED_TRACE(::testing::PrintToString(order));
+    EXPECT_EQ(index.EarlierWork(SecondsToSim(3.0)), MillisToSim(5));
+    EXPECT_EQ(index.EarlierWork(d5), MillisToSim(155));
+    EXPECT_EQ(index.LaterCount(SecondsToSim(3.0)), 4);
+    EXPECT_EQ(index.LaterCount(d5), 0);
+    for (double lag_ms : want_lag_ms) {
+      const int64_t m = d5 - MillisToSim(lag_ms);
+      EXPECT_EQ(index.CountEndangered(SecondsToSim(3.0), m, m + 1), 1)
+          << "lag 5 s - " << lag_ms << " ms";
+    }
+    EXPECT_EQ(index.CountEndangered(SecondsToSim(3.0), d5 - MillisToSim(150),
+                                    d5 - MillisToSim(20) + 1),
+              4);
+    // Insertion order's lags (10, 30, 70 ms) must not appear.
+    for (double lag_ms : {10.0, 30.0, 70.0}) {
+      const int64_t m = d5 - MillisToSim(lag_ms);
+      EXPECT_EQ(index.CountEndangered(SecondsToSim(3.0), m, m + 1), 0);
+    }
+    ++permutations;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(permutations, 120);
 }
 
 }  // namespace
