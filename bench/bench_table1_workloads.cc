@@ -3,8 +3,8 @@
 // their total update counts and CPU utilizations, plus the achieved
 // correlation against the query distribution (the paper targets |rho|=0.8).
 //
-// The nine generations are independent, so they fan out across a thread
-// pool; rows are collected in grid order, so the table is identical for any
+// The nine generations are independent, so they fan out across FanOut's
+// workers; rows come back in grid order, so the table is identical for any
 // jobs count.
 //
 // Usage: bench_table1_workloads [scale=1.0] [seed=42] [jobs=0] [shard=0]
@@ -16,7 +16,6 @@
 //   to earlier revisions.
 
 #include <chrono>
-#include <future>
 #include <iostream>
 #include <vector>
 
@@ -67,37 +66,27 @@ int Main(int argc, char** argv) {
                                       UpdateDistribution::kNegative};
 
   const auto start = std::chrono::steady_clock::now();
-  ThreadPool pool(jobs);
-  std::vector<std::future<StatusOr<Workload>>> cells;
-  for (UpdateDistribution dist : dists) {
-    for (UpdateVolume volume : volumes) {
-      cells.push_back(pool.Submit([volume, dist, scale, seed]() {
-        return MakeStandardWorkload(volume, dist, scale, seed);
-      }));
-    }
+  // Distribution-major, then volume: the paper's row order.
+  auto generated = FanOut(9, jobs, [&](int cell) {
+    return MakeStandardWorkload(volumes[cell % 3], dists[cell / 3], scale,
+                                seed);
+  });
+  if (!generated.ok()) {
+    std::cerr << generated.status().ToString() << "\n";
+    return 1;
   }
-  size_t cell = 0;
-  std::vector<Workload> generated;
-  for (int d = 0; d < 3; ++d) {
-    for (int v = 0; v < 3; ++v) {
-      auto w = cells[cell++].get();
-      if (!w.ok()) {
-        std::cerr << w.status().ToString() << "\n";
-        return 1;
-      }
-      auto accesses = w->QueryAccessCounts();
-      auto updates = w->SourceUpdateCounts();
-      std::vector<double> a(accesses.begin(), accesses.end());
-      std::vector<double> u(updates.begin(), updates.end());
-      table.AddRow({w->update_trace_name,
-                    std::to_string(w->TotalSourceUpdates()),
-                    FmtPercent(w->UpdateUtilization()),
-                    FmtPercent(w->QueryUtilization()),
-                    Fmt(SpearmanCorrelation(u, a), 3),
-                    std::to_string(w->updates.size())});
-      generated.push_back(*std::move(w));
-    }
-    table.AddSeparator();
+  for (size_t cell = 0; cell < generated->size(); ++cell) {
+    const Workload& w = (*generated)[cell];
+    auto accesses = w.QueryAccessCounts();
+    auto updates = w.SourceUpdateCounts();
+    std::vector<double> a(accesses.begin(), accesses.end());
+    std::vector<double> u(updates.begin(), updates.end());
+    table.AddRow({w.update_trace_name, std::to_string(w.TotalSourceUpdates()),
+                  FmtPercent(w.UpdateUtilization()),
+                  FmtPercent(w.QueryUtilization()),
+                  Fmt(SpearmanCorrelation(u, a), 3),
+                  std::to_string(w.updates.size())});
+    if (cell % 3 == 2) table.AddSeparator();
   }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -114,7 +103,7 @@ int Main(int argc, char** argv) {
     TextTable runs;
     runs.SetHeader({"trace", "submitted", "success", "rejected", "dmf", "dsf",
                     "usm"});
-    for (const Workload& w : generated) {
+    for (const Workload& w : *generated) {
       auto r = RunShardedExperiment(w, "unit", UsmWeights{}, shard, jobs);
       if (!r.ok()) {
         std::cerr << r.status().ToString() << "\n";

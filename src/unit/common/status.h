@@ -94,6 +94,8 @@ class Status {
 template <typename T>
 class StatusOr {
  public:
+  using value_type = T;
+
   /// Implicit from value and from Status, mirroring absl::StatusOr ergonomics.
   StatusOr(T value) : status_(), value_(std::move(value)) {}  // NOLINT
   StatusOr(Status status) : status_(std::move(status)) {      // NOLINT

@@ -1,25 +1,30 @@
 #ifndef UNIT_COMMON_THREAD_POOL_H_
 #define UNIT_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "unit/common/status.h"
+
 namespace unitdb {
 
-/// Fixed-size thread pool for fanning independent experiment cells across
-/// cores. Deliberately minimal — no work stealing, no priorities: tasks are
+/// Fixed-size thread pool behind FanOut (below), which is how the library
+/// runs independent experiment cells, replications and shards across cores.
+/// Deliberately minimal — no work stealing, no priorities: tasks are
 /// drained strictly FIFO from one queue, which keeps scheduling decisions
 /// out of the determinism story (each task must be self-contained and seeded
-/// deterministically; completion *order* may still vary, so callers collect
+/// deterministically; completion *order* may still vary, so FanOut collects
 /// results by index, not by completion).
 ///
 /// Exceptions thrown by a task are captured in the future returned by
@@ -80,6 +85,43 @@ class ThreadPool {
 /// Worker count for `jobs <= 0` ("use the machine"): hardware concurrency,
 /// or 1 when the runtime cannot tell.
 int ResolveJobs(int jobs);
+
+/// Ordered fan-out, the one way this library runs independent work in
+/// parallel: calls `fn(i)` for every i in [0, n) on min(ResolveJobs(jobs), n)
+/// workers (inline on the calling thread when that is 1), waits for every
+/// call, and returns the n values in index order, or the status of the
+/// lowest failing index. `fn` returns StatusOr<T> and must be safe to call
+/// concurrently. Every call runs even after one fails, so neither the result
+/// nor the work done depends on the worker count or on completion order.
+template <typename Fn>
+auto FanOut(int n, int jobs, Fn&& fn) -> StatusOr<
+    std::vector<typename std::invoke_result_t<Fn&, int>::value_type>> {
+  using Result = std::invoke_result_t<Fn&, int>;
+  std::vector<std::optional<Result>> results(
+      static_cast<size_t>(std::max(n, 0)));
+  const auto run = [&](int i) {
+    results[static_cast<size_t>(i)].emplace(fn(i));
+  };
+  const int workers = std::min(ResolveJobs(jobs), n);
+  if (workers <= 1) {
+    for (int i = 0; i < n; ++i) run(i);
+  } else {
+    ThreadPool pool(workers);
+    std::vector<std::future<void>> done;
+    done.reserve(results.size());
+    for (int i = 0; i < n; ++i) {
+      done.push_back(pool.Submit([&run, i]() { run(i); }));
+    }
+    for (auto& d : done) d.get();
+  }
+  std::vector<typename Result::value_type> values;
+  values.reserve(results.size());
+  for (auto& r : results) {
+    if (!r->ok()) return r->status();
+    values.push_back(std::move(*r).value());
+  }
+  return values;
+}
 
 }  // namespace unitdb
 

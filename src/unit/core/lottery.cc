@@ -1,7 +1,10 @@
 #include "unit/core/lottery.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace unitdb {
 
@@ -9,12 +12,16 @@ LotterySampler::LotterySampler(int n)
     : tree_(static_cast<size_t>(n)),
       tickets_(n, 0.0),
       eligible_(n, true),
+      leaves_(std::bit_ceil(static_cast<size_t>(n))),
       eligible_count_(n) {
   assert(n > 0);
   eligible_items_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    eligible_items_.push_back(i);
-    min_tracker_.insert(0.0);
+  for (int i = 0; i < n; ++i) eligible_items_.push_back(i);
+  // Every ticket starts at 0; padding leaves past n hold +inf.
+  min_tree_.assign(2 * leaves_, std::numeric_limits<double>::infinity());
+  std::fill_n(min_tree_.begin() + static_cast<ptrdiff_t>(leaves_), n, 0.0);
+  for (size_t k = leaves_ - 1; k >= 1; --k) {
+    min_tree_[k] = std::min(min_tree_[2 * k], min_tree_[2 * k + 1]);
   }
   // floor_ == 0 == every ticket: weights start at zero (uniform fallback).
 }
@@ -23,11 +30,8 @@ void LotterySampler::SetEligible(int i, bool eligible) {
   if (eligible_[i] == eligible) return;
   eligible_[i] = eligible;
   eligible_count_ += eligible ? 1 : -1;
-  if (eligible) {
-    min_tracker_.insert(tickets_[i]);
-  } else {
-    min_tracker_.erase(min_tracker_.find(tickets_[i]));
-  }
+  SetMinLeaf(i, eligible ? tickets_[i]
+                         : std::numeric_limits<double>::infinity());
   eligible_items_.clear();
   for (int j = 0; j < size(); ++j) {
     if (eligible_[j]) eligible_items_.push_back(j);
@@ -36,12 +40,9 @@ void LotterySampler::SetEligible(int i, bool eligible) {
 }
 
 void LotterySampler::SetTicket(int i, double ticket) {
-  if (eligible_[i]) {
-    min_tracker_.erase(min_tracker_.find(tickets_[i]));
-    min_tracker_.insert(ticket);
-  }
   tickets_[i] = ticket;
   if (!eligible_[i]) return;
+  SetMinLeaf(i, ticket);
   if (ticket < floor_) {
     // Weights must stay non-negative: re-anchor at the new minimum.
     Rebase();
@@ -58,9 +59,9 @@ int LotterySampler::Sample(Rng& rng) const {
   if (eligible_count_ == 0) return -1;
   // The floor may be stale (above-minimum ticket raises don't re-anchor);
   // re-anchor exactly before drawing so probabilities match the paper's
-  // (T_j - T_min) weights. The multiset gives the exact minimum in O(1);
+  // (T_j - T_min) weights. The min-tree gives the exact minimum in O(1);
   // the O(n) re-anchor only runs when the minimum actually moved.
-  const double true_min = *min_tracker_.begin();
+  const double true_min = min_tree_[1];
   if (true_min != floor_) {
     const_cast<LotterySampler*>(this)->Rebase();
   }
@@ -83,7 +84,7 @@ int LotterySampler::Sample(Rng& rng) const {
 }
 
 void LotterySampler::Rebase() {
-  floor_ = min_tracker_.empty() ? 0.0 : *min_tracker_.begin();
+  floor_ = eligible_count_ == 0 ? 0.0 : min_tree_[1];
   for (int j = 0; j < size(); ++j) {
     if (eligible_[j]) {
       tree_.Set(static_cast<size_t>(j), tickets_[j] - floor_);
@@ -95,6 +96,14 @@ void LotterySampler::Rebase() {
 
 void LotterySampler::RefreshWeight(int i) {
   tree_.Set(static_cast<size_t>(i), tickets_[i] - floor_);
+}
+
+void LotterySampler::SetMinLeaf(int i, double value) {
+  size_t k = leaves_ + static_cast<size_t>(i);
+  min_tree_[k] = value;
+  for (k /= 2; k >= 1; k /= 2) {
+    min_tree_[k] = std::min(min_tree_[2 * k], min_tree_[2 * k + 1]);
+  }
 }
 
 }  // namespace unitdb

@@ -1,7 +1,6 @@
 #ifndef UNIT_CORE_LOTTERY_H_
 #define UNIT_CORE_LOTTERY_H_
 
-#include <set>
 #include <vector>
 
 #include "unit/common/fenwick.h"
@@ -16,10 +15,11 @@ namespace unitdb {
 /// (e.g., all tickets equal), sampling falls back to uniform over the
 /// eligible items — the natural lottery behaviour for an all-equal pool.
 ///
-/// Ticket updates cost O(log n) via a Fenwick tree plus a multiset that
-/// tracks the exact minimum; sampling is O(log n) except when the minimum
-/// moved since the last draw, which triggers an O(n) re-anchor (rare in
-/// steady state, and amortized across the draws between minimum changes).
+/// Ticket updates cost O(log n) via a Fenwick tree plus a flat min-tree that
+/// tracks the exact minimum without allocating; sampling is O(log n) except
+/// when the minimum moved since the last draw, which triggers an O(n)
+/// re-anchor (rare in steady state, and amortized across the draws between
+/// minimum changes).
 class LotterySampler {
  public:
   explicit LotterySampler(int n);
@@ -44,12 +44,18 @@ class LotterySampler {
  private:
   void Rebase();
   void RefreshWeight(int i);
+  /// Sets item i's leaf of the min-tree (its ticket, or +inf when
+  /// ineligible) and re-derives the path to the root.
+  void SetMinLeaf(int i, double value);
 
   FenwickTree tree_;
   std::vector<double> tickets_;
   std::vector<bool> eligible_;
   std::vector<int> eligible_items_;     ///< for the uniform fallback
-  std::multiset<double> min_tracker_;   ///< eligible tickets, for O(log n) min
+  /// Binary min-tree over eligible tickets: leaves at [leaves_, 2*leaves_),
+  /// node k = min(node 2k, node 2k+1), so node 1 is the exact minimum.
+  std::vector<double> min_tree_;
+  size_t leaves_ = 1;                   ///< power of two >= size()
   double floor_ = 0.0;                  ///< min at the last re-anchor (lazy)
   int eligible_count_ = 0;
 };

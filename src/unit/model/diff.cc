@@ -23,20 +23,21 @@ namespace {
 /// accumulation orders; everything else is compared bit-for-bit).
 constexpr double kUsmEps = 1e-9;
 
-/// Forwards every hook to the wrapped policy, records one QueryRecord per
-/// resolved query, and (for self-tests) injects the kAdmitOffByOne defect.
+/// Forwards every hook to the wrapped policy and records one QueryRecord per
+/// resolved query. Wrapping is behavior-neutral, so a recorded run is
+/// bit-identical to a bare one; `admit_off_by_one` injects the
+/// kAdmitOffByOne defect for self-tests.
 class RecordingPolicy final : public Policy {
  public:
-  RecordingPolicy(Policy* inner, Perturbation perturb)
-      : inner_(inner), perturb_(perturb) {}
+  RecordingPolicy(Policy* inner, bool admit_off_by_one)
+      : inner_(inner), admit_off_by_one_(admit_off_by_one) {}
 
   std::string name() const override { return inner_->name(); }
   void Attach(EngineContext& engine) override { inner_->Attach(engine); }
 
   bool AdmitQuery(EngineContext& engine, const Transaction& query) override {
     const bool admit = inner_->AdmitQuery(engine, query);
-    if (admit && perturb_ == Perturbation::kAdmitOffByOne &&
-        ++admitted_ == 8) {
+    if (admit && admit_off_by_one_ && ++admitted_ == 8) {
       return false;  // the injected defect: shed one admitted query
     }
     return admit;
@@ -57,6 +58,8 @@ class RecordingPolicy final : public Policy {
     r.restarts = query.restarts();
     r.preference_class = query.preference_class();
     r.trace_id = query.trace_id();
+    r.arrival = query.arrival();
+    r.resolve_time = engine.now();
     records.push_back(r);
     inner_->OnQueryResolved(engine, query, outcome);
   }
@@ -83,7 +86,7 @@ class RecordingPolicy final : public Policy {
 
  private:
   Policy* inner_;
-  Perturbation perturb_;
+  bool admit_off_by_one_;
   int admitted_ = 0;
 };
 
@@ -94,6 +97,24 @@ PolicyOptions PerturbedOptions(const PolicyOptions& options,
     out.unit.admission.adjust_step += 0.01;
   }
   return out;
+}
+
+/// One side of a monolithic diff run on `w`: the case's tunables with its
+/// compiled `faults`, no caller observability hooks, and every perturbation
+/// on the optimized side only.
+StatusOr<DiffRun> RunSide(const DiffCase& c, const Workload& w,
+                          const FaultSchedule* faults, const DiffOptions& opts,
+                          bool reference) {
+  const Perturbation perturb = reference ? Perturbation::kNone : opts.perturb;
+  EngineParams params = c.engine;
+  params.trace = nullptr;
+  params.counters = nullptr;
+  params.faults = faults;
+  params.session.drop_retry_at = perturb == Perturbation::kDropRetry ? 1 : 0;
+  return RunRecorded(w, c.policy, c.weights,
+                     PerturbedOptions(c.options, perturb), params, reference,
+                     perturb == Perturbation::kAdmitOffByOne,
+                     opts.compare_series);
 }
 
 bool BitEqual(double a, double b) {
@@ -308,29 +329,12 @@ DiffRun ShardedToDiffRun(ShardedResult&& r) {
 /// the sharded runner bit-for-bit against the monolithic naive reference
 /// model; shards > 1 pins the optimized sharded stack against a
 /// reference-engine sharded stack and validates the cross-shard parent
-/// (Eq. 5) accounting.
-StatusOr<DiffResult> RunShardedDiff(const DiffCase& c,
-                                    const DiffOptions& opts) {
-  FaultSchedule schedule;  // monolithic reference side (shards == 1) only
-  const FaultSchedule* schedule_ptr = nullptr;
-  if (c.shards == 1 && !c.scenario.empty()) {
-    StatusOr<FaultSchedule> compiled =
-        FaultSchedule::Compile(c.scenario, c.workload, c.workload_seed);
-    if (!compiled.ok()) return compiled.status();
-    schedule = std::move(*compiled);
-    schedule_ptr = &schedule;
-  }
-
+/// (Eq. 5) accounting. `optimized_workload` is the case's workload, streamed
+/// if the case asks; `schedule` is the monolithic compilation (shards == 1).
+StatusOr<DiffResult> RunShardedDiff(const DiffCase& c, const DiffOptions& opts,
+                                    const Workload& optimized_workload,
+                                    const FaultSchedule* schedule) {
   DiffResult result;
-
-  Workload streamed;
-  const Workload* optimized_workload = &c.workload;
-  if (c.stream_queries) {
-    streamed = c.workload;
-    ConvertToStreamingWorkload(&streamed);
-    optimized_workload = &streamed;
-  }
-
   ShardedParams sp;
   sp.shards = c.shards;
   sp.jobs = c.shard_jobs;
@@ -343,7 +347,7 @@ StatusOr<DiffResult> RunShardedDiff(const DiffCase& c,
   sp.engine.session.drop_retry_at =
       opts.perturb == Perturbation::kDropRetry ? 1 : 0;
 
-  auto optimized = RunSharded(*optimized_workload, c.policy, c.weights, sp);
+  auto optimized = RunSharded(optimized_workload, c.policy, c.weights, sp);
   if (!optimized.ok()) return optimized.status();
   // Conservation checks on the optimized side before it is consumed: every
   // sub-query a shard saw is a split of a parent, fault-injected, or a
@@ -365,21 +369,10 @@ StatusOr<DiffResult> RunShardedDiff(const DiffCase& c,
   result.optimized = ShardedToDiffRun(std::move(*optimized));
 
   if (c.shards == 1) {
-    StatusOr<std::unique_ptr<Policy>> policy =
-        MakePolicy(c.policy, c.weights, c.options);
-    if (!policy.ok()) return policy.status();
-    RecordingPolicy recording(policy->get(), Perturbation::kNone);
-    TimeSeriesRecorder series(c.weights);
-    EngineParams params = c.engine;
-    params.trace = nullptr;
-    params.counters = nullptr;
-    params.series = opts.compare_series ? &series : nullptr;
-    params.faults = schedule_ptr;
-    params.session.drop_retry_at = 0;  // perturbations hit optimized only
-    ReferenceEngine engine(c.workload, &recording, params);
-    result.reference.metrics = engine.Run();
-    result.reference.queries = std::move(recording.records);
-    result.reference.series = series.samples();
+    auto reference =
+        RunSide(c, c.workload, schedule, opts, /*reference=*/true);
+    if (!reference.ok()) return reference.status();
+    result.reference = std::move(*reference);
 
     // Closed-loop runs resolve one monolithic record per *attempt*, while
     // the sharded side joins parents over final attempts only. Collapse the
@@ -478,19 +471,41 @@ void DiffSeries(const std::vector<WindowSample>& optimized,
   Comparer(out, opts).Field("series", optimized, reference);
 }
 
+StatusOr<DiffRun> RunRecorded(const Workload& workload,
+                              const std::string& policy,
+                              const UsmWeights& weights,
+                              const PolicyOptions& options,
+                              EngineParams engine, bool reference,
+                              bool admit_off_by_one, bool record_series) {
+  StatusOr<std::unique_ptr<Policy>> inner =
+      MakePolicy(policy, weights, options);
+  if (!inner.ok()) return inner.status();
+  RecordingPolicy recording(inner->get(), admit_off_by_one);
+  TimeSeriesRecorder series(weights);
+  engine.series = record_series ? &series : nullptr;
+  DiffRun run;
+  if (reference) {
+    run.metrics = ReferenceEngine(workload, &recording, engine).Run();
+  } else {
+    run.metrics = Engine(workload, &recording, engine).Run();
+  }
+  run.queries = std::move(recording.records);
+  run.series = series.samples();
+  return run;
+}
+
 StatusOr<DiffResult> RunDiff(const DiffCase& c, const DiffOptions& opts) {
-  if (c.shards >= 1) return RunShardedDiff(c, opts);
+  // The monolithic sides share one compiled schedule; a sharded run compiles
+  // the scenario per shard.
   FaultSchedule schedule;
   const FaultSchedule* schedule_ptr = nullptr;
-  if (!c.scenario.empty()) {
+  if (c.shards <= 1 && !c.scenario.empty()) {
     StatusOr<FaultSchedule> compiled =
         FaultSchedule::Compile(c.scenario, c.workload, c.workload_seed);
     if (!compiled.ok()) return compiled.status();
     schedule = std::move(*compiled);
     schedule_ptr = &schedule;
   }
-
-  DiffResult result;
 
   // When streaming, the optimized side consumes the identical trace through
   // a VectorQuerySource cursor (arrivals pushed lazily, slab slots recycled)
@@ -504,44 +519,19 @@ StatusOr<DiffResult> RunDiff(const DiffCase& c, const DiffOptions& opts) {
     ConvertToStreamingWorkload(&streamed);
     optimized_workload = &streamed;
   }
-
-  {
-    StatusOr<std::unique_ptr<Policy>> policy = MakePolicy(
-        c.policy, c.weights, PerturbedOptions(c.options, opts.perturb));
-    if (!policy.ok()) return policy.status();
-    RecordingPolicy recording(policy->get(), opts.perturb);
-    TimeSeriesRecorder series(c.weights);
-    EngineParams params = c.engine;
-    params.trace = nullptr;
-    params.counters = nullptr;
-    params.series = opts.compare_series ? &series : nullptr;
-    params.faults = schedule_ptr;
-    params.session.drop_retry_at =
-        opts.perturb == Perturbation::kDropRetry ? 1 : 0;
-    Engine engine(*optimized_workload, &recording, params);
-    result.optimized.metrics = engine.Run();
-    result.optimized.queries = std::move(recording.records);
-    result.optimized.series = series.samples();
+  if (c.shards >= 1) {
+    return RunShardedDiff(c, opts, *optimized_workload, schedule_ptr);
   }
 
-  {
-    StatusOr<std::unique_ptr<Policy>> policy =
-        MakePolicy(c.policy, c.weights, c.options);
-    if (!policy.ok()) return policy.status();
-    RecordingPolicy recording(policy->get(), Perturbation::kNone);
-    TimeSeriesRecorder series(c.weights);
-    EngineParams params = c.engine;
-    params.trace = nullptr;
-    params.counters = nullptr;
-    params.series = opts.compare_series ? &series : nullptr;
-    params.faults = schedule_ptr;
-    params.session.drop_retry_at = 0;  // perturbations hit optimized only
-    ReferenceEngine engine(c.workload, &recording, params);
-    result.reference.metrics = engine.Run();
-    result.reference.queries = std::move(recording.records);
-    result.reference.series = series.samples();
-  }
-
+  DiffResult result;
+  auto optimized =
+      RunSide(c, *optimized_workload, schedule_ptr, opts, /*reference=*/false);
+  if (!optimized.ok()) return optimized.status();
+  result.optimized = std::move(*optimized);
+  auto reference =
+      RunSide(c, c.workload, schedule_ptr, opts, /*reference=*/true);
+  if (!reference.ok()) return reference.status();
+  result.reference = std::move(*reference);
   Compare(c, opts, &result);
   result.equivalent = result.divergence_count == 0;
   return result;
@@ -576,6 +566,9 @@ DiffCase ShrinkCase(const DiffCase& c, const DiffOptions& opts) {
       } else {
         q.erase(q.end() - static_cast<ptrdiff_t>(half), q.end());
       }
+      // Query ids are trace positions (the QueryCursor contract a streamed
+      // run asserts), so the survivors are renumbered 0..n-1.
+      for (size_t p = 0; p < q.size(); ++p) q[p].id = static_cast<TxnId>(p);
       if (Diverges(cand, opts)) {
         best = std::move(cand);
         progress = true;

@@ -87,7 +87,10 @@ enum class Perturbation {
   kDropRetry,
 };
 
-/// Per-query observation recorded on both sides and compared field by field.
+/// One resolved query, as a recorded engine run (RunRecorded) saw it. The
+/// oracle compares `id` through `preference_class` field by field; the
+/// sharded runner joins sub-queries into parents on `trace_id`, `arrival`
+/// and `resolve_time`.
 struct QueryRecord {
   TxnId id = kInvalidTxn;
   Outcome outcome = Outcome::kPending;
@@ -100,6 +103,8 @@ struct QueryRecord {
   /// parent trace position through this, so sub-query joins are compared
   /// parent-by-parent.
   TxnId trace_id = kInvalidTxn;
+  SimTime arrival = 0;
+  SimTime resolve_time = 0;  ///< simulated instant the query resolved
 };
 
 /// One side's full observable output.
@@ -108,6 +113,21 @@ struct DiffRun {
   std::vector<QueryRecord> queries;     ///< in resolution order
   std::vector<WindowSample> series;     ///< control-window telemetry
 };
+
+/// One recorded engine run, shared by both RunDiff sides and every shard of
+/// RunSharded: builds `policy` by name, wraps it in a behavior-neutral
+/// recording decorator (which vetoes the run's 8th admitted query when
+/// `admit_off_by_one`, the Perturbation::kAdmitOffByOne defect), records
+/// the window series when `record_series`, and runs `workload` on the naive
+/// ReferenceEngine when `reference`, else on the optimized Engine. `engine`
+/// is used as given, except that the run attaches its own series recorder.
+/// Fails only on an unknown policy.
+StatusOr<DiffRun> RunRecorded(const Workload& workload,
+                              const std::string& policy,
+                              const UsmWeights& weights,
+                              const PolicyOptions& options,
+                              EngineParams engine, bool reference,
+                              bool admit_off_by_one, bool record_series);
 
 struct DiffOptions {
   /// Also compare the per-window time series (bit-for-bit) and cross-check

@@ -85,6 +85,7 @@ RunMetrics ReferenceEngine::Run() {
         HandleClientResubmit(e.payload);
         break;
     }
+    TryDispatch();  // after every event, as in the optimized engine
   }
   assert(running_ == nullptr);
   assert(ready_.empty());
@@ -310,7 +311,6 @@ void ReferenceEngine::AdmitArrivedQuery(const QueryRequest& request,
   ReadyInsert(t);
   Push(t->absolute_deadline(), EventType::kQueryDeadline, t->id());
   if (params_.shed_watermark > 0) MaybeShed();
-  TryDispatch();
 }
 
 void ReferenceEngine::MaybeShed() {
@@ -422,7 +422,6 @@ void ReferenceEngine::HandleUpdateArrival(ItemId item) {
                                 /*on_demand=*/false);
   t->set_state(TxnState::kReady);
   ReadyInsert(t);
-  TryDispatch();
 }
 
 TxnId ReferenceEngine::IssueOnDemandUpdate(ItemId item) {
@@ -444,14 +443,12 @@ void ReferenceEngine::HandleCompletion(TxnId id) {
     return;
   }
   CompleteRunning(t);
-  TryDispatch();
 }
 
 void ReferenceEngine::HandleQueryDeadline(TxnId id) {
   Transaction* t = &txns_[id];
   if (t->Terminal()) return;
   AbortQuery(t, Outcome::kDeadlineMiss);
-  TryDispatch();
 }
 
 void ReferenceEngine::HandleControlTick() {
@@ -506,7 +503,6 @@ void ReferenceEngine::HandleFaultUpdateArrival(int64_t injected_index) {
   t->set_state(TxnState::kReady);
   ReadyInsert(t);
   ++metrics_.fault_injected_updates;
-  TryDispatch();
 }
 
 SimDuration ReferenceEngine::RunningRemaining() const {

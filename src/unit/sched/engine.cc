@@ -102,6 +102,9 @@ RunMetrics Engine::Run() {
         HandleClientResubmit(e.payload);
         break;
     }
+    // Every handler may have queued work — an arrival, a policy refresh
+    // issued from a control tick — so the CPU is offered after each event.
+    TryDispatch();
   }
   assert(running_ == nullptr);
   assert(ready_.empty());
@@ -276,7 +279,6 @@ void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
   events_.Push(t->absolute_deadline(), EventType::kQueryDeadline,
                t->slab_handle());
   if (params_.shed_watermark > 0) MaybeShed();
-  TryDispatch();
 }
 
 void Engine::MaybeShed() {
@@ -391,7 +393,6 @@ void Engine::HandleUpdateArrival(ItemId item) {
                                 /*on_demand=*/false);
   t->set_state(TxnState::kReady);
   ReadyInsert(t);
-  TryDispatch();
 }
 
 TxnId Engine::IssueOnDemandUpdate(ItemId item) {
@@ -412,14 +413,12 @@ void Engine::HandleCompletion(int64_t handle, uint64_t generation) {
     return;  // stale completion (preempted, aborted, or slot recycled)
   }
   CompleteRunning(t);
-  TryDispatch();
 }
 
 void Engine::HandleQueryDeadline(int64_t handle) {
   Transaction* t = txns_.Get(handle);
   if (t == nullptr || t->Terminal()) return;  // resolved; slot maybe recycled
   AbortQuery(t, Outcome::kDeadlineMiss);
-  TryDispatch();
 }
 
 void Engine::HandleControlTick() {
@@ -429,9 +428,6 @@ void Engine::HandleControlTick() {
   if (next <= workload_.duration) {
     events_.Push(next, EventType::kControlTick, 0);
   }
-  // A control action (e.g. admission loosening) never needs an immediate
-  // dispatch, but period upgrades may have added update arrivals only at the
-  // next arrival event; nothing to do here.
 }
 
 void Engine::HandleFaultEdge(int64_t edge_index) {
@@ -484,7 +480,6 @@ void Engine::HandleFaultUpdateArrival(int64_t injected_index) {
   t->set_state(TxnState::kReady);
   ReadyInsert(t);
   ++metrics_.fault_injected_updates;
-  TryDispatch();
 }
 
 SimDuration Engine::RunningRemaining() const {

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <limits>
 #include <memory>
 #include <tuple>
@@ -15,93 +14,13 @@
 #include "unit/common/thread_pool.h"
 #include "unit/db/data_item.h"
 #include "unit/faults/schedule.h"
-#include "unit/model/reference_engine.h"
+#include "unit/model/diff.h"
 #include "unit/obs/trace_event.h"
 #include "unit/obs/trace_sink.h"
-#include "unit/sched/engine.h"
 #include "unit/workload/query_source.h"
 
 namespace unitdb {
 namespace {
-
-/// One resolved sub-query as seen by a shard's recording policy wrapper.
-struct SubRecord {
-  TxnId trace_id = kInvalidTxn;  ///< parent index (kInvalidTxn: injected)
-  Outcome outcome = Outcome::kPending;
-  double freshness = -1.0;
-  SimTime arrival = 0;
-  SimTime commit_time = -1;
-  SimTime resolve_time = -1;
-  int restarts = 0;
-  int pref_class = 0;
-};
-
-/// Forwards every hook to the wrapped policy and records one SubRecord per
-/// resolved sub-query. Wrapping is behavior-neutral (the same construction
-/// the differential harness uses), so a wrapped shards=1 run stays
-/// bit-identical to the bare monolithic engine. `perturb` injects the
-/// admit-off-by-one defect on this shard for oracle self-tests.
-class SubRecordingPolicy final : public Policy {
- public:
-  SubRecordingPolicy(Policy* inner, bool perturb)
-      : inner_(inner), perturb_(perturb) {}
-
-  std::string name() const override { return inner_->name(); }
-  void Attach(EngineContext& engine) override { inner_->Attach(engine); }
-
-  bool AdmitQuery(EngineContext& engine, const Transaction& query) override {
-    const bool admit = inner_->AdmitQuery(engine, query);
-    if (admit && perturb_ && ++admitted_ == 8) {
-      return false;  // the injected defect: shed one admitted query
-    }
-    return admit;
-  }
-
-  bool BeforeQueryDispatch(EngineContext& engine,
-                           Transaction& query) override {
-    return inner_->BeforeQueryDispatch(engine, query);
-  }
-
-  void OnQueryResolved(EngineContext& engine, const Transaction& query,
-                       Outcome outcome) override {
-    SubRecord r;
-    r.trace_id = query.trace_id();
-    r.outcome = outcome;
-    r.freshness = query.observed_freshness();
-    r.arrival = query.arrival();
-    r.commit_time = query.commit_time();
-    r.resolve_time = engine.now();
-    r.restarts = query.restarts();
-    r.pref_class = query.preference_class();
-    records.push_back(r);
-    inner_->OnQueryResolved(engine, query, outcome);
-  }
-
-  void OnUpdateCommit(EngineContext& engine,
-                      const Transaction& update) override {
-    inner_->OnUpdateCommit(engine, update);
-  }
-
-  void OnUpdateSourceArrival(EngineContext& engine, ItemId item) override {
-    inner_->OnUpdateSourceArrival(engine, item);
-  }
-
-  void OnControlTick(EngineContext& engine) override {
-    inner_->OnControlTick(engine);
-  }
-
-  double AdmissionKnob() const override { return inner_->AdmissionKnob(); }
-  bool UsesPeriodicUpdates() const override {
-    return inner_->UsesPeriodicUpdates();
-  }
-
-  std::vector<SubRecord> records;
-
- private:
-  Policy* inner_;
-  bool perturb_;
-  int admitted_ = 0;
-};
 
 /// Stamps the shard index onto every event, forwards to the shard's own
 /// JSONL file, and keeps an in-memory copy for the merged global trace.
@@ -127,11 +46,10 @@ class ShardTagSink final : public TraceSink {
   std::vector<TraceEvent>* collect_;
 };
 
-/// Everything one shard's run produced.
+/// Everything one shard's run produced: its recorded run (one QueryRecord
+/// per resolved sub-query) and, when tracing, its tagged events.
 struct ShardRunOutput {
-  RunMetrics metrics;
-  std::vector<SubRecord> records;
-  std::vector<WindowSample> series;
+  DiffRun run;
   std::vector<TraceEvent> events;
 };
 
@@ -239,15 +157,9 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
                                      const ShardedParams& params) {
   PolicyOptions options = params.options;
   options.unit.seed = ShardSeed(params.options.unit.seed, shard, num_shards);
-  auto policy = MakePolicy(policy_name, weights, options);
-  if (!policy.ok()) return policy.status();
-  SubRecordingPolicy recorder(policy.value().get(),
-                              params.perturb_admit_off_by_one && shard == 0);
-
   EngineParams ep = params.engine;
   ep.seed = ShardSeed(params.engine.seed, shard, num_shards);
   ep.trace = nullptr;
-  ep.series = nullptr;
   ep.counters = nullptr;
   ep.faults = nullptr;
 
@@ -266,9 +178,6 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
     }
   }
 
-  TimeSeriesRecorder series(weights);
-  if (params.record_series) ep.series = &series;
-
   ShardRunOutput out;
   std::unique_ptr<JsonlTraceSink> file_sink;
   std::unique_ptr<ShardTagSink> tag;
@@ -281,16 +190,13 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
     ep.trace = tag.get();
   }
 
-  if (params.reference_engines) {
-    ReferenceEngine engine(sub, &recorder, ep);
-    out.metrics = engine.Run();
-  } else {
-    Engine engine(sub, &recorder, ep);
-    out.metrics = engine.Run();
-  }
+  auto run = RunRecorded(sub, policy_name, weights, options, ep,
+                         params.reference_engines,
+                         params.perturb_admit_off_by_one && shard == 0,
+                         params.record_series);
+  if (!run.ok()) return run.status();
   if (tag != nullptr) tag->Flush();
-  out.records = std::move(recorder.records);
-  if (params.record_series) out.series = series.samples();
+  out.run = std::move(*run);
   return out;
 }
 
@@ -524,58 +430,34 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
     }
   }
 
-  // Run the shards — in submission order on the pool; results land by
-  // shard index, so completion order is irrelevant to every fold below.
-  std::vector<ShardRunOutput> outputs(static_cast<size_t>(n));
-  Status first_error = Status::Ok();
-  if (params.jobs > 1 && n > 1) {
-    ThreadPool pool(std::min(ResolveJobs(params.jobs), n));
-    std::vector<std::future<StatusOr<ShardRunOutput>>> futures;
-    futures.reserve(static_cast<size_t>(n));
-    for (int s = 0; s < n; ++s) {
-      futures.push_back(pool.Submit([&, s]() {
-        return RunOneShard(part.value().shards[static_cast<size_t>(s)], s, n,
-                           policy, weights, params);
-      }));
-    }
-    for (int s = 0; s < n; ++s) {  // drain every future even after an error
-      auto r = futures[static_cast<size_t>(s)].get();
-      if (!r.ok()) {
-        if (first_error.ok()) first_error = r.status();
-      } else {
-        outputs[static_cast<size_t>(s)] = std::move(r).value();
-      }
-    }
-  } else {
-    for (int s = 0; s < n; ++s) {
-      auto r = RunOneShard(part.value().shards[static_cast<size_t>(s)], s, n,
-                           policy, weights, params);
-      if (!r.ok()) {
-        first_error = r.status();
-        break;
-      }
-      outputs[static_cast<size_t>(s)] = std::move(r).value();
-    }
-  }
-  if (!first_error.ok()) return first_error;
+  // Run the shards; FanOut returns them by shard index, so completion order
+  // is irrelevant to every fold below.
+  auto ran = FanOut(n, params.jobs, [&](int s) {
+    return RunOneShard(part.value().shards[static_cast<size_t>(s)], s, n,
+                       policy, weights, params);
+  });
+  if (!ran.ok()) return ran.status();
+  const std::vector<ShardRunOutput>& outputs = *ran;
 
   ShardedResult result;
   result.cross_shard_queries = part.value().cross_shard_queries;
   result.subqueries = part.value().subqueries;
   result.per_shard.reserve(static_cast<size_t>(n));
-  for (const auto& o : outputs) result.per_shard.push_back(o.metrics);
+  for (const auto& o : outputs) result.per_shard.push_back(o.run.metrics);
   if (params.record_series) {
     result.per_shard_series.reserve(static_cast<size_t>(n));
-    for (auto& o : outputs) result.per_shard_series.push_back(o.series);
+    for (const auto& o : outputs) {
+      result.per_shard_series.push_back(o.run.series);
+    }
     result.merged_series = MergeSeries(result.per_shard_series, weights);
   }
 
   // Shard 0's metrics as the base, every other shard folded in by each
   // field's ShardMerge rule; the join below recomputes the kJoin fields.
   RunMetrics& merged = result.metrics;
-  merged = outputs[0].metrics;
+  merged = outputs[0].run.metrics;
   for (int s = 1; s < n; ++s) {
-    MergeShardMetrics(merged, outputs[static_cast<size_t>(s)].metrics);
+    MergeShardMetrics(merged, outputs[static_cast<size_t>(s)].run.metrics);
   }
 
   // Join sub-queries back into parents. Workload parents are keyed by the
@@ -592,7 +474,7 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
   // are off the mask is all-ones and the join below is unchanged.
   const bool closed_loop = params.engine.session.sessions > 0;
   for (int s = 0; s < n; ++s) {
-    const auto& records = outputs[static_cast<size_t>(s)].records;
+    const auto& records = outputs[static_cast<size_t>(s)].run.queries;
     std::vector<char> keep;
     if (closed_loop) {
       keep.assign(records.size(), 0);
@@ -608,7 +490,7 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
     }
     for (size_t pos = 0; pos < records.size(); ++pos) {
       if (closed_loop && keep[pos] == 0) continue;
-      const SubRecord& rec = records[pos];
+      const QueryRecord& rec = records[pos];
       ParentAgg* p;
       if (rec.trace_id == kInvalidTxn) {
         injected.emplace_back();
@@ -631,12 +513,12 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
         // Committed sub: parent freshness is the min over committed subs
         // (exactly the monolithic Eq. 1 value — QueryFreshness is itself a
         // min over the read set), commit instant the latest sub commit.
-        p->freshness = std::min(p->freshness, rec.freshness);
+        p->freshness = std::min(p->freshness, rec.observed_freshness);
         p->commit = std::max(p->commit, rec.commit_time);
       }
       p->arrival = rec.arrival;
       p->restarts += rec.restarts;
-      p->pref_class = rec.pref_class;
+      p->pref_class = rec.preference_class;
       p->trace_id = rec.trace_id;
       const auto key = std::make_tuple(rec.resolve_time, s,
                                        static_cast<int64_t>(pos));

@@ -22,8 +22,8 @@ namespace unitdb {
 /// Sharded multi-engine execution: data items are partitioned across N
 /// shards by ShardRouter, each shard runs a full independent server stack
 /// (Engine + Database + LockManager + AdmissionIndex + policy controllers)
-/// over its sub-workload, and shards execute in parallel on a
-/// common/thread_pool. Every per-shard seed derives from the caller's base
+/// over its sub-workload, and shards execute in parallel through FanOut
+/// (common/thread_pool.h). Every per-shard seed derives from the caller's base
 /// seeds via ShardSeed, and all merging folds in a deterministic order, so
 /// the result is bit-identical for any `jobs` count — and, at shards=1,
 /// bit-identical to the monolithic engine (the differential oracle in
@@ -32,8 +32,9 @@ struct ShardedParams {
   /// Number of shards (clamped to >= 1). shards=1 is the monolithic
   /// degenerate case: one sub-workload identical to the input.
   int shards = 1;
-  /// Worker threads executing shards (<= 1: sequential in shard order).
-  /// Purely a wall-clock knob; results are bit-identical for any value.
+  /// FanOut workers executing shards (1: sequential in shard order; <= 0:
+  /// one per hardware thread). Purely a wall-clock knob; results are
+  /// bit-identical for any value.
   int jobs = 1;
   /// Per-shard engine template. `seed` is re-derived per shard via
   /// ShardSeed; the observability and fault pointers are ignored (the
@@ -151,7 +152,7 @@ struct ShardedResult {
 };
 
 /// Partitions `workload`, runs one engine per shard (in parallel when
-/// params.jobs > 1), joins split queries at the CrossShardJoin barrier, and
+/// params.jobs != 1), joins split queries at the CrossShardJoin barrier, and
 /// merges metrics / series / traces into the global view. Fails on an
 /// unknown policy, a fault scenario that does not compile, or trace I/O
 /// errors.

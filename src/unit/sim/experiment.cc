@@ -1,7 +1,5 @@
 #include "unit/sim/experiment.h"
 
-#include <algorithm>
-#include <future>
 #include <memory>
 #include <utility>
 
@@ -114,11 +112,6 @@ StatusOr<ExperimentResult> RunFaultedExperiment(
   return result;
 }
 
-StatusOr<DiffResult> RunDifferential(const DiffCase& diff_case,
-                                     const DiffOptions& options) {
-  return RunDiff(diff_case, options);
-}
-
 StatusOr<std::vector<ExperimentResult>> RunPolicies(
     const Workload& workload, const std::vector<std::string>& policies,
     const UsmWeights& weights, const EngineParams& engine,
@@ -159,9 +152,9 @@ uint64_t ReplicationSeed(uint64_t base_seed, int replication) {
 
 namespace {
 
-// Folds one replication's headline metrics into the aggregate. Both the
-// sequential and the parallel runner fold in replication order, so their
-// floating-point accumulation sequences are identical.
+// Folds one replication's headline metrics into the aggregate. Every
+// replicated runner folds in replication order, so the floating-point
+// accumulation sequence never depends on the worker count.
 void AccumulateReplication(const ExperimentResult& r, ReplicatedResult& agg) {
   const OutcomeCounts& c = r.metrics.counts;
   agg.trace = r.trace;
@@ -172,97 +165,32 @@ void AccumulateReplication(const ExperimentResult& r, ReplicatedResult& agg) {
   agg.dsf_ratio.Add(c.DsfRatio());
 }
 
-// One fully self-contained replication: builds the workload from its
-// derived seed, runs the policy. Safe to call from any thread.
-StatusOr<ExperimentResult> RunOneReplication(
-    UpdateVolume volume, UpdateDistribution distribution,
-    const std::string& policy, const UsmWeights& weights, double scale,
-    uint64_t seed, const EngineParams& engine, const PolicyOptions& options) {
-  auto w = MakeStandardWorkload(volume, distribution, scale, seed);
-  if (!w.ok()) return w.status();
-  return RunExperiment(*w, policy, weights, engine, options);
-}
-
 }  // namespace
 
 StatusOr<ReplicatedResult> RunReplicated(
     UpdateVolume volume, UpdateDistribution distribution,
     const std::string& policy, const UsmWeights& weights, int replications,
     double scale, uint64_t base_seed, const EngineParams& engine,
-    const PolicyOptions& options) {
+    const PolicyOptions& options, int jobs) {
   if (replications <= 0) {
     return Status::InvalidArgument("replications must be positive");
   }
+  // Each replication builds its own workload from its derived seed, so a
+  // worker thread needs nothing but the arguments.
+  auto runs =
+      FanOut(replications, jobs, [&](int i) -> StatusOr<ExperimentResult> {
+        auto w = MakeStandardWorkload(volume, distribution, scale,
+                                      ReplicationSeed(base_seed, i));
+        if (!w.ok()) return w.status();
+        return RunExperiment(*w, policy, weights, engine, options);
+      });
+  if (!runs.ok()) return runs.status();
   ReplicatedResult agg;
   agg.policy = policy;
   agg.replications = replications;
-  for (int i = 0; i < replications; ++i) {
-    auto r = RunOneReplication(volume, distribution, policy, weights, scale,
-                               ReplicationSeed(base_seed, i), engine, options);
-    if (!r.ok()) return r.status();
-    AccumulateReplication(*r, agg);
-  }
+  for (const ExperimentResult& r : *runs) AccumulateReplication(r, agg);
   return agg;
 }
-
-StatusOr<ReplicatedResult> RunReplicatedParallel(
-    UpdateVolume volume, UpdateDistribution distribution,
-    const std::string& policy, const UsmWeights& weights, int replications,
-    int jobs, double scale, uint64_t base_seed, const EngineParams& engine,
-    const PolicyOptions& options) {
-  if (replications <= 0) {
-    return Status::InvalidArgument("replications must be positive");
-  }
-  ThreadPool pool(std::min(ResolveJobs(jobs), replications));
-  std::vector<std::future<StatusOr<ExperimentResult>>> cells;
-  cells.reserve(static_cast<size_t>(replications));
-  for (int i = 0; i < replications; ++i) {
-    cells.push_back(pool.Submit([=]() {
-      return RunOneReplication(volume, distribution, policy, weights, scale,
-                               ReplicationSeed(base_seed, i), engine, options);
-    }));
-  }
-  // Barrier + deterministic fold: futures are consumed in submission order,
-  // so aggregation never sees completion-order effects.
-  ReplicatedResult agg;
-  agg.policy = policy;
-  agg.replications = replications;
-  Status first_error = Status::Ok();
-  for (auto& cell : cells) {
-    auto r = cell.get();
-    if (!r.ok()) {
-      if (first_error.ok()) first_error = r.status();
-      continue;  // keep draining so every future is consumed
-    }
-    if (first_error.ok()) AccumulateReplication(*r, agg);
-  }
-  if (!first_error.ok()) return first_error;
-  return agg;
-}
-
-namespace {
-
-// One fully self-contained faulted replication: workload and compiled
-// schedule both derive from the replication's seed, so a worker thread
-// needs nothing but the arguments. The series is always recorded — the
-// disturbance report is the whole point of a faulted replication.
-StatusOr<ExperimentResult> RunOneFaultedReplication(
-    UpdateVolume volume, UpdateDistribution distribution,
-    const std::string& policy, const UsmWeights& weights,
-    const FaultScenarioSpec& scenario, double scale, uint64_t seed,
-    const EngineParams& engine, const PolicyOptions& options,
-    double settle_epsilon) {
-  auto w = MakeStandardWorkload(volume, distribution, scale, seed);
-  if (!w.ok()) return w.status();
-  auto schedule = FaultSchedule::Compile(scenario, *w, seed);
-  if (!schedule.ok()) return schedule.status();
-  ObsOptions obs;
-  obs.series = true;
-  return RunFaultedExperiment(*w, policy, weights, *schedule, obs, engine,
-                              options, settle_epsilon);
-}
-
-}  // namespace
 
 StatusOr<std::vector<ExperimentResult>> RunFaultedReplicated(
     UpdateVolume volume, UpdateDistribution distribution,
@@ -273,42 +201,20 @@ StatusOr<std::vector<ExperimentResult>> RunFaultedReplicated(
   if (replications <= 0) {
     return Status::InvalidArgument("replications must be positive");
   }
-  std::vector<ExperimentResult> results;
-  results.reserve(static_cast<size_t>(replications));
-  if (jobs <= 1) {
-    for (int i = 0; i < replications; ++i) {
-      auto r = RunOneFaultedReplication(
-          volume, distribution, policy, weights, scenario, scale,
-          ReplicationSeed(base_seed, i), engine, options, settle_epsilon);
-      if (!r.ok()) return r.status();
-      results.push_back(std::move(*r));
-    }
-    return results;
-  }
-  ThreadPool pool(std::min(ResolveJobs(jobs), replications));
-  std::vector<std::future<StatusOr<ExperimentResult>>> cells;
-  cells.reserve(static_cast<size_t>(replications));
-  for (int i = 0; i < replications; ++i) {
+  // Workload and compiled schedule both derive from the replication's seed.
+  // The series is always recorded: the disturbance report is the whole
+  // point of a faulted replication.
+  return FanOut(replications, jobs, [&](int i) -> StatusOr<ExperimentResult> {
     const uint64_t seed = ReplicationSeed(base_seed, i);
-    cells.push_back(pool.Submit([=]() {
-      return RunOneFaultedReplication(volume, distribution, policy, weights,
-                                      scenario, scale, seed, engine, options,
-                                      settle_epsilon);
-    }));
-  }
-  // Futures are consumed in submission order, so the returned vector is in
-  // replication order no matter how workers interleave.
-  Status first_error = Status::Ok();
-  for (auto& cell : cells) {
-    auto r = cell.get();
-    if (!r.ok()) {
-      if (first_error.ok()) first_error = r.status();
-      continue;  // keep draining so every future is consumed
-    }
-    if (first_error.ok()) results.push_back(std::move(*r));
-  }
-  if (!first_error.ok()) return first_error;
-  return results;
+    auto w = MakeStandardWorkload(volume, distribution, scale, seed);
+    if (!w.ok()) return w.status();
+    auto schedule = FaultSchedule::Compile(scenario, *w, seed);
+    if (!schedule.ok()) return schedule.status();
+    ObsOptions obs;
+    obs.series = true;
+    return RunFaultedExperiment(*w, policy, weights, *schedule, obs, engine,
+                                options, settle_epsilon);
+  });
 }
 
 StatusOr<std::vector<GridCellResult>> RunGrid(const GridSpec& spec,
@@ -325,104 +231,65 @@ StatusOr<std::vector<GridCellResult>> RunGrid(const GridSpec& spec,
           ? std::vector<NamedWeights>{{"naive", UsmWeights{}}}
           : spec.weightings;
 
-  const size_t num_traces = spec.distributions.size() * spec.volumes.size();
-  const size_t reps = static_cast<size_t>(spec.replications);
-  ThreadPool pool(ResolveJobs(jobs));
+  const int num_volumes = static_cast<int>(spec.volumes.size());
+  const int num_traces =
+      static_cast<int>(spec.distributions.size()) * num_volumes;
+  const int reps = spec.replications;
 
-  // Phase 1 — generate each (trace, replication) workload once, in
-  // parallel. Every (weights, policy) cell on that trace then shares the
-  // workload read-only, exactly like the sequential benches do.
-  std::vector<std::future<StatusOr<Workload>>> gen;
-  gen.reserve(num_traces * reps);
-  for (UpdateDistribution dist : spec.distributions) {
-    for (UpdateVolume volume : spec.volumes) {
-      for (size_t i = 0; i < reps; ++i) {
-        const uint64_t seed =
-            ReplicationSeed(spec.base_seed, static_cast<int>(i));
-        const double scale = spec.scale;
-        gen.push_back(pool.Submit([volume, dist, scale, seed]() {
-          return MakeStandardWorkload(volume, dist, scale, seed);
-        }));
-      }
-    }
-  }
-  std::vector<Workload> workloads;  // trace-major, replication-minor
-  workloads.reserve(gen.size());
-  Status gen_error = Status::Ok();
-  for (auto& g : gen) {
-    auto w = g.get();
-    if (!w.ok()) {
-      if (gen_error.ok()) gen_error = w.status();
-      continue;
-    }
-    if (gen_error.ok()) workloads.push_back(std::move(*w));
-  }
-  if (!gen_error.ok()) return gen_error;
+  // Phase 1 — generate each (trace, replication) workload once, trace-major
+  // and replication-minor. Every (weights, policy) cell on that trace then
+  // shares the workload read-only, exactly like the sequential benches do.
+  auto workloads = FanOut(num_traces * reps, jobs, [&](int k) {
+    const int trace = k / reps;
+    return MakeStandardWorkload(spec.volumes[trace % num_volumes],
+                                spec.distributions[trace / num_volumes],
+                                spec.scale,
+                                ReplicationSeed(spec.base_seed, k % reps));
+  });
+  if (!workloads.ok()) return workloads.status();
 
   // Phase 2 — one task per (trace, weighting, policy) cell; a cell folds
   // its replications in order, so it is bit-identical to RunReplicated on
-  // the same axes. Tasks are independent, so completion order is free.
-  struct CellAxes {
-    UpdateVolume volume;
-    UpdateDistribution distribution;
-    const NamedWeights* weighting;
-    const std::string* policy;
-    size_t trace_index;
-  };
-  std::vector<CellAxes> axes;
-  axes.reserve(num_traces * weightings.size() * spec.policies.size());
-  size_t trace_index = 0;
-  for (UpdateDistribution dist : spec.distributions) {
-    for (UpdateVolume volume : spec.volumes) {
-      for (const NamedWeights& nw : weightings) {
-        for (const std::string& policy : spec.policies) {
-          axes.push_back({volume, dist, &nw, &policy, trace_index});
-        }
-      }
-      ++trace_index;
-    }
-  }
-  std::vector<std::future<StatusOr<ReplicatedResult>>> runs;
-  runs.reserve(axes.size());
-  for (const CellAxes& cell : axes) {
-    runs.push_back(pool.Submit([&spec, &workloads, cell, reps]() {
-      ReplicatedResult agg;
-      agg.policy = *cell.policy;
-      agg.replications = static_cast<int>(reps);
-      for (size_t i = 0; i < reps; ++i) {
-        const Workload& w = workloads[cell.trace_index * reps + i];
-        auto r = spec.shards > 1
-                     ? RunShardedExperiment(w, *cell.policy,
-                                            cell.weighting->weights,
-                                            spec.shards, /*jobs=*/1,
-                                            spec.engine, spec.options)
-                     : RunExperiment(w, *cell.policy, cell.weighting->weights,
-                                     spec.engine, spec.options);
-        if (!r.ok()) return StatusOr<ReplicatedResult>(r.status());
-        AccumulateReplication(*r, agg);
-      }
-      return StatusOr<ReplicatedResult>(std::move(agg));
-    }));
-  }
+  // the same axes.
   std::vector<GridCellResult> out;
-  out.reserve(axes.size());
-  Status run_error = Status::Ok();
-  for (size_t i = 0; i < runs.size(); ++i) {
-    auto r = runs[i].get();
-    if (!r.ok()) {
-      if (run_error.ok()) run_error = r.status();
-      continue;
+  for (int trace = 0; trace < num_traces; ++trace) {
+    for (const NamedWeights& nw : weightings) {
+      for (const std::string& policy : spec.policies) {
+        GridCellResult cell;
+        cell.volume = spec.volumes[trace % num_volumes];
+        cell.distribution = spec.distributions[trace / num_volumes];
+        cell.weights_name = nw.name;
+        cell.weights = nw.weights;
+        cell.result.policy = policy;
+        cell.result.replications = reps;
+        out.push_back(std::move(cell));
+      }
     }
-    if (!run_error.ok()) continue;
-    GridCellResult cell;
-    cell.volume = axes[i].volume;
-    cell.distribution = axes[i].distribution;
-    cell.weights_name = axes[i].weighting->name;
-    cell.weights = axes[i].weighting->weights;
-    cell.result = std::move(*r);
-    out.push_back(std::move(cell));
   }
-  if (!run_error.ok()) return run_error;
+  const int cells_per_trace = static_cast<int>(out.size()) / num_traces;
+  auto runs = FanOut(
+      static_cast<int>(out.size()), jobs,
+      [&](int c) -> StatusOr<ReplicatedResult> {
+        const GridCellResult& cell = out[static_cast<size_t>(c)];
+        ReplicatedResult agg = cell.result;
+        for (int i = 0; i < reps; ++i) {
+          const Workload& w = (*workloads)[static_cast<size_t>(
+              c / cells_per_trace * reps + i)];
+          auto r = spec.shards > 1
+                       ? RunShardedExperiment(w, agg.policy, cell.weights,
+                                              spec.shards, /*jobs=*/1,
+                                              spec.engine, spec.options)
+                       : RunExperiment(w, agg.policy, cell.weights,
+                                       spec.engine, spec.options);
+          if (!r.ok()) return r.status();
+          AccumulateReplication(*r, agg);
+        }
+        return agg;
+      });
+  if (!runs.ok()) return runs.status();
+  for (size_t c = 0; c < out.size(); ++c) {
+    out[c].result = std::move((*runs)[c]);
+  }
   return out;
 }
 

@@ -9,7 +9,6 @@
 #include "unit/core/usm.h"
 #include "unit/faults/schedule.h"
 #include "unit/faults/settling.h"
-#include "unit/model/diff.h"
 #include "unit/obs/timeseries.h"
 #include "unit/sched/engine.h"
 #include "unit/sched/metrics.h"
@@ -87,8 +86,8 @@ StatusOr<ExperimentResult> RunFaultedExperiment(
     const ObsOptions& obs = {}, const EngineParams& engine = {},
     const PolicyOptions& options = {}, double settle_epsilon = 0.25);
 
-/// Runs `replications` faulted standard workloads on a `jobs`-worker pool
-/// (jobs <= 1: sequential). Replication i builds its workload from
+/// Runs `replications` faulted standard workloads on FanOut's `jobs` workers
+/// (jobs <= 0: one per hardware thread). Replication i builds its workload from
 /// ReplicationSeed(base_seed, i) and compiles `scenario` against it with
 /// that same seed, so each replication draws its own injection stream and
 /// the per-replication results (returned in replication order, series and
@@ -100,14 +99,6 @@ StatusOr<std::vector<ExperimentResult>> RunFaultedReplicated(
     double scale = 1.0, uint64_t base_seed = 42,
     const EngineParams& engine = {}, const PolicyOptions& options = {},
     double settle_epsilon = 0.25);
-
-/// Differential run: executes the optimized engine and the naive reference
-/// model (src/unit/model/) on the same case and compares semantic metrics,
-/// per-query outcomes, and window series bit-for-bit. Convenience re-export
-/// of model/diff.h's RunDiff for experiment drivers; see tools/diff_fuzz.cc
-/// for the fuzzing CLI built on top.
-StatusOr<DiffResult> RunDifferential(const DiffCase& diff_case,
-                                     const DiffOptions& options = {});
 
 /// Runs several policies over one workload (same weights, same engine).
 StatusOr<std::vector<ExperimentResult>> RunPolicies(
@@ -137,32 +128,23 @@ struct ReplicatedResult {
 };
 
 /// Workload seed of replication `i` of a cell with base seed `base_seed`.
-/// Shared by the sequential and parallel runners so that both construct
-/// bit-identical workloads; kept as the historical affine derivation
+/// Shared by every replicated runner so that replication i of a cell builds
+/// the same workload in each; kept as the historical affine derivation
 /// (base + 100*i) so published trace numbers stay stable. (SplitMix64 in
 /// common/rng.h is the tool of choice when a future derivation needs
 /// decorrelated streams rather than continuity.)
 uint64_t ReplicationSeed(uint64_t base_seed, int replication);
 
 /// Runs `replications` standard workloads (seeds ReplicationSeed(base, i))
-/// through `policy` and aggregates the headline metrics.
+/// through `policy` on FanOut's `jobs` workers (jobs <= 0: one per hardware
+/// thread) and aggregates the headline metrics in replication order, so the
+/// result is bit-identical for any `jobs`.
 StatusOr<ReplicatedResult> RunReplicated(
     UpdateVolume volume, UpdateDistribution distribution,
     const std::string& policy, const UsmWeights& weights, int replications,
     double scale = 1.0, uint64_t base_seed = 42,
-    const EngineParams& engine = {}, const PolicyOptions& options = {});
-
-/// Parallel twin of RunReplicated: fans the replications across a
-/// fixed-size thread pool of `jobs` workers (jobs <= 0: one per hardware
-/// thread). Each replication builds its own Workload/Engine from its
-/// ReplicationSeed, and results are aggregated in replication order after
-/// all cells finish — so the outcome is bit-identical to RunReplicated
-/// regardless of worker count or completion order.
-StatusOr<ReplicatedResult> RunReplicatedParallel(
-    UpdateVolume volume, UpdateDistribution distribution,
-    const std::string& policy, const UsmWeights& weights, int replications,
-    int jobs, double scale = 1.0, uint64_t base_seed = 42,
-    const EngineParams& engine = {}, const PolicyOptions& options = {});
+    const EngineParams& engine = {}, const PolicyOptions& options = {},
+    int jobs = 1);
 
 /// A named UsmWeights setting, e.g. a row of the paper's Table 2.
 struct NamedWeights {
@@ -205,10 +187,10 @@ struct GridCellResult {
   ReplicatedResult result;
 };
 
-/// Runs the whole grid on a `jobs`-worker pool (jobs <= 0: one per hardware
-/// thread). Workloads are generated once per (trace, replication) and shared
-/// read-only by every (weights, policy) cell on that trace. Cells are
-/// returned in deterministic order — distribution-major, then volume,
+/// Runs the whole grid on FanOut's `jobs` workers (jobs <= 0: one per
+/// hardware thread). Workloads are generated once per (trace, replication)
+/// and shared read-only by every (weights, policy) cell on that trace. Cells
+/// are returned in deterministic order — distribution-major, then volume,
 /// weighting, policy (the paper's presentation order) — and each cell is
 /// bit-identical to RunReplicated(volume, distribution, policy, ...) with
 /// the same base seed, independent of `jobs`.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 namespace unitdb {
@@ -126,6 +128,34 @@ TEST(LotterySamplerTest, LargePopulationProportions) {
   for (int i = n / 2; i < n; ++i) second_half += counts[i];
   EXPECT_EQ(first_half, 0);
   EXPECT_EQ(second_half, 50000);
+}
+
+TEST(LotterySamplerTest, RandomUpdatesKeepTheExactMinimumShift) {
+  // 13 items: not a power of two, so the min-tree has padding leaves. After
+  // every operation, a draw re-anchors at the exact eligible minimum, which
+  // a brute-force scan must reproduce bit for bit.
+  const int n = 13;
+  LotterySampler s(n);
+  Rng ops(113);
+  Rng draws(127);
+  for (int step = 0; step < 2000; ++step) {
+    const int i = static_cast<int>(ops.UniformInt(0, n - 1));
+    if (ops.NextDouble() < 0.2) {
+      s.SetEligible(i, !s.IsEligible(i));
+    } else {
+      s.SetTicket(i, ops.Uniform(-5.0, 5.0));
+    }
+    if (s.eligible_count() == 0) continue;
+    s.Sample(draws);
+    double min = std::numeric_limits<double>::infinity();
+    for (int j = 0; j < n; ++j) {
+      if (s.IsEligible(j)) min = std::min(min, s.ticket(j));
+    }
+    for (int j = 0; j < n; ++j) {
+      EXPECT_EQ(s.WeightOf(j), s.IsEligible(j) ? s.ticket(j) - min : 0.0)
+          << "step " << step << " item " << j;
+    }
+  }
 }
 
 }  // namespace

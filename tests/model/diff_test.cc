@@ -236,15 +236,21 @@ TEST(DiffEquivalenceTest, EngineKnobToggles) {
   ExpectEquivalent(c);
 }
 
-TEST(DiffEquivalenceTest, RunDifferentialWrapper) {
+TEST(DiffEquivalenceTest, BothSidesRecordEveryQuery) {
   const DiffCase c = StandardCase(UpdateVolume::kLow,
                                   UpdateDistribution::kUniform, "unit",
                                   Table2ishWeights());
-  auto result = RunDifferential(c);
+  auto result = RunDiff(c);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->equivalent);
   EXPECT_GT(result->optimized.metrics.counts.submitted, 0);
-  EXPECT_FALSE(result->optimized.queries.empty());
+  for (const DiffRun* side : {&result->optimized, &result->reference}) {
+    ASSERT_EQ(std::ssize(side->queries), side->metrics.counts.submitted);
+    for (const QueryRecord& q : side->queries) {
+      EXPECT_NE(q.outcome, Outcome::kPending);
+      EXPECT_GE(q.resolve_time, q.arrival);
+    }
+  }
 }
 
 TEST(DiffEquivalenceTest, SeriesComparisonCanBeDisabled) {
@@ -302,6 +308,11 @@ TEST(PerturbationTest, ShrinksToMinimalReplayableCase) {
   EXPECT_LT(shrunk.workload.queries.size(), c.workload.queries.size());
   EXPECT_GE(shrunk.workload.queries.size(), 8u);
   EXPECT_LE(shrunk.workload.queries.size(), 16u);
+  // Survivors are renumbered to their positions, so a streamed replay of
+  // the shrunk case keeps the QueryCursor id contract.
+  for (size_t i = 0; i < shrunk.workload.queries.size(); ++i) {
+    EXPECT_EQ(shrunk.workload.queries[i].id, static_cast<TxnId>(i));
+  }
   // The replay line survives shrinking.
   const std::string line = DescribeCase(shrunk);
   EXPECT_NE(line.find("seed=3"), std::string::npos) << line;

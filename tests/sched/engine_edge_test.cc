@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/fake_policy.h"
+#include "unit/model/reference_engine.h"
 #include "unit/sched/engine.h"
 #include "unit/workload/spec.h"
 
@@ -186,6 +187,31 @@ TEST(EngineEdgeTest, OnDemandUpdateForItemWithoutSourceStillRuns) {
   RunMetrics m = engine.Run();
   EXPECT_EQ(m.counts.success, 1);
   EXPECT_EQ(m.on_demand_updates, 1);
+}
+
+TEST(EngineEdgeTest, RefreshIssuedByAControlTickRunsOnAnIdleCpu) {
+  // No queries and no periodic arrivals: after the first control tick the
+  // only events left are later ticks. A refresh the policy issues from that
+  // tick must still start at once, on both engines.
+  Workload w = Empty(1, 5.0);
+  w.updates = {Source(0, 100.0, 10.0)};
+  for (const bool reference : {false, true}) {
+    FakePolicy policy;
+    policy.periodic_updates = false;
+    policy.on_tick = [](EngineContext& e) {
+      if (e.now() == SecondsToSim(1.0)) e.IssueOnDemandUpdate(0);
+    };
+    SimTime committed_at = -1;
+    policy.on_update_commit = [&committed_at](EngineContext& e,
+                                              const Transaction&) {
+      committed_at = e.now();
+    };
+    const RunMetrics m = reference ? ReferenceEngine(w, &policy, {}).Run()
+                                   : Engine(w, &policy, {}).Run();
+    EXPECT_EQ(m.update_commits, 1) << "reference=" << reference;
+    EXPECT_EQ(committed_at, SecondsToSim(1.0) + MillisToSim(10.0))
+        << "reference=" << reference;
+  }
 }
 
 TEST(EngineEdgeTest, ManySimultaneousArrivalsResolveDeterministically) {

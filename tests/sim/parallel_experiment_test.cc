@@ -1,7 +1,7 @@
-// Golden determinism suite for the parallel experiment runner: whatever the
-// worker count and completion order, the parallel entry points must produce
-// results bit-identical to the sequential RunReplicated path (same derived
-// seeds, same fold order => the same doubles to the last bit).
+// Golden determinism suite for the parallel experiment runners: whatever the
+// worker count and completion order, RunReplicated and RunGrid must produce
+// results bit-identical to a jobs=1 run (same derived seeds, same fold order
+// => the same doubles to the last bit).
 
 #include <gtest/gtest.h>
 
@@ -48,56 +48,64 @@ TEST(ReplicationSeedTest, MatchesTheHistoricalSequentialDerivation) {
   EXPECT_EQ(ReplicationSeed(7, 1), 107u);
 }
 
-TEST(RunReplicatedParallelTest, BitIdenticalToSequentialAcrossWorkerCounts) {
+// RunReplicated with every argument spelled out up to the trailing `jobs`.
+StatusOr<ReplicatedResult> Replicated(UpdateVolume volume,
+                                      UpdateDistribution distribution,
+                                      const std::string& policy,
+                                      const UsmWeights& weights,
+                                      int replications, int jobs,
+                                      double scale = kScale) {
+  return RunReplicated(volume, distribution, policy, weights, replications,
+                       scale, /*base_seed=*/42, EngineParams{},
+                       PolicyOptions{}, jobs);
+}
+
+TEST(RunReplicatedJobsTest, BitIdenticalToSequentialAcrossWorkerCounts) {
   for (const char* policy : {"unit", "qmf"}) {
-    auto seq = RunReplicated(UpdateVolume::kMedium,
-                             UpdateDistribution::kUniform, policy,
-                             UsmWeights{1.0, 0.5, 1.0, 0.5}, 4, kScale);
+    auto seq = Replicated(UpdateVolume::kMedium, UpdateDistribution::kUniform,
+                          policy, UsmWeights{1.0, 0.5, 1.0, 0.5}, 4, 1);
     ASSERT_TRUE(seq.ok());
-    for (int jobs : {1, 2, 8}) {
-      auto par = RunReplicatedParallel(
-          UpdateVolume::kMedium, UpdateDistribution::kUniform, policy,
-          UsmWeights{1.0, 0.5, 1.0, 0.5}, 4, jobs, kScale);
+    for (int jobs : {2, 8}) {
+      auto par =
+          Replicated(UpdateVolume::kMedium, UpdateDistribution::kUniform,
+                     policy, UsmWeights{1.0, 0.5, 1.0, 0.5}, 4, jobs);
       ASSERT_TRUE(par.ok()) << "jobs=" << jobs;
       ExpectReplicatedIdentical(*seq, *par);
     }
   }
 }
 
-TEST(RunReplicatedParallelTest, CellCountNotDivisibleByWorkers) {
-  auto seq = RunReplicated(UpdateVolume::kLow, UpdateDistribution::kNegative,
-                           "imu", UsmWeights{}, 5, kScale);
+TEST(RunReplicatedJobsTest, CellCountNotDivisibleByWorkers) {
+  auto seq = Replicated(UpdateVolume::kLow, UpdateDistribution::kNegative,
+                        "imu", UsmWeights{}, 5, 1);
   ASSERT_TRUE(seq.ok());
-  auto par = RunReplicatedParallel(UpdateVolume::kLow,
-                                   UpdateDistribution::kNegative, "imu",
-                                   UsmWeights{}, 5, /*jobs=*/2, kScale);
+  auto par = Replicated(UpdateVolume::kLow, UpdateDistribution::kNegative,
+                        "imu", UsmWeights{}, 5, /*jobs=*/2);
   ASSERT_TRUE(par.ok());
   ExpectReplicatedIdentical(*seq, *par);
 }
 
-TEST(RunReplicatedParallelTest, SingleCellEdgeCase) {
-  auto seq = RunReplicated(UpdateVolume::kHigh, UpdateDistribution::kPositive,
-                           "odu", UsmWeights{}, 1, kScale);
+TEST(RunReplicatedJobsTest, SingleCellEdgeCase) {
+  auto seq = Replicated(UpdateVolume::kHigh, UpdateDistribution::kPositive,
+                        "odu", UsmWeights{}, 1, 1);
   ASSERT_TRUE(seq.ok());
-  for (int jobs : {1, 8}) {
-    auto par = RunReplicatedParallel(UpdateVolume::kHigh,
-                                     UpdateDistribution::kPositive, "odu",
-                                     UsmWeights{}, 1, jobs, kScale);
+  for (int jobs : {2, 8}) {
+    auto par = Replicated(UpdateVolume::kHigh, UpdateDistribution::kPositive,
+                          "odu", UsmWeights{}, 1, jobs);
     ASSERT_TRUE(par.ok()) << "jobs=" << jobs;
     ExpectReplicatedIdentical(*seq, *par);
   }
 }
 
-TEST(RunReplicatedParallelTest, RejectsBadInputsLikeSequential) {
-  EXPECT_FALSE(RunReplicatedParallel(UpdateVolume::kLow,
-                                     UpdateDistribution::kUniform, "imu",
-                                     UsmWeights{}, 0, 2)
-                   .ok());
-  EXPECT_FALSE(RunReplicatedParallel(UpdateVolume::kLow,
-                                     UpdateDistribution::kUniform,
-                                     "no-such-policy", UsmWeights{}, 3, 2,
-                                     kScale)
-                   .ok());
+TEST(RunReplicatedJobsTest, RejectsBadInputsLikeSequential) {
+  for (int jobs : {1, 2}) {
+    EXPECT_FALSE(Replicated(UpdateVolume::kLow, UpdateDistribution::kUniform,
+                            "imu", UsmWeights{}, 0, jobs)
+                     .ok());
+    EXPECT_FALSE(Replicated(UpdateVolume::kLow, UpdateDistribution::kUniform,
+                            "no-such-policy", UsmWeights{}, 3, jobs)
+                     .ok());
+  }
 }
 
 TEST(RunGridTest, Table1GridBitIdenticalToSequentialPerCell) {
