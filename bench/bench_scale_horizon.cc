@@ -6,7 +6,8 @@
 // live slots (= slots_created = the arena's whole memory footprint) stays
 // flat as the horizon grows 10x, because the slab recycles and the stream
 // holds only one staged query. A materialized control run of the smallest
-// cell confirms the streamed path is not paying a throughput tax.
+// cell runs the same engine path over a cursor on the generated vector, so
+// it prices generating queries on demand against reading them from memory.
 //
 // Usage: bench_scale_horizon [base_s=120] [rate=20] [seed=42] [reps=2]
 //                            [policy=unit] [out=BENCH_scale.json]

@@ -6,6 +6,7 @@
 
 #include "unit/common/rng.h"
 #include "unit/db/data_item.h"
+#include "unit/workload/query_source.h"
 
 namespace unitdb {
 
@@ -14,32 +15,6 @@ namespace {
 Status CompileError(size_t index, const std::string& what) {
   return Status::InvalidArgument("fault" + std::to_string(index) + ": " +
                                  what);
-}
-
-/// Parses one item selector token ("a" or "a-b") and appends the ids.
-Status AppendItemToken(const std::string& token, int num_items, size_t index,
-                       std::vector<ItemId>* out) {
-  const size_t dash = token.find('-');
-  char* end = nullptr;
-  const long lo = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str()) {
-    return CompileError(index, "bad item selector '" + token + "'");
-  }
-  long hi = lo;
-  if (dash != std::string::npos) {
-    const char* hs = token.c_str() + dash + 1;
-    hi = std::strtol(hs, &end, 10);
-    if (end == hs) {
-      return CompileError(index, "bad item selector '" + token + "'");
-    }
-  }
-  if (lo < 0 || hi < lo || hi >= num_items) {
-    return CompileError(index, "item selector '" + token +
-                                   "' out of range (num_items = " +
-                                   std::to_string(num_items) + ")");
-  }
-  for (long id = lo; id <= hi; ++id) out->push_back(static_cast<ItemId>(id));
-  return Status::Ok();
 }
 
 /// Resolves a FaultSpec's item selection ("a-b", "a,b,c", "*") against the
@@ -58,19 +33,8 @@ Status ResolveItems(const FaultSpec& fault, size_t index,
     }
     return Status::Ok();
   }
-  size_t pos = 0;
-  while (pos <= fault.items.size()) {
-    size_t comma = fault.items.find(',', pos);
-    if (comma == std::string::npos) comma = fault.items.size();
-    const std::string token = fault.items.substr(pos, comma - pos);
-    if (token.empty()) {
-      return CompileError(index, "empty item selector token");
-    }
-    Status s = AppendItemToken(token, workload.num_items, index, out);
-    if (!s.ok()) return s;
-    pos = comma + 1;
-    if (comma == fault.items.size()) break;
-  }
+  Status s = ParseItemSelection(fault.items, workload.num_items, out);
+  if (!s.ok()) return CompileError(index, s.message());
   for (ItemId id : *out) {
     if (!has_source[id]) {
       return CompileError(index, "item " + std::to_string(id) +
@@ -80,7 +44,91 @@ Status ResolveItems(const FaultSpec& fault, size_t index,
   return Status::Ok();
 }
 
+/// One injected query whose template is still to be read from the trace.
+struct TemplatePick {
+  int64_t position = 0;  ///< template's position in the query trace
+  size_t slot = 0;       ///< index into the injected query list
+  bool storm = false;    ///< a retry-storm clone
+};
+
+/// Copies each picked template into its slot in one pass of the trace's
+/// cursor, so a streamed trace is never materialized. The slot keeps the
+/// arrival drawn for it; the id is cleared (the engine assigns txn ids) and
+/// a retry-storm slot gets an eighth of the template's deadline.
+void FillTemplates(const Workload& workload, std::vector<TemplatePick> picks,
+                   std::vector<QueryRequest>* injected) {
+  std::sort(picks.begin(), picks.end(),
+            [](const TemplatePick& a, const TemplatePick& b) {
+              return a.position < b.position;
+            });
+  auto cursor = workload.NewQueryCursor();
+  QueryRequest q;
+  int64_t position = -1;
+  for (const TemplatePick& pick : picks) {
+    while (position < pick.position && cursor->Next(&q)) ++position;
+    QueryRequest& out = (*injected)[pick.slot];
+    const SimTime arrival = out.arrival;
+    out = q;
+    out.id = kInvalidTxn;
+    out.arrival = arrival;
+    if (pick.storm) {
+      // Near-certain misses. The injected queries themselves are never
+      // retried (no trace id); their contribution is the load spike that
+      // makes *session* queries miss and re-enter.
+      out.relative_deadline =
+          std::max<SimDuration>(1, q.relative_deadline / 8);
+    }
+  }
+}
+
 }  // namespace
+
+Status ParseItemSelection(const std::string& items, int num_items,
+                          std::vector<ItemId>* out) {
+  size_t pos = 0;
+  while (pos <= items.size()) {
+    size_t comma = items.find(',', pos);
+    if (comma == std::string::npos) comma = items.size();
+    const std::string token = items.substr(pos, comma - pos);
+    if (token.empty()) {
+      return Status::InvalidArgument("empty item selector token in '" +
+                                     items + "'");
+    }
+    const size_t dash = token.find('-');
+    char* end = nullptr;
+    const long lo = std::strtol(token.c_str(), &end, 10);
+    long hi = lo;
+    bool ok = end != token.c_str();
+    if (ok && dash != std::string::npos) {
+      const char* hs = token.c_str() + dash + 1;
+      hi = std::strtol(hs, &end, 10);
+      ok = end != hs;
+    }
+    if (!ok) {
+      return Status::InvalidArgument("bad item selector '" + token + "'");
+    }
+    if (lo < 0 || hi < lo || hi >= num_items) {
+      return Status::InvalidArgument(
+          "item selector '" + token + "' out of range (num_items = " +
+          std::to_string(num_items) + ")");
+    }
+    for (long id = lo; id <= hi; ++id) out->push_back(static_cast<ItemId>(id));
+    pos = comma + 1;
+    if (comma == items.size()) break;
+  }
+  return Status::Ok();
+}
+
+std::vector<char> UpdateSourceMask(const Workload& workload) {
+  std::vector<char> has_source(static_cast<size_t>(workload.num_items), 0);
+  for (const auto& u : workload.updates) {
+    if (u.ideal_period <= 0 || u.ideal_period >= kNoUpdates) continue;
+    if (u.item >= 0 && u.item < workload.num_items) {
+      has_source[static_cast<size_t>(u.item)] = 1;
+    }
+  }
+  return has_source;
+}
 
 StatusOr<FaultSchedule> FaultSchedule::Compile(const FaultScenarioSpec& spec,
                                                const Workload& workload,
@@ -89,11 +137,9 @@ StatusOr<FaultSchedule> FaultSchedule::Compile(const FaultScenarioSpec& spec,
   schedule.spec_ = spec;
   if (spec.faults.empty()) return schedule;
 
-  std::vector<char> has_source(workload.num_items, 0);
-  for (const auto& u : workload.updates) {
-    if (u.ideal_period <= 0 || u.ideal_period >= kNoUpdates) continue;
-    if (u.item >= 0 && u.item < workload.num_items) has_source[u.item] = 1;
-  }
+  const std::vector<char> has_source = UpdateSourceMask(workload);
+  const int64_t trace_size = workload.QueryCount();
+  std::vector<TemplatePick> picks;
 
   // Decorrelate injection streams across replications without consuming the
   // workload's own RNG: each fault forks one stream from the (scenario
@@ -149,7 +195,7 @@ StatusOr<FaultSchedule> FaultSchedule::Compile(const FaultScenarioSpec& spec,
     Rng rng(SplitMix64(mixed + static_cast<uint64_t>(i) + 1));
     if (fault.kind == FaultKind::kLoadStep ||
         fault.kind == FaultKind::kRetryStorm) {
-      if (workload.queries.empty()) {
+      if (trace_size == 0) {
         return CompileError(i, std::string(FaultKindName(fault.kind)) +
                                    " needs a non-empty query trace");
       }
@@ -159,19 +205,11 @@ StatusOr<FaultSchedule> FaultSchedule::Compile(const FaultScenarioSpec& spec,
         t += std::max<SimDuration>(
             1, SecondsToSim(rng.Exponential(mean_gap_s)));
         if (t >= end) break;
-        const size_t pick = static_cast<size_t>(rng.UniformInt(
-            0, static_cast<int64_t>(workload.queries.size()) - 1));
-        QueryRequest q = workload.queries[pick];
-        q.id = kInvalidTxn;
+        picks.push_back({rng.UniformInt(0, trace_size - 1),
+                         schedule.injected_queries_.size(),
+                         fault.kind == FaultKind::kRetryStorm});
+        QueryRequest q;
         q.arrival = t;
-        if (fault.kind == FaultKind::kRetryStorm) {
-          // Near-certain misses: an eighth of the template's deadline. The
-          // injected queries themselves are never retried (no trace id);
-          // their contribution is the load spike that makes *session*
-          // queries miss and re-enter.
-          q.relative_deadline =
-              std::max<SimDuration>(1, q.relative_deadline / 8);
-        }
         schedule.injected_queries_.push_back(std::move(q));
       }
     } else if (fault.kind == FaultKind::kUpdateBurst) {
@@ -195,6 +233,10 @@ StatusOr<FaultSchedule> FaultSchedule::Compile(const FaultScenarioSpec& spec,
     edge.start = false;
     edge.time = end;
     schedule.edges_.push_back(edge);
+  }
+
+  if (!picks.empty()) {
+    FillTemplates(workload, std::move(picks), &schedule.injected_queries_);
   }
 
   // Stops sort before starts at equal times so back-to-back windows of a

@@ -2,6 +2,7 @@
 #define UNIT_FAULTS_SCHEDULE_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "unit/common/status.h"
@@ -10,6 +11,18 @@
 #include "unit/workload/spec.h"
 
 namespace unitdb {
+
+/// Parses an explicit item selector: "a", "a-b", or a comma-separated list
+/// of those such as "1,4-6" (the faults/scenario.h grammar minus "*").
+/// Appends the ids to `out` in selector order; fails with INVALID_ARGUMENT
+/// naming the offending token when one is malformed or leaves
+/// [0, num_items).
+Status ParseItemSelection(const std::string& items, int num_items,
+                          std::vector<ItemId>* out);
+
+/// has_source[i] != 0 iff item i of `workload` has a periodic update
+/// source: the items an outage or burst may select.
+std::vector<char> UpdateSourceMask(const Workload& workload);
 
 /// One compiled fault boundary: the engine flips the fault's effect on at
 /// the start edge and off at the stop edge. Item-scoped faults carry a span
@@ -49,7 +62,9 @@ class FaultSchedule {
   /// staying reproducible. Fails when an item selection names an item
   /// without an update source (outage/burst would be silent no-ops) or a
   /// window lies entirely outside [0, duration); windows are otherwise
-  /// clamped to the run.
+  /// clamped to the run. Load-step and retry-storm templates are read in
+  /// one pass of the workload's query cursor, so a streamed workload
+  /// compiles to the schedule of its materialized twin.
   static StatusOr<FaultSchedule> Compile(const FaultScenarioSpec& spec,
                                          const Workload& workload,
                                          uint64_t workload_seed);

@@ -410,20 +410,12 @@ StatusOr<DiffResult> RunShardedDiff(const DiffCase& c, const DiffOptions& opts,
 
     // Remap the monolithic records' ids to parent trace positions (the
     // identity the sharded side carries): request id -> position in the
-    // materialized trace; fault-injected queries stay kInvalidTxn.
+    // trace; fault-injected queries stay kInvalidTxn.
     std::unordered_map<TxnId, TxnId> position;
     {
-      std::vector<QueryRequest> materialized;
-      const std::vector<QueryRequest>* qs = &c.workload.queries;
-      if (c.workload.query_source != nullptr) {
-        auto cursor = c.workload.query_source->NewCursor();
-        QueryRequest q;
-        while (cursor->Next(&q)) materialized.push_back(q);
-        qs = &materialized;
-      }
-      for (size_t p = 0; p < qs->size(); ++p) {
-        position.emplace((*qs)[p].id, static_cast<TxnId>(p));
-      }
+      auto cursor = c.workload.NewQueryCursor();
+      QueryRequest q;
+      for (TxnId p = 0; cursor->Next(&q); ++p) position.emplace(q.id, p);
     }
     for (QueryRecord& r : result.reference.queries) {
       if (r.trace_id == kInvalidTxn) {
@@ -507,11 +499,8 @@ StatusOr<DiffResult> RunDiff(const DiffCase& c, const DiffOptions& opts) {
     schedule_ptr = &schedule;
   }
 
-  // When streaming, the optimized side consumes the identical trace through
-  // a VectorQuerySource cursor (arrivals pushed lazily, slab slots recycled)
-  // while the reference still sees the materialized list. The wrap happens
-  // after fault compilation above, so load-step templates were drawn from
-  // the same materialized queries for both sides.
+  // When streaming, the optimized side reads the identical trace from a
+  // VectorQuerySource instead of the workload's own vector.
   Workload streamed;
   const Workload* optimized_workload = &c.workload;
   if (c.stream_queries) {
@@ -566,8 +555,8 @@ DiffCase ShrinkCase(const DiffCase& c, const DiffOptions& opts) {
       } else {
         q.erase(q.end() - static_cast<ptrdiff_t>(half), q.end());
       }
-      // Query ids are trace positions (the QueryCursor contract a streamed
-      // run asserts), so the survivors are renumbered 0..n-1.
+      // Survivors are renumbered 0..n-1, the ids a generated trace of that
+      // length carries, so the shrunk case replays like a generated one.
       for (size_t p = 0; p < q.size(); ++p) q[p].id = static_cast<TxnId>(p);
       if (Diverges(cand, opts)) {
         best = std::move(cand);
@@ -610,7 +599,7 @@ std::string DescribeCase(const DiffCase& c) {
      << " sessions=" << c.engine.session.sessions
      << " shed=" << c.engine.shed_watermark
      << " cache=" << c.engine.cache.capacity
-     << " queries=" << c.workload.queries.size()
+     << " queries=" << c.workload.QueryCount()
      << " fault_windows=" << c.scenario.faults.size();
   return os.str();
 }

@@ -38,11 +38,11 @@ struct DiffCase {
   EngineParams engine;
   PolicyOptions options;
 
-  /// Run the *optimized* side with the query trace wrapped in a streaming
-  /// QuerySource (the reference side always materializes), so the engine's
-  /// lazy-arrival + slab-recycling paths are cross-checked against the
-  /// naive upfront schedule. Fault scenarios are compiled against the
-  /// materialized trace first, so load-step templates are identical.
+  /// Run the *optimized* side with the query trace moved into a
+  /// source-backed QuerySource instead of the workload's vector. The engine
+  /// reads both through the same staged cursor, so this arm checks that a
+  /// source-backed trace replays identically; the reference side always
+  /// materializes it and pushes every arrival up front.
   bool stream_queries = false;
 
   /// Sharded-execution dimension (shard/sharded.h). 0 = the ordinary

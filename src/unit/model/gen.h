@@ -21,7 +21,7 @@ namespace unitdb {
 ///   use_admission_index = (index / 4) % 2 == 0
 ///   compact_events      = (index / 8) % 2 == 0
 ///   faults attached     = (index / 16) % 2 == 0
-///   stream_queries      = (index / 32) % 2 == 0
+///   stream_queries      = (index / 32) % 2 == 0  (source-backed trace)
 ///   shards              = (index / 64) % 4   (0 = monolithic diff)
 ///   shard_jobs          = (index / 128) % 2 == 0 ? 1 : 2
 ///   sessions attached   = (index / 256) % 2 == 1  (closed-loop clients)

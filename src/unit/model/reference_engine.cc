@@ -31,13 +31,10 @@ ReferenceEngine::ReferenceEngine(const Workload& workload, Policy* policy,
     UNIT_LOG(Error) << "bad workload update specs: " << s.ToString();
   }
   metrics_.duration_s = SimToSeconds(workload.duration);
-  if (workload.query_source != nullptr) {
-    materialized_queries_.reserve(
-        static_cast<size_t>(workload.query_source->count()));
-    QueryRequest q;
-    auto cursor = workload.query_source->NewCursor();
-    while (cursor->Next(&q)) materialized_queries_.push_back(q);
-  }
+  queries_.reserve(static_cast<size_t>(workload.QueryCount()));
+  QueryRequest q;
+  auto cursor = workload.NewQueryCursor();
+  while (cursor->Next(&q)) queries_.push_back(q);
   if (params_.faults != nullptr) {
     item_outage_.assign(workload.num_items, 0);
   }
@@ -248,9 +245,8 @@ Transaction* ReferenceEngine::NewUpdateTxn(ItemId item,
 void ReferenceEngine::ScheduleInitialEvents() {
   // Push order is the FIFO tie-break contract shared with the optimized
   // engine: workload events first, then control ticks, then fault events.
-  const std::vector<QueryRequest>& queries = Queries();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    Push(queries[i].arrival, EventType::kQueryArrival,
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    Push(queries_[i].arrival, EventType::kQueryArrival,
          static_cast<int64_t>(i));
   }
   if (policy_->UsesPeriodicUpdates()) {
@@ -283,7 +279,7 @@ void ReferenceEngine::ScheduleInitialEvents() {
 }
 
 void ReferenceEngine::HandleQueryArrival(int64_t query_index) {
-  AdmitArrivedQuery(Queries()[query_index]);
+  AdmitArrivedQuery(queries_[query_index]);
 }
 
 void ReferenceEngine::AdmitArrivedQuery(const QueryRequest& request,

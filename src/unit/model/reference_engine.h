@@ -114,15 +114,6 @@ class ReferenceEngine final : public EngineContext {
   const Transaction& txn(TxnId id) const { return txns_[id]; }
 
  private:
-  /// The query trace as a vector. A streamed workload is materialized up
-  /// front in the constructor — deliberately: the reference stays the naive
-  /// O(total transactions) implementation so the differential harness
-  /// cross-checks the optimized engine's streaming + slab-recycling paths
-  /// against the simplest possible representation.
-  const std::vector<QueryRequest>& Queries() const {
-    return workload_.query_source != nullptr ? materialized_queries_
-                                             : workload_.queries;
-  }
   /// One scheduled event. Unlike the optimized queue there is no lazy
   /// generation check: events that can no longer fire are erased eagerly.
   struct RefEvent {
@@ -192,7 +183,12 @@ class ReferenceEngine final : public EngineContext {
   const Workload& workload_;
   Policy* policy_;
   EngineParams params_;
-  std::vector<QueryRequest> materialized_queries_;  ///< see Queries()
+  /// The query trace, materialized in the constructor and scheduled whole
+  /// up front — deliberately: the reference keeps the naive push-all
+  /// schedule so the differential harness cross-checks the optimized
+  /// engine's staged arrivals (reserved FIFO sequences, one pending arrival)
+  /// and slab recycling against the simplest possible representation.
+  std::vector<QueryRequest> queries_;
 
   Database db_;
   LockManager locks_;

@@ -184,27 +184,17 @@ Transaction* Engine::NewUpdateTxn(ItemId item, SimDuration relative_deadline,
 }
 
 void Engine::ScheduleInitialEvents() {
-  if (workload_.query_source != nullptr) {
-    // Streaming path: the materialized schedule would push all n arrivals
-    // first, giving them FIFO tie-break sequences 0..n-1. Reserve exactly
-    // those, push only the first arrival, and let each arrival handler stage
-    // the next one under its reserved sequence — the pop order (and thus the
-    // whole simulation) is bit-identical while only one pending arrival
-    // event and one staged QueryRequest exist at a time.
-    events_.ReserveSequences(
-        static_cast<uint64_t>(workload_.query_source->count()));
-    query_cursor_ = workload_.query_source->NewCursor();
-    if (query_cursor_->Next(&staged_query_)) {
-      events_.PushWithSeq(staged_query_.arrival, 0, EventType::kQueryArrival,
-                          0);
-    } else {
-      query_cursor_.reset();
-    }
-  } else {
-    for (size_t i = 0; i < workload_.queries.size(); ++i) {
-      events_.Push(workload_.queries[i].arrival, EventType::kQueryArrival,
-                   static_cast<int64_t>(i));
-    }
+  // Query arrivals stream from the trace cursor. Pushing all n up front
+  // would give them FIFO tie-break sequences 0..n-1; reserve exactly those,
+  // push only the first arrival, and let each arrival handler stage the
+  // next one under its reserved sequence. The pop order (and thus the whole
+  // simulation) is that of the push-all schedule the reference engine
+  // keeps, while only one pending arrival event and one staged
+  // QueryRequest exist at a time.
+  events_.ReserveSequences(static_cast<uint64_t>(workload_.QueryCount()));
+  query_cursor_ = workload_.NewQueryCursor();
+  if (query_cursor_->Next(&staged_query_)) {
+    events_.PushWithSeq(staged_query_.arrival, 0, EventType::kQueryArrival, 0);
   }
   if (policy_->UsesPeriodicUpdates()) {
     for (const auto& spec : workload_.updates) {
@@ -239,21 +229,15 @@ void Engine::ScheduleInitialEvents() {
 }
 
 void Engine::HandleQueryArrival(int64_t query_index) {
-  if (query_cursor_ != nullptr) {
-    assert(staged_query_.id == static_cast<TxnId>(query_index));
-    AdmitArrivedQuery(staged_query_);
-    // Stage arrival query_index + 1 under its reserved sequence. Arrivals
-    // are non-decreasing in time, so the event is never in the past.
-    if (query_cursor_->Next(&staged_query_)) {
-      events_.PushWithSeq(staged_query_.arrival,
-                          static_cast<uint64_t>(query_index) + 1,
-                          EventType::kQueryArrival, query_index + 1);
-    } else {
-      query_cursor_.reset();
-    }
-    return;
+  AdmitArrivedQuery(staged_query_);
+  // Stage arrival query_index + 1 under its reserved sequence. Trace
+  // arrivals never decrease, so the event is never in the past.
+  if (query_cursor_->Next(&staged_query_)) {
+    assert(staged_query_.arrival >= now_ && "trace arrivals must not decrease");
+    events_.PushWithSeq(staged_query_.arrival,
+                        static_cast<uint64_t>(query_index) + 1,
+                        EventType::kQueryArrival, query_index + 1);
   }
-  AdmitArrivedQuery(workload_.queries[query_index]);
 }
 
 void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {

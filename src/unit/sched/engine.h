@@ -240,9 +240,9 @@ class Engine final : public EngineContext {
   std::vector<Transaction*> blocked_;
   std::vector<int64_t> pending_updates_per_item_;
 
-  /// Streaming workload state (set iff workload_.query_source != nullptr):
-  /// cursor over the source with the next query staged — its arrival event
-  /// already sits in the heap under its reserved FIFO sequence.
+  /// Cursor over the workload's query trace with the next query staged:
+  /// its arrival event already sits in the heap under its reserved FIFO
+  /// sequence (its trace position).
   std::unique_ptr<QueryCursor> query_cursor_;
   QueryRequest staged_query_;
 

@@ -12,7 +12,7 @@ namespace unitdb {
 
 /// Kinds of events the discrete-event engine processes.
 enum class EventType {
-  kQueryArrival = 0,   ///< payload: index into the workload's query trace
+  kQueryArrival = 0,   ///< payload: position in the workload's query trace
   kUpdateArrival,      ///< payload: item id
   kCompletion,         ///< payload: txn id + dispatch generation
   kQueryDeadline,      ///< payload: txn id (firm-deadline expiry)
@@ -48,10 +48,10 @@ class EventQueue {
             uint64_t generation = 0);
 
   /// Push with an explicitly chosen FIFO tie-break sequence instead of the
-  /// auto counter. Used by the streaming workload path: arrival i is pushed
-  /// lazily (while handling arrival i-1) but must keep the sequence it would
-  /// have had if all arrivals were pushed up front — pair with
-  /// ReserveSequences so the auto counter never collides.
+  /// auto counter. Used for query arrivals: the engine pushes arrival i
+  /// lazily (while handling arrival i-1) under the sequence i it would have
+  /// had if all arrivals were pushed up front — pair with ReserveSequences
+  /// so the auto counter never collides.
   void PushWithSeq(SimTime time, uint64_t seq, EventType type, int64_t payload,
                    uint64_t generation = 0);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -53,36 +52,6 @@ struct ShardRunOutput {
   std::vector<TraceEvent> events;
 };
 
-/// Parses an explicit "a-b" / "a,b,c" item selector (the
-/// faults/scenario.h grammar, minus "*"). Returns false on malformed
-/// input, in which case the caller keeps the fault verbatim and lets
-/// FaultSchedule::Compile report the canonical error.
-bool ParseItemSelector(const std::string& items, int num_items,
-                       std::vector<ItemId>* out) {
-  size_t pos = 0;
-  while (pos <= items.size()) {
-    size_t comma = items.find(',', pos);
-    if (comma == std::string::npos) comma = items.size();
-    const std::string token = items.substr(pos, comma - pos);
-    if (token.empty()) return false;
-    const size_t dash = token.find('-');
-    char* end = nullptr;
-    const long lo = std::strtol(token.c_str(), &end, 10);
-    if (end == token.c_str()) return false;
-    long hi = lo;
-    if (dash != std::string::npos) {
-      const char* hs = token.c_str() + dash + 1;
-      hi = std::strtol(hs, &end, 10);
-      if (end == hs) return false;
-    }
-    if (lo < 0 || hi < lo || hi >= num_items) return false;
-    for (long id = lo; id <= hi; ++id) out->push_back(static_cast<ItemId>(id));
-    pos = comma + 1;
-    if (comma == items.size()) break;
-  }
-  return true;
-}
-
 /// Scopes a scenario to one shard's sub-workload (shards > 1 only; with one
 /// shard the input scenario passes through verbatim so compilation is
 /// bit-identical to the monolithic path). Each shard's fault layer draws
@@ -94,28 +63,24 @@ bool ParseItemSelector(const std::string& items, int num_items,
 ///  - outage/burst item selections are restricted to items this shard owns
 ///    and sources, and the fault is dropped when nothing remains;
 ///  - service-slowdown and freshness-shift windows broadcast to all shards.
-FaultScenarioSpec ScopeScenario(const FaultScenarioSpec& spec,
-                                const Workload& sub) {
-  std::vector<char> has_source(static_cast<size_t>(sub.num_items), 0);
-  for (const auto& u : sub.updates) {
-    if (u.ideal_period <= 0 || u.ideal_period >= kNoUpdates) continue;
-    if (u.item >= 0 && u.item < sub.num_items) {
-      has_source[static_cast<size_t>(u.item)] = 1;
-    }
-  }
+/// Fails on a malformed item selector, naming the fault and the selector.
+StatusOr<FaultScenarioSpec> ScopeScenario(const FaultScenarioSpec& spec,
+                                          const Workload& sub) {
+  const std::vector<char> has_source = UpdateSourceMask(sub);
   const bool any_source =
       std::find(has_source.begin(), has_source.end(), char{1}) !=
       has_source.end();
 
   FaultScenarioSpec scoped = spec;
   scoped.faults.clear();
-  for (const FaultSpec& fault : spec.faults) {
+  for (size_t i = 0; i < spec.faults.size(); ++i) {
+    const FaultSpec& fault = spec.faults[i];
     switch (fault.kind) {
       case FaultKind::kLoadStep:
       case FaultKind::kRetryStorm:
         // Both clone query templates from the sub-trace; drop on a shard
         // with nothing to clone.
-        if (!sub.queries.empty()) scoped.faults.push_back(fault);
+        if (sub.QueryCount() > 0) scoped.faults.push_back(fault);
         break;
       case FaultKind::kUpdateOutage:
       case FaultKind::kUpdateBurst: {
@@ -124,9 +89,10 @@ FaultScenarioSpec ScopeScenario(const FaultScenarioSpec& spec,
           break;
         }
         std::vector<ItemId> selected;
-        if (!ParseItemSelector(fault.items, sub.num_items, &selected)) {
-          scoped.faults.push_back(fault);  // malformed: let Compile reject
-          break;
+        Status s = ParseItemSelection(fault.items, sub.num_items, &selected);
+        if (!s.ok()) {
+          return Status::InvalidArgument("fault" + std::to_string(i) + ": " +
+                                         s.message());
         }
         std::string owned;
         for (ItemId id : selected) {
@@ -166,12 +132,13 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
   FaultSchedule schedule;
   if (params.scenario != nullptr && !params.scenario->empty() &&
       (params.fault_target_shard < 0 || params.fault_target_shard == shard)) {
-    const FaultScenarioSpec scoped = num_shards == 1
-                                         ? *params.scenario
-                                         : ScopeScenario(*params.scenario, sub);
-    if (!scoped.empty()) {
+    StatusOr<FaultScenarioSpec> scoped =
+        num_shards == 1 ? StatusOr<FaultScenarioSpec>(*params.scenario)
+                        : ScopeScenario(*params.scenario, sub);
+    if (!scoped.ok()) return scoped.status();
+    if (!scoped->empty()) {
       auto compiled = FaultSchedule::Compile(
-          scoped, sub, ShardSeed(params.fault_seed, shard, num_shards));
+          *scoped, sub, ShardSeed(params.fault_seed, shard, num_shards));
       if (!compiled.ok()) return compiled.status();
       schedule = std::move(compiled).value();
       if (!schedule.empty()) ep.faults = &schedule;
@@ -348,23 +315,14 @@ StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
         u);
   }
 
-  // Sub-queries are re-dealt across shards, so a streaming trace is
-  // materialized here (the memory-flat path stays available per shard via
-  // each sub-workload's own plain vector).
-  std::vector<QueryRequest> queries;
-  if (w.query_source != nullptr) {
-    auto cursor = w.query_source->NewCursor();
-    QueryRequest q;
-    while (cursor->Next(&q)) queries.push_back(q);
-  } else {
-    queries = w.queries;
-  }
-
-  part.sub_count.resize(queries.size(), 0);
+  // One cursor pass deals the trace's queries out to the shards' own
+  // vectors; the parent trace itself is never copied.
+  part.sub_count.reserve(static_cast<size_t>(w.QueryCount()));
   std::vector<std::vector<ItemId>> groups;
   std::vector<int> touched;
-  for (size_t p = 0; p < queries.size(); ++p) {
-    const QueryRequest& q = queries[p];
+  auto cursor = w.NewQueryCursor();
+  QueryRequest q;
+  for (size_t p = 0; cursor->Next(&q); ++p) {
     router.Split(q.items, &groups, &touched);
     if (touched.empty()) touched.push_back(0);  // defensive: empty read set
     const auto total = static_cast<SimDuration>(q.items.size());
@@ -387,7 +345,7 @@ StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
       }
       part.shards[static_cast<size_t>(s)].queries.push_back(std::move(sq));
     }
-    part.sub_count[p] = static_cast<int>(touched.size());
+    part.sub_count.push_back(static_cast<int>(touched.size()));
     part.subqueries += static_cast<int64_t>(touched.size());
     if (touched.size() > 1) ++part.cross_shard_queries;
   }

@@ -107,8 +107,10 @@ struct ShardPartition {
 /// service demand divided proportionally to the sub read-set size (each sub
 /// clamped to >= 1 tick, remainder on the last touched shard). Sub-query
 /// `id` carries the parent's trace index so per-shard results can be joined
-/// back. A streaming workload is materialized first. With one shard the
-/// single sub-workload is the input workload item for item.
+/// back. The parent trace is read in one pass of its cursor and never
+/// copied, so a streamed workload partitions exactly like its materialized
+/// twin. With one shard the single sub-workload is the input workload item
+/// for item.
 StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
                                            const ShardRouter& router);
 

@@ -5,27 +5,6 @@
 
 namespace unitdb {
 
-namespace {
-
-/// Cursor over a VectorQuerySource's materialized queries.
-class VectorCursor final : public QueryCursor {
- public:
-  explicit VectorCursor(const std::vector<QueryRequest>* queries)
-      : queries_(queries) {}
-
-  bool Next(QueryRequest* out) override {
-    if (next_ >= queries_->size()) return false;
-    *out = (*queries_)[next_++];
-    return true;
-  }
-
- private:
-  const std::vector<QueryRequest>* queries_;
-  size_t next_ = 0;
-};
-
-}  // namespace
-
 std::unique_ptr<QueryCursor> VectorQuerySource::NewCursor() const {
   return std::make_unique<VectorCursor>(&queries_);
 }

@@ -13,16 +13,37 @@
 
 namespace unitdb {
 
-/// Forward-only iterator over a query trace. Queries come out in arrival
-/// order with ids 0, 1, 2, ...; `Next` reuses `out`'s storage, so a consumer
-/// holding one QueryRequest buffer streams an arbitrarily long trace in O(1)
-/// memory.
+/// Forward-only iterator over a query trace. Queries come out in trace
+/// order, with non-decreasing arrivals, carrying the trace's request ids:
+/// positions 0, 1, 2, ... for generated traces, parent-trace positions for
+/// shard sub-traces (shard/sharded.h), and whatever ids a hand-built or
+/// loaded trace carries. `Next` reuses `out`'s storage, so a consumer
+/// holding one QueryRequest buffer streams an arbitrarily long trace in
+/// O(1) memory.
 class QueryCursor {
  public:
   virtual ~QueryCursor() = default;
 
   /// Fills `*out` with the next query; returns false at end of trace.
   virtual bool Next(QueryRequest* out) = 0;
+};
+
+/// Cursor over a materialized query vector, which must outlive it: copies
+/// one query per Next and nothing up front.
+class VectorCursor final : public QueryCursor {
+ public:
+  explicit VectorCursor(const std::vector<QueryRequest>* queries)
+      : queries_(queries) {}
+
+  bool Next(QueryRequest* out) override {
+    if (next_ >= queries_->size()) return false;
+    *out = (*queries_)[next_++];
+    return true;
+  }
+
+ private:
+  const std::vector<QueryRequest>* queries_;
+  size_t next_ = 0;
 };
 
 /// A replayable query trace the engine can consume without materializing it:
@@ -51,8 +72,6 @@ class VectorQuerySource final : public QuerySource {
     return static_cast<int64_t>(queries_.size());
   }
   std::unique_ptr<QueryCursor> NewCursor() const override;
-
-  const std::vector<QueryRequest>& queries() const { return queries_; }
 
  private:
   std::vector<QueryRequest> queries_;
@@ -85,9 +104,6 @@ class QueryStream final : public QueryCursor {
               const QueryStreamCalibration& calibration);
 
   bool Next(QueryRequest* out) override;
-
-  /// Queries yielded so far (== the next query's id).
-  int64_t position() const { return index_; }
 
  private:
   ItemId DrawItem();

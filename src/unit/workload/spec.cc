@@ -9,31 +9,26 @@ int64_t Workload::QueryCount() const {
   return static_cast<int64_t>(queries.size());
 }
 
+std::unique_ptr<QueryCursor> Workload::NewQueryCursor() const {
+  if (query_source) return query_source->NewCursor();
+  return std::make_unique<VectorCursor>(&queries);
+}
+
 double Workload::QueryUtilization() const {
   if (duration <= 0) return 0.0;
   double busy = 0.0;
-  if (query_source) {
-    QueryRequest q;
-    auto cursor = query_source->NewCursor();
-    while (cursor->Next(&q)) busy += static_cast<double>(q.exec);
-  } else {
-    for (const auto& q : queries) busy += static_cast<double>(q.exec);
-  }
+  QueryRequest q;
+  auto cursor = NewQueryCursor();
+  while (cursor->Next(&q)) busy += static_cast<double>(q.exec);
   return busy / static_cast<double>(duration);
 }
 
 std::vector<int64_t> Workload::QueryAccessCounts() const {
   std::vector<int64_t> counts(num_items, 0);
-  if (query_source) {
-    QueryRequest q;
-    auto cursor = query_source->NewCursor();
-    while (cursor->Next(&q)) {
-      for (ItemId it : q.items) ++counts[it];
-    }
-  } else {
-    for (const auto& q : queries) {
-      for (ItemId it : q.items) ++counts[it];
-    }
+  QueryRequest q;
+  auto cursor = NewQueryCursor();
+  while (cursor->Next(&q)) {
+    for (ItemId it : q.items) ++counts[it];
   }
   return counts;
 }

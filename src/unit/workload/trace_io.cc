@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "unit/common/csv.h"
+#include "unit/workload/query_source.h"
 
 namespace unitdb {
 
@@ -63,7 +64,9 @@ std::string WorkloadToCsv(const Workload& w) {
   CsvWriter csv;
   csv.AddRow({"M", std::to_string(w.num_items), std::to_string(w.duration),
               w.query_trace_name, w.update_trace_name});
-  for (const auto& q : w.queries) {
+  QueryRequest q;
+  auto cursor = w.NewQueryCursor();
+  while (cursor->Next(&q)) {
     csv.AddRow({"Q", std::to_string(q.id), std::to_string(q.arrival),
                 std::to_string(q.exec), std::to_string(q.relative_deadline),
                 FormatDouble(q.freshness_req), JoinItems(q.items),
@@ -121,6 +124,15 @@ StatusOr<Workload> WorkloadFromCsv(const std::string& text) {
         auto cls = ParseI64(row[7]);
         if (!cls.ok()) return cls.status();
         q.preference_class = static_cast<int>(*cls);
+      }
+      // The engine replays a trace in row order and needs non-decreasing
+      // arrivals (workload/spec.h).
+      if (!w.queries.empty() && q.arrival < w.queries.back().arrival) {
+        return Status::InvalidArgument(
+            "Q row " + std::to_string(w.queries.size()) + " (id " +
+            std::to_string(q.id) + "): arrival " + std::to_string(q.arrival) +
+            " precedes the previous row's " +
+            std::to_string(w.queries.back().arrival));
       }
       w.queries.push_back(std::move(q));
     } else if (tag == "U") {

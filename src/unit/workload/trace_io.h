@@ -9,13 +9,17 @@
 namespace unitdb {
 
 /// Serializes a workload (queries + update sources) to a CSV document so
-/// experiments can be archived and replayed bit-exactly. Row format:
+/// experiments can be archived and replayed bit-exactly. Queries are read
+/// through the workload's cursor, so a streamed trace writes the same rows
+/// as its materialized twin. Row format:
 ///   M,<num_items>,<duration_us>,<query_trace_name>,<update_trace_name>
 ///   Q,<id>,<arrival_us>,<exec_us>,<deadline_us>,<freshness_req>,<i1;i2;...>[,<pref_class>]
 ///   U,<item>,<ideal_period_us>,<exec_us>,<phase_us>
 std::string WorkloadToCsv(const Workload& workload);
 
-/// Parses a document produced by WorkloadToCsv.
+/// Parses a document produced by WorkloadToCsv. Fails with
+/// INVALID_ARGUMENT on a Q row whose arrival precedes the previous row's:
+/// the engine replays queries in row order.
 StatusOr<Workload> WorkloadFromCsv(const std::string& text);
 
 /// Convenience file round-trips.

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "unit/faults/scenario.h"
 #include "unit/faults/schedule.h"
+#include "unit/workload/query_source.h"
+#include "unit/workload/query_trace.h"
 #include "unit/workload/spec.h"
 
 namespace unitdb {
@@ -306,6 +309,58 @@ TEST(FaultScheduleTest, CompilationIsDeterministicPerSeedPair) {
               c->injected_queries()[i].arrival;
   }
   EXPECT_TRUE(differs);
+}
+
+// Load-step and retry-storm templates are read in one pass of the trace's
+// cursor: a streamed workload compiles to the schedule of its materialized
+// twin, and each injected query copies a trace query (a retry-storm clone
+// with an eighth of its deadline).
+TEST(FaultScheduleTest, StreamedWorkloadCompilesLikeItsMaterializedTwin) {
+  QueryTraceParams qp;
+  qp.num_items = 64;
+  qp.duration = SecondsToSim(100.0);
+  qp.seed = 7;
+  auto materialized = GenerateQueryTrace(qp);
+  auto streamed = MakeStreamingWorkload(qp);
+  ASSERT_TRUE(materialized.ok() && streamed.ok());
+  ASSERT_TRUE(streamed->queries.empty());
+
+  for (const char* kind : {"load-step", "retry-storm"}) {
+    SCOPED_TRACE(kind);
+    auto spec = FaultScenarioSpec::Parse(
+        std::string("fault0.kind = ") + kind +
+        "\nfault0.start_s = 10\nfault0.end_s = 40\nfault0.rate_hz = 8\n"
+        "fault1.kind = " + kind +
+        "\nfault1.start_s = 30\nfault1.end_s = 60\nfault1.rate_hz = 5\n");
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    auto a = FaultSchedule::Compile(*spec, *materialized, 42);
+    auto b = FaultSchedule::Compile(*spec, *streamed, 42);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ASSERT_GT(a->injected_queries().size(), 100u);
+    ASSERT_EQ(a->injected_queries().size(), b->injected_queries().size());
+    const int64_t divisor = std::string(kind) == "retry-storm" ? 8 : 1;
+    for (size_t i = 0; i < a->injected_queries().size(); ++i) {
+      const QueryRequest& qa = a->injected_queries()[i];
+      const QueryRequest& qb = b->injected_queries()[i];
+      EXPECT_EQ(qa.id, kInvalidTxn);
+      EXPECT_EQ(qb.id, kInvalidTxn);
+      EXPECT_EQ(qa.arrival, qb.arrival) << i;
+      EXPECT_EQ(qa.exec, qb.exec) << i;
+      EXPECT_EQ(qa.relative_deadline, qb.relative_deadline) << i;
+      EXPECT_EQ(qa.freshness_req, qb.freshness_req) << i;
+      EXPECT_EQ(qa.items, qb.items) << i;
+      EXPECT_EQ(qa.preference_class, qb.preference_class) << i;
+      const bool cloned = std::any_of(
+          materialized->queries.begin(), materialized->queries.end(),
+          [&](const QueryRequest& t) {
+            return t.items == qa.items && t.exec == qa.exec &&
+                   std::max<SimDuration>(1, t.relative_deadline / divisor) ==
+                       qa.relative_deadline;
+          });
+      EXPECT_TRUE(cloned) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -308,8 +308,8 @@ TEST(PerturbationTest, ShrinksToMinimalReplayableCase) {
   EXPECT_LT(shrunk.workload.queries.size(), c.workload.queries.size());
   EXPECT_GE(shrunk.workload.queries.size(), 8u);
   EXPECT_LE(shrunk.workload.queries.size(), 16u);
-  // Survivors are renumbered to their positions, so a streamed replay of
-  // the shrunk case keeps the QueryCursor id contract.
+  // Survivors are renumbered to their positions, the ids a generated trace
+  // of that length carries.
   for (size_t i = 0; i < shrunk.workload.queries.size(); ++i) {
     EXPECT_EQ(shrunk.workload.queries[i].id, static_cast<TxnId>(i));
   }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "unit/model/diff.h"
@@ -19,9 +20,6 @@
 namespace unitdb {
 namespace {
 
-// gtest prints a GoldenPin as raw bytes, so each case's ctest name ends in
-// the address of `policy`. That address moves whenever the string literals
-// linked ahead of it in model_test (diff_test.cc's) change size.
 struct GoldenPin {
   const char* policy;
   int64_t submitted, success, rejected, dmf, dsf;
@@ -45,6 +43,9 @@ constexpr GoldenPin kPins[] = {
     {"qmf", 598, 422, 11, 165, 0, 227, 0, 92, 0, 0,
      91.223163999999926, 1.0, 1.9503783507109, 0.4205685618729097},
 };
+
+// Names the parameter in test output and ctest names.
+void PrintTo(const GoldenPin& pin, std::ostream* os) { *os << pin.policy; }
 
 class GoldenPinTest : public ::testing::TestWithParam<GoldenPin> {};
 

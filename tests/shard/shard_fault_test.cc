@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "unit/faults/schedule.h"
 #include "unit/shard/router.h"
@@ -132,6 +133,78 @@ TEST(ShardFaultTest, ItemSelectorOnlyPerturbsTheOwningShard) {
   EXPECT_EQ(base->per_shard[static_cast<size_t>(owner)]
                 .fault_suppressed_updates,
             0);
+}
+
+TEST(ShardFaultTest, MultiTokenSelectorScopesAcrossShards) {
+  auto w = SmallWorkload();
+  ASSERT_TRUE(w.ok());
+  const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
+  const double dur_s = SimToSeconds(w->duration);
+  const int kShards = 2;
+  const ShardRouter router(kShards);
+
+  // Sourced items of the selector "1,4-6", counted per owning shard: the
+  // selector must reach both shards.
+  const std::vector<char> has_source = UpdateSourceMask(*w);
+  std::vector<int> owned(kShards, 0);
+  for (ItemId item : {1, 4, 5, 6}) {
+    if (has_source[static_cast<size_t>(item)]) {
+      ++owned[static_cast<size_t>(router.ShardOf(item))];
+    }
+  }
+  ASSERT_GT(owned[0], 0);
+  ASSERT_GT(owned[1], 0);
+
+  FaultScenarioSpec scenario;
+  scenario.name = "multi-token-burst";
+  scenario.seed = 7;
+  FaultSpec f;
+  f.kind = FaultKind::kUpdateBurst;
+  f.start_s = 0.2 * dur_s;
+  f.end_s = 0.6 * dur_s;
+  f.items = "1,4-6";
+  f.rate_hz = 2.0;
+  scenario.faults.push_back(f);
+
+  ShardedParams p;
+  p.shards = kShards;
+  p.scenario = &scenario;
+  auto hit = RunSharded(*w, "unit", weights, p);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  // Each shard bursts only the selected items it sources: rate x window
+  // deliveries per item, give or take the one its phase may trim.
+  const double per_item = f.rate_hz * (f.end_s - f.start_s);
+  for (int s = 0; s < kShards; ++s) {
+    const RunMetrics& m = hit->per_shard[static_cast<size_t>(s)];
+    EXPECT_EQ(m.fault_edges, 2) << s;
+    EXPECT_NEAR(static_cast<double>(m.fault_injected_updates),
+                per_item * owned[static_cast<size_t>(s)],
+                owned[static_cast<size_t>(s)] + 1.0)
+        << s;
+  }
+}
+
+TEST(ShardFaultTest, MalformedSelectorFailsNamingIt) {
+  auto w = SmallWorkload();
+  ASSERT_TRUE(w.ok());
+  const double dur_s = SimToSeconds(w->duration);
+  FaultScenarioSpec scenario;
+  scenario.name = "malformed";
+  FaultSpec f;
+  f.kind = FaultKind::kUpdateOutage;
+  f.start_s = 0.2 * dur_s;
+  f.end_s = 0.6 * dur_s;
+  f.items = "3-x";
+  scenario.faults.push_back(f);
+
+  ShardedParams p;
+  p.shards = 2;
+  p.scenario = &scenario;
+  auto run = RunSharded(*w, "unit", UsmWeights{1.0, 0.5, 1.0, 0.5}, p);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status().message().find("'3-x'"), std::string::npos)
+      << run.status().ToString();
 }
 
 TEST(ShardFaultTest, SingleShardScenarioMatchesMonolithicCompilation) {

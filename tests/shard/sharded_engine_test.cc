@@ -8,6 +8,9 @@
 
 #include "unit/shard/router.h"
 #include "unit/sim/experiment.h"
+#include "unit/workload/query_source.h"
+#include "unit/workload/query_trace.h"
+#include "unit/workload/update_trace.h"
 
 namespace unitdb {
 namespace {
@@ -129,6 +132,57 @@ TEST(PartitionWorkloadTest, SubQueriesConserveReadSetsAndBoundExec) {
   }
   EXPECT_EQ(cross, part->cross_shard_queries);
   EXPECT_EQ(subs, part->subqueries);
+}
+
+// The partitioner reads the parent trace through its cursor: a streamed
+// workload yields the shards of its materialized twin.
+TEST(PartitionWorkloadTest, StreamedWorkloadPartitionsLikeItsMaterializedTwin) {
+  QueryTraceParams qp;
+  qp.num_items = 64;
+  qp.duration = SecondsToSim(200.0);
+  qp.seed = 7;
+  auto materialized = GenerateQueryTrace(qp);
+  auto streamed = MakeStreamingWorkload(qp);
+  ASSERT_TRUE(materialized.ok() && streamed.ok());
+  UpdateTraceParams up;
+  up.seed = 21;
+  ASSERT_TRUE(GenerateUpdateTrace(up, *materialized).ok());
+  ASSERT_TRUE(GenerateUpdateTrace(up, *streamed).ok());
+
+  const ShardRouter router(3);
+  auto a = PartitionWorkload(*materialized, router);
+  auto b = PartitionWorkload(*streamed, router);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->sub_count, b->sub_count);
+  EXPECT_EQ(a->cross_shard_queries, b->cross_shard_queries);
+  EXPECT_EQ(a->subqueries, b->subqueries);
+  EXPECT_GT(a->cross_shard_queries, 0);
+  ASSERT_EQ(a->shards.size(), b->shards.size());
+  for (size_t s = 0; s < a->shards.size(); ++s) {
+    const Workload& sa = a->shards[s];
+    const Workload& sb = b->shards[s];
+    EXPECT_EQ(sa.num_items, sb.num_items);
+    EXPECT_EQ(sa.duration, sb.duration);
+    ASSERT_EQ(sa.queries.size(), sb.queries.size()) << s;
+    for (size_t i = 0; i < sa.queries.size(); ++i) {
+      const QueryRequest& qa = sa.queries[i];
+      const QueryRequest& qb = sb.queries[i];
+      EXPECT_EQ(qa.id, qb.id);
+      EXPECT_EQ(qa.arrival, qb.arrival);
+      EXPECT_EQ(qa.exec, qb.exec);
+      EXPECT_EQ(qa.relative_deadline, qb.relative_deadline);
+      EXPECT_EQ(qa.freshness_req, qb.freshness_req);
+      EXPECT_EQ(qa.items, qb.items);
+      EXPECT_EQ(qa.preference_class, qb.preference_class);
+    }
+    ASSERT_EQ(sa.updates.size(), sb.updates.size()) << s;
+    for (size_t i = 0; i < sa.updates.size(); ++i) {
+      EXPECT_EQ(sa.updates[i].item, sb.updates[i].item);
+      EXPECT_EQ(sa.updates[i].ideal_period, sb.updates[i].ideal_period);
+      EXPECT_EQ(sa.updates[i].update_exec, sb.updates[i].update_exec);
+      EXPECT_EQ(sa.updates[i].phase, sb.updates[i].phase);
+    }
+  }
 }
 
 TEST(ShardedEngineTest, SingleShardMatchesMonolithicBitForBit) {

@@ -125,7 +125,7 @@ TEST(QueryStreamTest, VectorSourceRoundTripsMaterializedQueries) {
   ASSERT_NE(w->query_source, nullptr);
   EXPECT_EQ(w->QueryCount(), static_cast<int64_t>(original.size()));
 
-  auto cursor = w->query_source->NewCursor();
+  auto cursor = w->NewQueryCursor();
   QueryRequest q;
   size_t i = 0;
   while (cursor->Next(&q)) {
@@ -151,8 +151,9 @@ TEST(QueryStreamTest, CursorAwareAccessCountsMatchMaterialized) {
 }
 
 // End to end: an Engine consuming the streamed workload must produce the
-// bit-identical run to one consuming the materialized trace (this also
-// exercises the lazy-arrival seq reservation and the slab under churn).
+// bit-identical run to one consuming the materialized trace, down to the
+// event counts: both read their trace through the same staged cursor (this
+// also exercises the reserved arrival sequences and the slab under churn).
 TEST(QueryStreamTest, EngineRunsStreamedWorkloadIdenticallyToMaterialized) {
   QueryTraceParams qp = SmallParams();
   auto materialized = GenerateQueryTrace(qp);
@@ -174,19 +175,8 @@ TEST(QueryStreamTest, EngineRunsStreamedWorkloadIdenticallyToMaterialized) {
   Engine e2(*streaming, &p2, params);
   const RunMetrics m2 = e2.Run();
 
-  EXPECT_EQ(m1.counts.submitted, m2.counts.submitted);
-  EXPECT_EQ(m1.counts.success, m2.counts.success);
-  EXPECT_EQ(m1.counts.rejected, m2.counts.rejected);
-  EXPECT_EQ(m1.counts.dmf, m2.counts.dmf);
-  EXPECT_EQ(m1.counts.dsf, m2.counts.dsf);
-  EXPECT_EQ(m1.busy_s, m2.busy_s);  // bit-identical FP accumulation
-  EXPECT_EQ(m1.query_response_s.mean(), m2.query_response_s.mean());
-  EXPECT_EQ(m1.query_freshness.mean(), m2.query_freshness.mean());
-  EXPECT_EQ(m1.update_commits, m2.update_commits);
-  EXPECT_EQ(m1.preemptions, m2.preemptions);
-  EXPECT_EQ(m1.lock_restarts, m2.lock_restarts);
-  EXPECT_EQ(m1.per_item_accesses, m2.per_item_accesses);
-  EXPECT_EQ(m1.per_item_applied_updates, m2.per_item_applied_updates);
+  EXPECT_GT(m1.counts.submitted, 0);
+  EXPECT_TRUE(m1 == m2);
 
   // The slab recycles: far fewer slots than transactions processed.
   EXPECT_GT(m2.txn_released, 0);

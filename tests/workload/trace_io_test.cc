@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "unit/workload/query_source.h"
 #include "unit/workload/query_trace.h"
 #include "unit/workload/update_trace.h"
 
@@ -63,6 +67,40 @@ TEST(TraceIoTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+// Export reads the trace through its cursor: a streamed workload writes
+// the Q and U rows of its materialized twin.
+TEST(TraceIoTest, StreamedWorkloadWritesItsMaterializedTwinsRows) {
+  QueryTraceParams qp;
+  qp.num_items = 32;
+  qp.duration = SecondsToSim(60.0);
+  qp.seed = 5;
+  auto materialized = GenerateQueryTrace(qp);
+  auto streamed = MakeStreamingWorkload(qp);
+  ASSERT_TRUE(materialized.ok() && streamed.ok());
+  UpdateTraceParams up;
+  up.seed = 6;
+  ASSERT_TRUE(GenerateUpdateTrace(up, *materialized).ok());
+  ASSERT_TRUE(GenerateUpdateTrace(up, *streamed).ok());
+
+  const auto data_rows = [](const std::string& csv) {
+    std::vector<std::string> rows;
+    std::istringstream in(csv);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("Q,", 0) == 0 || line.rfind("U,", 0) == 0) {
+        rows.push_back(line);
+      }
+    }
+    return rows;
+  };
+  const std::vector<std::string> want = data_rows(WorkloadToCsv(*materialized));
+  EXPECT_EQ(want.size(),
+            materialized->queries.size() + materialized->updates.size());
+  EXPECT_EQ(data_rows(WorkloadToCsv(*streamed)), want);
+  auto back = WorkloadFromCsv(WorkloadToCsv(*streamed));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->QueryCount(), streamed->QueryCount());
+}
+
 TEST(TraceIoTest, MissingMetaRowFails) {
   auto w = WorkloadFromCsv("Q,0,0,1000,2000,0.9,1\n");
   EXPECT_FALSE(w.ok());
@@ -79,6 +117,15 @@ TEST(TraceIoTest, MalformedQueryRowFails) {
       WorkloadFromCsv("M,4,1000000,a,b\nQ,x,0,1000,2000,0.9,1\n").ok());
   EXPECT_FALSE(
       WorkloadFromCsv("M,4,1000000,a,b\nQ,0,0,1000,2000,0.9,\n").ok());
+  // A decreasing arrival: the engine replays Q rows in order.
+  auto out_of_order = WorkloadFromCsv(
+      "M,4,1000000,a,b\nQ,0,5,1000,2000,0.9,1\nQ,1,9,1000,2000,0.9,2\n"
+      "Q,2,7,1000,2000,0.9,3\n");
+  ASSERT_FALSE(out_of_order.ok());
+  EXPECT_EQ(out_of_order.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(out_of_order.status().message().find("Q row 2 (id 2)"),
+            std::string::npos)
+      << out_of_order.status().ToString();
 }
 
 TEST(TraceIoTest, MalformedUpdateRowFails) {

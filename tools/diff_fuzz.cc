@@ -15,9 +15,11 @@
 //   seed=S               base fuzz seed (default 1)
 //   case=I               replay exactly one generated case index
 //   series=0             skip the window-series comparison
-//   stream=0|1           force the optimized side's streaming-workload path
-//                        off/on for every case (default: gen.h's rotation,
-//                        which streams every other 32-case block)
+//   stream=0|1           force the optimized side's trace behind a
+//                        source-backed QuerySource (1) or in the workload's
+//                        vector (0) for every case; the engine reads both
+//                        through the same cursor (default: gen.h's
+//                        rotation, source-backed every other 32-case block)
 //   shards=K             force the sharded dimension for every case: 0 =
 //                        monolithic diff, 1 = sharded-vs-monolithic
 //                        identity, >1 = sharded-vs-sharded-reference
