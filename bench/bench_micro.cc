@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) of the building blocks: the lottery
-// sampler, admission control's O(N_rq) scan, ready-queue and lock-manager
+// sampler, admission control (index vs scan), ready-queue and lock-manager
 // operations, freshness probes, and whole-engine event throughput.
 
 #include <benchmark/benchmark.h>
@@ -15,6 +15,7 @@
 #include "unit/core/policies/unit_policy.h"
 #include "unit/db/database.h"
 #include "unit/db/lock_manager.h"
+#include "unit/model/reference_engine.h"
 #include "unit/sched/engine.h"
 #include "unit/sched/ready_queue.h"
 #include "unit/sim/experiment.h"
@@ -136,10 +137,11 @@ void BM_FreshnessProbe(benchmark::State& state) {
 BENCHMARK(BM_FreshnessProbe);
 
 // Admission control: cost of one Admit() decision as the ready queue grows.
-// arg0 = queue length, arg1 = 0 for the seed's naive O(N_rq) scan, 1 for the
-// online order-statistic index (O(log N_rq)). Built by flooding an
-// engine with long-deadline queries behind a long-running head query, then
-// timing decisions via the policy hook on repeated replays.
+// arg0 = queue length, arg1 = 0 for the reference engine's O(N_rq) ready-queue
+// scan (model/reference_engine.h), 1 for the engine's online admission index
+// (O(log N_rq)). Built by flooding an engine with long-deadline queries
+// behind a long-running head query, then timing decisions via the policy
+// hook on repeated replays.
 void BM_AdmissionScan(benchmark::State& state) {
   const int queue_len = static_cast<int>(state.range(0));
   const bool indexed = state.range(1) != 0;
@@ -186,21 +188,20 @@ void BM_AdmissionScan(benchmark::State& state) {
       return true;
     }
   };
-  AdmissionParams params;
-  params.use_index = indexed;
-  AdmissionController ac(params, UsmWeights{1.0, 0.5, 1.0, 0.5});
-  EngineParams engine_params;
-  engine_params.use_admission_index = indexed;
+  AdmissionController ac({}, UsmWeights{1.0, 0.5, 1.0, 0.5});
   for (auto _ : state) {
     Probe probe;
     probe.ac = &ac;
     probe.state = &state;
     probe.candidate_id = queue_len + 1;
-    Engine engine(w, &probe, engine_params);
-    engine.Run();
+    if (indexed) {
+      Engine(w, &probe, {}).Run();
+    } else {
+      ReferenceEngine(w, &probe, {}).Run();
+    }
   }
   state.SetItemsProcessed(state.iterations() * queue_len);
-  state.SetLabel(indexed ? "indexed" : "naive");
+  state.SetLabel(indexed ? "indexed" : "scan");
 }
 BENCHMARK(BM_AdmissionScan)
     ->Args({64, 0})
@@ -238,17 +239,12 @@ void BM_EngineRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRun)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
-// A/B of this PR's engine hot-path work on the med-unif cell. arg0 is the
-// query arrival rate in Hz: 5 is the paper's base rate; 50 is the
-// heavy-traffic regime the ROADMAP targets, where hundreds of queries queue
-// up and the admission scan dominates the seed's per-arrival cost. arg1 = 0
-// runs the seed-equivalent configuration (naive O(N_rq) admission scan, no
-// event compaction), 1 the optimized engine (indexed admission + lazy event
-// cancellation). Same simulation either way — outputs are bit-identical —
-// so time is the only difference.
+// Whole-engine throughput on the med-unif cell. arg0 is the query arrival
+// rate in Hz: 5 is the paper's base rate; 50 is the heavy-traffic regime
+// where hundreds of queries queue up and admission runs against a deep
+// ready queue.
 void BM_EngineThroughput(benchmark::State& state) {
   const double rate_hz = static_cast<double>(state.range(0));
-  const bool optimized = state.range(1) != 0;
   QueryTraceParams qp;
   qp.seed = 42;
   qp.duration =
@@ -267,15 +263,9 @@ void BM_EngineThroughput(benchmark::State& state) {
     state.SkipWithError("workload generation failed");
     return;
   }
-  EngineParams engine;
-  engine.use_admission_index = optimized;
-  engine.compact_events = optimized;
-  PolicyOptions options;
-  options.unit.admission.use_index = optimized;
   int64_t events = 0;
   for (auto _ : state) {
-    auto r = RunExperiment(*w, "unit", UsmWeights{1.0, 0.5, 1.0, 0.5},
-                           engine, options);
+    auto r = RunExperiment(*w, "unit", UsmWeights{1.0, 0.5, 1.0, 0.5});
     if (!r.ok()) {
       state.SkipWithError("run failed");
       return;
@@ -283,14 +273,8 @@ void BM_EngineThroughput(benchmark::State& state) {
     events += r->metrics.events_processed + r->metrics.events_compacted;
   }
   state.SetItemsProcessed(events);  // scheduled events retired per second
-  state.SetLabel(optimized ? "optimized" : "seed-equivalent");
 }
-BENCHMARK(BM_EngineThroughput)
-    ->Args({5, 0})
-    ->Args({5, 1})
-    ->Args({50, 0})
-    ->Args({50, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineThroughput)->Arg(5)->Arg(50)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace unitdb

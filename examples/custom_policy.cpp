@@ -34,14 +34,9 @@ class DeadlinePassPolicy : public Policy {
   bool AdmitQuery(EngineContext& engine, const Transaction& query) override {
     // Admit iff the query could start right after the current backlog and
     // still meet its deadline (C_flex == 1, no USM check).
-    SimDuration earlier = 0;
-    engine.ForEachReadyQuery([&](const Transaction& q) {
-      if (q.absolute_deadline() <= query.absolute_deadline()) {
-        earlier += q.remaining();
-      }
-    });
-    const SimDuration est =
-        engine.RunningRemaining() + engine.QueuedUpdateWork() + earlier;
+    const SimDuration est = engine.RunningRemaining() +
+                            engine.QueuedUpdateWork() +
+                            engine.EarlierQueryWork(query.absolute_deadline());
     return est + query.estimate() <
            query.absolute_deadline() - engine.now();
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <vector>
 
 #include "unit/common/rng.h"
 #include "unit/sched/engine_context.h"
@@ -12,7 +11,6 @@ namespace unitdb {
 // --- AdmissionIndex -------------------------------------------------------
 
 void AdmissionIndex::Init(const Workload& /*workload*/) {
-  enabled_ = true;
   root_ = kNil;
   free_ = kNil;
   nodes_.clear();
@@ -210,126 +208,43 @@ bool AdmissionController::Admit(const EngineContext& engine,
 bool AdmissionController::Admit(const EngineContext& engine,
                                 const Transaction& candidate,
                                 const UsmWeights& weights) {
-  const AdmissionIndex& index = engine.admission_index();
-  if (params_.use_index && index.enabled()) {
-    return AdmitIndexed(engine, index, candidate, weights);
-  }
-  return AdmitNaive(engine, candidate, weights);
-}
-
-// 1. Transaction deadline check: C_flex * EST + qe < qt. Rejecting an
-// unpromising query only raises user satisfaction when a rejection costs
-// no more than the deadline miss it prevents; with C_r > C_fm the
-// USM-rational move is to admit and let the firm deadline decide (the
-// system USM check still protects the other transactions).
-bool AdmissionController::DecideDeadline(const EngineContext& engine,
-                                         const Transaction& candidate,
-                                         SimDuration est, bool naive,
-                                         const UsmWeights& weights) {
-  if (!naive && weights.c_r > weights.c_fm) return true;
-  const double lhs = c_flex_ * static_cast<double>(est) +
-                     static_cast<double>(candidate.estimate());
-  const double qt = static_cast<double>(candidate.absolute_deadline() -
-                                        engine.now());
-  return lhs < qt;
-}
-
-bool AdmissionController::AdmitNaive(const EngineContext& engine,
-                                     const Transaction& candidate,
-                                     const UsmWeights& weights) {
-  // One O(N_rq) pass over queued queries gathers both the earlier-deadline
-  // work (for EST) and the later-deadline schedule (for the USM check).
-  SimDuration earlier_work = 0;
-  struct Later {
-    SimTime deadline;
-    SimDuration remaining;
-  };
-  std::vector<Later> later;
-  engine.ForEachReadyQuery([&](const Transaction& q) {
-    if (q.absolute_deadline() <= candidate.absolute_deadline()) {
-      earlier_work += q.remaining();
-    } else {
-      later.push_back({q.absolute_deadline(), q.remaining()});
-    }
-  });
-
+  // EST: the running transaction, every queued update, and the queued
+  // queries due no later than the candidate. All sums are integer SimTime.
+  const SimTime deadline = candidate.absolute_deadline();
   const SimDuration est = engine.RunningRemaining() +
-                          engine.QueuedUpdateWork() + earlier_work;
-
+                          engine.QueuedUpdateWork() +
+                          engine.EarlierQueryWork(deadline);
   const bool naive = weights.AllZeroPenalties();
-  if (!DecideDeadline(engine, candidate, est, naive, weights)) {
-    ++rejected_by_deadline_;
-    last_reject_reason_ = "deadline";
-    return false;
+
+  // 1. Transaction deadline check: C_flex * EST + qe < qt. Rejecting an
+  // unpromising query only raises user satisfaction when a rejection costs
+  // no more than the deadline miss it prevents; with C_r > C_fm the
+  // USM-rational move is to admit and let the firm deadline decide (the
+  // system USM check still protects the other transactions).
+  if (naive || !(weights.c_r > weights.c_fm)) {
+    const double lhs = c_flex_ * static_cast<double>(est) +
+                       static_cast<double>(candidate.estimate());
+    const double qt = static_cast<double>(deadline - engine.now());
+    if (!(lhs < qt)) {
+      ++rejected_by_deadline_;
+      last_reject_reason_ = "deadline";
+      return false;
+    }
   }
 
   // 2. System USM check: which later-deadline queries would newly miss if
-  // we slot the candidate in? (`later` is already in EDF order.)
-  if (params_.usm_check_enabled && !later.empty()) {
+  // the candidate's demand were slotted into the EDF schedule ahead of them?
+  if (params_.usm_check_enabled && engine.LaterQueryCount(deadline) > 0) {
     const double dmf_cost =
         naive ? params_.zero_weight_unit_cost : weights.c_fm;
     const double rejection_cost =
         naive ? params_.zero_weight_unit_cost : weights.c_r;
     if (dmf_cost > 0.0) {
-      const SimTime start = engine.now() + est;
-      SimTime with = start + candidate.estimate();
-      SimTime without = start;
-      double endangered_cost = 0.0;
-      for (const Later& q : later) {
-        with += q.remaining;
-        without += q.remaining;
-        if (with > q.deadline && without <= q.deadline) {
-          endangered_cost += dmf_cost;
-        }
-      }
-      if (endangered_cost > rejection_cost) {
-        ++rejected_by_usm_;
-        last_reject_reason_ = "usm";
-        return false;
-      }
-    }
-  }
-
-  ++admitted_;
-  last_reject_reason_ = nullptr;
-  return true;
-}
-
-bool AdmissionController::AdmitIndexed(const EngineContext& engine,
-                                       const AdmissionIndex& index,
-                                       const Transaction& candidate,
-                                       const UsmWeights& weights) {
-  // Same two checks as AdmitNaive, answered from the incremental index.
-  // All sums are integer SimTime arithmetic, so both the EST and every
-  // endangered-set comparison are bit-identical to the naive scan's.
-  const SimDuration earlier_work =
-      index.EarlierWork(candidate.absolute_deadline());
-  const SimDuration est = engine.RunningRemaining() +
-                          engine.QueuedUpdateWork() + earlier_work;
-
-  const bool naive = weights.AllZeroPenalties();
-  if (!DecideDeadline(engine, candidate, est, naive, weights)) {
-    ++rejected_by_deadline_;
-    last_reject_reason_ = "deadline";
-    return false;
-  }
-
-  if (params_.usm_check_enabled &&
-      index.LaterCount(candidate.absolute_deadline()) > 0) {
-    const double dmf_cost =
-        naive ? params_.zero_weight_unit_cost : weights.c_fm;
-    const double rejection_cost =
-        naive ? params_.zero_weight_unit_cost : weights.c_r;
-    if (dmf_cost > 0.0) {
-      // Query q (deadline > candidate's) is newly endangered iff
-      //   without_q <= deadline_q < without_q + estimate, i.e. its lag
-      //   deadline_q - prefix_work_q falls in [start, start + estimate).
-      const SimTime start = engine.now() + est;
-      const int64_t endangered = index.CountEndangered(
-          candidate.absolute_deadline(), start,
-          start + candidate.estimate());
-      // Accumulate the cost exactly like the naive scan does (repeated
-      // addition), so the floating-point comparison matches bit for bit.
+      const int64_t endangered = engine.EndangeredQueryCount(
+          deadline, engine.now() + est, candidate.estimate());
+      // Summed one endangered query at a time, like the paper's
+      // per-transaction cost sum: a multiply could round differently and
+      // move pinned results.
       double endangered_cost = 0.0;
       for (int64_t i = 0; i < endangered; ++i) endangered_cost += dmf_cost;
       if (endangered_cost > rejection_cost) {

@@ -26,20 +26,16 @@ struct AdmissionParams {
   /// zero (the naive setting): endangered transactions and the candidate are
   /// then compared at unit cost.
   double zero_weight_unit_cost = 1.0;
-  /// Answers both admission checks from the engine's online admission
-  /// index (O(log N_rq) per arrival) instead of the seed's naive ready-queue
-  /// scan (O(N_rq)). The two paths make bit-identical decisions; the naive
-  /// scan is kept as the oracle for the equivalence property tests and A/B
-  /// micro-benchmarks.
-  bool use_index = true;
 };
 
 /// Online EST/admission index over the queued queries, owned by the engine
 /// and kept in sync at every ready-queue mutation of a query transaction.
+/// The engine answers EngineContext's three admission questions from it.
 ///
-/// A treap keyed on (absolute deadline, txn id) — the ready queue's EDF
-/// order — holds exactly the queued queries, whatever their origin (trace,
-/// stream, fault injection or session retry), so nothing is precomputed.
+/// A treap keyed on (absolute deadline, txn id) — EDF order, which admission
+/// projects under either dispatch discipline — holds exactly the queued
+/// queries, whatever their origin (trace, stream, fault injection or
+/// session retry), so nothing is precomputed.
 /// Each node aggregates its subtree's query count, remaining service demand
 /// and min/max "lag" m_k = deadline_k - P_k (P_k = EDF-prefix remaining work
 /// through query k within the subtree). That answers, in O(log N):
@@ -57,16 +53,16 @@ struct AdmissionParams {
 /// list: once the pool has grown to the peak queue depth, an insert
 /// allocates nothing.
 ///
-/// Integer (SimTime) arithmetic end to end, so every comparison matches the
-/// naive scan bit for bit.
+/// Integer (SimTime) arithmetic end to end, so every answer matches the
+/// reference engine's scan (model/reference_engine.h) bit for bit.
 class AdmissionIndex {
  public:
-  /// Empties the index and enables it; O(1). `workload` is not read: the
-  /// index holds only queued queries. Its key order is EDF order, so do not
-  /// enable it under other disciplines.
+  /// Empties the index; O(1). `workload` is not read. Kept, with enabled(),
+  /// only for perfbench's set-up timing.
   void Init(const Workload& workload);
 
-  bool enabled() const { return enabled_; }
+  /// Always true: every engine keeps its index.
+  bool enabled() const { return true; }
 
   /// The query entered the ready queue (remaining stays fixed while queued).
   void OnInsert(const Transaction& query);
@@ -128,7 +124,6 @@ class AdmissionIndex {
   int64_t Endangered(int32_t t, SimTime d, int64_t lo, int64_t hi,
                      int64_t& acc) const;
 
-  bool enabled_ = false;
   int32_t root_ = kNil;
   int32_t free_ = kNil;     ///< head of the free-node list
   std::vector<Node> nodes_;  ///< node pool
@@ -145,9 +140,11 @@ class AdmissionIndex {
 ///     "endangered". Reject when their total DMF cost exceeds the rejection
 ///     cost C_r of turning the candidate away.
 ///
-/// Both checks are O(N_rq) in the paper (and in the naive oracle path);
-/// with AdmissionParams::use_index they run against the engine's
-/// AdmissionIndex in O(log N_rq), with bit-identical decisions.
+/// Both checks are O(N_rq) in the paper. The controller asks the engine
+/// (EngineContext) for the queue sums they need: the optimized engine
+/// answers from its AdmissionIndex in O(log N_rq), the reference engine by
+/// scanning its ready queue, with bit-identical decisions. Either way the
+/// projection is the EDF schedule, whatever the dispatch discipline.
 class AdmissionController {
  public:
   AdmissionController(const AdmissionParams& params,
@@ -178,13 +175,6 @@ class AdmissionController {
   const char* last_reject_reason() const { return last_reject_reason_; }
 
  private:
-  bool AdmitNaive(const EngineContext& engine, const Transaction& candidate,
-                  const UsmWeights& weights);
-  bool AdmitIndexed(const EngineContext& engine, const AdmissionIndex& index,
-                    const Transaction& candidate, const UsmWeights& weights);
-  bool DecideDeadline(const EngineContext& engine, const Transaction& candidate,
-                      SimDuration est, bool naive, const UsmWeights& weights);
-
   AdmissionParams params_;
   UsmWeights weights_;
   double c_flex_;

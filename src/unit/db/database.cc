@@ -24,7 +24,11 @@ Status Database::ApplySpecs(const std::vector<ItemUpdateSpec>& specs) {
     }
     seen[spec.item] = true;
     Status s = SetSource(spec);
-    if (!s.ok()) return s;
+    if (!s.ok()) {
+      return Status(s.code(), "update spec for item " +
+                                  std::to_string(spec.item) + ": " +
+                                  s.message());
+    }
   }
   return Status::Ok();
 }

@@ -591,8 +591,8 @@ std::string DescribeCase(const DiffCase& c) {
   std::ostringstream os;
   os << "seed=" << c.gen_seed << " case=" << c.gen_index
      << " policy=" << c.policy
-     << " index=" << (c.engine.use_admission_index ? 1 : 0)
-     << " compact=" << (c.engine.compact_events ? 1 : 0)
+     << " discipline="
+     << (c.engine.discipline == QueueDiscipline::kFcfs ? "fcfs" : "edf")
      << " faults=" << (c.scenario.empty() ? 0 : 1)
      << " stream=" << (c.stream_queries ? 1 : 0)
      << " shards=" << c.shards << " sjobs=" << c.shard_jobs

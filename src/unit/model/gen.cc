@@ -49,10 +49,8 @@ DiffCase GenerateCase(uint64_t seed, int64_t index) {
   c.gen_index = index;
   Rng rng(SplitMix64(seed ^ SplitMix64(static_cast<uint64_t>(index))));
 
-  // ---- Implementation-knob matrix (rotates with index; see gen.h). ----
+  // ---- Case matrix (rotates with index; see gen.h). ----
   c.policy = kPolicies[index % 4];
-  c.engine.use_admission_index = (index / 4) % 2 == 0;
-  c.engine.compact_events = (index / 8) % 2 == 0;
   const bool want_faults = (index / 16) % 2 == 0;
   // Pure rotation (no RNG draw): workloads stay identical to pre-streaming
   // corpora, so a replayed seed/case pair reproduces the same trace.

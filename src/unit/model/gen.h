@@ -14,12 +14,11 @@ namespace unitdb {
 /// options. Deterministic: the same pair always yields the same case, on any
 /// platform, so every failure line "seed=S case=I" replays exactly.
 ///
-/// The implementation-knob matrix rotates with `index` so a linear sweep
-/// covers {policy x use_admission_index x compact_events x faults on/off}:
+/// The case matrix rotates with `index` so a linear sweep covers
+/// {policy x faults on/off x streaming x shards x sessions x shedding x
+/// cache}:
 ///
 ///   policy              = {unit, imu, odu, qmf}[index % 4]
-///   use_admission_index = (index / 4) % 2 == 0
-///   compact_events      = (index / 8) % 2 == 0
 ///   faults attached     = (index / 16) % 2 == 0
 ///   stream_queries      = (index / 32) % 2 == 0  (source-backed trace)
 ///   shards              = (index / 64) % 4   (0 = monolithic diff)

@@ -180,17 +180,51 @@ int ReferenceEngine::ReadyUpdateCount() const {
   return n;
 }
 
-void ReferenceEngine::ForEachReadyQueryRaw(ReadyQueryVisitor visit,
-                                           void* ctx) const {
-  std::vector<const Transaction*> queries;
+SimDuration ReferenceEngine::EarlierQueryWork(SimTime deadline) const {
+  SimDuration work = 0;
   for (const Transaction* t : ready_) {
-    if (t->is_query()) queries.push_back(t);
+    if (t->is_query() && t->absolute_deadline() <= deadline) {
+      work += t->remaining();
+    }
   }
-  std::sort(queries.begin(), queries.end(),
-            [this](const Transaction* a, const Transaction* b) {
-              return Before(*a, *b);
+  return work;
+}
+
+int64_t ReferenceEngine::LaterQueryCount(SimTime deadline) const {
+  int64_t n = 0;
+  for (const Transaction* t : ready_) {
+    n += t->is_query() && t->absolute_deadline() > deadline ? 1 : 0;
+  }
+  return n;
+}
+
+int64_t ReferenceEngine::EndangeredQueryCount(SimTime deadline, SimTime start,
+                                              SimDuration extra) const {
+  // The later-deadline queries in EDF (deadline, id) order, whatever the
+  // dispatch discipline: admission projects the EDF schedule.
+  std::vector<const Transaction*> later;
+  for (const Transaction* t : ready_) {
+    if (t->is_query() && t->absolute_deadline() > deadline) later.push_back(t);
+  }
+  std::sort(later.begin(), later.end(),
+            [](const Transaction* a, const Transaction* b) {
+              if (a->absolute_deadline() != b->absolute_deadline()) {
+                return a->absolute_deadline() < b->absolute_deadline();
+              }
+              return a->id() < b->id();
             });
-  for (const Transaction* t : queries) visit(ctx, *t);
+  // Walk the schedule twice over, with and without `extra` ahead of it.
+  SimTime with = start + extra;
+  SimTime without = start;
+  int64_t endangered = 0;
+  for (const Transaction* q : later) {
+    with += q->remaining();
+    without += q->remaining();
+    if (with > q->absolute_deadline() && without <= q->absolute_deadline()) {
+      ++endangered;
+    }
+  }
+  return endangered;
 }
 
 Transaction* ReferenceEngine::NewQueryTxn(const QueryRequest& request) {

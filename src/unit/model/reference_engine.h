@@ -7,7 +7,6 @@
 
 #include "unit/common/rng.h"
 #include "unit/common/types.h"
-#include "unit/core/admission.h"
 #include "unit/core/policy.h"
 #include "unit/db/database.h"
 #include "unit/db/lock_manager.h"
@@ -35,9 +34,10 @@ namespace unitdb {
 ///  - ready queue: a flat vector, dispatched by a linear scan with the
 ///    same strict (class, deadline, id) priority order; queued-update work
 ///    and queue depths are recomputed by full sums/counts on every call;
-///  - admission: the AdmissionIndex member is never initialized, so the
-///    shared AdmissionController always takes its naive O(N_rq)
-///    ready-queue-scan path (no order-statistic tree);
+///  - admission: the three queue sums admission control asks for
+///    (EngineContext) are answered by scanning the ready vector, the
+///    endangered count by walking the later-deadline queries in EDF order
+///    with and without the candidate's demand — no order-statistic tree;
 ///  - closed-loop sessions: the optimized engine's SessionPool (hash-map
 ///    retry chains) is mirrored with a flat vector scanned linearly per
 ///    outcome, reusing only the pure SessionOf / RetryDelay helpers — the
@@ -58,8 +58,7 @@ namespace unitdb {
 /// and window statistics with the same floating-point operation order.
 ///
 /// Tracing (EngineParams::trace) is not supported and is ignored; series
-/// and counters hooks work as in the optimized engine. The implementation
-/// knobs use_admission_index / compact_events are ignored by construction.
+/// and counters hooks work as in the optimized engine.
 class ReferenceEngine final : public EngineContext {
  public:
   /// `workload` and `policy` must outlive the engine; neither is owned.
@@ -76,12 +75,9 @@ class ReferenceEngine final : public EngineContext {
   // --- EngineContext ---
 
   SimTime now() const override { return now_; }
-  const Workload& workload() const override { return workload_; }
   Database& db() override { return db_; }
   const Database& db() const override { return db_; }
-  Rng& rng() override { return rng_; }
   const EngineParams& params() const override { return params_; }
-  const OutcomeCounts& counts() const override { return metrics_.counts; }
   const std::vector<OutcomeCounts>& per_class_counts() const override {
     return metrics_.per_class_counts;
   }
@@ -91,24 +87,16 @@ class ReferenceEngine final : public EngineContext {
     return busy;
   }
   SimDuration RunningRemaining() const override;
-  bool RunningIsUpdate() const override {
-    return running_ != nullptr && running_->is_update();
-  }
   SimDuration QueuedUpdateWork() const override;
-  int ReadyQueryCount() const override;
-  int ReadyUpdateCount() const override;
-  /// Always disabled: routes the shared AdmissionController to its naive
-  /// ready-queue-scan path.
-  const AdmissionIndex& admission_index() const override {
-    return disabled_index_;
-  }
+  SimDuration EarlierQueryWork(SimTime deadline) const override;
+  int64_t LaterQueryCount(SimTime deadline) const override;
+  int64_t EndangeredQueryCount(SimTime deadline, SimTime start,
+                               SimDuration extra) const override;
   int64_t PendingUpdatesForItem(ItemId item) const override {
     return pending_updates_per_item_[item];
   }
   TxnId IssueOnDemandUpdate(ItemId item) override;
   void ReportRejectReason(const char* reason) override { (void)reason; }
-  void ForEachReadyQueryRaw(ReadyQueryVisitor visit,
-                            void* ctx) const override;
 
   /// Exposed for tests: the live transaction table.
   const Transaction& txn(TxnId id) const { return txns_[id]; }
@@ -136,6 +124,8 @@ class ReferenceEngine final : public EngineContext {
   Transaction* ReadyTop() const;
   void ReadyInsert(Transaction* t);
   void ReadyRemove(Transaction* t);
+  int ReadyQueryCount() const;
+  int ReadyUpdateCount() const;
 
   Transaction* NewQueryTxn(const QueryRequest& request);
   Transaction* NewUpdateTxn(ItemId item, SimDuration relative_deadline,
@@ -193,7 +183,6 @@ class ReferenceEngine final : public EngineContext {
   Database db_;
   LockManager locks_;
   Rng rng_;
-  AdmissionIndex disabled_index_;  ///< never Init'ed; enabled() == false
 
   std::vector<RefEvent> events_;
   uint64_t next_seq_ = 0;

@@ -40,12 +40,6 @@ Engine::Engine(const Workload& workload, Policy* policy, EngineParams params)
     UNIT_LOG(Error) << "bad workload update specs: " << s.ToString();
   }
   metrics_.duration_s = SimToSeconds(workload.duration);
-  // The admission index orders queued queries by (deadline, id), the EDF
-  // queue order, so it serves every EDF run; FCFS keeps the naive scan.
-  if (params_.use_admission_index &&
-      params_.discipline == QueueDiscipline::kEdf) {
-    admission_index_.Init(workload);
-  }
   if (params_.faults != nullptr) {
     item_outage_.assign(workload.num_items, 0);
   }
@@ -57,7 +51,7 @@ RunMetrics Engine::Run() {
   policy_->Attach(*this);
   ScheduleInitialEvents();
   while (!events_.empty()) {
-    if (params_.compact_events && events_.ShouldCompact()) {
+    if (events_.ShouldCompact()) {
       const size_t removed =
           events_.CompactIf([this](const Event& ev) { return EventIsDead(ev); });
       ++metrics_.event_compactions;
@@ -915,16 +909,12 @@ void Engine::RecordWindowSample() {
 
 void Engine::ReadyInsert(Transaction* t) {
   ready_.Insert(t);
-  if (t->is_query() && admission_index_.enabled()) {
-    admission_index_.OnInsert(*t);
-  }
+  if (t->is_query()) admission_index_.OnInsert(*t);
 }
 
 void Engine::ReadyRemove(Transaction* t) {
   ready_.Remove(t);
-  if (t->is_query() && admission_index_.enabled()) {
-    admission_index_.OnRemove(*t);
-  }
+  if (t->is_query()) admission_index_.OnRemove(*t);
 }
 
 bool Engine::EventIsDead(const Event& e) const {

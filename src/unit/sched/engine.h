@@ -53,14 +53,9 @@ class Engine final : public EngineContext {
   // --- introspection for policies (valid during hooks) ---
 
   SimTime now() const override { return now_; }
-  const Workload& workload() const override { return workload_; }
   Database& db() override { return db_; }
   const Database& db() const override { return db_; }
-  Rng& rng() override { return rng_; }
   const EngineParams& params() const override { return params_; }
-
-  /// Cumulative outcome counters (policies diff snapshots for windows).
-  const OutcomeCounts& counts() const override { return metrics_.counts; }
 
   /// Cumulative per-preference-class outcome counters (empty until the
   /// first query resolves; index = preference_class).
@@ -79,29 +74,27 @@ class Engine final : public EngineContext {
 
   /// Remaining service demand of the transaction on the CPU (0 if idle).
   SimDuration RunningRemaining() const override;
-  /// Whether the CPU is currently executing an update.
-  bool RunningIsUpdate() const override {
-    return running_ != nullptr && running_->is_update();
-  }
   /// Total remaining demand of queued (not running) update transactions.
   SimDuration QueuedUpdateWork() const override {
     return ready_.TotalUpdateWork();
   }
-  /// Number of queued queries.
-  int ReadyQueryCount() const override { return ready_.query_count(); }
-  /// Number of queued updates.
-  int ReadyUpdateCount() const override { return ready_.update_count(); }
-  /// Visits queued queries in EDF order (admission control's O(N_rq) scan).
-  void ForEachReadyQueryRaw(ReadyQueryVisitor visit,
-                            void* ctx) const override {
-    ready_.ForEachQuery([visit, ctx](const Transaction& q) { visit(ctx, q); });
+
+  /// Admission control's queue sums, answered from the admission index in
+  /// O(log N_rq) (see EngineContext).
+  SimDuration EarlierQueryWork(SimTime deadline) const override {
+    return admission_index_.EarlierWork(deadline);
+  }
+  int64_t LaterQueryCount(SimTime deadline) const override {
+    return admission_index_.LaterCount(deadline);
+  }
+  int64_t EndangeredQueryCount(SimTime deadline, SimTime start,
+                               SimDuration extra) const override {
+    return admission_index_.CountEndangered(deadline, start, start + extra);
   }
 
-  /// Online admission index over the queued queries; enabled when
-  /// EngineParams asks for it and dispatch is EDF (disabled otherwise).
-  const AdmissionIndex& admission_index() const override {
-    return admission_index_;
-  }
+  /// The online admission index over the queued queries (perfbench times
+  /// its set-up through this).
+  const AdmissionIndex& admission_index() const { return admission_index_; }
 
   /// Update transactions for `item` currently in the system (queued,
   /// blocked, or running) — lets ODU avoid issuing duplicate refreshes.

@@ -2,8 +2,6 @@
 #define UNIT_SCHED_ENGINE_CONTEXT_H_
 
 #include <cstdint>
-#include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "unit/cache/result_cache.h"
@@ -15,19 +13,15 @@
 
 namespace unitdb {
 
-class AdmissionIndex;
 class CounterRegistry;
 class Database;
 class FaultSchedule;
-class Rng;
 class TimeSeriesRecorder;
 class TraceSink;
-struct Workload;
 
-/// Engine tunables. Shared by the optimized engine (sched/engine.h) and the
-/// naive reference engine (model/reference_engine.h); the reference engine
-/// ignores the pure implementation knobs (use_admission_index,
-/// compact_events) since it has neither an index nor tombstones.
+/// Engine tunables: simulation semantics only. Shared by the optimized
+/// engine (sched/engine.h) and the naive reference engine
+/// (model/reference_engine.h), which run them identically.
 struct EngineParams {
   /// Policy control-tick period (the paper triggers its Load Balancing
   /// Controller periodically; 1 simulated second by default).
@@ -41,16 +35,9 @@ struct EngineParams {
   /// from chasing a fast source forever.
   int max_refresh_rounds = 3;
   /// Intra-class dispatch order (EDF per the paper; FCFS for the
-  /// scheduling ablation).
+  /// scheduling ablation). Admission control projects the EDF schedule
+  /// under either.
   QueueDiscipline discipline = QueueDiscipline::kEdf;
-  /// Maintains the online admission index (core/admission.h) so admission
-  /// control can answer in O(log N_rq) on every run: materialized or
-  /// streamed, with faults, sessions or a cache. Only takes effect under EDF
-  /// dispatch — the index keeps queued queries in EDF order.
-  bool use_admission_index = true;
-  /// Periodically compacts tombstoned (lazily cancelled) events out of the
-  /// event heap. Pop order of live events is unaffected either way.
-  bool compact_events = true;
 
   /// Closed-loop client sessions (src/unit/session/): retry-with-backoff /
   /// abandon reactions to rejected and deadline-missed queries. The default
@@ -111,14 +98,9 @@ class EngineContext {
 
   /// Current simulated time.
   virtual SimTime now() const = 0;
-  virtual const Workload& workload() const = 0;
   virtual Database& db() = 0;
   virtual const Database& db() const = 0;
-  virtual Rng& rng() = 0;
   virtual const EngineParams& params() const = 0;
-
-  /// Cumulative outcome counters (policies diff snapshots for windows).
-  virtual const OutcomeCounts& counts() const = 0;
 
   /// Cumulative per-preference-class outcome counters (empty until the
   /// first query resolves; index = preference_class).
@@ -131,19 +113,25 @@ class EngineContext {
 
   /// Remaining service demand of the transaction on the CPU (0 if idle).
   virtual SimDuration RunningRemaining() const = 0;
-  /// Whether the CPU is currently executing an update.
-  virtual bool RunningIsUpdate() const = 0;
   /// Total remaining demand of queued (not running) update transactions.
   virtual SimDuration QueuedUpdateWork() const = 0;
-  /// Number of queued queries.
-  virtual int ReadyQueryCount() const = 0;
-  /// Number of queued updates.
-  virtual int ReadyUpdateCount() const = 0;
 
-  /// Online admission index; enabled when EngineParams asks for it and
-  /// dispatch is EDF. Always disabled on the reference engine, which routes
-  /// admission through the naive ready-queue scan.
-  virtual const AdmissionIndex& admission_index() const = 0;
+  // --- admission control's view of the queued queries ---
+  // All three see the queued queries in EDF (deadline, txn id) order,
+  // whatever EngineParams::discipline dispatches by: admission projects the
+  // EDF schedule (core/admission.h).
+
+  /// Total remaining demand of queued queries with deadline <= `deadline`
+  /// (the earlier-deadline term of a candidate's EST).
+  virtual SimDuration EarlierQueryWork(SimTime deadline) const = 0;
+  /// Number of queued queries with deadline > `deadline`.
+  virtual int64_t LaterQueryCount(SimTime deadline) const = 0;
+  /// Of the queued queries with deadline > `deadline`, served in EDF order
+  /// from `start`, how many meet their deadline as things stand but miss it
+  /// once `extra` demand runs ahead of them: the set a candidate due at
+  /// `deadline` with estimate `extra` would newly endanger.
+  virtual int64_t EndangeredQueryCount(SimTime deadline, SimTime start,
+                                       SimDuration extra) const = 0;
 
   /// Update transactions for `item` currently in the system (queued,
   /// blocked, or running) — lets ODU avoid issuing duplicate refreshes.
@@ -159,22 +147,6 @@ class EngineContext {
   /// event of the next ResolveQuery; policies without a reason stay silent
   /// and the event carries "policy". No-op when tracing is off.
   virtual void ReportRejectReason(const char* reason) = 0;
-
-  /// Type-erased ready-queue visit; implementations call `visit(ctx, q)`
-  /// for every queued query in EDF order. Prefer the ForEachReadyQuery
-  /// template below, which wraps an arbitrary callable.
-  using ReadyQueryVisitor = void (*)(void* ctx, const Transaction& query);
-  virtual void ForEachReadyQueryRaw(ReadyQueryVisitor visit,
-                                    void* ctx) const = 0;
-
-  /// Visits queued queries in EDF order (admission control's O(N_rq) scan).
-  template <typename Fn>
-  void ForEachReadyQuery(Fn&& fn) const {
-    using F = std::remove_reference_t<Fn>;
-    ForEachReadyQueryRaw(
-        [](void* ctx, const Transaction& q) { (*static_cast<F*>(ctx))(q); },
-        const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
-  }
 };
 
 }  // namespace unitdb

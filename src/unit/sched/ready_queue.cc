@@ -1,5 +1,6 @@
 #include "unit/sched/ready_queue.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace unitdb {

@@ -1,7 +1,6 @@
 #ifndef UNIT_SCHED_READY_QUEUE_H_
 #define UNIT_SCHED_READY_QUEUE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -62,22 +61,6 @@ class ReadyQueue {
   /// Sum of remaining service demand of every queued update.
   SimDuration TotalUpdateWork() const { return update_work_; }
 
-  /// Visits queued queries in queue order (EDF order under the default
-  /// discipline — what admission control's naive O(N_rq) scan expects).
-  /// A template visitor: no std::function dispatch on the hot path. The
-  /// heap is unordered, so the visit sorts a reused scratch vector —
-  /// O(n log n), paid only by naive-scan callers.
-  template <typename Fn>
-  void ForEachQuery(Fn&& fn) const {
-    VisitOrdered(queries_, fn);
-  }
-
-  /// Visits queued updates in queue order.
-  template <typename Fn>
-  void ForEachUpdate(Fn&& fn) const {
-    VisitOrdered(updates_, fn);
-  }
-
   /// True iff `a` should dispatch before `b` under this queue's discipline
   /// (class first, then intra-class order, then id).
   bool HigherPriority(const Transaction& a, const Transaction& b) const;
@@ -101,20 +84,9 @@ class ReadyQueue {
   void SiftDown(std::vector<Transaction*>& heap, size_t i);
   static void Place(std::vector<Transaction*>& heap, size_t i, Transaction* t);
 
-  template <typename Fn>
-  void VisitOrdered(const std::vector<Transaction*>& heap, Fn& fn) const {
-    scratch_.assign(heap.begin(), heap.end());
-    std::sort(scratch_.begin(), scratch_.end(),
-              [this](const Transaction* a, const Transaction* b) {
-                return Before(a, b);
-              });
-    for (const Transaction* t : scratch_) fn(*t);
-  }
-
   QueueDiscipline discipline_;
   std::vector<Transaction*> updates_;
   std::vector<Transaction*> queries_;
-  mutable std::vector<Transaction*> scratch_;  ///< reused by VisitOrdered
   SimDuration update_work_ = 0;
   int peak_size_ = 0;
 };

@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "unit/common/csv.h"
+#include "unit/db/database.h"
 #include "unit/workload/query_source.h"
 
 namespace unitdb {
@@ -52,6 +54,10 @@ StatusOr<std::vector<ItemId>> SplitItems(const std::string& s) {
   while (std::getline(in, part, ';')) {
     auto v = ParseI64(part);
     if (!v.ok()) return v.status();
+    if (*v < std::numeric_limits<ItemId>::min() ||
+        *v > std::numeric_limits<ItemId>::max()) {
+      return Status::InvalidArgument("item " + part + " overflows an ItemId");
+    }
     items.push_back(static_cast<ItemId>(*v));
   }
   if (items.empty()) return Status::InvalidArgument("empty item list");
@@ -93,6 +99,10 @@ StatusOr<Workload> WorkloadFromCsv(const std::string& text) {
       auto dur = ParseI64(row[2]);
       if (!items.ok()) return items.status();
       if (!dur.ok()) return dur.status();
+      if (*items <= 0 || *items > std::numeric_limits<int>::max()) {
+        return Status::InvalidArgument("M row: num_items " + row[1] +
+                                       " is not a positive int");
+      }
       w.num_items = static_cast<int>(*items);
       w.duration = *dur;
       w.query_trace_name = row[3];
@@ -156,6 +166,23 @@ StatusOr<Workload> WorkloadFromCsv(const std::string& text) {
     }
   }
   if (!saw_meta) return Status::InvalidArgument("missing M (meta) row");
+  for (size_t i = 0; i < w.queries.size(); ++i) {
+    for (ItemId item : w.queries[i].items) {
+      if (item < 0 || item >= w.num_items) {
+        return Status::InvalidArgument(
+            "Q row " + std::to_string(i) + " (id " +
+            std::to_string(w.queries[i].id) + "): item " +
+            std::to_string(item) + " outside [0, " +
+            std::to_string(w.num_items) + ")");
+      }
+    }
+  }
+  // The U rows must be sources the engine's database accepts: the same
+  // rules, applied by the same code.
+  const Status sources = Database(w.num_items).ApplySpecs(w.updates);
+  if (!sources.ok()) {
+    return Status::InvalidArgument("U rows: " + sources.message());
+  }
   return w;
 }
 

@@ -1,28 +1,25 @@
-// Equivalence properties of the online admission index: the order-statistic
-// tree path must make bit-identical decisions to the naive ready-queue scan,
-// on every arrival, across every Table 1 trace, policy, weight setting and
-// C_flex, and on streamed, closed-loop, shedding and cached runs.
+// The online admission index: the engine's answers to admission control
+// must match the reference engine's ready-queue scan (model/) decision for
+// decision, across every Table 1 trace, weight setting, C_flex and dispatch
+// discipline, and on fault-laden, streamed, closed-loop, shedding and cached
+// runs; and the index itself must match a brute-force recompute.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
-#include "testing/fake_policy.h"
 #include "unit/core/admission.h"
 #include "unit/faults/scenario.h"
-#include "unit/faults/schedule.h"
-#include "unit/sched/engine.h"
+#include "unit/model/diff.h"
 #include "unit/sim/experiment.h"
-#include "unit/workload/query_source.h"
 #include "unit/workload/spec.h"
 
 namespace unitdb {
 namespace {
-
-using testing_support::FakePolicy;
 
 const UpdateVolume kVolumes[] = {UpdateVolume::kLow, UpdateVolume::kMedium,
                                  UpdateVolume::kHigh};
@@ -30,125 +27,98 @@ const UpdateDistribution kDists[] = {UpdateDistribution::kUniform,
                                      UpdateDistribution::kPositive,
                                      UpdateDistribution::kNegative};
 
-// --- per-arrival oracle equivalence --------------------------------------
+// --- engine vs reference engine, through the oracle -----------------------
 
-struct ProbeStats {
-  int64_t decisions = 0;
-  int64_t rejections = 0;
-  int64_t nonempty_queue = 0;  ///< decisions taken with queued queries
-  RunMetrics metrics;          ///< the probed run's own metrics
+struct DiffStats {
+  int64_t runs = 0;
+  int64_t rejections = 0;    ///< queries admission control turned away
+  int64_t deep_queues = 0;   ///< runs whose ready queue held > 1 transaction
+  RunMetrics metrics;        ///< the last run's optimized-side metrics
 };
 
-/// Runs one workload under a FakePolicy that consults two controllers per
-/// arrival — indexed and naive-scan — and asserts they agree on every single
-/// decision (the engine proceeds with the indexed one).
-ProbeStats RunProbed(const Workload& w, double c_flex,
-                     const UsmWeights& weights,
-                     const EngineParams& params = {}) {
-  AdmissionParams indexed_params;
-  indexed_params.initial_c_flex = c_flex;
-  indexed_params.use_index = true;
-  AdmissionParams naive_params = indexed_params;
-  naive_params.use_index = false;
-  AdmissionController indexed(indexed_params, weights);
-  AdmissionController naive(naive_params, weights);
+/// Runs `c` on the optimized engine and on the reference engine, whose
+/// admission answers come from a ready-queue scan, and expects bit-identical
+/// runs: every per-query outcome, every compared metric, every window sample.
+void ExpectMatchesReference(const DiffCase& c, DiffStats* stats) {
+  auto result = RunDiff(c);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->equivalent)
+      << c.policy << " c_flex=" << c.options.unit.admission.initial_c_flex
+      << " fcfs=" << (c.engine.discipline == QueueDiscipline::kFcfs)
+      << " first: "
+      << (result->divergences.empty() ? "" : result->divergences.front());
+  const RunMetrics& m = result->optimized.metrics;
+  ++stats->runs;
+  stats->rejections += m.counts.rejected;
+  if (m.peak_ready_depth > 1) ++stats->deep_queues;
+  stats->metrics = m;
+}
 
-  ProbeStats stats;
-  FakePolicy policy;
-  policy.admit = [&](EngineContext& engine, const Transaction& q) {
-    const bool a = indexed.Admit(engine, q);
-    const bool b = naive.Admit(engine, q);
-    EXPECT_EQ(a, b) << "decision split for query txn " << q.id() << " at t="
-                    << engine.now();
-    ++stats.decisions;
-    if (!a) ++stats.rejections;
-    if (engine.ReadyQueryCount() > 0) ++stats.nonempty_queue;
-    return a;
-  };
-  Engine engine(w, &policy, params);
-  EXPECT_TRUE(engine.admission_index().enabled());
-  stats.metrics = engine.Run();
-
-  // The two controllers saw identical inputs, so their counters must agree.
-  EXPECT_EQ(indexed.admitted(), naive.admitted());
-  EXPECT_EQ(indexed.rejected_by_deadline(), naive.rejected_by_deadline());
-  EXPECT_EQ(indexed.rejected_by_usm(), naive.rejected_by_usm());
-  return stats;
+/// A case for the "unit" policy, the one that calls AdmissionController.
+DiffCase UnitCase(const Workload& w, const UsmWeights& weights, double c_flex,
+                  QueueDiscipline discipline = QueueDiscipline::kEdf) {
+  DiffCase c;
+  c.workload = w;
+  c.policy = "unit";
+  c.weights = weights;
+  c.options.unit.admission.initial_c_flex = c_flex;
+  c.engine.discipline = discipline;
+  return c;
 }
 
 TEST(AdmissionIndexEquivalenceTest, MatchesNaiveOnEveryArrival) {
   const double c_flexes[] = {0.5, 1.0, 4.0};
   const UsmWeights weight_sets[] = {
-      UsmWeights{},                  // naive: unit-cost USM check
+      UsmWeights{},                    // naive: unit-cost USM check
       UsmWeights{1.0, 0.5, 1.0, 0.5},  // C_fm > C_r: both checks live
       UsmWeights{1.0, 2.0, 1.0, 0.5},  // C_r > C_fm: deadline check skipped
   };
-  ProbeStats total;
+  DiffStats stats;
   for (UpdateVolume volume : kVolumes) {
     for (UpdateDistribution dist : kDists) {
       auto w = MakeStandardWorkload(volume, dist, /*scale=*/0.02, /*seed=*/42);
       ASSERT_TRUE(w.ok()) << w.status().ToString();
-      for (double c_flex : c_flexes) {
+      SCOPED_TRACE(w->update_trace_name);
+      for (QueueDiscipline discipline :
+           {QueueDiscipline::kEdf, QueueDiscipline::kFcfs}) {
         for (const UsmWeights& weights : weight_sets) {
-          const ProbeStats s = RunProbed(*w, c_flex, weights);
-          total.decisions += s.decisions;
-          total.rejections += s.rejections;
-          total.nonempty_queue += s.nonempty_queue;
+          for (double c_flex : c_flexes) {
+            ExpectMatchesReference(UnitCase(*w, weights, c_flex, discipline),
+                                   &stats);
+          }
         }
       }
     }
   }
-  // The sweep must actually exercise both checks: decisions with a
-  // non-trivial queue and real rejections, not just vacuous agreement.
-  EXPECT_GT(total.decisions, 0);
-  EXPECT_GT(total.rejections, 0);
-  EXPECT_GT(total.nonempty_queue, 0);
-}
-
-// --- full-run equivalence across every policy ----------------------------
-
-void ExpectSameOutcome(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.metrics.counts.submitted, b.metrics.counts.submitted);
-  EXPECT_EQ(a.metrics.counts.success, b.metrics.counts.success);
-  EXPECT_EQ(a.metrics.counts.rejected, b.metrics.counts.rejected);
-  EXPECT_EQ(a.metrics.counts.dmf, b.metrics.counts.dmf);
-  EXPECT_EQ(a.metrics.counts.dsf, b.metrics.counts.dsf);
-  EXPECT_EQ(a.metrics.preemptions, b.metrics.preemptions);
-  EXPECT_EQ(a.metrics.lock_restarts, b.metrics.lock_restarts);
-  EXPECT_EQ(a.metrics.update_commits, b.metrics.update_commits);
-  EXPECT_EQ(a.usm, b.usm);  // bit-identical, not approximately equal
+  // The sweep must actually exercise both checks: real rejections against
+  // a non-trivial queue, not just vacuous agreement.
+  EXPECT_EQ(stats.runs, 9 * 2 * 3 * 3);
+  EXPECT_GT(stats.rejections, 0);
+  EXPECT_GT(stats.deep_queues, 0);
 }
 
 TEST(AdmissionIndexEquivalenceTest, FullRunsMatchOnAllTracesAndPolicies) {
-  const std::vector<std::string> policies = {"imu", "odu", "qmf", "unit"};
   const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
-  EngineParams indexed_engine;
-  EngineParams naive_engine;
-  naive_engine.use_admission_index = false;
-  PolicyOptions indexed_options;
-  PolicyOptions naive_options;
-  naive_options.unit.admission.use_index = false;
+  DiffStats stats;
   for (UpdateVolume volume : kVolumes) {
     for (UpdateDistribution dist : kDists) {
       auto w = MakeStandardWorkload(volume, dist, /*scale=*/0.02, /*seed=*/42);
       ASSERT_TRUE(w.ok()) << w.status().ToString();
-      for (const std::string& policy : policies) {
-        auto a = RunExperiment(*w, policy, weights, indexed_engine,
-                               indexed_options);
-        auto b =
-            RunExperiment(*w, policy, weights, naive_engine, naive_options);
-        ASSERT_TRUE(a.ok() && b.ok());
-        SCOPED_TRACE(w->update_trace_name + " / " + policy);
-        ExpectSameOutcome(*a, *b);
+      SCOPED_TRACE(w->update_trace_name);
+      for (const char* policy : {"imu", "odu", "qmf", "unit"}) {
+        DiffCase c = UnitCase(*w, weights, 1.0);
+        c.policy = policy;
+        ExpectMatchesReference(c, &stats);
       }
     }
   }
+  EXPECT_GT(stats.rejections, 0);
 }
 
-// A burst-plus-outage-plus-load-step schedule: the indexed controller must
-// agree with the naive scan while the queue holds a mix of workload and
-// injected transactions.
-StatusOr<FaultSchedule> StressSchedule(const Workload& w) {
+// A burst-plus-outage-plus-load-step schedule: the queue holds a mix of
+// workload and injected transactions. The burst covers items 0-63 only: a
+// burst on all 1024 items floods the reference engine's linear event scan.
+FaultScenarioSpec StressScenario(const Workload& w) {
   const double duration_s = SimToSeconds(w.duration);
   auto spec = FaultScenarioSpec::Parse(
       "fault0.kind = load-step\n"
@@ -158,153 +128,82 @@ StatusOr<FaultSchedule> StressSchedule(const Workload& w) {
       "fault1.kind = update-burst\n"
       "fault1.start_s = " + std::to_string(0.3 * duration_s) + "\n"
       "fault1.end_s = " + std::to_string(0.5 * duration_s) + "\n"
-      "fault1.items = *\nfault1.rate_hz = 2\n"
+      "fault1.items = 0-63\nfault1.rate_hz = 2\n"
       "fault2.kind = update-outage\n"
       "fault2.start_s = " + std::to_string(0.55 * duration_s) + "\n"
       "fault2.end_s = " + std::to_string(0.7 * duration_s) + "\n"
       "fault2.items = *\n");
-  if (!spec.ok()) return spec.status();
-  return FaultSchedule::Compile(*spec, w, 42);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return spec.ok() ? *spec : FaultScenarioSpec{};
 }
 
 TEST(AdmissionIndexEquivalenceTest, FaultLadenArrivalsMatchNaive) {
   const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
-  ProbeStats total;
+  DiffStats stats;
   for (UpdateDistribution dist : kDists) {
     auto w = MakeStandardWorkload(UpdateVolume::kMedium, dist,
                                   /*scale=*/0.02, /*seed=*/42);
     ASSERT_TRUE(w.ok());
-    auto faults = StressSchedule(*w);
-    ASSERT_TRUE(faults.ok()) << faults.status().ToString();
-    ASSERT_FALSE(faults->injected_queries().empty());
-    EngineParams params;
-    params.faults = &*faults;
+    SCOPED_TRACE(w->update_trace_name);
     for (double c_flex : {0.5, 1.0}) {
-      const ProbeStats s = RunProbed(*w, c_flex, weights, params);
+      DiffCase c = UnitCase(*w, weights, c_flex);
+      c.scenario = StressScenario(*w);
+      ASSERT_FALSE(c.scenario.empty());
+      ExpectMatchesReference(c, &stats);
       // Injected queries face the same admission decision as workload ones.
-      EXPECT_GT(s.decisions, static_cast<int64_t>(w->queries.size()));
-      total.decisions += s.decisions;
-      total.rejections += s.rejections;
-      total.nonempty_queue += s.nonempty_queue;
+      EXPECT_GT(stats.metrics.fault_injected_queries, 0);
+      EXPECT_GT(stats.metrics.fault_suppressed_updates, 0);
     }
   }
-  EXPECT_GT(total.rejections, 0);
-  EXPECT_GT(total.nonempty_queue, 0);
+  EXPECT_GT(stats.rejections, 0);
+  EXPECT_GT(stats.deep_queues, 0);
 }
 
 TEST(AdmissionIndexEquivalenceTest, FaultLadenFullRunsMatch) {
-  const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
-  EngineParams naive_engine;
-  naive_engine.use_admission_index = false;
-  PolicyOptions naive_options;
-  naive_options.unit.admission.use_index = false;
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kUniform,
                                 /*scale=*/0.02, /*seed=*/42);
   ASSERT_TRUE(w.ok());
-  auto faults = StressSchedule(*w);
-  ASSERT_TRUE(faults.ok()) << faults.status().ToString();
+  DiffStats stats;
   for (const char* policy : {"imu", "odu", "qmf", "unit"}) {
-    auto a = RunFaultedExperiment(*w, policy, weights, *faults, {}, {}, {});
-    auto b = RunFaultedExperiment(*w, policy, weights, *faults, {},
-                                  naive_engine, naive_options);
-    ASSERT_TRUE(a.ok() && b.ok());
-    SCOPED_TRACE(policy);
-    ExpectSameOutcome(*a, *b);
-    EXPECT_GT(a->metrics.fault_injected_queries, 0);
-    EXPECT_EQ(a->metrics.fault_injected_queries,
-              b->metrics.fault_injected_queries);
-    EXPECT_EQ(a->metrics.fault_suppressed_updates,
-              b->metrics.fault_suppressed_updates);
-  }
-}
-
-TEST(AdmissionIndexEquivalenceTest, EventCompactionDoesNotChangeOutcomes) {
-  EngineParams compacting;
-  EngineParams lazy_only;
-  lazy_only.compact_events = false;
-  const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
-  for (UpdateVolume volume : {UpdateVolume::kMedium, UpdateVolume::kHigh}) {
-    auto w = MakeStandardWorkload(volume, UpdateDistribution::kNegative,
-                                  /*scale=*/0.05, /*seed=*/42);
-    ASSERT_TRUE(w.ok()) << w.status().ToString();
-    for (const char* policy : {"unit", "qmf"}) {
-      auto a = RunExperiment(*w, policy, weights, compacting);
-      auto b = RunExperiment(*w, policy, weights, lazy_only);
-      ASSERT_TRUE(a.ok() && b.ok());
-      SCOPED_TRACE(w->update_trace_name + " / " + policy);
-      ExpectSameOutcome(*a, *b);
-      // Tombstones accumulate either way; only the compacting run removes
-      // them from the heap.
-      EXPECT_GT(a->metrics.events_cancelled, 0);
-      EXPECT_EQ(a->metrics.events_cancelled, b->metrics.events_cancelled);
-      EXPECT_EQ(b->metrics.events_compacted, 0);
-      EXPECT_LE(a->metrics.events_processed, b->metrics.events_processed);
-    }
+    DiffCase c = UnitCase(*w, UsmWeights{1.0, 0.5, 1.0, 0.5}, 1.0);
+    c.policy = policy;
+    c.scenario = StressScenario(*w);
+    ExpectMatchesReference(c, &stats);
+    EXPECT_GT(stats.metrics.fault_injected_queries, 0) << policy;
   }
 }
 
 // The streamed, closed-loop workload: arrivals come from a cursor, rejected
 // and missed queries come back as session retries, shedding evicts queued
 // queries and cache hits never enter the ready queue. Every one of those
-// arrivals is indexed, so the indexed controller must still agree.
+// arrivals is indexed, so the engine must still agree with the scan.
 TEST(AdmissionIndexEquivalenceTest,
      StreamedSessionsSheddingAndCacheMatchNaive) {
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kUniform,
                                 /*scale=*/0.02, /*seed=*/42);
   ASSERT_TRUE(w.ok());
-  ConvertToStreamingWorkload(&*w);
-  EngineParams params;
-  params.session.sessions = 4;
-  params.shed_watermark = 6;
-  params.cache.capacity = 32;
-  ProbeStats total;
+  DiffStats stats;
   int64_t shed = 0;
-  for (double c_flex : {0.5, 1.0, 4.0}) {
-    for (const UsmWeights& weights :
-         {UsmWeights{}, UsmWeights{1.0, 0.5, 1.0, 0.5}}) {
-      const ProbeStats s = RunProbed(*w, c_flex, weights, params);
-      total.rejections += s.rejections;
-      total.nonempty_queue += s.nonempty_queue;
+  for (const UsmWeights& weights :
+       {UsmWeights{}, UsmWeights{1.0, 0.5, 1.0, 0.5}}) {
+    for (double c_flex : {0.5, 1.0, 4.0}) {
+      DiffCase c = UnitCase(*w, weights, c_flex);
+      c.stream_queries = true;
+      c.engine.session.sessions = 4;
+      c.engine.shed_watermark = 6;
+      c.engine.cache.capacity = 32;
+      ExpectMatchesReference(c, &stats);
       // The mix must really retry, shed and serve from the cache.
-      EXPECT_GT(s.metrics.session_retries, 0);
-      EXPECT_GT(s.metrics.cache_hits, 0);
-      shed += s.metrics.queries_shed;
+      EXPECT_GT(stats.metrics.session_retries, 0);
+      EXPECT_GT(stats.metrics.cache_hits, 0);
+      shed += stats.metrics.queries_shed;
     }
   }
-  EXPECT_GT(total.rejections, 0);
-  EXPECT_GT(total.nonempty_queue, 0);
+  EXPECT_GT(stats.rejections, 0);
+  EXPECT_GT(stats.deep_queues, 0);
   EXPECT_GT(shed, 0);
-}
-
-TEST(AdmissionIndexTest, EnabledOnStreamedAndSessionEngines) {
-  auto w = MakeStandardWorkload(UpdateVolume::kLow, UpdateDistribution::kUniform,
-                                /*scale=*/0.01, /*seed=*/42);
-  ASSERT_TRUE(w.ok());
-  Workload streamed = *w;
-  ConvertToStreamingWorkload(&streamed);
-  FakePolicy policy;
-  EngineParams sessions;
-  sessions.session.sessions = 4;
-  EXPECT_TRUE(Engine(*w, &policy, sessions).admission_index().enabled());
-  EXPECT_TRUE(
-      Engine(streamed, &policy, EngineParams{}).admission_index().enabled());
-  Engine streamed_sessions(streamed, &policy, sessions);
-  EXPECT_TRUE(streamed_sessions.admission_index().enabled());
-  streamed_sessions.Run();
-}
-
-TEST(AdmissionIndexTest, DisabledUnderFcfsDispatch) {
-  auto w = MakeStandardWorkload(UpdateVolume::kLow, UpdateDistribution::kUniform,
-                                /*scale=*/0.01, /*seed=*/42);
-  ASSERT_TRUE(w.ok());
-  FakePolicy policy;
-  EngineParams params;
-  params.discipline = QueueDiscipline::kFcfs;
-  Engine engine(*w, &policy, params);
-  EXPECT_FALSE(engine.admission_index().enabled());
-  engine.Run();  // and the run itself stays well-formed
 }
 
 // --- randomized structural check against brute force ---------------------
@@ -333,8 +232,8 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
 
   std::vector<bool> queued(kQueries, false);
   int64_t queued_count = 0;
-  // Reference answers come from re-simulating the naive scan over the queued
-  // set in EDF (deadline, id) order.
+  // Reference answers come from re-simulating a scan over the queued set in
+  // EDF (deadline, id) order.
   auto brute = [&](SimTime d, int64_t lo, int64_t hi, SimDuration* earlier,
                    int64_t* later_count) -> int64_t {
     std::vector<const Transaction*> later;
@@ -364,7 +263,6 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
     return endangered;
   };
   AdmissionIndex index;
-  index.Init(Workload{});
   int64_t empty_probes = 0;
   auto probe = [&](int step) {
     ASSERT_EQ(index.occupied(), queued_count) << "step " << step;
@@ -442,7 +340,6 @@ TEST(AdmissionIndexTest, EqualDeadlinesOrderByTxnIdWhateverInsertionOrder) {
   int permutations = 0;
   do {
     AdmissionIndex index;
-    index.Init(Workload{});
     for (int k : order) index.OnInsert(txns[static_cast<size_t>(k)]);
     SCOPED_TRACE(::testing::PrintToString(order));
     EXPECT_EQ(index.EarlierWork(SecondsToSim(3.0)), MillisToSim(5));

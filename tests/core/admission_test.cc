@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "testing/fake_policy.h"
+#include "unit/model/reference_engine.h"
 #include "unit/sched/engine.h"
 #include "unit/workload/spec.h"
 
@@ -155,6 +156,39 @@ TEST(AdmissionTest, EarlierDeadlineQueuedWorkCountsTowardEst) {
   AdmissionController ac({}, UsmWeights{});
   EXPECT_FALSE(DecideForCandidate(w, ac));
   EXPECT_EQ(ac.rejected_by_deadline(), 1);
+}
+
+TEST(AdmissionTest, FcfsDispatchStillProjectsTheEdfSchedule) {
+  // A 1000 ms head query runs from t=0. Queued behind it: q1 (300 ms, due
+  // 10001 ms) and q2 (100 ms, due 1280 ms). The candidate (200 ms, due
+  // 1250 ms) arrives at 3 ms with 997 ms of the head left, so both checks
+  // start from t = 1000 ms. In EDF order q2 runs first: it finishes at
+  // 1100 ms without the candidate and 1300 ms with it, missing 1280 ms.
+  // That one endangered query (C_fm = 1) outweighs a rejection (C_r = .5),
+  // under FCFS dispatch as under EDF: admission projects the EDF schedule.
+  Workload w;
+  w.num_items = 4;
+  w.duration = SecondsToSim(30.0);
+  w.queries.push_back(Query(0, 0.000, 1000.0, 10.0, {0}));
+  w.queries.push_back(Query(1, 0.001, 300.0, 10.0, {1}));
+  w.queries.push_back(Query(2, 0.002, 100.0, 1.278, {2}));
+  w.queries.push_back(Query(3, 0.003, 200.0, 1.247, {3}));
+  EngineParams params;
+  params.discipline = QueueDiscipline::kFcfs;
+  const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
+  auto decide = [&](auto run) {
+    AdmissionController ac({}, weights);
+    FakePolicy policy;
+    policy.admit = [&](EngineContext& engine, const Transaction& q) {
+      return ac.Admit(engine, q);
+    };
+    run(policy);
+    EXPECT_EQ(ac.admitted(), 3);
+    EXPECT_EQ(ac.rejected_by_deadline(), 0);
+    EXPECT_EQ(ac.rejected_by_usm(), 1);
+  };
+  decide([&](Policy& p) { Engine(w, &p, params).Run(); });
+  decide([&](Policy& p) { ReferenceEngine(w, &p, params).Run(); });
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -128,10 +129,6 @@ TEST(GenTest, IndexRotatesTheImplementationMatrix) {
   EXPECT_EQ(GenerateCase(1, 1).policy, "imu");
   EXPECT_EQ(GenerateCase(1, 2).policy, "odu");
   EXPECT_EQ(GenerateCase(1, 3).policy, "qmf");
-  EXPECT_TRUE(GenerateCase(1, 0).engine.use_admission_index);
-  EXPECT_FALSE(GenerateCase(1, 4).engine.use_admission_index);
-  EXPECT_TRUE(GenerateCase(1, 0).engine.compact_events);
-  EXPECT_FALSE(GenerateCase(1, 8).engine.compact_events);
   EXPECT_FALSE(GenerateCase(1, 0).scenario.empty());
   EXPECT_TRUE(GenerateCase(1, 16).scenario.empty());
 }
@@ -225,12 +222,10 @@ TEST(DiffEquivalenceTest, Fig7FaultScenario) {
 }
 
 TEST(DiffEquivalenceTest, EngineKnobToggles) {
-  // FCFS dispatch, no index, no compaction, fast control ticks.
+  // FCFS dispatch, fast control ticks, noisy estimates.
   DiffCase c = StandardCase(UpdateVolume::kHigh, UpdateDistribution::kUniform,
                             "unit", Table2ishWeights());
   c.engine.discipline = QueueDiscipline::kFcfs;
-  c.engine.use_admission_index = false;
-  c.engine.compact_events = false;
   c.engine.control_period = SecondsToSim(0.25);
   c.engine.estimate_noise_sigma = 0.3;
   ExpectEquivalent(c);
@@ -329,10 +324,18 @@ TEST(PerturbationTest, ShrinkReturnsCleanCaseUnchanged) {
 TEST(DescribeCaseTest, MentionsEveryMatrixAxis) {
   const std::string line = DescribeCase(GenerateCase(9, 21));
   for (const char* key :
-       {"seed=9", "case=21", "policy=", "index=", "compact=", "faults=",
-        "queries="}) {
+       {"seed=9", "case=21", "policy=", "discipline=", "faults=", "stream=",
+        "shards=", "sjobs=", "sessions=", "shed=", "cache=", "queries=",
+        "fault_windows="}) {
     EXPECT_NE(line.find(key), std::string::npos) << line;
   }
+  // Nothing else: each key the line prints is one checked above.
+  EXPECT_EQ(std::count(line.begin(), line.end(), '='), 13) << line;
+  DiffCase fcfs = GenerateCase(9, 21);
+  fcfs.engine.discipline = QueueDiscipline::kFcfs;
+  EXPECT_NE(DescribeCase(fcfs).find("discipline=fcfs"), std::string::npos);
+  fcfs.engine.discipline = QueueDiscipline::kEdf;
+  EXPECT_NE(DescribeCase(fcfs).find("discipline=edf"), std::string::npos);
 }
 
 }  // namespace

@@ -126,11 +126,46 @@ TEST(TraceIoTest, MalformedQueryRowFails) {
   EXPECT_NE(out_of_order.status().message().find("Q row 2 (id 2)"),
             std::string::npos)
       << out_of_order.status().ToString();
+  // An item the database does not have, whichever row comes first.
+  for (const char* doc :
+       {"M,4,1000000,a,b\nQ,0,5,1000,2000,0.9,1\nQ,1,9,1000,2000,0.9,0;4000\n",
+        "Q,0,5,1000,2000,0.9,1\nQ,1,9,1000,2000,0.9,-1\nM,4,1000000,a,b\n"}) {
+    auto w = WorkloadFromCsv(doc);
+    ASSERT_FALSE(w.ok()) << doc;
+    EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(w.status().message().find("Q row 1 (id 1)"), std::string::npos)
+        << w.status().ToString();
+  }
+  EXPECT_FALSE(
+      WorkloadFromCsv("M,4,1000000,a,b\nQ,0,0,1000,2000,0.9,4294967296\n")
+          .ok());
 }
 
 TEST(TraceIoTest, MalformedUpdateRowFails) {
   EXPECT_FALSE(WorkloadFromCsv("M,4,1000000,a,b\nU,1,2\n").ok());
   EXPECT_FALSE(WorkloadFromCsv("M,4,1000000,a,b\nU,1,abc,3,4\n").ok());
+  // Rows the engine's database would refuse as sources: an item outside
+  // [0, num_items), a phase equal to the period, a second row for an item.
+  for (const char* rows :
+       {"U,5000,500000,7000,100\n", "U,2,500000,7000,500000\n",
+        "U,2,500000,7000,100\nU,2,400000,7000,100\n"}) {
+    auto w = WorkloadFromCsv(std::string("M,4,1000000,a,b\n") + rows);
+    ASSERT_FALSE(w.ok()) << rows;
+    EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument) << rows;
+    EXPECT_NE(w.status().message().find("item "), std::string::npos)
+        << w.status().ToString();
+  }
+}
+
+TEST(TraceIoTest, MalformedMetaRowFails) {
+  for (const char* meta : {"M,0,1000000,a,b\n", "M,-3,1000000,a,b\n",
+                           "M,4294967297,1000000,a,b\n"}) {
+    auto w = WorkloadFromCsv(meta);
+    ASSERT_FALSE(w.ok()) << meta;
+    EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument) << meta;
+    EXPECT_NE(w.status().message().find("num_items"), std::string::npos)
+        << w.status().ToString();
+  }
 }
 
 TEST(TraceIoTest, ParsesMinimalDocument) {

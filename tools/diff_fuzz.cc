@@ -2,9 +2,10 @@
 // scenarios (model/gen.h), runs each through the optimized engine and the
 // naive reference model, and compares semantic metrics, per-query outcomes,
 // and window series bit-for-bit (model/diff.h). A linear case sweep rotates
-// through {policy x use_admission_index x compact_events x faults on/off}.
-// On divergence the case is shrunk (ddmin-lite) and a replayable
-// "seed=S case=I ..." line is printed.
+// through {policy x faults on/off x streaming x shards x sessions x shedding
+// x cache}. On divergence the case is shrunk (ddmin-lite) and a replay line
+// is printed: "diff_fuzz seed=S case=I" plus every override this run was
+// given, so pasting it reproduces the divergence.
 //
 // Usage: diff_fuzz [cases=N] [seed=S] [case=I] [series=0|1] [stream=0|1]
 //                  [shards=K] [sessions=N] [shed=W] [cache=C]
@@ -90,6 +91,7 @@ int main(int argc, char** argv) {
   int cache_override = -1;     // -1: keep the generator's rotation
   unitdb::DiffOptions opts;
   bool expect_divergence = false;
+  std::string overrides;  // the case-shaping arguments, for replay lines
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -133,6 +135,10 @@ int main(int argc, char** argv) {
     } else {
       return Usage(argv[0]);
     }
+    if (key != "cases" && key != "seed" && key != "case" &&
+        key != "expect_divergence") {
+      overrides += " " + key + "=" + val;
+    }
   }
 
   const int64_t begin = only_case >= 0 ? only_case : 0;
@@ -169,9 +175,9 @@ int main(int argc, char** argv) {
     }
     const unitdb::DiffCase shrunk = unitdb::ShrinkCase(c, opts);
     std::printf("  shrunk: %s\n", unitdb::DescribeCase(shrunk).c_str());
-    std::printf("  replay: diff_fuzz seed=%llu case=%lld\n",
+    std::printf("  replay: diff_fuzz seed=%llu case=%lld%s\n",
                 static_cast<unsigned long long>(c.gen_seed),
-                static_cast<long long>(c.gen_index));
+                static_cast<long long>(c.gen_index), overrides.c_str());
     if (expect_divergence) break;  // self-test satisfied; stop early
   }
 
