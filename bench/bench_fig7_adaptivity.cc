@@ -19,13 +19,12 @@
 //   scenario= replaces the two canned scenarios with a spec file (the no-op
 //   check still runs); trace_dir= also writes one JSONL trace per cell.
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "unit/common/config.h"
+#include "harness.h"
 #include "unit/faults/schedule.h"
 #include "unit/faults/scenario.h"
 #include "unit/faults/settling.h"
@@ -34,13 +33,6 @@
 
 namespace unitdb {
 namespace {
-
-struct CellResult {
-  std::string scenario;
-  std::string policy;
-  double usm = 0.0;
-  DisturbanceReport disturbance;
-};
 
 struct NamedScenario {
   std::string name;
@@ -89,98 +81,38 @@ Status CheckNoFaultNoOp(const Workload& workload, const std::string& policy,
   return Status::Ok();
 }
 
-void WriteJson(const std::vector<CellResult>& results, double scale,
-               uint64_t seed, double epsilon, const std::string& path) {
-  std::ofstream f(path);
-  f << "{\n";
-  f << "  \"bench\": \"bench_fig7_adaptivity\",\n";
-  f << "  \"scale\": " << scale << ",\n";
-  f << "  \"seed\": " << seed << ",\n";
-  f << "  \"epsilon\": " << epsilon << ",\n";
-  f << "  \"cells\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    const DisturbanceReport& d = r.disturbance;
-    f << "    {\"scenario\": \"" << r.scenario << "\", \"policy\": \""
-      << r.policy << "\", \"usm\": " << r.usm
-      << ", \"baseline_usm\": " << d.baseline_usm
-      << ", \"min_usm\": " << d.min_usm << ", \"dip_depth\": " << d.dip_depth
-      << ", \"recover_s\": " << d.recover_s
-      << ", \"fault_start_s\": " << d.fault_start_s
-      << ", \"fault_end_s\": " << d.fault_end_s << "}"
-      << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  f << "  ]\n";
-  f << "}\n";
-}
-
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(tok);
-  }
-  return out;
-}
-
-int Main(int argc, char** argv) {
-  auto config = Config::ParseArgs(argc, argv);
-  if (!config.ok()) {
-    std::cerr << config.status().ToString() << "\n";
-    return 1;
-  }
-  if (Status s = config->ExpectKeys({"scale", "seed", "epsilon", "policies",
-                                     "scenario", "trace_dir", "out"});
-      !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    return 1;
-  }
-  const double scale = config->GetDouble("scale", 0.25);
-  const uint64_t seed = config->GetInt("seed", 42);
-  const double epsilon = config->GetDouble("epsilon", 0.25);
-  const std::string trace_dir = config->GetString("trace_dir", "");
-  const std::string out = config->GetString("out", "BENCH_fig7.json");
-  if (Status s = config->CheckNumbers(); !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    return 1;
-  }
+Status Run(bench::Args& args) {
+  const double scale = args.Double("scale", 0.25);
+  const uint64_t seed = args.Int("seed", 42);
+  const double epsilon = args.Double("epsilon", 0.25);
+  const std::string trace_dir = args.String("trace_dir", "");
+  const std::string out = args.String("out", "BENCH_fig7.json");
+  const std::string scenario_path = args.String("scenario", "");
   const std::vector<std::string> policies =
-      SplitCsv(config->GetString("policies", "unit,unit-bare,imu,qmf"));
+      args.List("policies", "unit,unit-bare,imu,qmf");
+  if (Status s = args.Check(); !s.ok()) return s;
   const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
 
   auto workload =
       MakeStandardWorkload(UpdateVolume::kMedium, UpdateDistribution::kUniform,
                            scale, seed);
-  if (!workload.ok()) {
-    std::cerr << workload.status().ToString() << "\n";
-    return 1;
-  }
-  const double duration_s = SimToSeconds(workload->duration);
+  if (!workload.ok()) return workload.status();
 
   std::vector<NamedScenario> scenarios;
-  if (const std::string path = config->GetString("scenario", "");
-      !path.empty()) {
-    auto spec = FaultScenarioSpec::Load(path);
-    if (!spec.ok()) {
-      std::cerr << spec.status().ToString() << "\n";
-      return 1;
-    }
+  if (!scenario_path.empty()) {
+    auto spec = FaultScenarioSpec::Load(scenario_path);
+    if (!spec.ok()) return spec.status();
     scenarios.push_back({spec->name, std::move(*spec)});
   } else {
-    auto canned = CannedScenarios(duration_s);
-    if (!canned.ok()) {
-      std::cerr << canned.status().ToString() << "\n";
-      return 1;
-    }
+    auto canned = CannedScenarios(SimToSeconds(workload->duration));
+    if (!canned.ok()) return canned.status();
     scenarios = std::move(*canned);
   }
 
   std::cout << "=== Adaptivity under disturbance (Fig. 7 territory) ===\n";
   for (const std::string& policy : policies) {
     if (Status s = CheckNoFaultNoOp(*workload, policy, weights); !s.ok()) {
-      std::cerr << s.ToString() << "\n";
-      return 1;
+      return s;
     }
   }
   std::cout << "no-fault no-op check: ok (" << policies.size()
@@ -189,13 +121,10 @@ int Main(int argc, char** argv) {
   TextTable table;
   table.SetHeader({"scenario", "policy", "usm", "baseline", "dip",
                    "recover_s"});
-  std::vector<CellResult> results;
+  std::vector<bench::JsonObject> results;
   for (const NamedScenario& scenario : scenarios) {
     auto schedule = FaultSchedule::Compile(scenario.spec, *workload, seed);
-    if (!schedule.ok()) {
-      std::cerr << schedule.status().ToString() << "\n";
-      return 1;
-    }
+    if (!schedule.ok()) return schedule.status();
     for (const std::string& policy : policies) {
       ObsOptions obs;
       obs.series = true;
@@ -205,29 +134,38 @@ int Main(int argc, char** argv) {
       }
       auto r = RunFaultedExperiment(*workload, policy, weights, *schedule,
                                     obs, {}, {}, epsilon);
-      if (!r.ok()) {
-        std::cerr << r.status().ToString() << "\n";
-        return 1;
-      }
-      CellResult cell;
-      cell.scenario = scenario.name;
-      cell.policy = policy;
-      cell.usm = r->usm;
-      cell.disturbance = r->disturbance;
-      results.push_back(cell);
-      const DisturbanceReport& d = cell.disturbance;
-      table.AddRow({cell.scenario, cell.policy, Fmt(cell.usm, 4),
+      if (!r.ok()) return r.status();
+      const DisturbanceReport& d = r->disturbance;
+      results.push_back(bench::JsonObject()
+                            .Add("scenario", scenario.name)
+                            .Add("policy", policy)
+                            .Add("usm", r->usm)
+                            .Add("baseline_usm", d.baseline_usm)
+                            .Add("min_usm", d.min_usm)
+                            .Add("dip_depth", d.dip_depth)
+                            .Add("recover_s", d.recover_s)
+                            .Add("fault_start_s", d.fault_start_s)
+                            .Add("fault_end_s", d.fault_end_s));
+      table.AddRow({scenario.name, policy, Fmt(r->usm, 4),
                     Fmt(d.baseline_usm, 4), Fmt(d.dip_depth, 4),
                     d.recover_s < 0 ? "never" : Fmt(d.recover_s, 1)});
     }
   }
   table.Print(std::cout);
-  WriteJson(results, scale, seed, epsilon, out);
-  std::cout << "wrote " << out << "\n";
-  return 0;
+  return bench::WriteJson(out, "bench_fig7_adaptivity",
+                          bench::JsonObject()
+                              .Add("scale", scale)
+                              .Add("seed", seed)
+                              .Add("epsilon", epsilon),
+                          results, args);
 }
 
 }  // namespace
 }  // namespace unitdb
 
-int main(int argc, char** argv) { return unitdb::Main(argc, argv); }
+int main(int argc, char** argv) {
+  return unitdb::bench::Main(argc, argv,
+                             {"scale", "seed", "epsilon", "policies",
+                              "scenario", "trace_dir", "out"},
+                             unitdb::Run);
+}

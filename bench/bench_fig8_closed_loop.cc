@@ -23,15 +23,13 @@
 //   deleted after the p90 retry delay is extracted).
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "unit/common/config.h"
+#include "harness.h"
 #include "unit/faults/scenario.h"
 #include "unit/faults/schedule.h"
 #include "unit/faults/settling.h"
@@ -41,20 +39,6 @@
 
 namespace unitdb {
 namespace {
-
-struct CellResult {
-  std::string cell;
-  int sessions = 0;
-  double patience_s = 0.0;
-  double usm = 0.0;
-  int64_t requests = 0;
-  int64_t retries = 0;
-  int64_t abandons = 0;
-  int64_t shed = 0;
-  double abandon_rate = 0.0;
-  double retry_p90_s = 0.0;
-  double recover_s = -1.0;
-};
 
 /// sessions=0 must take zero divergent branches regardless of the other
 /// session knobs: every metric must equal the plain engine's, bit for bit,
@@ -97,82 +81,21 @@ StatusOr<double> RetryDelayP90(const std::string& trace_path) {
   return SimToSeconds(delays[std::min(idx, delays.size() - 1)]);
 }
 
-void WriteJson(const std::vector<CellResult>& results,
-               const std::string& policy, double scale, uint64_t seed,
-               double epsilon, double rate_hz, int shed_watermark,
-               const std::string& path) {
-  std::ofstream f(path);
-  f << "{\n";
-  f << "  \"bench\": \"bench_fig8_closed_loop\",\n";
-  f << "  \"policy\": \"" << policy << "\",\n";
-  f << "  \"scale\": " << scale << ",\n";
-  f << "  \"seed\": " << seed << ",\n";
-  f << "  \"epsilon\": " << epsilon << ",\n";
-  f << "  \"rate_hz\": " << rate_hz << ",\n";
-  f << "  \"shed_watermark\": " << shed_watermark << ",\n";
-  f << "  \"cells\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    f << "    {\"cell\": \"" << r.cell << "\", \"sessions\": " << r.sessions
-      << ", \"patience_s\": " << r.patience_s << ", \"usm\": " << r.usm
-      << ", \"requests\": " << r.requests << ", \"retries\": " << r.retries
-      << ", \"abandons\": " << r.abandons << ", \"shed\": " << r.shed
-      << ", \"abandon_rate\": " << r.abandon_rate
-      << ", \"retry_p90_s\": " << r.retry_p90_s
-      << ", \"recover_s\": " << r.recover_s << "}"
-      << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  f << "  ]\n";
-  f << "}\n";
-}
-
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(tok);
-  }
-  return out;
-}
-
-int Main(int argc, char** argv) {
-  auto config = Config::ParseArgs(argc, argv);
-  if (!config.ok()) {
-    std::cerr << config.status().ToString() << "\n";
-    return 1;
-  }
-  if (Status s = config->ExpectKeys({"scale", "seed", "epsilon", "rate",
-                                     "shed", "policy", "sessions", "patience",
-                                     "trace_dir", "out"});
-      !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    return 1;
-  }
-  const double scale = config->GetDouble("scale", 0.25);
-  const uint64_t seed = config->GetInt("seed", 42);
-  const double epsilon = config->GetDouble("epsilon", 0.25);
-  const double rate_hz = config->GetDouble("rate", 40.0);
-  const int shed_watermark = static_cast<int>(config->GetInt("shed", 8));
-  const std::string policy = config->GetString("policy", "unit");
-  const std::string out = config->GetString("out", "BENCH_session.json");
-  if (Status s = config->CheckNumbers(); !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    return 1;
-  }
-  std::vector<int> session_counts;
-  for (const std::string& tok :
-       SplitCsv(config->GetString("sessions", "8,24,48"))) {
-    session_counts.push_back(std::stoi(tok));
-  }
-  std::vector<double> patience_levels;
-  for (const std::string& tok :
-       SplitCsv(config->GetString("patience", "0,2"))) {
-    patience_levels.push_back(std::stod(tok));
-  }
+Status Run(bench::Args& args) {
+  const double scale = args.Double("scale", 0.25);
+  const uint64_t seed = args.Int("seed", 42);
+  const double epsilon = args.Double("epsilon", 0.25);
+  const double rate_hz = args.Double("rate", 40.0);
+  const int shed_watermark = static_cast<int>(args.Int("shed", 8, 0));
+  const std::string policy = args.String("policy", "unit");
+  const std::string out = args.String("out", "BENCH_session.json");
+  const std::vector<int64_t> session_counts =
+      args.Ints("sessions", "8,24,48", 0);
+  const std::vector<double> patience_levels = args.Doubles("patience", "0,2");
+  std::string trace_dir = args.String("trace_dir", "");
+  if (Status s = args.Check(); !s.ok()) return s;
   const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
 
-  std::string trace_dir = config->GetString("trace_dir", "");
   const bool keep_traces = !trace_dir.empty();
   if (!keep_traces) {
     trace_dir = (std::filesystem::temp_directory_path() /
@@ -183,10 +106,7 @@ int Main(int argc, char** argv) {
 
   auto workload = MakeStandardWorkload(
       UpdateVolume::kMedium, UpdateDistribution::kUniform, scale, seed);
-  if (!workload.ok()) {
-    std::cerr << workload.status().ToString() << "\n";
-    return 1;
-  }
+  if (!workload.ok()) return workload.status();
   const double duration_s = SimToSeconds(workload->duration);
 
   std::ostringstream spec_text;
@@ -195,21 +115,14 @@ int Main(int argc, char** argv) {
             << "fault0.end_s = " << 0.7 * duration_s << "\n"
             << "fault0.rate_hz = " << rate_hz << "\n";
   auto spec = FaultScenarioSpec::Parse(spec_text.str());
-  if (!spec.ok()) {
-    std::cerr << spec.status().ToString() << "\n";
-    return 1;
-  }
+  if (!spec.ok()) return spec.status();
   auto schedule = FaultSchedule::Compile(*spec, *workload, seed);
-  if (!schedule.ok()) {
-    std::cerr << schedule.status().ToString() << "\n";
-    return 1;
-  }
+  if (!schedule.ok()) return schedule.status();
 
   std::cout << "=== Closed-loop sessions under a retry storm (Fig. 8) ===\n";
   for (const char* p : {"unit", "unit-bare", "imu", "qmf"}) {
     if (Status s = CheckSessionsOffNoOp(*workload, p, weights); !s.ok()) {
-      std::cerr << s.ToString() << "\n";
-      return 1;
+      return s;
     }
   }
   std::cout << "sessions-off no-op check: ok (4 policies)\n";
@@ -217,11 +130,11 @@ int Main(int argc, char** argv) {
   TextTable table;
   table.SetHeader({"cell", "sessions", "patience_s", "usm", "abandon_rate",
                    "retry_p90_s", "recover_s"});
-  std::vector<CellResult> results;
-  for (int sessions : session_counts) {
+  std::vector<bench::JsonObject> results;
+  for (int64_t sessions : session_counts) {
     for (double patience_s : patience_levels) {
       EngineParams engine;
-      engine.session.sessions = sessions;
+      engine.session.sessions = static_cast<int>(sessions);
       engine.session.max_retries = 3;
       engine.session.patience =
           patience_s > 0.0 ? SecondsToSim(patience_s) : 0;
@@ -229,58 +142,66 @@ int Main(int argc, char** argv) {
 
       std::ostringstream cell_name;
       cell_name << "s" << sessions << "_p" << patience_s;
-      const std::string trace_path =
-          trace_dir + "/fig8_" + cell_name.str() + ".jsonl";
+      const std::string cell = cell_name.str();
+      const std::string trace_path = trace_dir + "/fig8_" + cell + ".jsonl";
       ObsOptions obs;
       obs.series = true;
       obs.trace_path = trace_path;
       auto r = RunFaultedExperiment(*workload, policy, weights, *schedule,
                                     obs, engine, {}, epsilon);
-      if (!r.ok()) {
-        std::cerr << r.status().ToString() << "\n";
-        return 1;
-      }
+      if (!r.ok()) return r.status();
       auto p90 = RetryDelayP90(trace_path);
-      if (!p90.ok()) {
-        std::cerr << p90.status().ToString() << "\n";
-        return 1;
-      }
+      if (!p90.ok()) return p90.status();
 
-      CellResult cell;
-      cell.cell = cell_name.str();
-      cell.sessions = sessions;
-      cell.patience_s = patience_s;
-      cell.usm = r->usm;
-      cell.requests = r->metrics.session_requests;
-      cell.retries = r->metrics.session_retries;
-      cell.abandons = r->metrics.session_abandons;
-      cell.shed = r->metrics.queries_shed;
-      cell.abandon_rate =
-          cell.requests > 0
-              ? static_cast<double>(cell.abandons) /
-                    static_cast<double>(cell.requests)
+      const RunMetrics& m = r->metrics;
+      const double abandon_rate =
+          m.session_requests > 0
+              ? static_cast<double>(m.session_abandons) /
+                    static_cast<double>(m.session_requests)
               : 0.0;
-      cell.retry_p90_s = *p90;
-      cell.recover_s = r->disturbance.valid ? r->disturbance.recover_s : -1.0;
-      results.push_back(cell);
-      table.AddRow({cell.cell, std::to_string(sessions), Fmt(patience_s, 1),
-                    Fmt(cell.usm, 4), Fmt(cell.abandon_rate, 4),
-                    Fmt(cell.retry_p90_s, 4),
-                    cell.recover_s < 0 ? "never" : Fmt(cell.recover_s, 1)});
+      const double recover_s =
+          r->disturbance.valid ? r->disturbance.recover_s : -1.0;
+      results.push_back(bench::JsonObject()
+                            .Add("cell", cell)
+                            .Add("sessions", sessions)
+                            .Add("patience_s", patience_s)
+                            .Add("usm", r->usm)
+                            .Add("requests", m.session_requests)
+                            .Add("retries", m.session_retries)
+                            .Add("abandons", m.session_abandons)
+                            .Add("shed", m.queries_shed)
+                            .Add("abandon_rate", abandon_rate)
+                            .Add("retry_p90_s", *p90)
+                            .Add("recover_s", recover_s));
+      table.AddRow({cell, std::to_string(sessions), Fmt(patience_s, 1),
+                    Fmt(r->usm, 4), Fmt(abandon_rate, 4), Fmt(*p90, 4),
+                    recover_s < 0 ? "never" : Fmt(recover_s, 1)});
     }
   }
   table.Print(std::cout);
-  WriteJson(results, policy, scale, seed, epsilon, rate_hz, shed_watermark,
-            out);
-  std::cout << "wrote " << out << "\n";
+  Status written = bench::WriteJson(out, "bench_fig8_closed_loop",
+                                    bench::JsonObject()
+                                        .Add("policy", policy)
+                                        .Add("scale", scale)
+                                        .Add("seed", seed)
+                                        .Add("epsilon", epsilon)
+                                        .Add("rate_hz", rate_hz)
+                                        .Add("shed_watermark", shed_watermark),
+                                    results, args);
   if (!keep_traces) {
     std::error_code ec;
     std::filesystem::remove_all(trace_dir, ec);
   }
-  return 0;
+  return written;
 }
 
 }  // namespace
 }  // namespace unitdb
 
-int main(int argc, char** argv) { return unitdb::Main(argc, argv); }
+int main(int argc, char** argv) {
+  return unitdb::bench::Main(argc, argv,
+                             {"scale", "seed", "epsilon", "rate", "shed",
+                              "policy", "sessions", "patience", "trace_dir",
+                              "out"},
+                             unitdb::Run);
+}

@@ -24,32 +24,16 @@
 // divergence, missing event saving, or USM regression at the high-hit cell).
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "unit/common/config.h"
+#include "harness.h"
 #include "unit/sim/experiment.h"
 #include "unit/sim/report.h"
 
 namespace unitdb {
 namespace {
-
-struct CellResult {
-  std::string cell;
-  std::string volume;
-  int capacity = 0;
-  double usm = 0.0;
-  double hit_rate = 0.0;
-  int64_t events_processed = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t stale_skips = 0;
-  int64_t invalidations = 0;
-  double mean_freshness = 0.0;
-};
 
 /// capacity=0 must take zero divergent branches regardless of the other
 /// cache knobs: every metric must equal the plain engine's, bit for bit,
@@ -73,81 +57,28 @@ Status CheckCacheOffNoOp(const Workload& workload, const std::string& policy,
   return Status::Ok();
 }
 
-void WriteJson(const std::vector<CellResult>& results,
-               const std::string& policy, double scale, uint64_t seed,
-               int64_t max_hit_udrop, const std::string& path) {
-  std::ofstream f(path);
-  f << "{\n";
-  f << "  \"bench\": \"bench_fig9_cache\",\n";
-  f << "  \"policy\": \"" << policy << "\",\n";
-  f << "  \"scale\": " << scale << ",\n";
-  f << "  \"seed\": " << seed << ",\n";
-  f << "  \"max_hit_udrop\": " << max_hit_udrop << ",\n";
-  f << "  \"cells\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    f << "    {\"cell\": \"" << r.cell << "\", \"volume\": \"" << r.volume
-      << "\", \"capacity\": " << r.capacity << ", \"usm\": " << r.usm
-      << ", \"hit_rate\": " << r.hit_rate
-      << ", \"events_processed\": " << r.events_processed
-      << ", \"hits\": " << r.hits << ", \"misses\": " << r.misses
-      << ", \"stale_skips\": " << r.stale_skips
-      << ", \"invalidations\": " << r.invalidations
-      << ", \"mean_freshness\": " << r.mean_freshness << "}"
-      << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  f << "  ]\n";
-  f << "}\n";
-}
-
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(tok);
-  }
-  return out;
-}
-
-int Main(int argc, char** argv) {
-  auto config = Config::ParseArgs(argc, argv);
-  if (!config.ok()) {
-    std::cerr << config.status().ToString() << "\n";
-    return 1;
-  }
-  if (Status s = config->ExpectKeys({"scale", "seed", "policy", "capacities",
-                                     "volumes", "max_hit_udrop", "out"});
-      !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    return 1;
-  }
-  const double scale = config->GetDouble("scale", 0.25);
-  const uint64_t seed = config->GetInt("seed", 42);
-  const std::string policy = config->GetString("policy", "unit");
-  const int64_t max_hit_udrop = config->GetInt("max_hit_udrop", -1);
-  const std::string out = config->GetString("out", "BENCH_cache.json");
-  if (Status s = config->CheckNumbers(); !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    return 1;
-  }
-  std::vector<int> capacities;
-  for (const std::string& tok :
-       SplitCsv(config->GetString("capacities", "0,16,64,256"))) {
-    capacities.push_back(std::stoi(tok));
-  }
+Status Run(bench::Args& args) {
+  const double scale = args.Double("scale", 0.25);
+  const uint64_t seed = args.Int("seed", 42);
+  const std::string policy = args.String("policy", "unit");
+  const int64_t max_hit_udrop = args.Int("max_hit_udrop", -1);
+  const std::string out = args.String("out", "BENCH_cache.json");
+  const std::vector<int64_t> capacities =
+      args.Ints("capacities", "0,16,64,256", 0);
+  const std::vector<std::string> volume_names =
+      args.List("volumes", "low,med,high");
+  if (Status s = args.Check(); !s.ok()) return s;
   std::vector<UpdateVolume> volumes;
-  for (const std::string& tok :
-       SplitCsv(config->GetString("volumes", "low,med,high"))) {
-    if (tok == "low") {
+  for (const std::string& name : volume_names) {
+    if (name == "low") {
       volumes.push_back(UpdateVolume::kLow);
-    } else if (tok == "med") {
+    } else if (name == "med") {
       volumes.push_back(UpdateVolume::kMedium);
-    } else if (tok == "high") {
+    } else if (name == "high") {
       volumes.push_back(UpdateVolume::kHigh);
     } else {
-      std::cerr << "unknown volume '" << tok << "' (want low|med|high)\n";
-      return 1;
+      return Status::InvalidArgument("unknown volume '" + name +
+                                     "' (want low|med|high)");
     }
   }
   const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
@@ -156,14 +87,10 @@ int Main(int argc, char** argv) {
   {
     auto gate_workload = MakeStandardWorkload(
         UpdateVolume::kMedium, UpdateDistribution::kUniform, scale, seed);
-    if (!gate_workload.ok()) {
-      std::cerr << gate_workload.status().ToString() << "\n";
-      return 1;
-    }
+    if (!gate_workload.ok()) return gate_workload.status();
     for (const char* p : {"unit", "imu", "odu", "qmf"}) {
       if (Status s = CheckCacheOffNoOp(*gate_workload, p, weights); !s.ok()) {
-        std::cerr << s.ToString() << "\n";
-        return 1;
+        return s;
       }
     }
     std::cout << "cache-off no-op check: ok (4 policies)\n";
@@ -172,100 +99,99 @@ int Main(int argc, char** argv) {
   TextTable table;
   table.SetHeader({"cell", "volume", "capacity", "usm", "hit_rate",
                    "events", "freshness"});
-  std::vector<CellResult> results;
-  // Per volume: the capacity=0 baseline's event count, for the saving gate.
-  int64_t low_volume_baseline_events = -1;
-  const CellResult* high_hit_cell = nullptr;
+  std::vector<bench::JsonObject> results;
+  // The high-hit cell is the largest capacity under low update volume; the
+  // saving gate compares it with that volume's uncached (capacity 0) run.
+  struct CellSummary {
+    std::string cell;
+    int64_t capacity = -1;
+    double usm = 0.0;
+    double hit_rate = 0.0;
+    int64_t events = 0;
+  };
+  CellSummary uncached, high_hit;
 
   for (UpdateVolume volume : volumes) {
     auto workload = MakeStandardWorkload(volume, UpdateDistribution::kUniform,
                                          scale, seed);
-    if (!workload.ok()) {
-      std::cerr << workload.status().ToString() << "\n";
-      return 1;
-    }
-    for (int capacity : capacities) {
+    if (!workload.ok()) return workload.status();
+    for (int64_t capacity : capacities) {
       EngineParams engine;
-      engine.cache.capacity = capacity;
+      engine.cache.capacity = static_cast<int>(capacity);
       engine.cache.max_hit_udrop = capacity > 0 ? max_hit_udrop : -1;
       auto r = RunExperiment(*workload, policy, weights, engine);
-      if (!r.ok()) {
-        std::cerr << r.status().ToString() << "\n";
-        return 1;
-      }
+      if (!r.ok()) return r.status();
       const RunMetrics& m = r->metrics;
 
-      CellResult cell;
-      cell.volume = UpdateVolumeName(volume);
-      cell.capacity = capacity;
-      cell.cell = cell.volume + "_c" + std::to_string(capacity);
-      cell.usm = r->usm;
-      cell.events_processed = m.events_processed;
-      cell.hits = m.cache_hits;
-      cell.misses = m.cache_misses;
-      cell.stale_skips = m.cache_stale_skips;
-      cell.invalidations = m.cache_invalidations;
-      const int64_t looked_up = m.cache_hits + m.cache_misses +
-                                m.cache_stale_skips;
-      cell.hit_rate = looked_up > 0 ? static_cast<double>(m.cache_hits) /
-                                          static_cast<double>(looked_up)
-                                    : 0.0;
-      cell.mean_freshness = m.query_freshness.mean();
-      results.push_back(cell);
-      table.AddRow({cell.cell, cell.volume, std::to_string(capacity),
+      const std::string volume_name = UpdateVolumeName(volume);
+      const int64_t looked_up =
+          m.cache_hits + m.cache_misses + m.cache_stale_skips;
+      const CellSummary cell{
+          volume_name + "_c" + std::to_string(capacity), capacity, r->usm,
+          looked_up > 0 ? static_cast<double>(m.cache_hits) /
+                              static_cast<double>(looked_up)
+                        : 0.0,
+          m.events_processed};
+      results.push_back(bench::JsonObject()
+                            .Add("cell", cell.cell)
+                            .Add("volume", volume_name)
+                            .Add("capacity", capacity)
+                            .Add("usm", cell.usm)
+                            .Add("hit_rate", cell.hit_rate)
+                            .Add("events_processed", m.events_processed)
+                            .Add("hits", m.cache_hits)
+                            .Add("misses", m.cache_misses)
+                            .Add("stale_skips", m.cache_stale_skips)
+                            .Add("invalidations", m.cache_invalidations)
+                            .Add("mean_freshness", m.query_freshness.mean()));
+      table.AddRow({cell.cell, volume_name, std::to_string(capacity),
                     Fmt(cell.usm, 4), Fmt(cell.hit_rate, 4),
-                    std::to_string(cell.events_processed),
-                    Fmt(cell.mean_freshness, 4)});
+                    std::to_string(m.events_processed),
+                    Fmt(m.query_freshness.mean(), 4)});
 
-      if (volume == UpdateVolume::kLow && capacity == 0) {
-        low_volume_baseline_events = cell.events_processed;
-      }
+      if (volume != UpdateVolume::kLow) continue;
+      if (capacity == 0) uncached = cell;
+      if (capacity > high_hit.capacity) high_hit = cell;
     }
   }
   table.Print(std::cout);
-  // The high-hit cell: largest capacity under the lowest update volume.
-  for (const CellResult& c : results) {
-    if (c.volume == std::string(UpdateVolumeName(UpdateVolume::kLow)) &&
-        (high_hit_cell == nullptr || c.capacity > high_hit_cell->capacity)) {
-      high_hit_cell = &c;
-    }
-  }
+  Status written = bench::WriteJson(out, "bench_fig9_cache",
+                                    bench::JsonObject()
+                                        .Add("policy", policy)
+                                        .Add("scale", scale)
+                                        .Add("seed", seed)
+                                        .Add("max_hit_udrop", max_hit_udrop),
+                                    results, args);
+  if (!written.ok()) return written;
 
-  WriteJson(results, policy, scale, seed, max_hit_udrop, out);
-  std::cout << "wrote " << out << "\n";
-
-  if (high_hit_cell != nullptr && low_volume_baseline_events > 0 &&
-      high_hit_cell->capacity > 0) {
-    const double saving =
-        1.0 - static_cast<double>(high_hit_cell->events_processed) /
-                  static_cast<double>(low_volume_baseline_events);
-    double baseline_usm = 0.0;
-    for (const CellResult& c : results) {
-      if (c.volume == high_hit_cell->volume && c.capacity == 0) {
-        baseline_usm = c.usm;
-      }
-    }
-    std::cout << "high-hit cell " << high_hit_cell->cell << ": hit_rate "
-              << Fmt(high_hit_cell->hit_rate, 4) << ", event saving "
+  if (uncached.events > 0 && high_hit.capacity > 0) {
+    const double saving = 1.0 - static_cast<double>(high_hit.events) /
+                                     static_cast<double>(uncached.events);
+    std::cout << "high-hit cell " << high_hit.cell << ": hit_rate "
+              << Fmt(high_hit.hit_rate, 4) << ", event saving "
               << Fmt(100.0 * saving, 1) << "% vs uncached, usm "
-              << Fmt(high_hit_cell->usm, 4) << " (uncached "
-              << Fmt(baseline_usm, 4) << ")\n";
+              << Fmt(high_hit.usm, 4) << " (uncached " << Fmt(uncached.usm, 4)
+              << ")\n";
     if (saving < 0.20) {
-      std::cerr << "GATE: high-hit cell saved only " << Fmt(100.0 * saving, 1)
-                << "% of events (want >= 20%)\n";
-      return 1;
+      return Status::FailedPrecondition(
+          "GATE: high-hit cell saved only " + Fmt(100.0 * saving, 1) +
+          "% of events (want >= 20%)");
     }
-    if (high_hit_cell->usm < baseline_usm) {
-      std::cerr << "GATE: high-hit cell USM " << Fmt(high_hit_cell->usm, 4)
-                << " regressed below uncached " << Fmt(baseline_usm, 4)
-                << "\n";
-      return 1;
+    if (high_hit.usm < uncached.usm) {
+      return Status::FailedPrecondition(
+          "GATE: high-hit cell USM " + Fmt(high_hit.usm, 4) +
+          " regressed below uncached " + Fmt(uncached.usm, 4));
     }
   }
-  return 0;
+  return Status::Ok();
 }
 
 }  // namespace
 }  // namespace unitdb
 
-int main(int argc, char** argv) { return unitdb::Main(argc, argv); }
+int main(int argc, char** argv) {
+  return unitdb::bench::Main(argc, argv,
+                             {"scale", "seed", "policy", "capacities",
+                              "volumes", "max_hit_udrop", "out"},
+                             unitdb::Run);
+}

@@ -14,16 +14,14 @@
 //   base_s  duration of the 1x cell, seconds of simulated time
 //   rate    normal-state arrival rate of the low-rate row (the high-rate
 //           row runs at 4x this)
-//   reps    engine runs per cell; wall-clock is the fastest rep
+//   reps    engine runs per cell (>= 1); wall-clock is the fastest rep
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "unit/common/config.h"
+#include "harness.h"
 #include "unit/sim/experiment.h"
 #include "unit/sim/report.h"
 #include "unit/workload/query_source.h"
@@ -32,22 +30,6 @@
 
 namespace unitdb {
 namespace {
-
-struct CellResult {
-  std::string cell;
-  double duration_s = 0.0;
-  double rate_hz = 0.0;
-  bool streamed = true;
-  double wall_s = 0.0;
-  double events_per_sec = 0.0;
-  int64_t events_processed = 0;
-  int64_t submitted = 0;
-  int64_t txn_live_peak = 0;
-  int64_t txn_slots_created = 0;
-  int64_t txn_released = 0;
-  int64_t readset_inline = 0;
-  int64_t readset_spill = 0;
-};
 
 StatusOr<Workload> MakeCell(double duration_s, double rate_hz, uint64_t seed,
                             bool streamed, bool bursty) {
@@ -77,89 +59,15 @@ StatusOr<Workload> MakeCell(double duration_s, double rate_hz, uint64_t seed,
   return workload;
 }
 
-StatusOr<CellResult> RunCell(const Workload& w, const std::string& cell,
-                             const std::string& policy, int reps,
-                             bool streamed) {
+Status Run(bench::Args& args) {
+  const double base_s = args.Double("base_s", 120.0);
+  const double rate = args.Double("rate", 20.0);
+  const uint64_t seed = args.Int("seed", 42);
+  const int reps = static_cast<int>(args.Int("reps", 2, 1));
+  const std::string policy = args.String("policy", "unit");
+  const std::string out = args.String("out", "BENCH_scale.json");
+  if (Status s = args.Check(); !s.ok()) return s;
   const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
-  CellResult out;
-  out.cell = cell;
-  out.duration_s = SimToSeconds(w.duration);
-  out.streamed = streamed;
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto r = RunExperiment(w, policy, weights);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (!r.ok()) return r.status();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-    out.events_processed = r->metrics.events_processed;
-    out.submitted = r->metrics.counts.submitted;
-    out.txn_live_peak = r->metrics.txn_live_peak;
-    out.txn_slots_created = r->metrics.txn_slots_created;
-    out.txn_released = r->metrics.txn_released;
-    out.readset_inline = r->metrics.readset_inline;
-    out.readset_spill = r->metrics.readset_spill;
-  }
-  out.wall_s = best;
-  out.events_per_sec =
-      best > 0.0 ? static_cast<double>(out.events_processed) / best : 0.0;
-  return out;
-}
-
-void WriteJson(const std::vector<CellResult>& results, double base_s,
-               double rate, uint64_t seed, int reps,
-               const std::string& policy, const std::string& path) {
-  std::ofstream f(path);
-  f << "{\n";
-  f << "  \"bench\": \"bench_scale_horizon\",\n";
-  f << "  \"base_s\": " << base_s << ",\n";
-  f << "  \"rate\": " << rate << ",\n";
-  f << "  \"seed\": " << seed << ",\n";
-  f << "  \"reps\": " << reps << ",\n";
-  f << "  \"policy\": \"" << policy << "\",\n";
-  f << "  \"cells\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    f << "    {\"cell\": \"" << r.cell << "\", \"duration_s\": "
-      << r.duration_s << ", \"rate_hz\": " << r.rate_hz
-      << ", \"streamed\": " << (r.streamed ? "true" : "false")
-      << ", \"wall_s\": " << r.wall_s
-      << ", \"events_per_sec\": " << r.events_per_sec
-      << ", \"events_processed\": " << r.events_processed
-      << ", \"submitted\": " << r.submitted
-      << ", \"txn_live_peak\": " << r.txn_live_peak
-      << ", \"txn_slots_created\": " << r.txn_slots_created
-      << ", \"txn_released\": " << r.txn_released
-      << ", \"readset_inline\": " << r.readset_inline
-      << ", \"readset_spill\": " << r.readset_spill << "}"
-      << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  f << "  ]\n";
-  f << "}\n";
-}
-
-int Main(int argc, char** argv) {
-  auto config = Config::ParseArgs(argc, argv);
-  if (!config.ok()) {
-    std::cerr << config.status().ToString() << "\n";
-    return 1;
-  }
-  if (Status s = config->ExpectKeys(
-          {"base_s", "rate", "seed", "reps", "policy", "out"});
-      !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    return 1;
-  }
-  const double base_s = config->GetDouble("base_s", 120.0);
-  const double rate = config->GetDouble("rate", 20.0);
-  const uint64_t seed = config->GetInt("seed", 42);
-  const int reps = static_cast<int>(config->GetInt("reps", 2));
-  const std::string policy = config->GetString("policy", "unit");
-  const std::string out = config->GetString("out", "BENCH_scale.json");
-  if (Status s = config->CheckNumbers(); !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    return 1;
-  }
 
   // Two Poisson regimes, both with a saturating live population: clearly
   // stable (demand well under capacity, live set = in-flight arrivals) and
@@ -174,41 +82,49 @@ int Main(int argc, char** argv) {
   TextTable table;
   table.SetHeader({"cell", "dur_s", "rate", "wall_s", "events/s", "submitted",
                    "live_peak", "slots", "spill"});
-  std::vector<CellResult> results;
+  std::vector<bench::JsonObject> results;
+  std::vector<RunMetrics> metrics;
   auto run_one = [&](const std::string& cell, double dur_s, double rr,
-                     bool streamed, bool bursty) -> bool {
+                     bool streamed, bool bursty) -> Status {
     auto w = MakeCell(dur_s, rr, seed, streamed, bursty);
-    if (!w.ok()) {
-      std::cerr << w.status().ToString() << "\n";
-      return false;
-    }
-    auto r = RunCell(*w, cell, policy, reps, streamed);
-    if (!r.ok()) {
-      std::cerr << r.status().ToString() << "\n";
-      return false;
-    }
-    r->rate_hz = rr;
-    results.push_back(*r);
-    table.AddRow({r->cell, Fmt(dur_s, 0), Fmt(rr, 0), Fmt(r->wall_s, 4),
-                  Fmt(r->events_per_sec, 0), std::to_string(r->submitted),
-                  std::to_string(r->txn_live_peak),
-                  std::to_string(r->txn_slots_created),
-                  std::to_string(r->readset_spill)});
-    return true;
+    if (!w.ok()) return w.status();
+    auto r = bench::FastestOf(
+        reps, [&] { return RunExperiment(*w, policy, weights); });
+    if (!r.ok()) return r.status();
+    const RunMetrics& m = r->value.metrics;
+    const double events_per_sec =
+        bench::PerSecond(m.events_processed, r->wall_s);
+    results.push_back(bench::JsonObject()
+                          .Add("cell", cell)
+                          .Add("duration_s", SimToSeconds(w->duration))
+                          .Add("rate_hz", rr)
+                          .Add("streamed", streamed)
+                          .Add("wall_s", r->wall_s)
+                          .Add("events_per_sec", events_per_sec)
+                          .Add("events_processed", m.events_processed)
+                          .Add("submitted", m.counts.submitted)
+                          .Add("txn_live_peak", m.txn_live_peak)
+                          .Add("txn_slots_created", m.txn_slots_created)
+                          .Add("txn_released", m.txn_released)
+                          .Add("readset_inline", m.readset_inline)
+                          .Add("readset_spill", m.readset_spill));
+    table.AddRow({cell, Fmt(dur_s, 0), Fmt(rr, 0), Fmt(r->wall_s, 4),
+                  Fmt(events_per_sec, 0), std::to_string(m.counts.submitted),
+                  std::to_string(m.txn_live_peak),
+                  std::to_string(m.txn_slots_created),
+                  std::to_string(m.readset_spill)});
+    metrics.push_back(m);
+    return Status::Ok();
   };
   // The flatness sweep: stationary Poisson arrivals at two rates x three
   // horizons. Live concurrency saturates within the 1x horizon, so the
   // slab footprint must not drift as total work grows 10x.
   for (const double rr : rates) {
     for (const double h : horizons) {
-      std::string cell = "poisson-h";
-      cell += Fmt(h, 0);
-      cell += "x-r";
-      cell += Fmt(rr, 0);
-      if (!run_one(cell, base_s * h, rr, /*streamed=*/true,
-                   /*bursty=*/false)) {
-        return 1;
-      }
+      const std::string cell = "poisson-h" + Fmt(h, 0) + "x-r" + Fmt(rr, 0);
+      Status s = run_one(cell, base_s * h, rr, /*streamed=*/true,
+                         /*bursty=*/false);
+      if (!s.ok()) return s;
     }
   }
   // Flash-crowd row (MMPP, the trace generator's default): here the peak IS
@@ -216,22 +132,17 @@ int Main(int argc, char** argv) {
   // the slab footprint correctly tracks that real concurrency, not total
   // queries. Reported for context, excluded from the flatness check.
   for (const double h : horizons) {
-    std::string cell = "mmpp-h";
-    cell += Fmt(h, 0);
-    cell += "x-r";
-    cell += Fmt(rate, 0);
-    if (!run_one(cell, base_s * h, rate, /*streamed=*/true,
-                 /*bursty=*/true)) {
-      return 1;
-    }
+    const std::string cell = "mmpp-h" + Fmt(h, 0) + "x-r" + Fmt(rate, 0);
+    Status s = run_one(cell, base_s * h, rate, /*streamed=*/true,
+                       /*bursty=*/true);
+    if (!s.ok()) return s;
   }
   // Materialized control: the smallest Poisson cell with the full trace in
   // memory. Streamed throughput should be within noise of this, and its
   // `submitted` column is the O(total) footprint the seed path pays.
-  if (!run_one("poisson-h1x-materialized", base_s, rate, /*streamed=*/false,
-               /*bursty=*/false)) {
-    return 1;
-  }
+  Status s = run_one("poisson-h1x-materialized", base_s, rate,
+                     /*streamed=*/false, /*bursty=*/false);
+  if (!s.ok()) return s;
   table.Print(std::cout);
 
   // The flatness check the bench exists for: per Poisson rate row, peak
@@ -239,11 +150,11 @@ int Main(int argc, char** argv) {
   int64_t worst_spread = 0;
   double worst_growth = 0.0;
   for (size_t row = 0; row < 2; ++row) {
-    int64_t lo = results[row * 3].txn_live_peak;
+    int64_t lo = metrics[row * 3].txn_live_peak;
     int64_t hi = lo;
     for (size_t i = 0; i < 3; ++i) {
-      lo = std::min(lo, results[row * 3 + i].txn_live_peak);
-      hi = std::max(hi, results[row * 3 + i].txn_live_peak);
+      lo = std::min(lo, metrics[row * 3 + i].txn_live_peak);
+      hi = std::max(hi, metrics[row * 3 + i].txn_live_peak);
     }
     worst_spread = std::max(worst_spread, hi - lo);
     if (lo > 0) {
@@ -251,19 +162,29 @@ int Main(int argc, char** argv) {
           std::max(worst_growth, static_cast<double>(hi) / lo);
     }
   }
+  const int64_t submitted_1x = metrics[0].counts.submitted;
   const double work_growth =
-      results[0].submitted > 0
-          ? static_cast<double>(results[2].submitted) / results[0].submitted
+      submitted_1x > 0
+          ? static_cast<double>(metrics[2].counts.submitted) / submitted_1x
           : 0.0;
   std::cout << "peak live-slot spread across 10x Poisson horizon sweep: "
             << worst_spread << " (worst growth " << Fmt(worst_growth, 2)
             << "x vs " << Fmt(work_growth, 1) << "x submitted)\n";
-  WriteJson(results, base_s, rate, seed, reps, policy, out);
-  std::cout << "wrote " << out << "\n";
-  return 0;
+  return bench::WriteJson(out, "bench_scale_horizon",
+                          bench::JsonObject()
+                              .Add("base_s", base_s)
+                              .Add("rate", rate)
+                              .Add("seed", seed)
+                              .Add("reps", reps)
+                              .Add("policy", policy),
+                          results, args);
 }
 
 }  // namespace
 }  // namespace unitdb
 
-int main(int argc, char** argv) { return unitdb::Main(argc, argv); }
+int main(int argc, char** argv) {
+  return unitdb::bench::Main(
+      argc, argv, {"base_s", "rate", "seed", "reps", "policy", "out"},
+      unitdb::Run);
+}

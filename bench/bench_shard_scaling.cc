@@ -18,16 +18,13 @@
 //   scale   multiplies the 120 s base horizon (CI runs scale=0.1)
 //   rate    arrival rate of the low-rate row, Hz (the high row runs at 4x)
 //   jobs    worker threads per cell; 0 = one per shard
-//   reps    sharded runs per cell; wall-clock is the fastest rep
+//   reps    sharded runs per cell (>= 1); wall-clock is the fastest rep
 
-#include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "unit/common/config.h"
+#include "harness.h"
 #include "unit/shard/sharded.h"
 #include "unit/sim/report.h"
 #include "unit/workload/query_trace.h"
@@ -35,22 +32,6 @@
 
 namespace unitdb {
 namespace {
-
-struct CellResult {
-  std::string cell;
-  int shards = 1;
-  int jobs = 1;
-  double rate_hz = 0.0;
-  double wall_s = 0.0;
-  double events_per_sec = 0.0;
-  int64_t events_processed = 0;
-  int64_t submitted = 0;
-  int64_t success = 0;
-  double usm = 0.0;
-  int64_t cross_shard_queries = 0;
-  int64_t subqueries = 0;
-  int64_t txn_live_peak = 0;
-};
 
 StatusOr<Workload> MakeWorkload(double duration_s, double rate_hz,
                                 uint64_t seed) {
@@ -72,92 +53,17 @@ StatusOr<Workload> MakeWorkload(double duration_s, double rate_hz,
   return workload;
 }
 
-StatusOr<CellResult> RunCell(const Workload& w, const std::string& cell,
-                             const std::string& policy, int shards, int jobs,
-                             int reps) {
-  const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
-  ShardedParams params;
-  params.shards = shards;
-  params.jobs = jobs;
-  CellResult out;
-  out.cell = cell;
-  out.shards = shards;
-  out.jobs = jobs;
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto r = RunSharded(w, policy, weights, params);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (!r.ok()) return r.status();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-    out.events_processed = r->metrics.events_processed;
-    out.submitted = r->metrics.counts.submitted;
-    out.success = r->metrics.counts.success;
-    out.usm = r->usm;
-    out.cross_shard_queries = r->cross_shard_queries;
-    out.subqueries = r->subqueries;
-    out.txn_live_peak = r->metrics.txn_live_peak;
-  }
-  out.wall_s = best;
-  out.events_per_sec =
-      best > 0.0 ? static_cast<double>(out.events_processed) / best : 0.0;
-  return out;
-}
-
-void WriteJson(const std::vector<CellResult>& results, double scale,
-               double rate, uint64_t seed, int reps,
-               const std::string& policy, const std::string& path) {
-  std::ofstream f(path);
-  f << "{\n";
-  f << "  \"bench\": \"bench_shard_scaling\",\n";
-  f << "  \"scale\": " << scale << ",\n";
-  f << "  \"rate\": " << rate << ",\n";
-  f << "  \"seed\": " << seed << ",\n";
-  f << "  \"reps\": " << reps << ",\n";
-  f << "  \"policy\": \"" << policy << "\",\n";
-  f << "  \"cells\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    f << "    {\"cell\": \"" << r.cell << "\", \"shards\": " << r.shards
-      << ", \"jobs\": " << r.jobs << ", \"rate_hz\": " << r.rate_hz
-      << ", \"wall_s\": " << r.wall_s
-      << ", \"events_per_sec\": " << r.events_per_sec
-      << ", \"events_processed\": " << r.events_processed
-      << ", \"submitted\": " << r.submitted << ", \"success\": " << r.success
-      << ", \"usm\": " << r.usm
-      << ", \"cross_shard_queries\": " << r.cross_shard_queries
-      << ", \"subqueries\": " << r.subqueries
-      << ", \"txn_live_peak\": " << r.txn_live_peak << "}"
-      << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  f << "  ]\n";
-  f << "}\n";
-}
-
-int Main(int argc, char** argv) {
-  auto config = Config::ParseArgs(argc, argv);
-  if (!config.ok()) {
-    std::cerr << config.status().ToString() << "\n";
-    return 1;
-  }
-  if (Status s = config->ExpectKeys(
-          {"scale", "rate", "seed", "reps", "policy", "jobs", "out"});
-      !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    return 1;
-  }
-  const double scale = config->GetDouble("scale", 1.0);
-  const double rate = config->GetDouble("rate", 20.0);
-  const uint64_t seed = config->GetInt("seed", 42);
-  const int reps = static_cast<int>(config->GetInt("reps", 2));
-  const std::string policy = config->GetString("policy", "unit");
-  const int jobs_override = static_cast<int>(config->GetInt("jobs", 0));
-  const std::string out = config->GetString("out", "BENCH_shard.json");
-  if (Status s = config->CheckNumbers(); !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    return 1;
-  }
+Status Run(bench::Args& args) {
+  const double scale = args.Double("scale", 1.0);
+  const double rate = args.Double("rate", 20.0);
+  const uint64_t seed = args.Int("seed", 42);
+  const int reps = static_cast<int>(args.Int("reps", 2, 1));
+  const std::string policy = args.String("policy", "unit");
+  const int jobs_override = static_cast<int>(args.Int("jobs", 0, 0));
+  const std::string out = args.String("out", "BENCH_shard.json");
+  if (Status s = args.Check(); !s.ok()) return s;
   const double base_s = 120.0 * scale;
+  const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
 
   const int shard_counts[] = {1, 2, 4, 8};
   const double rates[] = {rate, 4.0 * rate};
@@ -166,34 +72,46 @@ int Main(int argc, char** argv) {
   TextTable table;
   table.SetHeader({"cell", "shards", "jobs", "rate", "wall_s", "events/s",
                    "submitted", "xshard", "subq", "usm"});
-  std::vector<CellResult> results;
+  std::vector<bench::JsonObject> results;
+  std::vector<double> events_per_sec;
   for (const double rr : rates) {
     // One workload per rate row, shared across shard counts: the sweep
     // varies only the partitioning, so events/sec deltas are pure runner
     // overhead/parallelism.
     auto w = MakeWorkload(base_s, rr, seed);
-    if (!w.ok()) {
-      std::cerr << w.status().ToString() << "\n";
-      return 1;
-    }
+    if (!w.ok()) return w.status();
     for (const int shards : shard_counts) {
-      const int jobs = jobs_override > 0 ? jobs_override : shards;
-      std::string cell = "sh";
-      cell += std::to_string(shards);
-      cell += "-r";
-      cell += Fmt(rr, 0);
-      auto r = RunCell(*w, cell, policy, shards, jobs, reps);
-      if (!r.ok()) {
-        std::cerr << r.status().ToString() << "\n";
-        return 1;
-      }
-      r->rate_hz = rr;
-      results.push_back(*r);
-      table.AddRow({r->cell, std::to_string(r->shards),
-                    std::to_string(r->jobs), Fmt(rr, 0), Fmt(r->wall_s, 4),
-                    Fmt(r->events_per_sec, 0), std::to_string(r->submitted),
-                    std::to_string(r->cross_shard_queries),
-                    std::to_string(r->subqueries), Fmt(r->usm, 4)});
+      ShardedParams params;
+      params.shards = shards;
+      params.jobs = jobs_override > 0 ? jobs_override : shards;
+      const std::string cell =
+          "sh" + std::to_string(shards) + "-r" + Fmt(rr, 0);
+      auto r = bench::FastestOf(
+          reps, [&] { return RunSharded(*w, policy, weights, params); });
+      if (!r.ok()) return r.status();
+      const ShardedResult& s = r->value;
+      events_per_sec.push_back(
+          bench::PerSecond(s.metrics.events_processed, r->wall_s));
+      results.push_back(bench::JsonObject()
+                            .Add("cell", cell)
+                            .Add("shards", shards)
+                            .Add("jobs", params.jobs)
+                            .Add("rate_hz", rr)
+                            .Add("wall_s", r->wall_s)
+                            .Add("events_per_sec", events_per_sec.back())
+                            .Add("events_processed", s.metrics.events_processed)
+                            .Add("submitted", s.metrics.counts.submitted)
+                            .Add("success", s.metrics.counts.success)
+                            .Add("usm", s.usm)
+                            .Add("cross_shard_queries", s.cross_shard_queries)
+                            .Add("subqueries", s.subqueries)
+                            .Add("txn_live_peak", s.metrics.txn_live_peak));
+      table.AddRow({cell, std::to_string(shards), std::to_string(params.jobs),
+                    Fmt(rr, 0), Fmt(r->wall_s, 4),
+                    Fmt(events_per_sec.back(), 0),
+                    std::to_string(s.metrics.counts.submitted),
+                    std::to_string(s.cross_shard_queries),
+                    std::to_string(s.subqueries), Fmt(s.usm, 4)});
     }
   }
   table.Print(std::cout);
@@ -201,21 +119,27 @@ int Main(int argc, char** argv) {
   // Context line for the scaling claim: aggregate events/sec of the widest
   // cell vs the single-shard control, per rate row.
   for (size_t row = 0; row < 2; ++row) {
-    const CellResult& one = results[row * 4];
-    const CellResult& wide = results[row * 4 + 3];
-    const double ratio = one.events_per_sec > 0.0
-                             ? wide.events_per_sec / one.events_per_sec
-                             : 0.0;
-    std::cout << "rate " << Fmt(one.rate_hz, 0) << ": sh8/sh1 events/sec = "
-              << Fmt(ratio, 2) << "x (" << Fmt(one.events_per_sec, 0)
-              << " -> " << Fmt(wide.events_per_sec, 0) << ")\n";
+    const double one = events_per_sec[row * 4];
+    const double wide = events_per_sec[row * 4 + 3];
+    std::cout << "rate " << Fmt(rates[row], 0) << ": sh8/sh1 events/sec = "
+              << Fmt(one > 0.0 ? wide / one : 0.0, 2) << "x ("
+              << Fmt(one, 0) << " -> " << Fmt(wide, 0) << ")\n";
   }
-  WriteJson(results, scale, rate, seed, reps, policy, out);
-  std::cout << "wrote " << out << "\n";
-  return 0;
+  return bench::WriteJson(out, "bench_shard_scaling",
+                          bench::JsonObject()
+                              .Add("scale", scale)
+                              .Add("rate", rate)
+                              .Add("seed", seed)
+                              .Add("reps", reps)
+                              .Add("policy", policy),
+                          results, args);
 }
 
 }  // namespace
 }  // namespace unitdb
 
-int main(int argc, char** argv) { return unitdb::Main(argc, argv); }
+int main(int argc, char** argv) {
+  return unitdb::bench::Main(
+      argc, argv, {"scale", "rate", "seed", "reps", "policy", "jobs", "out"},
+      unitdb::Run);
+}

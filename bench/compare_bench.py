@@ -1,54 +1,43 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over bench JSON output.
+"""Regression gate over bench JSON output.
 
-Compares a fresh bench JSON (bench_engine_throughput's BENCH_engine.json,
-bench_scale_horizon's BENCH_scale.json, bench_fig8_closed_loop's
-BENCH_session.json, or bench_fig9_cache's BENCH_cache.json) against the
-checked-in baseline under bench/baseline/ and exits non-zero if any cell
-regressed. Every gate skips cells whose baseline lacks the field, so one
-script serves every bench:
+Compares a fresh bench JSON (BENCH_engine, BENCH_scale, BENCH_shard,
+BENCH_session or BENCH_cache) against the checked-in baseline under
+bench/baseline/, cell by cell, and exits non-zero if any cell regressed:
 
-  * events/sec dropped by more than --max-regression (default 25%),
-  * the transaction-slab footprint (txn_live_peak) grew by more than
-    --max-slab-growth (default 25%) — a memory-flatness regression,
-  * the session abandonment rate (abandon_rate) rose by more than
-    --max-abandon-increase (default 0.02, absolute),
-  * the p90 client retry delay (retry_p90_s) grew by more than
-    --max-retry-p90-growth (default 25%, relative), or
-  * the result-cache hit rate (hit_rate) dropped by more than
-    --max-hit-rate-drop (default 0.05, absolute); capacity-0 cells report
-    hit_rate 0.0 in both files and never trip it.
+  * the wall-clock keys (wall_s, events_per_sec) are machine-dependent: a
+    cell fails when its events_per_sec dropped by more than
+    --max-regression (default 25%);
+  * every other key the baseline cell records is a deterministic simulation
+    output and must equal the baseline exactly.
 
-The generous events/sec threshold is deliberate: the baseline is recorded on
-one machine and CI runs on another, so the gate is meant to catch algorithmic
-regressions (an accidental O(n^2) admission scan, a lost fast path, a slab
-leak), not single-digit scheduling noise. The closed-loop and cache fields
-are deterministic simulation outputs, machine-independent by construction,
-so their thresholds are tight. See bench/README.md for the full gate policy.
-Regenerate baselines after intentional changes:
+Cells are matched on (cell, policy). A baseline cell or key missing from the
+current run fails; keys only the current run records are ignored, and so are
+the run's top-level parameters and provenance. See bench/README.md for the
+gate policy. After an intentional change, regenerate a baseline from the
+repo root with the invocation CI runs:
 
-    bench_engine_throughput scale=0.1 reps=2 out=bench/baseline/BENCH_engine.json
-    bench_scale_horizon base_s=60 rate=5 reps=2 out=bench/baseline/BENCH_scale.json
-    bench_fig8_closed_loop out=bench/baseline/BENCH_session.json
-    bench_fig9_cache out=bench/baseline/BENCH_cache.json
+    build/bench/bench_engine_throughput scale=0.1 reps=2 out=bench/baseline/BENCH_engine.json
+    build/bench/bench_scale_horizon base_s=120 rate=5 reps=3 out=bench/baseline/BENCH_scale.json
+    build/bench/bench_shard_scaling scale=0.1 reps=5 out=bench/baseline/BENCH_shard.json
+    build/bench/bench_fig8_closed_loop out=bench/baseline/BENCH_session.json
+    build/bench/bench_fig9_cache out=bench/baseline/BENCH_cache.json
 
 Usage: compare_bench.py BASELINE CURRENT [--max-regression 0.25]
-                                         [--max-slab-growth 0.25]
-                                         [--max-abandon-increase 0.02]
-                                         [--max-retry-p90-growth 0.25]
-                                         [--max-hit-rate-drop 0.05]
 """
 
 import argparse
 import json
 import sys
 
+WALL_CLOCK_KEYS = ("wall_s", "events_per_sec")
+
 
 def load_cells(path):
     with open(path) as f:
         doc = json.load(f)
-    # bench_engine_throughput cells carry their policy; bench_scale_horizon
-    # runs one policy for the whole sweep and records it at the top level.
+    # bench_engine_throughput cells carry their policy; the other benches run
+    # one policy for the whole sweep and record it at the top level.
     default_policy = doc.get("policy", "")
     return {
         (c["cell"], c.get("policy", default_policy)): c for c in doc["cells"]
@@ -56,8 +45,8 @@ def load_cells(path):
 
 
 def main():
-    # RawDescription keeps the full module docstring — with every gate flag
-    # and the baseline-regeneration recipes — readable in --help output.
+    # RawDescription keeps the module docstring, with the gate rules and the
+    # baseline-regeneration recipes, readable in --help output.
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -70,131 +59,58 @@ def main():
         default=0.25,
         help="maximum tolerated fractional events/sec drop per cell",
     )
-    parser.add_argument(
-        "--max-slab-growth",
-        type=float,
-        default=0.25,
-        help="maximum tolerated fractional txn_live_peak growth per cell",
-    )
-    parser.add_argument(
-        "--max-abandon-increase",
-        type=float,
-        default=0.02,
-        help="maximum tolerated absolute abandon_rate increase per cell",
-    )
-    parser.add_argument(
-        "--max-retry-p90-growth",
-        type=float,
-        default=0.25,
-        help="maximum tolerated fractional retry_p90_s growth per cell",
-    )
-    parser.add_argument(
-        "--max-hit-rate-drop",
-        type=float,
-        default=0.05,
-        help="maximum tolerated absolute cache hit_rate drop per cell",
-    )
     args = parser.parse_args()
 
     baseline = load_cells(args.baseline)
     current = load_cells(args.current)
 
-    missing = sorted(set(baseline) - set(current))
-    if missing:
-        print(f"FAIL: current run is missing cells: {missing}")
-        return 1
-
+    # One self-contained line per failure, naming the (cell, policy, key)
+    # and both values, so a red CI log pinpoints it without the JSONs.
     failures = []
     width = max(len(f"{cell}/{policy}") for cell, policy in baseline)
-    print(
-        f"{'cell':<{width}}  {'baseline':>12}  {'current':>12}  {'delta':>8}"
-        f"  {'slab':>12}"
-    )
+    print(f"{'cell':<{width}}  {'baseline':>12}  {'current':>12}  {'delta':>8}")
     for (cell, policy), base in sorted(baseline.items()):
-        cur = current[(cell, policy)]
-        base_eps = base.get("events_per_sec")
-        cur_eps = cur.get("events_per_sec")
-        delta = 0.0
-        marker = ""
-        if base_eps is not None and cur_eps is not None:
-            delta = (cur_eps - base_eps) / base_eps if base_eps > 0 else 0.0
-            if delta < -args.max_regression:
+        cur = current.get((cell, policy))
+        where = f"cell={cell} policy={policy}"
+        if cur is None:
+            failures.append(f"{where} missing from the current run")
+            continue
+        for key, value in base.items():
+            if key not in cur:
+                failures.append(f"{where} key={key} missing from the current run")
+            elif key not in WALL_CLOCK_KEYS and cur[key] != value:
                 failures.append(
-                    (cell, policy, "events_per_sec", base_eps, cur_eps,
-                     delta, -args.max_regression)
+                    f"{where} key={key} baseline={value!r} current={cur[key]!r}"
                 )
-                marker = "  << REGRESSION"
-        else:
-            base_eps = cur_eps = 0.0
-
-        slab_col = ""
-        base_peak = base.get("txn_live_peak")
-        cur_peak = cur.get("txn_live_peak")
-        if base_peak is not None and cur_peak is not None and base_peak > 0:
-            growth = (cur_peak - base_peak) / base_peak
-            slab_col = f"{base_peak}->{cur_peak}"
-            if growth > args.max_slab_growth:
-                failures.append(
-                    (cell, policy, "txn_live_peak", base_peak, cur_peak,
-                     growth, args.max_slab_growth)
-                )
-                marker = "  << SLAB GROWTH"
-
-        base_ar = base.get("abandon_rate")
-        cur_ar = cur.get("abandon_rate")
-        if base_ar is not None and cur_ar is not None:
-            increase = cur_ar - base_ar
-            if increase > args.max_abandon_increase:
-                failures.append(
-                    (cell, policy, "abandon_rate", base_ar, cur_ar,
-                     increase, args.max_abandon_increase)
-                )
-                marker = "  << ABANDON RATE"
-
-        base_p90 = base.get("retry_p90_s")
-        cur_p90 = cur.get("retry_p90_s")
-        if base_p90 is not None and cur_p90 is not None and base_p90 > 0:
-            growth = (cur_p90 - base_p90) / base_p90
-            if growth > args.max_retry_p90_growth:
-                failures.append(
-                    (cell, policy, "retry_p90_s", base_p90, cur_p90,
-                     growth, args.max_retry_p90_growth)
-                )
-                marker = "  << RETRY P90"
-
-        base_hr = base.get("hit_rate")
-        cur_hr = cur.get("hit_rate")
-        if base_hr is not None and cur_hr is not None:
-            drop = base_hr - cur_hr
-            if drop > args.max_hit_rate_drop:
-                failures.append(
-                    (cell, policy, "hit_rate", base_hr, cur_hr,
-                     -drop, -args.max_hit_rate_drop)
-                )
-                marker = "  << HIT RATE"
 
         name = f"{cell}/{policy}"
+        base_eps = base.get("events_per_sec")
+        cur_eps = cur.get("events_per_sec")
+        if base_eps is None or cur_eps is None or base_eps <= 0:
+            print(f"{name:<{width}}  {'-':>12}  {'-':>12}")
+            continue
+        delta = (cur_eps - base_eps) / base_eps
+        marker = ""
+        if delta < -args.max_regression:
+            failures.append(
+                f"{where} key=events_per_sec baseline={base_eps:g} "
+                f"current={cur_eps:g} delta={delta:+.1%} "
+                f"(limit {-args.max_regression:+.1%})"
+            )
+            marker = "  << REGRESSION"
         print(
             f"{name:<{width}}  {base_eps:>12.0f}  {cur_eps:>12.0f}"
-            f"  {delta:>+7.1%}  {slab_col:>12}{marker}"
+            f"  {delta:>+7.1%}{marker}"
         )
 
     if failures:
-        # One self-contained line per failure: the offending (cell, policy,
-        # metric) triple plus both values and the threshold it tripped, so
-        # a red CI log pinpoints the regression without opening the JSONs.
         print(f"\nFAIL: {len(failures)} regression(s):")
-        for cell, policy, metric, base_v, cur_v, delta, limit in failures:
-            print(
-                f"  cell={cell} policy={policy} metric={metric} "
-                f"baseline={base_v:g} current={cur_v:g} delta={delta:+.1%} "
-                f"(limit {limit:+.1%})"
-            )
+        for failure in failures:
+            print(f"  {failure}")
         return 1
     print(
-        f"\nOK: no cell regressed more than {args.max_regression:.0%} in "
-        f"events/sec or grew txn_live_peak more than "
-        f"{args.max_slab_growth:.0%}"
+        f"\nOK: every deterministic value matches the baseline and no cell "
+        f"lost more than {args.max_regression:.0%} of its events/sec"
     )
     return 0
 

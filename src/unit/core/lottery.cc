@@ -5,38 +5,34 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace unitdb {
 
 LotterySampler::LotterySampler(int n)
-    : tree_(static_cast<size_t>(n)),
-      tickets_(n, 0.0),
-      eligible_(n, true),
-      leaves_(std::bit_ceil(static_cast<size_t>(n))),
-      eligible_count_(n) {
-  assert(n > 0);
-  eligible_items_.reserve(n);
-  for (int i = 0; i < n; ++i) eligible_items_.push_back(i);
-  // Every ticket starts at 0; padding leaves past n hold +inf.
+    : LotterySampler(std::vector<bool>(static_cast<size_t>(n), true)) {}
+
+LotterySampler::LotterySampler(std::vector<bool> eligible)
+    : tree_(eligible.size()),
+      tickets_(eligible.size(), 0.0),
+      eligible_(std::move(eligible)),
+      leaves_(std::bit_ceil(tickets_.size())) {
+  assert(!tickets_.empty());
+  // Every ticket starts at 0: eligible leaves of the min-tree hold 0,
+  // ineligible and padding leaves +inf.
   min_tree_.assign(2 * leaves_, std::numeric_limits<double>::infinity());
-  std::fill_n(min_tree_.begin() + static_cast<ptrdiff_t>(leaves_), n, 0.0);
+  eligible_items_.reserve(tickets_.size());
+  for (int i = 0; i < size(); ++i) {
+    if (!eligible_[i]) continue;
+    eligible_items_.push_back(i);
+    min_tree_[leaves_ + static_cast<size_t>(i)] = 0.0;
+  }
+  eligible_count_ = static_cast<int>(eligible_items_.size());
   for (size_t k = leaves_ - 1; k >= 1; --k) {
     min_tree_[k] = std::min(min_tree_[2 * k], min_tree_[2 * k + 1]);
   }
-  // floor_ == 0 == every ticket: weights start at zero (uniform fallback).
-}
-
-void LotterySampler::SetEligible(int i, bool eligible) {
-  if (eligible_[i] == eligible) return;
-  eligible_[i] = eligible;
-  eligible_count_ += eligible ? 1 : -1;
-  SetMinLeaf(i, eligible ? tickets_[i]
-                         : std::numeric_limits<double>::infinity());
-  eligible_items_.clear();
-  for (int j = 0; j < size(); ++j) {
-    if (eligible_[j]) eligible_items_.push_back(j);
-  }
-  Rebase();
+  // floor_ == 0 == every eligible ticket: weights start at zero (uniform
+  // fallback).
 }
 
 void LotterySampler::SetTicket(int i, double ticket) {

@@ -9,7 +9,8 @@
 namespace unitdb {
 
 /// Lottery-scheduling sampler over data items (Waldspurger '95): each
-/// eligible item holds a real-valued *ticket*; sampling picks item j with
+/// eligible item holds a real-valued *ticket*; eligibility is fixed when the
+/// sampler is built; sampling picks item j with
 /// probability proportional to (ticket_j - min eligible ticket), the paper's
 /// non-negativity shift (Section 3.4.1). When every shifted weight is zero
 /// (e.g., all tickets equal), sampling falls back to uniform over the
@@ -22,13 +23,14 @@ namespace unitdb {
 /// minimum changes).
 class LotterySampler {
  public:
+  /// Every one of the n items takes part in the draw.
   explicit LotterySampler(int n);
+  /// Item i takes part in the draw iff eligible[i] (e.g. items with no
+  /// update source never do). Every ticket starts at 0.
+  explicit LotterySampler(std::vector<bool> eligible);
 
   int size() const { return static_cast<int>(tickets_.size()); }
 
-  /// Marks item i eligible (default) or permanently out of the draw
-  /// (e.g. items with no update source).
-  void SetEligible(int i, bool eligible);
   bool IsEligible(int i) const { return eligible_[i]; }
   int eligible_count() const { return eligible_count_; }
 

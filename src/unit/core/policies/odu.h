@@ -23,7 +23,7 @@ class OduPolicy : public Policy {
   /// update transaction in the system; without it, concurrent arrivals
   /// re-request in-flight items and the refresh stream avalanches under
   /// bursts. Defaults on (matching the paper's IMU~ODU behaviour under
-  /// positively correlated updates); bench_ablation_victim quantifies it.
+  /// positively correlated updates); `bench_grid figure=a4` quantifies it.
   explicit OduPolicy(bool dedupe_in_flight = true)
       : dedupe_in_flight_(dedupe_in_flight) {}
 

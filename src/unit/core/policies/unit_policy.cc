@@ -19,8 +19,7 @@ UnitPolicy::UnitPolicy(std::vector<UsmWeights> class_weights,
       rng_(params.seed) {}
 
 void UnitPolicy::Attach(EngineContext& engine) {
-  modulator_ = UpdateModulator(engine.db().num_items(), params_.modulation);
-  modulator_.AttachSources(engine.db());
+  modulator_ = UpdateModulator(engine.db(), params_.modulation);
   modulator_.set_trace(engine.params().trace);
 }
 

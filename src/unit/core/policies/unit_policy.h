@@ -20,7 +20,7 @@ struct UnitParams {
   ModulationParams modulation;
   LbcParams lbc;
   uint64_t seed = 99;
-  /// Component ablation switches (bench_ablation_components):
+  /// Component ablation switches (`bench_grid figure=a3`):
   bool enable_admission_control = true;
   bool enable_update_modulation = true;
 };

@@ -12,6 +12,25 @@ UpdateModulator::UpdateModulator(int num_items,
       stale_hits_(num_items, 0),
       last_event_(num_items, 0) {}
 
+namespace {
+
+std::vector<bool> HasSource(const Database& db) {
+  std::vector<bool> has_source(static_cast<size_t>(db.num_items()));
+  for (ItemId i = 0; i < db.num_items(); ++i) {
+    has_source[static_cast<size_t>(i)] = db.item(i).ideal_period < kNoUpdates;
+  }
+  return has_source;
+}
+
+}  // namespace
+
+UpdateModulator::UpdateModulator(const Database& db,
+                                 const ModulationParams& params)
+    : params_(params),
+      sampler_(HasSource(db)),
+      stale_hits_(db.num_items(), 0),
+      last_event_(db.num_items(), 0) {}
+
 double UpdateModulator::DecayedTicket(ItemId item, SimTime now) {
   double t = sampler_.ticket(item);
   if (params_.time_decay) {
@@ -24,13 +43,6 @@ double UpdateModulator::DecayedTicket(ItemId item, SimTime now) {
   }
   // Literal per-event reading of Eq. 8.
   return t * params_.c_forget;
-}
-
-void UpdateModulator::AttachSources(const Database& db) {
-  for (ItemId i = 0; i < db.num_items(); ++i) {
-    const bool has_source = db.item(i).ideal_period < kNoUpdates;
-    sampler_.SetEligible(i, has_source);
-  }
 }
 
 void UpdateModulator::OnQueryAccess(ItemId item, const Transaction& q,

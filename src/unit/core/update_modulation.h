@@ -43,7 +43,7 @@ struct ModulationParams {
   /// update inflow rebuilds the ticket — which is what a freshness
   /// economics argument prescribes (keeping a queried item fresh costs
   /// ue/pi CPU per second, far below the USM value of fresh accesses).
-  /// Ablated in bench_ablation_victim.
+  /// Ablated in `bench_grid figure=a4`.
   double dt_scale = 100.0;
   /// Lottery picks per Degrade-Update signal; 0 = one pick per data item on
   /// average. The paper leaves the batch size unspecified; roughly one pick
@@ -60,7 +60,7 @@ struct ModulationParams {
   /// whose staleness users actually observed (DSF read sets) since the last
   /// upgrade, instead of every degraded item. Restoring untouched cold items
   /// would re-create the very load the Degrade signals shed, so the global
-  /// variant (false) thrashes; kept for bench_ablation_victim.
+  /// variant (false) thrashes; kept for `bench_grid figure=a4`.
   bool selective_upgrade = true;
   /// Lower clamp on ticket values. The lottery weighs items by
   /// (ticket - min ticket); a single deeply negative outlier (one very hot
@@ -83,10 +83,10 @@ struct ModulationParams {
 /// ideal (Eq. 10).
 class UpdateModulator {
  public:
+  /// Every one of the `num_items` items takes part in the lottery.
   UpdateModulator(int num_items, const ModulationParams& params);
-
-  /// Marks items without an update source ineligible for the lottery.
-  void AttachSources(const Database& db);
+  /// Items of `db` without an update source never take part in the lottery.
+  UpdateModulator(const Database& db, const ModulationParams& params);
 
   /// Query effect (Eq. 6 + Eq. 8): committed query `q` accessed `item`.
   void OnQueryAccess(ItemId item, const Transaction& q, SimTime now);

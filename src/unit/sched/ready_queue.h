@@ -11,7 +11,7 @@ namespace unitdb {
 
 /// Intra-class ordering of the ready queue. The paper uses EDF within each
 /// class; FCFS is provided as the classic baseline discipline for the
-/// scheduling ablation (bench_ablation_sched).
+/// scheduling ablation (`bench_grid figure=a5`).
 enum class QueueDiscipline {
   kEdf = 0,   ///< earliest absolute deadline first (paper)
   kFcfs = 1,  ///< first-come-first-served (by transaction id = arrival order)

@@ -152,9 +152,9 @@ uint64_t ReplicationSeed(uint64_t base_seed, int replication) {
 
 namespace {
 
-// Folds one replication's headline metrics into the aggregate. Every
-// replicated runner folds in replication order, so the floating-point
-// accumulation sequence never depends on the worker count.
+// Folds one replication's headline metrics into the aggregate. RunGrid
+// folds in replication order, so the floating-point accumulation sequence
+// never depends on the worker count.
 void AccumulateReplication(const ExperimentResult& r, ReplicatedResult& agg) {
   const OutcomeCounts& c = r.metrics.counts;
   agg.trace = r.trace;
@@ -165,32 +165,18 @@ void AccumulateReplication(const ExperimentResult& r, ReplicatedResult& agg) {
   agg.dsf_ratio.Add(c.DsfRatio());
 }
 
-}  // namespace
-
-StatusOr<ReplicatedResult> RunReplicated(
-    UpdateVolume volume, UpdateDistribution distribution,
-    const std::string& policy, const UsmWeights& weights, int replications,
-    double scale, uint64_t base_seed, const EngineParams& engine,
-    const PolicyOptions& options, int jobs) {
-  if (replications <= 0) {
+Status CheckGrid(const GridSpec& spec) {
+  if (spec.replications <= 0) {
     return Status::InvalidArgument("replications must be positive");
   }
-  // Each replication builds its own workload from its derived seed, so a
-  // worker thread needs nothing but the arguments.
-  auto runs =
-      FanOut(replications, jobs, [&](int i) -> StatusOr<ExperimentResult> {
-        auto w = MakeStandardWorkload(volume, distribution, scale,
-                                      ReplicationSeed(base_seed, i));
-        if (!w.ok()) return w.status();
-        return RunExperiment(*w, policy, weights, engine, options);
-      });
-  if (!runs.ok()) return runs.status();
-  ReplicatedResult agg;
-  agg.policy = policy;
-  agg.replications = replications;
-  for (const ExperimentResult& r : *runs) AccumulateReplication(r, agg);
-  return agg;
+  if (spec.volumes.empty() || spec.distributions.empty() ||
+      spec.policies.empty()) {
+    return Status::InvalidArgument("grid has an empty axis");
+  }
+  return Status::Ok();
 }
+
+}  // namespace
 
 StatusOr<std::vector<ExperimentResult>> RunFaultedReplicated(
     UpdateVolume volume, UpdateDistribution distribution,
@@ -217,98 +203,94 @@ StatusOr<std::vector<ExperimentResult>> RunFaultedReplicated(
   });
 }
 
-StatusOr<std::vector<GridCellResult>> RunGrid(const GridSpec& spec,
-                                              int jobs) {
-  if (spec.replications <= 0) {
-    return Status::InvalidArgument("replications must be positive");
-  }
-  if (spec.volumes.empty() || spec.distributions.empty() ||
-      spec.policies.empty()) {
-    return Status::InvalidArgument("grid has an empty axis");
-  }
-  const std::vector<NamedWeights> weightings =
-      spec.weightings.empty()
-          ? std::vector<NamedWeights>{{"naive", UsmWeights{}}}
-          : spec.weightings;
+StatusOr<std::vector<Workload>> MakeGridWorkloads(const GridSpec& spec,
+                                                  int jobs) {
+  const int num_volumes = static_cast<int>(spec.volumes.size());
+  const int reps = spec.replications;
+  return FanOut(
+      static_cast<int>(spec.distributions.size()) * num_volumes * reps, jobs,
+      [&](int k) {
+        const int trace = k / reps;
+        return MakeStandardWorkload(spec.volumes[trace % num_volumes],
+                                    spec.distributions[trace / num_volumes],
+                                    spec.scale,
+                                    ReplicationSeed(spec.base_seed, k % reps));
+      });
+}
 
+StatusOr<std::vector<GridCellResult>> RunGrid(
+    const GridSpec& spec, const std::vector<Workload>& workloads, int jobs) {
+  if (Status s = CheckGrid(spec); !s.ok()) return s;
   const int num_volumes = static_cast<int>(spec.volumes.size());
   const int num_traces =
       static_cast<int>(spec.distributions.size()) * num_volumes;
   const int reps = spec.replications;
+  if (std::ssize(workloads) != num_traces * reps) {
+    return Status::InvalidArgument("grid needs one workload per (trace, "
+                                   "replication)");
+  }
+  const std::vector<GridVariant> variants =
+      spec.variants.empty() ? std::vector<GridVariant>{{"naive", {}, {}, {}}}
+                            : spec.variants;
 
-  // Phase 1 — generate each (trace, replication) workload once, trace-major
-  // and replication-minor. Every (weights, policy) cell on that trace then
-  // shares the workload read-only, exactly like the sequential benches do.
-  auto workloads = FanOut(num_traces * reps, jobs, [&](int k) {
-    const int trace = k / reps;
-    return MakeStandardWorkload(spec.volumes[trace % num_volumes],
-                                spec.distributions[trace / num_volumes],
-                                spec.scale,
-                                ReplicationSeed(spec.base_seed, k % reps));
-  });
-  if (!workloads.ok()) return workloads.status();
-
-  // Phase 2 — one task per (trace, weighting, policy) cell; a cell folds
-  // its replications in order, so it is bit-identical to RunReplicated on
-  // the same axes.
-  std::vector<GridCellResult> out;
-  for (int trace = 0; trace < num_traces; ++trace) {
-    for (const NamedWeights& nw : weightings) {
-      for (const std::string& policy : spec.policies) {
+  // One task per (trace, variant, policy) cell; a cell folds its
+  // replications in order, so no result depends on the worker count.
+  const int num_variants = static_cast<int>(variants.size());
+  const int num_policies = static_cast<int>(spec.policies.size());
+  return FanOut(
+      num_traces * num_variants * num_policies, jobs,
+      [&](int c) -> StatusOr<GridCellResult> {
+        const int trace = c / (num_variants * num_policies);
+        const GridVariant& v =
+            variants[static_cast<size_t>(c / num_policies % num_variants)];
         GridCellResult cell;
-        cell.volume = spec.volumes[trace % num_volumes];
-        cell.distribution = spec.distributions[trace / num_volumes];
-        cell.weights_name = nw.name;
-        cell.weights = nw.weights;
-        cell.result.policy = policy;
+        cell.volume = spec.volumes[static_cast<size_t>(trace % num_volumes)];
+        cell.distribution =
+            spec.distributions[static_cast<size_t>(trace / num_volumes)];
+        cell.variant = v.name;
+        cell.result.policy =
+            spec.policies[static_cast<size_t>(c % num_policies)];
         cell.result.replications = reps;
-        out.push_back(std::move(cell));
-      }
-    }
-  }
-  const int cells_per_trace = static_cast<int>(out.size()) / num_traces;
-  auto runs = FanOut(
-      static_cast<int>(out.size()), jobs,
-      [&](int c) -> StatusOr<ReplicatedResult> {
-        const GridCellResult& cell = out[static_cast<size_t>(c)];
-        ReplicatedResult agg = cell.result;
         for (int i = 0; i < reps; ++i) {
-          const Workload& w = (*workloads)[static_cast<size_t>(
-              c / cells_per_trace * reps + i)];
+          const Workload& w = workloads[static_cast<size_t>(trace * reps + i)];
           auto r = spec.shards > 1
-                       ? RunShardedExperiment(w, agg.policy, cell.weights,
-                                              spec.shards, /*jobs=*/1,
-                                              spec.engine, spec.options)
-                       : RunExperiment(w, agg.policy, cell.weights,
-                                       spec.engine, spec.options);
+                       ? RunShardedExperiment(w, cell.result.policy,
+                                              v.weights, spec.shards,
+                                              /*jobs=*/1, v.engine, v.options)
+                       : RunExperiment(w, cell.result.policy, v.weights,
+                                       v.engine, v.options);
           if (!r.ok()) return r.status();
-          AccumulateReplication(*r, agg);
+          AccumulateReplication(*r, cell.result);
+          cell.runs.push_back(std::move(*r));
         }
-        return agg;
+        return cell;
       });
-  if (!runs.ok()) return runs.status();
-  for (size_t c = 0; c < out.size(); ++c) {
-    out[c].result = std::move((*runs)[c]);
-  }
-  return out;
+}
+
+StatusOr<std::vector<GridCellResult>> RunGrid(const GridSpec& spec,
+                                              int jobs) {
+  if (Status s = CheckGrid(spec); !s.ok()) return s;
+  auto workloads = MakeGridWorkloads(spec, jobs);
+  if (!workloads.ok()) return workloads.status();
+  return RunGrid(spec, *workloads, jobs);
 }
 
 // The OCR of the paper's Table 2 lost the numeric weight cells; these values
 // follow its structure exactly — three settings per regime, each making one
 // penalty dominant — with representative magnitudes (see DESIGN.md §4).
-std::vector<NamedWeights> Table2WeightsBelowOne() {
+std::vector<GridVariant> Table2WeightsBelowOne() {
   return {
-      {"high-Cr", UsmWeights{1.0, 0.8, 0.2, 0.2}},
-      {"high-Cfm", UsmWeights{1.0, 0.2, 0.8, 0.2}},
-      {"high-Cfs", UsmWeights{1.0, 0.2, 0.2, 0.8}},
+      {"high-Cr", UsmWeights{1.0, 0.8, 0.2, 0.2}, {}, {}},
+      {"high-Cfm", UsmWeights{1.0, 0.2, 0.8, 0.2}, {}, {}},
+      {"high-Cfs", UsmWeights{1.0, 0.2, 0.2, 0.8}, {}, {}},
   };
 }
 
-std::vector<NamedWeights> Table2WeightsAboveOne() {
+std::vector<GridVariant> Table2WeightsAboveOne() {
   return {
-      {"high-Cr", UsmWeights{1.0, 4.0, 2.0, 2.0}},
-      {"high-Cfm", UsmWeights{1.0, 2.0, 4.0, 2.0}},
-      {"high-Cfs", UsmWeights{1.0, 2.0, 2.0, 4.0}},
+      {"high-Cr", UsmWeights{1.0, 4.0, 2.0, 2.0}, {}, {}},
+      {"high-Cfm", UsmWeights{1.0, 2.0, 4.0, 2.0}, {}, {}},
+      {"high-Cfs", UsmWeights{1.0, 2.0, 2.0, 4.0}, {}, {}},
   };
 }
 

@@ -115,7 +115,7 @@ StatusOr<Workload> MakeStandardWorkload(UpdateVolume volume,
                                         uint64_t seed = 42);
 
 /// Aggregate of several independent replications (different workload
-/// seeds) of one (trace, policy, weights) cell — use for error bars.
+/// seeds) of one grid cell — use for error bars.
 struct ReplicatedResult {
   std::string trace;
   std::string policy;
@@ -135,25 +135,18 @@ struct ReplicatedResult {
 /// decorrelated streams rather than continuity.)
 uint64_t ReplicationSeed(uint64_t base_seed, int replication);
 
-/// Runs `replications` standard workloads (seeds ReplicationSeed(base, i))
-/// through `policy` on FanOut's `jobs` workers (jobs <= 0: one per hardware
-/// thread) and aggregates the headline metrics in replication order, so the
-/// result is bit-identical for any `jobs`.
-StatusOr<ReplicatedResult> RunReplicated(
-    UpdateVolume volume, UpdateDistribution distribution,
-    const std::string& policy, const UsmWeights& weights, int replications,
-    double scale = 1.0, uint64_t base_seed = 42,
-    const EngineParams& engine = {}, const PolicyOptions& options = {},
-    int jobs = 1);
-
-/// A named UsmWeights setting, e.g. a row of the paper's Table 2.
-struct NamedWeights {
+/// A named setting a grid runs every (trace, policy) under: the weights that
+/// score the run and the engine and policy parameters it runs with (e.g. a
+/// Table 2 weighting, an ablation's parameter, a dispatch discipline).
+struct GridVariant {
   std::string name;
   UsmWeights weights;
+  EngineParams engine;
+  PolicyOptions options;
 };
 
-/// A (trace x weights x policy) sweep: the cross product of every listed
-/// volume, distribution, weight setting, and policy, each cell replicated
+/// A (trace x variant x policy) sweep: the cross product of every listed
+/// volume, distribution, variant and policy, each cell replicated
 /// `replications` times. The paper's Table 1 grid is the default trace set.
 struct GridSpec {
   std::vector<UpdateVolume> volumes = {UpdateVolume::kLow,
@@ -163,14 +156,12 @@ struct GridSpec {
       UpdateDistribution::kUniform, UpdateDistribution::kPositive,
       UpdateDistribution::kNegative};
   std::vector<std::string> policies = {"unit"};
-  /// Weight settings swept per cell; name them for reporting (Fig. 5 uses
-  /// Table2Weights*). Empty means one cell with the naive weighting.
-  std::vector<NamedWeights> weightings;
+  /// Settings swept per (trace, policy). Empty means one variant, "naive":
+  /// the naive weighting with default engine and policy parameters.
+  std::vector<GridVariant> variants;
   int replications = 1;
   double scale = 1.0;
   uint64_t base_seed = 42;
-  EngineParams engine;
-  PolicyOptions options;
   /// Shards per cell (shard/sharded.h). 1 = monolithic engine; > 1 routes
   /// every replication through the sharded runner (sequential inside the
   /// cell — grid cells already fan out across the pool).
@@ -178,29 +169,39 @@ struct GridSpec {
 };
 
 /// One cell of a RunGrid sweep; `result.trace` / `result.policy` identify
-/// the cell together with the weight setting it ran under.
+/// the cell together with the variant it ran under.
 struct GridCellResult {
   UpdateVolume volume = UpdateVolume::kLow;
   UpdateDistribution distribution = UpdateDistribution::kUniform;
-  std::string weights_name;
-  UsmWeights weights;
+  std::string variant;  ///< GridVariant::name
   ReplicatedResult result;
+  std::vector<ExperimentResult> runs;  ///< in replication order
 };
 
-/// Runs the whole grid on FanOut's `jobs` workers (jobs <= 0: one per
-/// hardware thread). Workloads are generated once per (trace, replication)
-/// and shared read-only by every (weights, policy) cell on that trace. Cells
-/// are returned in deterministic order — distribution-major, then volume,
-/// weighting, policy (the paper's presentation order) — and each cell is
-/// bit-identical to RunReplicated(volume, distribution, policy, ...) with
-/// the same base seed, independent of `jobs`.
+/// The grid's standard workloads on FanOut's `jobs` workers, trace-major
+/// (distribution, then volume) and replication-minor; replication i uses
+/// seed ReplicationSeed(base_seed, i).
+StatusOr<std::vector<Workload>> MakeGridWorkloads(const GridSpec& spec,
+                                                  int jobs = 1);
+
+/// Runs the grid's cells on MakeGridWorkloads(spec)'s `workloads`, shared
+/// read-only, on FanOut's `jobs` workers (jobs <= 0: one per hardware
+/// thread). Cells come back distribution-major, then volume, variant,
+/// policy (the paper's presentation order), each folding its replications
+/// in order, so every cell is bit-identical for any `jobs`.
+StatusOr<std::vector<GridCellResult>> RunGrid(
+    const GridSpec& spec, const std::vector<Workload>& workloads,
+    int jobs = 1);
+
+/// MakeGridWorkloads(spec, jobs), then RunGrid on those workloads.
 StatusOr<std::vector<GridCellResult>> RunGrid(const GridSpec& spec,
                                               int jobs = 1);
 
-/// The six weight settings of the paper's Table 2 (rows named
-/// "high-Cr"/"high-Cfm"/"high-Cfs", first with penalties < 1, then > 1).
-std::vector<NamedWeights> Table2WeightsBelowOne();
-std::vector<NamedWeights> Table2WeightsAboveOne();
+/// The six weight settings of the paper's Table 2 as grid variants (rows
+/// named "high-Cr"/"high-Cfm"/"high-Cfs", first with penalties < 1, then
+/// > 1).
+std::vector<GridVariant> Table2WeightsBelowOne();
+std::vector<GridVariant> Table2WeightsAboveOne();
 
 }  // namespace unitdb
 

@@ -65,9 +65,8 @@ TEST(LotterySamplerTest, LoweringTheMinimumRebases) {
 }
 
 TEST(LotterySamplerTest, IneligibleItemsNeverSampled) {
-  LotterySampler s(4);
+  LotterySampler s({false, true, true, true});
   s.SetTicket(0, 10.0);
-  s.SetEligible(0, false);
   s.SetTicket(1, 1.0);
   s.SetTicket(2, 2.0);
   s.SetTicket(3, 3.0);
@@ -78,23 +77,9 @@ TEST(LotterySamplerTest, IneligibleItemsNeverSampled) {
 }
 
 TEST(LotterySamplerTest, NoEligibleReturnsMinusOne) {
-  LotterySampler s(2);
-  s.SetEligible(0, false);
-  s.SetEligible(1, false);
+  LotterySampler s({false, false});
   Rng rng(97);
   EXPECT_EQ(s.Sample(rng), -1);
-}
-
-TEST(LotterySamplerTest, ReEnablingItemRestoresIt) {
-  LotterySampler s(2);
-  s.SetEligible(0, false);
-  s.SetTicket(0, 100.0);
-  s.SetTicket(1, 1.0);
-  auto counts = SampleMany(s, 1000, 101);
-  EXPECT_EQ(counts[0], 0);
-  s.SetEligible(0, true);
-  counts = SampleMany(s, 10000, 103);
-  EXPECT_GT(counts[0], 9000);
 }
 
 TEST(LotterySamplerTest, TicketAccessorsRoundTrip) {
@@ -105,9 +90,7 @@ TEST(LotterySamplerTest, TicketAccessorsRoundTrip) {
 }
 
 TEST(LotterySamplerTest, SingleEligibleAlwaysPicked) {
-  LotterySampler s(3);
-  s.SetEligible(0, false);
-  s.SetEligible(2, false);
+  LotterySampler s({false, true, false});
   Rng rng(107);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(s.Sample(rng), 1);
@@ -131,21 +114,21 @@ TEST(LotterySamplerTest, LargePopulationProportions) {
 }
 
 TEST(LotterySamplerTest, RandomUpdatesKeepTheExactMinimumShift) {
-  // 13 items: not a power of two, so the min-tree has padding leaves. After
-  // every operation, a draw re-anchors at the exact eligible minimum, which
-  // a brute-force scan must reproduce bit for bit.
+  // 13 items: not a power of two, so the min-tree has padding leaves. A
+  // fixed random mask leaves about a fifth of them out of the draw. After
+  // every ticket update, a draw re-anchors at the exact eligible minimum,
+  // which a brute-force scan must reproduce bit for bit.
   const int n = 13;
-  LotterySampler s(n);
   Rng ops(113);
+  std::vector<bool> eligible(n);
+  for (int i = 0; i < n; ++i) eligible[i] = ops.NextDouble() >= 0.2;
+  LotterySampler s(eligible);
+  ASSERT_GT(s.eligible_count(), 0);
+  ASSERT_LT(s.eligible_count(), n);
   Rng draws(127);
   for (int step = 0; step < 2000; ++step) {
     const int i = static_cast<int>(ops.UniformInt(0, n - 1));
-    if (ops.NextDouble() < 0.2) {
-      s.SetEligible(i, !s.IsEligible(i));
-    } else {
-      s.SetTicket(i, ops.Uniform(-5.0, 5.0));
-    }
-    if (s.eligible_count() == 0) continue;
+    s.SetTicket(i, ops.Uniform(-5.0, 5.0));
     s.Sample(draws);
     double min = std::numeric_limits<double>::infinity();
     for (int j = 0; j < n; ++j) {

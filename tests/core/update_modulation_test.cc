@@ -106,8 +106,7 @@ TEST(UpdateModulatorTest, DegradeStretchesVictimPeriods) {
   ASSERT_TRUE(db.ApplySpecs({Source(0, 10, 50), Source(1, 10, 50)}).ok());
   ModulationParams p = EventDecayParams();
   p.degrade_batch = 64;
-  UpdateModulator um(4, p);
-  um.AttachSources(db);
+  UpdateModulator um(db, p);
   EXPECT_EQ(um.sampler().eligible_count(), 2);
   Rng rng(3);
   um.Degrade(db, rng);
@@ -128,8 +127,7 @@ TEST(UpdateModulatorTest, DegradeRespectsMaxStretch) {
   p.max_stretch = 4.0;
   p.c_du = 1.0;  // double per pick
   p.degrade_batch = 16;
-  UpdateModulator um(1, p);
-  um.AttachSources(db);
+  UpdateModulator um(db, p);
   Rng rng(5);
   for (int i = 0; i < 5; ++i) um.Degrade(db, rng);
   EXPECT_LE(db.item(0).current_period, SecondsToSim(40.0));
@@ -140,8 +138,7 @@ TEST(UpdateModulatorTest, ItemsWithoutSourcesAreNeverVictims) {
   ASSERT_TRUE(db.SetSource(Source(1, 10, 50)).ok());
   ModulationParams p = EventDecayParams();
   p.degrade_batch = 32;
-  UpdateModulator um(3, p);
-  um.AttachSources(db);
+  UpdateModulator um(db, p);
   Rng rng(7);
   um.Degrade(db, rng);
   EXPECT_EQ(db.item(0).current_period, kNoUpdates);
@@ -154,8 +151,7 @@ TEST(UpdateModulatorTest, SelectiveUpgradeRestoresOnlyDemandedItems) {
                              Source(2, 10, 50)}).ok());
   ModulationParams p = EventDecayParams();
   p.selective_upgrade = true;
-  UpdateModulator um(3, p);
-  um.AttachSources(db);
+  UpdateModulator um(db, p);
   db.SetCurrentPeriod(0, SecondsToSim(40.0));
   db.SetCurrentPeriod(1, SecondsToSim(40.0));
   um.OnStaleAccess(1);  // only item 1 was observed stale
@@ -172,8 +168,7 @@ TEST(UpdateModulatorTest, SelectiveUpgradeHalvesOverUpdatedItems) {
   ModulationParams p = EventDecayParams();
   p.selective_upgrade = true;
   p.c_uu = 0.5;
-  UpdateModulator um(1, p);
-  um.AttachSources(db);
+  UpdateModulator um(db, p);
   // Build a clearly positive ticket: many update arrivals, no accesses.
   for (int i = 0; i < 10; ++i) {
     um.OnUpdateArrival(0, MillisToSim(50.0), SecondsToSim(i * 10.0));
@@ -192,8 +187,7 @@ TEST(UpdateModulatorTest, GlobalUpgradeWalksEveryDegradedItem) {
   p.selective_upgrade = false;
   p.linear_upgrade = false;
   p.c_uu = 0.5;
-  UpdateModulator um(2, p);
-  um.AttachSources(db);
+  UpdateModulator um(db, p);
   db.SetCurrentPeriod(0, SecondsToSim(40.0));
   db.SetCurrentPeriod(1, SecondsToSim(15.0));
   auto touched = um.Upgrade(db);
@@ -209,8 +203,7 @@ TEST(UpdateModulatorTest, GlobalLinearUpgradeSubtractsHalfPeriod) {
   p.selective_upgrade = false;
   p.linear_upgrade = true;
   p.c_uu = 0.5;
-  UpdateModulator um(1, p);
-  um.AttachSources(db);
+  UpdateModulator um(db, p);
   db.SetCurrentPeriod(0, SecondsToSim(18.0));
   um.Upgrade(db);
   EXPECT_EQ(db.item(0).current_period, SecondsToSim(13.0));
@@ -222,8 +215,7 @@ TEST(UpdateModulatorTest, StaleHitsAccumulateAndClear) {
   Database db(1);
   ASSERT_TRUE(db.SetSource(Source(0, 10, 50)).ok());
   ModulationParams p = EventDecayParams();
-  UpdateModulator um(1, p);
-  um.AttachSources(db);
+  UpdateModulator um(db, p);
   db.SetCurrentPeriod(0, SecondsToSim(40.0));
   um.OnStaleAccess(0);
   um.OnDegradedAccess(0);

@@ -159,7 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GridPropertyTest, UnitAtLeastMatchesImuAndOduOnEveryTable1Cell) {
   GridSpec spec;  // default axes: the full Table 1 trace grid
   spec.policies = {"unit", "imu", "odu"};
-  spec.weightings = {{"high-Cfm", UsmWeights{1.0, 0.2, 0.8, 0.2}}};
+  spec.variants = {{"high-Cfm", UsmWeights{1.0, 0.2, 0.8, 0.2}, {}, {}}};
   spec.scale = 0.6;
   auto grid = RunGrid(spec, /*jobs=*/4);
   ASSERT_TRUE(grid.ok());

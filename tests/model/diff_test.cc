@@ -179,15 +179,15 @@ TEST(DiffEquivalenceTest, Fig4NaiveWeightsAllPolicies) {
 }
 
 TEST(DiffEquivalenceTest, Fig5PenaltyWeightSettings) {
-  for (const NamedWeights& nw : Table2WeightsBelowOne()) {
+  for (const GridVariant& v : Table2WeightsBelowOne()) {
     ExpectEquivalent(StandardCase(UpdateVolume::kMedium,
                                   UpdateDistribution::kUniform, "unit",
-                                  nw.weights));
+                                  v.weights));
   }
-  for (const NamedWeights& nw : Table2WeightsAboveOne()) {
+  for (const GridVariant& v : Table2WeightsAboveOne()) {
     ExpectEquivalent(StandardCase(UpdateVolume::kHigh,
                                   UpdateDistribution::kNegative, "unit",
-                                  nw.weights));
+                                  v.weights));
   }
 }
 

@@ -32,11 +32,30 @@ TEST(MakeStandardWorkloadTest, NamesTheTrace) {
   EXPECT_EQ(w->query_trace_name, "cello-like");
 }
 
+// One replicated cell: a RunGrid over one trace, one policy and one variant
+// that runs `policy` under the naive weighting and `engine`.
+StatusOr<GridCellResult> ReplicatedCell(UpdateVolume volume,
+                                        UpdateDistribution distribution,
+                                        const std::string& policy,
+                                        int replications, double scale,
+                                        const EngineParams& engine = {}) {
+  GridSpec spec;
+  spec.volumes = {volume};
+  spec.distributions = {distribution};
+  spec.policies = {policy};
+  spec.variants = {{"naive", UsmWeights{}, engine, {}}};
+  spec.replications = replications;
+  spec.scale = scale;
+  auto grid = RunGrid(spec);
+  if (!grid.ok()) return grid.status();
+  return grid->front();
+}
+
 TEST(RunReplicatedTest, AggregatesSeveralSeeds) {
-  auto r = RunReplicated(UpdateVolume::kLow, UpdateDistribution::kUniform,
-                         "imu", UsmWeights{}, /*replications=*/3,
-                         /*scale=*/0.05);
-  ASSERT_TRUE(r.ok());
+  auto cell = ReplicatedCell(UpdateVolume::kLow, UpdateDistribution::kUniform,
+                             "imu", /*replications=*/3, /*scale=*/0.05);
+  ASSERT_TRUE(cell.ok());
+  const ReplicatedResult* r = &cell->result;
   EXPECT_EQ(r->replications, 3);
   EXPECT_EQ(r->usm.count(), 3);
   EXPECT_EQ(r->trace, "low-unif");
@@ -49,31 +68,56 @@ TEST(RunReplicatedTest, AggregatesSeveralSeeds) {
   EXPECT_NEAR(r->success_ratio.mean() + r->rejection_ratio.mean() +
                   r->dmf_ratio.mean() + r->dsf_ratio.mean(),
               1.0, 1e-9);
+  // The cell keeps every run, in the order the aggregate folded them.
+  ASSERT_EQ(cell->runs.size(), 3u);
+  double sum = 0.0;
+  for (const ExperimentResult& run : cell->runs) sum += run.usm;
+  EXPECT_EQ(sum, r->usm.sum());
 }
 
 TEST(RunReplicatedTest, RejectsBadInputs) {
-  EXPECT_FALSE(RunReplicated(UpdateVolume::kLow,
-                             UpdateDistribution::kUniform, "imu",
-                             UsmWeights{}, 0)
+  EXPECT_FALSE(ReplicatedCell(UpdateVolume::kLow,
+                              UpdateDistribution::kUniform, "imu", 0, 0.05)
                    .ok());
-  EXPECT_FALSE(RunReplicated(UpdateVolume::kLow,
-                             UpdateDistribution::kUniform, "no-such-policy",
-                             UsmWeights{}, 1, 0.05)
+  EXPECT_FALSE(ReplicatedCell(UpdateVolume::kLow,
+                              UpdateDistribution::kUniform, "no-such-policy",
+                              1, 0.05)
                    .ok());
 }
 
 TEST(RunReplicatedTest, EngineParamsPropagate) {
   EngineParams fcfs;
   fcfs.discipline = QueueDiscipline::kFcfs;
-  auto edf = RunReplicated(UpdateVolume::kMedium,
-                           UpdateDistribution::kUniform, "imu", UsmWeights{},
-                           2, 0.1);
-  auto fcfs_r = RunReplicated(UpdateVolume::kMedium,
-                              UpdateDistribution::kUniform, "imu",
-                              UsmWeights{}, 2, 0.1, 42, fcfs);
+  auto edf = ReplicatedCell(UpdateVolume::kMedium,
+                            UpdateDistribution::kUniform, "imu", 2, 0.1);
+  auto fcfs_r = ReplicatedCell(UpdateVolume::kMedium,
+                               UpdateDistribution::kUniform, "imu", 2, 0.1,
+                               fcfs);
   ASSERT_TRUE(edf.ok() && fcfs_r.ok());
   // Firm deadlines + overload: EDF completes at least as much as FCFS.
-  EXPECT_GE(edf->usm.mean(), fcfs_r->usm.mean());
+  EXPECT_GE(edf->result.usm.mean(), fcfs_r->result.usm.mean());
+}
+
+TEST(RunGridTest, VariantPolicyOptionsPropagate) {
+  // "unit" with admission control switched off in the variant's options is
+  // exactly the "unit-noac" ablation.
+  GridSpec spec;
+  spec.volumes = {UpdateVolume::kMedium};
+  spec.distributions = {UpdateDistribution::kNegative};
+  spec.policies = {"unit"};
+  spec.scale = 0.05;
+  GridVariant noac{"noac", UsmWeights{}, {}, {}};
+  noac.options.unit.enable_admission_control = false;
+  spec.variants = {noac};
+  auto via_options = RunGrid(spec);
+  spec.policies = {"unit-noac"};
+  spec.variants = {};
+  auto via_name = RunGrid(spec);
+  ASSERT_TRUE(via_options.ok() && via_name.ok());
+  EXPECT_EQ(via_options->front().variant, "noac");
+  EXPECT_EQ(via_name->front().variant, "naive");
+  EXPECT_EQ(via_options->front().runs[0].metrics,
+            via_name->front().runs[0].metrics);
 }
 
 }  // namespace

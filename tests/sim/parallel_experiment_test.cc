@@ -1,7 +1,7 @@
-// Golden determinism suite for the parallel experiment runners: whatever the
-// worker count and completion order, RunReplicated and RunGrid must produce
-// results bit-identical to a jobs=1 run (same derived seeds, same fold order
-// => the same doubles to the last bit).
+// Golden determinism suite for the parallel grid runner: whatever the
+// worker count and completion order, a replicated RunGrid cell must be
+// bit-identical to a jobs=1 run (same derived seeds, same fold order => the
+// same doubles to the last bit).
 
 #include <gtest/gtest.h>
 
@@ -48,16 +48,23 @@ TEST(ReplicationSeedTest, MatchesTheHistoricalSequentialDerivation) {
   EXPECT_EQ(ReplicationSeed(7, 1), 107u);
 }
 
-// RunReplicated with every argument spelled out up to the trailing `jobs`.
+// One replicated cell: a one-trace, one-policy RunGrid scored by `weights`.
 StatusOr<ReplicatedResult> Replicated(UpdateVolume volume,
                                       UpdateDistribution distribution,
                                       const std::string& policy,
                                       const UsmWeights& weights,
                                       int replications, int jobs,
                                       double scale = kScale) {
-  return RunReplicated(volume, distribution, policy, weights, replications,
-                       scale, /*base_seed=*/42, EngineParams{},
-                       PolicyOptions{}, jobs);
+  GridSpec spec;
+  spec.volumes = {volume};
+  spec.distributions = {distribution};
+  spec.policies = {policy};
+  spec.variants = {{"weights", weights, {}, {}}};
+  spec.replications = replications;
+  spec.scale = scale;
+  auto grid = RunGrid(spec, jobs);
+  if (!grid.ok()) return grid.status();
+  return grid->front().result;
 }
 
 TEST(RunReplicatedJobsTest, BitIdenticalToSequentialAcrossWorkerCounts) {
@@ -119,7 +126,7 @@ TEST(RunGridTest, Table1GridBitIdenticalToSequentialPerCell) {
   size_t cell = 0;
   for (UpdateDistribution dist : spec.distributions) {
     for (UpdateVolume volume : spec.volumes) {
-      auto seq = RunReplicated(volume, dist, "unit", UsmWeights{}, 2, kScale);
+      auto seq = Replicated(volume, dist, "unit", UsmWeights{}, 2, 1);
       ASSERT_TRUE(seq.ok());
       EXPECT_EQ((*grid)[cell].volume, volume);
       EXPECT_EQ((*grid)[cell].distribution, dist);
@@ -135,9 +142,9 @@ TEST(RunGridTest, WorkerCountDoesNotChangeAnyCell) {
   spec.distributions = {UpdateDistribution::kUniform,
                         UpdateDistribution::kNegative};
   spec.policies = {"unit", "imu"};
-  spec.weightings = {{"naive", UsmWeights{}},
-                     {"high-Cr", UsmWeights{1.0, 0.8, 0.2, 0.2}}};
-  spec.replications = 3;  // 4 traces x 2 weightings x 2 policies, 3 reps
+  spec.variants = {{"naive", UsmWeights{}, {}, {}},
+                   {"high-Cr", UsmWeights{1.0, 0.8, 0.2, 0.2}, {}, {}}};
+  spec.replications = 3;  // 4 traces x 2 variants x 2 policies, 3 reps
   spec.scale = kScale;
   auto one = RunGrid(spec, 1);
   auto eight = RunGrid(spec, 8);
@@ -147,8 +154,12 @@ TEST(RunGridTest, WorkerCountDoesNotChangeAnyCell) {
   for (size_t i = 0; i < one->size(); ++i) {
     EXPECT_EQ((*one)[i].volume, (*eight)[i].volume);
     EXPECT_EQ((*one)[i].distribution, (*eight)[i].distribution);
-    EXPECT_EQ((*one)[i].weights_name, (*eight)[i].weights_name);
+    EXPECT_EQ((*one)[i].variant, (*eight)[i].variant);
     ExpectReplicatedIdentical((*one)[i].result, (*eight)[i].result);
+    ASSERT_EQ((*one)[i].runs.size(), 3u);
+    for (size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ((*one)[i].runs[r].metrics, (*eight)[i].runs[r].metrics);
+    }
   }
 }
 
