@@ -6,8 +6,11 @@
 //
 //   * Throughput scaling: aggregate events/sec must not fall off a cliff as
 //     shards grow — on a multi-core box it grows with shard count; on a
-//     single core it stays near-flat (partitioning adds only O(queries)
-//     split/join work). The CI gate (compare_bench.py) only checks for
+//     single core it stays near-flat. Partitioning is one counting pass
+//     over the trace; each shard's sub-trace is a view that re-reads the
+//     whole parent (O(shards x queries) cursor steps, run inside the
+//     parallel shard runs), and the join is one ordered merge over the
+//     resolved sub-queries. The CI gate (compare_bench.py) only checks for
 //     drops, so a core-starved runner still passes.
 //   * Partitioning overhead stays bounded: the sharded runner at shards=1
 //     must be within noise of the monolithic engine (the sh1 row doubles as

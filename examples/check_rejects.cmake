@@ -1,0 +1,13 @@
+# Runs one example with arguments it must reject and fails unless it exits
+# with status 1 and reports INVALID_ARGUMENT (a crash or a silent run fails).
+#   cmake -DEXAMPLE=build/examples/quickstart "-DARGS=c_r=-1" \
+#         -P check_rejects.cmake
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${EXAMPLE} ${args}
+                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc STREQUAL "1")
+  message(FATAL_ERROR "${EXAMPLE} ${ARGS}: exit ${rc}, expected 1\n${out}${err}")
+endif()
+if(NOT err MATCHES "INVALID_ARGUMENT")
+  message(FATAL_ERROR "${EXAMPLE} ${ARGS}: no INVALID_ARGUMENT on stderr\n${err}")
+endif()

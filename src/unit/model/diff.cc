@@ -473,6 +473,7 @@ StatusOr<DiffRun> RunRecorded(const Workload& workload,
       MakePolicy(policy, weights, options);
   if (!inner.ok()) return inner.status();
   RecordingPolicy recording(inner->get(), admit_off_by_one);
+  recording.records.reserve(static_cast<size_t>(workload.QueryCount()));
   TimeSeriesRecorder series(weights);
   engine.series = record_series ? &series : nullptr;
   DiffRun run;

@@ -33,7 +33,9 @@ class ShardRouter {
   /// deterministic behavior, so a single-shard split must reproduce the
   /// read set exactly. `groups` is resized to num_shards() and every entry
   /// cleared; `touched` receives the shards that own at least one item, in
-  /// first-touch order.
+  /// first-touch order. The sharded oracle's copying partition
+  /// (model/reference_shard.h) splits with it; PartitionWorkload's views
+  /// route without building groups.
   void Split(const std::vector<ItemId>& items,
              std::vector<std::vector<ItemId>>* groups,
              std::vector<int>* touched) const;

@@ -14,6 +14,7 @@
 #include "unit/db/data_item.h"
 #include "unit/faults/schedule.h"
 #include "unit/model/diff.h"
+#include "unit/model/reference_shard.h"
 #include "unit/obs/trace_event.h"
 #include "unit/obs/trace_sink.h"
 #include "unit/workload/query_source.h"
@@ -201,26 +202,262 @@ Status WriteMergedTrace(const std::vector<ShardRunOutput>& outputs,
   return Status::Ok();
 }
 
-/// Join state for one parent query while folding sub-records.
-struct ParentAgg {
-  bool any = false;
-  int expected = 1;
+/// One shard a query's read set touches, and how many of its items it owns.
+struct Touch {
+  int shard;
+  int items;
+};
+
+/// The shards `items` touches, in first-touch order (ShardRouter::Split's
+/// order); an empty read set goes to shard 0.
+void Route(const ShardRouter& router, const std::vector<ItemId>& items,
+           std::vector<Touch>* touched) {
+  touched->clear();
+  for (const ItemId item : items) {
+    const int s = router.ShardOf(item);
+    const auto it = std::find_if(touched->begin(), touched->end(),
+                                 [s](const Touch& t) { return t.shard == s; });
+    if (it == touched->end()) {
+      touched->push_back(Touch{s, 1});
+    } else {
+      ++it->items;
+    }
+  }
+  if (touched->empty()) touched->push_back(Touch{0, 0});
+}
+
+/// Rewrites `q`, routed as `touched`, in place into the sub-query `shard`
+/// gets of it; returns false when `q` reads nothing on `shard`. `parent` is
+/// the query's position in the parent trace.
+bool ToSubQuery(const ShardRouter& router, int shard, size_t parent,
+                const std::vector<Touch>& touched, QueryRequest* q) {
+  const auto it =
+      std::find_if(touched.begin(), touched.end(),
+                   [shard](const Touch& t) { return t.shard == shard; });
+  if (it == touched.end()) return false;
+  q->id = static_cast<TxnId>(parent);  // parent trace index, for the join
+  if (touched.size() == 1) return true;  // single-shard: verbatim
+  // Service demand proportional to the sub read-set size, each sub >= 1
+  // tick, integer remainder on the last touched shard.
+  const auto total = static_cast<SimDuration>(q->items.size());
+  const auto share = [&](const Touch& t) {
+    return std::max<SimDuration>(
+        1, q->exec * static_cast<SimDuration>(t.items) / total);
+  };
+  SimDuration assigned = 0;
+  for (auto k = touched.begin(); k != it; ++k) assigned += share(*k);
+  q->exec = it + 1 == touched.end()
+                ? std::max<SimDuration>(1, q->exec - assigned)
+                : share(*it);
+  std::erase_if(q->items,
+                [&](ItemId item) { return router.ShardOf(item) != shard; });
+  return true;
+}
+
+/// One shard's sub-trace as a view over the parent trace: each cursor reads
+/// the parent's own cursor and yields only the sub-queries routed to
+/// `shard`, so no sub-trace is ever stored. `parent` must outlive the view.
+class ShardQueryView final : public QuerySource {
+ public:
+  ShardQueryView(const Workload* parent, ShardRouter router, int shard,
+                 int64_t count)
+      : parent_(parent), router_(router), shard_(shard), count_(count) {}
+
+  int64_t count() const override { return count_; }
+  std::unique_ptr<QueryCursor> NewCursor() const override {
+    return std::make_unique<Cursor>(parent_->NewQueryCursor(), router_,
+                                    shard_);
+  }
+
+ private:
+  class Cursor final : public QueryCursor {
+   public:
+    Cursor(std::unique_ptr<QueryCursor> parent, ShardRouter router, int shard)
+        : parent_(std::move(parent)), router_(router), shard_(shard) {}
+
+    bool Next(QueryRequest* out) override {
+      while (parent_->Next(out)) {
+        const size_t position = position_++;
+        Route(router_, out->items, &touched_);
+        if (ToSubQuery(router_, shard_, position, touched_, out)) return true;
+      }
+      return false;
+    }
+
+   private:
+    std::unique_ptr<QueryCursor> parent_;
+    ShardRouter router_;
+    int shard_;
+    size_t position_ = 0;
+    std::vector<Touch> touched_;
+  };
+
+  const Workload* parent_;
+  ShardRouter router_;
+  int shard_;
+  int64_t count_;
+};
+
+/// Join state of one parent. Only a cross-shard parent keeps it between
+/// records: from its first sub-query's to its last's.
+struct PendingParent {
   int seen = 0;
   Outcome outcome = Outcome::kPending;
   double freshness = std::numeric_limits<double>::infinity();
-  SimTime arrival = 0;
   SimTime commit = -1;
   int restarts = 0;
+  // Arrival and class come from the highest-numbered shard's record, the
+  // last one a shard-major fold would see: with sessions on, each shard's
+  // kept record is its own last attempt, and their arrivals differ.
+  int last_shard = -1;
+  SimTime arrival = 0;
   int pref_class = 0;
-  TxnId trace_id = kInvalidTxn;
-  // Merged resolution instant: lexicographic max of (resolve_time, shard,
-  // per-shard record index) over the parent's sub-queries. At shards=1 this
-  // degenerates to shard 0's resolution order, which is what makes the
-  // merged stat fold bit-identical to the monolithic engine's.
-  SimTime rt = -1;
-  int rt_shard = -1;
-  int64_t rt_pos = -1;
 };
+
+/// Folds one sub-query record from shard `shard` into its parent's join
+/// state. Every fold but the arrival and class is order-independent.
+void FoldSub(const QueryRecord& rec, int shard, PendingParent* p) {
+  p->outcome =
+      p->seen == 0 ? rec.outcome : CrossShardJoin(p->outcome, rec.outcome);
+  if (rec.outcome == Outcome::kSuccess || rec.outcome == Outcome::kDataStale) {
+    // Committed sub: parent freshness is the min over committed subs
+    // (exactly the monolithic Eq. 1 value — QueryFreshness is itself a min
+    // over the read set), commit instant the latest sub commit.
+    p->freshness = std::min(p->freshness, rec.observed_freshness);
+    p->commit = std::max(p->commit, rec.commit_time);
+  }
+  p->restarts += rec.restarts;
+  if (shard > p->last_shard) {
+    p->last_shard = shard;
+    p->arrival = rec.arrival;
+    p->pref_class = rec.preference_class;
+  }
+  ++p->seen;
+}
+
+/// Folds one joined parent into the merged parent-level accounting and
+/// appends its record. Called in merged resolution order.
+void EmitParent(const PendingParent& p, TxnId trace_id, SimTime resolve_time,
+                RunMetrics* merged, std::vector<ShardQueryRecord>* out) {
+  const bool committed =
+      p.outcome == Outcome::kSuccess || p.outcome == Outcome::kDataStale;
+  ++merged->counts.submitted;
+  merged->counts.Bump(p.outcome);
+  const auto cls = static_cast<size_t>(p.pref_class);
+  if (cls >= merged->per_class_counts.size()) {
+    merged->per_class_counts.resize(cls + 1);
+  }
+  ++merged->per_class_counts[cls].submitted;
+  merged->per_class_counts[cls].Bump(p.outcome);
+  if (committed) {
+    merged->query_response_s.Add(SimToSeconds(p.commit - p.arrival));
+    merged->query_freshness.Add(p.freshness);
+  }
+  ShardQueryRecord rec;
+  rec.trace_id = trace_id;
+  rec.outcome = p.outcome;
+  rec.observed_freshness = committed ? p.freshness : -1.0;
+  rec.commit_time = committed ? p.commit : -1;
+  rec.resolve_time = resolve_time;
+  rec.restarts = p.restarts;
+  rec.preference_class = p.pref_class;
+  rec.subqueries = p.seen;
+  out->push_back(rec);
+}
+
+/// The join's failure for a parent that did not join exactly `expected`
+/// sub-queries.
+Status JoinError(size_t parent, int seen, int expected) {
+  return Status::Internal("parent " + std::to_string(parent) + " joined " +
+                          std::to_string(seen) + "/" +
+                          std::to_string(expected) + " sub-queries");
+}
+
+/// Joins the shards' sub-query records into parents (CrossShardJoin) and
+/// folds them into `merged`'s parent-level fields. Each shard's records are
+/// in resolution order, so walking all shards in (resolve time, shard,
+/// position) order and emitting a parent when its last sub-query arrives
+/// yields the parents in merged resolution order with no sort. Workload
+/// parents are keyed by the trace index in QueryRecord::trace_id;
+/// fault-injected queries (kInvalidTxn) are their own single-sub parents.
+Status JoinParents(const std::vector<const std::vector<QueryRecord>*>& shards,
+                   const std::vector<int>& sub_count, bool closed_loop,
+                   RunMetrics* merged, std::vector<ShardQueryRecord>* out) {
+  const size_t n = shards.size();
+  // A parent-wide mask: first "seen on this shard" for the closed-loop
+  // filter, then "joined".
+  std::vector<char> mask(sub_count.size(), 0);
+  // Closed-loop runs resolve one record per *attempt* of a sub-query; the
+  // join is over final outcomes, so keep each shard's last record per
+  // parent (a reverse scan). Injected and unknown ids are all kept.
+  std::vector<std::vector<char>> keep;
+  if (closed_loop) {
+    keep.resize(n);
+    for (size_t s = 0; s < n; ++s) {
+      const std::vector<QueryRecord>& records = *shards[s];
+      keep[s].assign(records.size(), 1);
+      std::fill(mask.begin(), mask.end(), 0);
+      for (size_t pos = records.size(); pos-- > 0;) {
+        const TxnId id = records[pos].trace_id;
+        if (id < 0 || static_cast<size_t>(id) >= mask.size()) continue;
+        char& seen = mask[static_cast<size_t>(id)];
+        if (seen != 0) keep[s][pos] = 0;
+        seen = 1;
+      }
+    }
+    std::fill(mask.begin(), mask.end(), 0);
+  }
+
+  std::unordered_map<TxnId, PendingParent> pending;
+  std::vector<size_t> head(n, 0);
+  size_t joined = 0;
+  while (true) {
+    // Next record in (resolve time, shard, position) order.
+    size_t s = n;
+    for (size_t k = 0; k < n; ++k) {
+      const std::vector<QueryRecord>& records = *shards[k];
+      size_t& h = head[k];
+      if (closed_loop) {
+        while (h < records.size() && keep[k][h] == 0) ++h;
+      }
+      if (h < records.size() &&
+          (s == n ||
+           records[h].resolve_time < (*shards[s])[head[s]].resolve_time)) {
+        s = k;
+      }
+    }
+    if (s == n) break;
+    const QueryRecord& rec = (*shards[s])[head[s]++];
+
+    PendingParent single;
+    PendingParent* p = &single;
+    const auto id = static_cast<size_t>(rec.trace_id);
+    if (rec.trace_id != kInvalidTxn) {
+      if (rec.trace_id < 0 || id >= sub_count.size()) {
+        return Status::Internal("sub-query resolved with unknown parent " +
+                                std::to_string(rec.trace_id));
+      }
+      if (mask[id] != 0) {
+        return JoinError(id, sub_count[id] + 1, sub_count[id]);
+      }
+      if (sub_count[id] > 1) p = &pending[rec.trace_id];
+    }
+    FoldSub(rec, static_cast<int>(s), p);
+    if (rec.trace_id != kInvalidTxn) {
+      if (p->seen < sub_count[id]) continue;
+      mask[id] = 1;
+      ++joined;
+    }
+    EmitParent(*p, rec.trace_id, rec.resolve_time, merged, out);
+    if (p != &single) pending.erase(rec.trace_id);
+  }
+  if (joined == sub_count.size()) return Status::Ok();
+  const auto missing = static_cast<size_t>(
+      std::find(mask.begin(), mask.end(), 0) - mask.begin());
+  const auto it = pending.find(static_cast<TxnId>(missing));
+  return JoinError(missing, it == pending.end() ? 0 : it->second.seen,
+                   sub_count[missing]);
+}
 
 }  // namespace
 
@@ -315,39 +552,24 @@ StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
         u);
   }
 
-  // One cursor pass deals the trace's queries out to the shards' own
-  // vectors; the parent trace itself is never copied.
+  // One counting pass over the parent's cursor; each shard's sub-trace is
+  // then a view that re-reads the parent, so nothing is copied.
+  std::vector<int64_t> per_shard(static_cast<size_t>(n), 0);
   part.sub_count.reserve(static_cast<size_t>(w.QueryCount()));
-  std::vector<std::vector<ItemId>> groups;
-  std::vector<int> touched;
+  std::vector<Touch> touched;
   auto cursor = w.NewQueryCursor();
   QueryRequest q;
-  for (size_t p = 0; cursor->Next(&q); ++p) {
-    router.Split(q.items, &groups, &touched);
-    if (touched.empty()) touched.push_back(0);  // defensive: empty read set
-    const auto total = static_cast<SimDuration>(q.items.size());
-    SimDuration assigned = 0;
-    for (size_t k = 0; k < touched.size(); ++k) {
-      const int s = touched[k];
-      QueryRequest sq = q;
-      sq.id = static_cast<TxnId>(p);  // parent trace index, for the join
-      sq.items = groups[static_cast<size_t>(s)];
-      if (touched.size() > 1) {
-        // Service demand proportional to the sub read-set size, each sub
-        // >= 1 tick, integer remainder on the last touched shard.
-        if (k + 1 < touched.size()) {
-          sq.exec = std::max<SimDuration>(
-              1, q.exec * static_cast<SimDuration>(sq.items.size()) / total);
-          assigned += sq.exec;
-        } else {
-          sq.exec = std::max<SimDuration>(1, q.exec - assigned);
-        }
-      }
-      part.shards[static_cast<size_t>(s)].queries.push_back(std::move(sq));
-    }
+  while (cursor->Next(&q)) {
+    Route(router, q.items, &touched);
+    for (const Touch& t : touched) ++per_shard[static_cast<size_t>(t.shard)];
     part.sub_count.push_back(static_cast<int>(touched.size()));
     part.subqueries += static_cast<int64_t>(touched.size());
     if (touched.size() > 1) ++part.cross_shard_queries;
+  }
+  for (int s = 0; s < n; ++s) {
+    part.shards[static_cast<size_t>(s)].query_source =
+        std::make_shared<ShardQueryView>(&w, router, s,
+                                         per_shard[static_cast<size_t>(s)]);
   }
   return part;
 }
@@ -376,7 +598,9 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
                                    const ShardedParams& params) {
   const int n = params.shards < 1 ? 1 : params.shards;
   const ShardRouter router(n);
-  auto part = PartitionWorkload(workload, router);
+  auto part = params.reference_engines
+                  ? ReferencePartitionWorkload(workload, router)
+                  : PartitionWorkload(workload, router);
   if (!part.ok()) return part.status();
 
   if (!params.trace_dir.empty() && !params.reference_engines) {
@@ -418,132 +642,24 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
     MergeShardMetrics(merged, outputs[static_cast<size_t>(s)].run.metrics);
   }
 
-  // Join sub-queries back into parents. Workload parents are keyed by the
-  // trace index carried in Transaction::trace_id; fault-injected queries
-  // (trace_id kInvalidTxn) are their own single-sub parents.
-  const std::vector<int>& sub_count = part.value().sub_count;
-  std::vector<ParentAgg> parents(sub_count.size());
-  std::vector<ParentAgg> injected;
-  // Closed-loop runs resolve one sub-record per *attempt* of a parent's
-  // sub-query on its home shard. The parent join is over final outcomes, so
-  // pre-filter each shard's records to the last record per parent (original
-  // positions preserved for the (resolve_time, shard, pos) merge key;
-  // injected queries have no sessions and every record kept). When sessions
-  // are off the mask is all-ones and the join below is unchanged.
-  const bool closed_loop = params.engine.session.sessions > 0;
-  for (int s = 0; s < n; ++s) {
-    const auto& records = outputs[static_cast<size_t>(s)].run.queries;
-    std::vector<char> keep;
-    if (closed_loop) {
-      keep.assign(records.size(), 0);
-      std::unordered_map<TxnId, size_t> last;
-      for (size_t pos = 0; pos < records.size(); ++pos) {
-        if (records[pos].trace_id == kInvalidTxn) {
-          keep[pos] = 1;
-        } else {
-          last[records[pos].trace_id] = pos;
-        }
-      }
-      for (const auto& [id, pos] : last) keep[pos] = 1;
-    }
-    for (size_t pos = 0; pos < records.size(); ++pos) {
-      if (closed_loop && keep[pos] == 0) continue;
-      const QueryRecord& rec = records[pos];
-      ParentAgg* p;
-      if (rec.trace_id == kInvalidTxn) {
-        injected.emplace_back();
-        p = &injected.back();
-      } else {
-        if (rec.trace_id < 0 ||
-            static_cast<size_t>(rec.trace_id) >= parents.size()) {
-          return Status::Internal("sub-query resolved with unknown parent " +
-                                  std::to_string(rec.trace_id));
-        }
-        p = &parents[static_cast<size_t>(rec.trace_id)];
-        p->expected = sub_count[static_cast<size_t>(rec.trace_id)];
-      }
-      p->outcome = p->any ? CrossShardJoin(p->outcome, rec.outcome)
-                          : rec.outcome;
-      p->any = true;
-      ++p->seen;
-      if (rec.outcome == Outcome::kSuccess ||
-          rec.outcome == Outcome::kDataStale) {
-        // Committed sub: parent freshness is the min over committed subs
-        // (exactly the monolithic Eq. 1 value — QueryFreshness is itself a
-        // min over the read set), commit instant the latest sub commit.
-        p->freshness = std::min(p->freshness, rec.observed_freshness);
-        p->commit = std::max(p->commit, rec.commit_time);
-      }
-      p->arrival = rec.arrival;
-      p->restarts += rec.restarts;
-      p->pref_class = rec.preference_class;
-      p->trace_id = rec.trace_id;
-      const auto key = std::make_tuple(rec.resolve_time, s,
-                                       static_cast<int64_t>(pos));
-      if (key > std::make_tuple(p->rt, p->rt_shard, p->rt_pos)) {
-        p->rt = rec.resolve_time;
-        p->rt_shard = s;
-        p->rt_pos = static_cast<int64_t>(pos);
-      }
-    }
-  }
-  for (size_t i = 0; i < parents.size(); ++i) {
-    if (!parents[i].any || parents[i].seen != parents[i].expected) {
-      return Status::Internal(
-          "parent " + std::to_string(i) + " joined " +
-          std::to_string(parents[i].seen) + "/" +
-          std::to_string(parents[i].expected) + " sub-queries");
-    }
-  }
-
-  // Parent-level accounting, folded in merged resolution order: sort by
-  // (last sub resolve time, shard, per-shard index) — a total order over
-  // unique keys, identical for every jobs count, and equal to shard 0's
-  // resolution order when shards=1 (bit-identical stat folds).
-  std::vector<const ParentAgg*> order;
-  order.reserve(parents.size() + injected.size());
-  for (const ParentAgg& p : parents) order.push_back(&p);
-  for (const ParentAgg& p : injected) order.push_back(&p);
-  std::sort(order.begin(), order.end(),
-            [](const ParentAgg* a, const ParentAgg* b) {
-              return std::tie(a->rt, a->rt_shard, a->rt_pos) <
-                     std::tie(b->rt, b->rt_shard, b->rt_pos);
-            });
-
+  // Parent-level accounting replaces the summed sub-query counts and stats.
   merged.counts = OutcomeCounts{};
   merged.per_class_counts.clear();
   merged.query_response_s.Clear();
   merged.query_freshness.Clear();
-  result.queries.reserve(order.size());
-  for (const ParentAgg* p : order) {
-    ++merged.counts.submitted;
-    merged.counts.Bump(p->outcome);
-    if (static_cast<size_t>(p->pref_class) >= merged.per_class_counts.size()) {
-      merged.per_class_counts.resize(
-          static_cast<size_t>(p->pref_class) + 1);
-    }
-    OutcomeCounts& class_counts =
-        merged.per_class_counts[static_cast<size_t>(p->pref_class)];
-    ++class_counts.submitted;
-    class_counts.Bump(p->outcome);
-    const bool committed = p->outcome == Outcome::kSuccess ||
-                           p->outcome == Outcome::kDataStale;
-    if (committed) {
-      merged.query_response_s.Add(SimToSeconds(p->commit - p->arrival));
-      merged.query_freshness.Add(p->freshness);
-    }
-
-    ShardQueryRecord rec;
-    rec.trace_id = p->trace_id;
-    rec.outcome = p->outcome;
-    rec.observed_freshness = committed ? p->freshness : -1.0;
-    rec.commit_time = committed ? p->commit : -1;
-    rec.resolve_time = p->rt;
-    rec.restarts = p->restarts;
-    rec.preference_class = p->pref_class;
-    rec.subqueries = p->seen;
-    result.queries.push_back(rec);
-  }
+  std::vector<const std::vector<QueryRecord>*> records;
+  records.reserve(outputs.size());
+  for (const auto& o : outputs) records.push_back(&o.run.queries);
+  const std::vector<int>& sub_count = part.value().sub_count;
+  const bool closed_loop = params.engine.session.sessions > 0;
+  result.queries.reserve(sub_count.size());
+  Status joined =
+      params.reference_engines
+          ? ReferenceJoinParents(records, sub_count, closed_loop, &merged,
+                                 &result.queries)
+          : JoinParents(records, sub_count, closed_loop, &merged,
+                        &result.queries);
+  if (!joined.ok()) return joined;
 
   result.usm = UsmAverage(merged.counts, weights);
   result.breakdown = UsmDecompose(merged.counts, weights);

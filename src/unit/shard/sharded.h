@@ -43,7 +43,9 @@ struct ShardedParams {
   /// Per-shard policy template. `unit.seed` is re-derived per shard.
   PolicyOptions options;
   /// Run the deliberately naive model/reference_engine.h per shard instead
-  /// of the optimized engine — the sharded side of the differential oracle.
+  /// of the optimized engine, split the workload by copying and join the
+  /// parents by table and sort (model/reference_shard.h) — the sharded side
+  /// of the differential oracle.
   bool reference_engines = false;
   /// Record per-shard window series and the merged series.
   bool record_series = false;
@@ -105,12 +107,23 @@ struct ShardPartition {
 /// read set restricted to the shard's items (original order preserved),
 /// arrival / deadline / freshness requirement / preference class copied,
 /// service demand divided proportionally to the sub read-set size (each sub
-/// clamped to >= 1 tick, remainder on the last touched shard). Sub-query
-/// `id` carries the parent's trace index so per-shard results can be joined
-/// back. The parent trace is read in one pass of its cursor and never
-/// copied, so a streamed workload partitions exactly like its materialized
-/// twin. With one shard the single sub-workload is the input workload item
-/// for item.
+/// clamped to >= 1 tick, remainder on the last touched shard). A query
+/// whose read set lies on one shard passes through verbatim. Sub-query `id`
+/// carries the parent's trace index so per-shard results can be joined
+/// back. With one shard the single sub-workload yields the input trace
+/// query for query.
+///
+/// No sub-query is stored. One counting pass over the parent's cursor fills
+/// `sub_count`, `subqueries`, `cross_shard_queries` and each shard's query
+/// count; each shard's `query_source` is then a view whose cursor re-reads
+/// the parent's own cursor and yields only that shard's sub-queries, so a
+/// streamed workload partitions exactly like its materialized twin.
+/// Contract:
+///  - A view points at `w`, as the cursor from Workload::NewQueryCursor()
+///    does: `w` must outlive the partition and every copy of its
+///    sub-workloads.
+///  - Every view re-reads the whole parent: O(shards x parents) cursor steps
+///    over all shards, and a streamed parent is generated once per shard.
 StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
                                            const ShardRouter& router);
 
@@ -147,7 +160,9 @@ struct ShardedResult {
   std::vector<WindowSample> merged_series;
   std::vector<std::vector<WindowSample>> per_shard_series;
   /// Joined parent records in merged resolution order (the order the
-  /// merged outcome counts and stats were folded in).
+  /// merged outcome counts and stats were folded in): by the (resolve time,
+  /// shard, position) of each parent's last sub-query, so ties in resolve
+  /// time go to the lower shard.
   std::vector<ShardQueryRecord> queries;
   int64_t cross_shard_queries = 0;
   int64_t subqueries = 0;

@@ -1,5 +1,9 @@
 #include "unit/sim/server.h"
 
+#include <cmath>
+#include <sstream>
+#include <utility>
+
 #include "unit/core/policies/hybrid.h"
 #include "unit/core/policies/imu.h"
 #include "unit/core/policies/odu.h"
@@ -9,6 +13,18 @@ namespace unitdb {
 StatusOr<std::unique_ptr<Policy>> MakePolicy(const std::string& name,
                                              const UsmWeights& weights,
                                              const PolicyOptions& options) {
+  // A NaN or infinite weight poisons every USM the run computes, and a
+  // negative penalty turns the failure it prices into a reward.
+  for (const auto& [field, value] :
+       {std::pair{"gain", weights.gain}, std::pair{"c_r", weights.c_r},
+        std::pair{"c_fm", weights.c_fm}, std::pair{"c_fs", weights.c_fs}}) {
+    if (!std::isfinite(value) || value < 0.0) {
+      std::ostringstream os;
+      os << "USM weight " << field << "=" << value
+         << " must be finite and non-negative";
+      return Status::InvalidArgument(os.str());
+    }
+  }
   if (name == "unit") {
     return std::unique_ptr<Policy>(new UnitPolicy(weights, options.unit));
   }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <string>
 
 #include "unit/sim/experiment.h"
 #include "unit/sim/server.h"
@@ -32,6 +34,45 @@ TEST(EndToEndTest, UnknownPolicyFails) {
   auto result = RunExperiment(*w, "definitely-not-a-policy", UsmWeights{});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+}
+
+TEST(EndToEndTest, NonFiniteOrNegativeUsmWeightFails) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    UsmWeights weights;
+    const char* field;
+  };
+  const Bad cases[] = {
+      {{nan, 0, 0, 0}, "gain"},   {{inf, 0, 0, 0}, "gain"},
+      {{-1, 0, 0, 0}, "gain"},    {{1, nan, 1, 0.5}, "c_r"},
+      {{1, inf, 0, 0}, "c_r"},    {{1, -inf, 0, 0}, "c_r"},
+      {{1, -1, 0, 0}, "c_r"},     {{1, 0, nan, 0}, "c_fm"},
+      {{1, 0, inf, 0}, "c_fm"},   {{1, 0, -0.5, 0}, "c_fm"},
+      {{1, 0, 0, nan}, "c_fs"},   {{1, 0, 0, inf}, "c_fs"},
+      {{1, 0, 0, -2}, "c_fs"},
+  };
+  for (const std::string& policy : KnownPolicies()) {
+    for (const Bad& bad : cases) {
+      auto made = MakePolicy(policy, bad.weights);
+      ASSERT_FALSE(made.ok()) << policy << " " << bad.field;
+      EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(made.status().message().find(std::string("USM weight ") +
+                                             bad.field + "="),
+                std::string::npos)
+          << made.status().message();
+    }
+  }
+  // Zero is a weight, not an error: the naive setting and a zero gain.
+  EXPECT_TRUE(MakePolicy("unit", UsmWeights{}).ok());
+  EXPECT_TRUE(MakePolicy("unit", UsmWeights{0, 0, 0, 0}).ok());
+
+  auto w = MakeStandardWorkload(UpdateVolume::kLow,
+                                UpdateDistribution::kUniform, 0.05, 1);
+  ASSERT_TRUE(w.ok());
+  auto result = RunExperiment(*w, "unit", UsmWeights{1, nan, 1, 0.5});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EndToEndTest, ServerFactoryKnowsAllPolicies) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,6 +20,16 @@ StatusOr<Workload> SmallWorkload(uint64_t seed = 42) {
   return MakeStandardWorkload(UpdateVolume::kMedium,
                               UpdateDistribution::kUniform, /*scale=*/0.05,
                               seed);
+}
+
+// A workload's whole query trace, read through its cursor: shard sub-traces
+// are views over the parent trace, not stored vectors.
+std::vector<QueryRequest> ReadTrace(const Workload& w) {
+  std::vector<QueryRequest> out;
+  auto cursor = w.NewQueryCursor();
+  QueryRequest q;
+  while (cursor->Next(&q)) out.push_back(q);
+  return out;
 }
 
 TEST(CrossShardJoinTest, ParentSucceedsOnlyIfEverySubSucceeds) {
@@ -62,14 +73,15 @@ TEST(PartitionWorkloadTest, SingleShardIsTheIdentity) {
   EXPECT_EQ(part->subqueries, static_cast<int64_t>(w->queries.size()));
 
   const Workload& sub = part->shards[0];
-  ASSERT_EQ(sub.queries.size(), w->queries.size());
+  const std::vector<QueryRequest> queries = ReadTrace(sub);
+  ASSERT_EQ(queries.size(), w->queries.size());
   ASSERT_EQ(sub.updates.size(), w->updates.size());
   for (size_t i = 0; i < w->queries.size(); ++i) {
-    EXPECT_EQ(sub.queries[i].arrival, w->queries[i].arrival);
-    EXPECT_EQ(sub.queries[i].exec, w->queries[i].exec);
-    EXPECT_EQ(sub.queries[i].items, w->queries[i].items);
+    EXPECT_EQ(queries[i].arrival, w->queries[i].arrival);
+    EXPECT_EQ(queries[i].exec, w->queries[i].exec);
+    EXPECT_EQ(queries[i].items, w->queries[i].items);
     // Sub id carries the parent trace index.
-    EXPECT_EQ(sub.queries[i].id, static_cast<TxnId>(i));
+    EXPECT_EQ(queries[i].id, static_cast<TxnId>(i));
   }
 }
 
@@ -105,7 +117,7 @@ TEST(PartitionWorkloadTest, SubQueriesConserveReadSetsAndBoundExec) {
   };
   std::map<TxnId, Parent> joined;
   for (const Workload& sub : part->shards) {
-    for (const QueryRequest& q : sub.queries) {
+    for (const QueryRequest& q : ReadTrace(sub)) {
       Parent& p = joined[q.id];
       p.items += q.items.size();
       p.exec += q.exec;
@@ -163,10 +175,13 @@ TEST(PartitionWorkloadTest, StreamedWorkloadPartitionsLikeItsMaterializedTwin) {
     const Workload& sb = b->shards[s];
     EXPECT_EQ(sa.num_items, sb.num_items);
     EXPECT_EQ(sa.duration, sb.duration);
-    ASSERT_EQ(sa.queries.size(), sb.queries.size()) << s;
-    for (size_t i = 0; i < sa.queries.size(); ++i) {
-      const QueryRequest& qa = sa.queries[i];
-      const QueryRequest& qb = sb.queries[i];
+    const std::vector<QueryRequest> trace_a = ReadTrace(sa);
+    const std::vector<QueryRequest> trace_b = ReadTrace(sb);
+    EXPECT_FALSE(trace_a.empty()) << s;
+    ASSERT_EQ(trace_a.size(), trace_b.size()) << s;
+    for (size_t i = 0; i < trace_a.size(); ++i) {
+      const QueryRequest& qa = trace_a[i];
+      const QueryRequest& qb = trace_b[i];
       EXPECT_EQ(qa.id, qb.id);
       EXPECT_EQ(qa.arrival, qb.arrival);
       EXPECT_EQ(qa.exec, qb.exec);
@@ -182,6 +197,82 @@ TEST(PartitionWorkloadTest, StreamedWorkloadPartitionsLikeItsMaterializedTwin) {
       EXPECT_EQ(sa.updates[i].update_exec, sb.updates[i].update_exec);
       EXPECT_EQ(sa.updates[i].phase, sb.updates[i].phase);
     }
+  }
+}
+
+// Every cursor of a shard view replays the same sub-trace, however the
+// cursors interleave, and the view's count is that sub-trace's length.
+TEST(PartitionWorkloadTest, ViewCursorsReplayTheSameSubTrace) {
+  QueryTraceParams qp;
+  qp.num_items = 64;
+  qp.duration = SecondsToSim(200.0);
+  qp.seed = 11;
+  auto materialized = GenerateQueryTrace(qp);
+  auto streamed = MakeStreamingWorkload(qp);
+  ASSERT_TRUE(materialized.ok() && streamed.ok());
+  const ShardRouter router(3);
+  for (const Workload* parent : {&*materialized, &*streamed}) {
+    auto part = PartitionWorkload(*parent, router);
+    ASSERT_TRUE(part.ok());
+    int64_t total = 0;
+    for (size_t s = 0; s < part->shards.size(); ++s) {
+      const Workload& sub = part->shards[s];
+      auto first = sub.NewQueryCursor();
+      auto second = sub.NewQueryCursor();
+      QueryRequest a, b;
+      int64_t length = 0;
+      while (first->Next(&a)) {
+        ASSERT_TRUE(second->Next(&b)) << s << " at " << length;
+        EXPECT_EQ(a.id, b.id);
+        EXPECT_EQ(a.arrival, b.arrival);
+        EXPECT_EQ(a.exec, b.exec);
+        EXPECT_EQ(a.items, b.items);
+        ++length;
+      }
+      EXPECT_FALSE(second->Next(&b)) << s;
+      EXPECT_GT(length, 0) << s;
+      EXPECT_EQ(sub.QueryCount(), length) << s;
+      total += length;
+    }
+    EXPECT_EQ(total, part->subqueries);
+  }
+}
+
+// Two single-item queries on different shards arrive together with a
+// deadline shorter than their service demand: admission rejects both at
+// their arrival instant, and the merged order breaks the resolve-time tie
+// toward the lower shard, whatever the trace order.
+TEST(ShardedEngineTest, ResolveTimeTiesGoToTheLowerShard) {
+  const ShardRouter router(2);
+  ItemId on[2] = {-1, -1};
+  for (ItemId item = 0; on[0] < 0 || on[1] < 0; ++item) {
+    on[router.ShardOf(item)] = item;
+  }
+  Workload w;
+  w.num_items = std::max(on[0], on[1]) + 1;
+  w.duration = SecondsToSim(1.0);
+  for (const ItemId item : {on[1], on[0]}) {  // shard 1's query first
+    QueryRequest q;
+    q.id = static_cast<TxnId>(w.queries.size());
+    q.arrival = SecondsToSim(0.5);
+    q.exec = SecondsToSim(0.1);
+    q.relative_deadline = SecondsToSim(0.01);
+    q.items = {item};
+    w.queries.push_back(q);
+  }
+  ShardedParams params;
+  params.shards = 2;
+  for (const bool reference : {false, true}) {
+    params.reference_engines = reference;
+    auto r = RunSharded(w, "unit", UsmWeights{1.0, 0.5, 1.0, 0.5}, params);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->queries.size(), 2u);
+    for (const ShardQueryRecord& q : r->queries) {
+      EXPECT_EQ(q.outcome, Outcome::kRejected) << reference;
+      EXPECT_EQ(q.resolve_time, SecondsToSim(0.5)) << reference;
+    }
+    EXPECT_EQ(r->queries[0].trace_id, 1) << reference;  // shard 0's parent
+    EXPECT_EQ(r->queries[1].trace_id, 0) << reference;
   }
 }
 
