@@ -68,16 +68,10 @@ Status Run(bench::Args& args) {
   const std::vector<std::string> volume_names =
       args.List("volumes", "low,med,high");
   if (Status s = args.Check(); !s.ok()) return s;
-  std::vector<UpdateVolume> volumes;
-  for (const std::string& name : volume_names) {
-    if (name == "low") {
-      volumes.push_back(UpdateVolume::kLow);
-    } else if (name == "med") {
-      volumes.push_back(UpdateVolume::kMedium);
-    } else if (name == "high") {
-      volumes.push_back(UpdateVolume::kHigh);
-    } else {
-      return Status::InvalidArgument("unknown volume '" + name +
+  std::vector<UpdateVolume> volumes(volume_names.size());
+  for (size_t i = 0; i < volume_names.size(); ++i) {
+    if (!UpdateVolumeFromName(volume_names[i], &volumes[i])) {
+      return Status::InvalidArgument("unknown volume '" + volume_names[i] +
                                      "' (want low|med|high)");
     }
   }

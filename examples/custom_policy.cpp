@@ -11,6 +11,7 @@
 // Both are compared against the built-ins on the standard med-unif trace.
 //
 // Usage: custom_policy [scale=0.5] [seed=42]
+// An unknown key exits 1 with INVALID_ARGUMENT.
 
 #include <iostream>
 #include <memory>
@@ -79,6 +80,10 @@ int main(int argc, char** argv) {
   auto config = Config::ParseArgs(argc, argv);
   if (!config.ok()) {
     std::cerr << config.status().ToString() << "\n";
+    return 1;
+  }
+  if (Status s = config->ExpectKeys({"scale", "seed"}); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
     return 1;
   }
   const double scale = config->GetDouble("scale", 0.5);

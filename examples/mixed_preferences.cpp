@@ -11,6 +11,7 @@
 // against running UNIT with either single preference applied to everyone.
 //
 // Usage: mixed_preferences [scale=1.0] [seed=42]
+// An unknown key exits 1 with INVALID_ARGUMENT.
 
 #include <iostream>
 #include <vector>
@@ -26,6 +27,10 @@ int main(int argc, char** argv) {
   auto config = Config::ParseArgs(argc, argv);
   if (!config.ok()) {
     std::cerr << config.status().ToString() << "\n";
+    return 1;
+  }
+  if (Status s = config->ExpectKeys({"scale", "seed"}); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
     return 1;
   }
   const double scale = config->GetDouble("scale", 1.0);

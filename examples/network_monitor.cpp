@@ -11,6 +11,7 @@
 //
 // Usage: network_monitor [duration_s=400] [hosts=512] [seed=23]
 //        [save=] (optional path to dump the trace CSV)
+// An unknown key exits 1 with INVALID_ARGUMENT.
 
 #include <iostream>
 
@@ -24,6 +25,11 @@ int main(int argc, char** argv) {
   auto config = Config::ParseArgs(argc, argv);
   if (!config.ok()) {
     std::cerr << config.status().ToString() << "\n";
+    return 1;
+  }
+  if (Status s = config->ExpectKeys({"duration_s", "hosts", "seed", "save"});
+      !s.ok()) {
+    std::cerr << s.ToString() << "\n";
     return 1;
   }
   const double duration_s = config->GetDouble("duration_s", 400.0);

@@ -13,6 +13,7 @@
 // saying "a late answer is worse than a rejection" (high C_fm).
 //
 // Usage: stock_ticker [duration_s=600] [seed=17]
+// An unknown key exits 1 with INVALID_ARGUMENT.
 
 #include <iostream>
 #include <vector>
@@ -84,6 +85,10 @@ int main(int argc, char** argv) {
   auto config = Config::ParseArgs(argc, argv);
   if (!config.ok()) {
     std::cerr << config.status().ToString() << "\n";
+    return 1;
+  }
+  if (Status s = config->ExpectKeys({"duration_s", "seed"}); !s.ok()) {
+    std::cerr << s.ToString() << "\n";
     return 1;
   }
   const double duration_s = config->GetDouble("duration_s", 600.0);

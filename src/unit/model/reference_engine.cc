@@ -824,7 +824,6 @@ void ReferenceEngine::FinalizeObservability() {
   }
   if (params_.counters != nullptr) {
     metrics_.obs_counters = params_.counters->CounterSnapshot();
-    metrics_.obs_gauges = params_.counters->GaugeSnapshot();
   }
 }
 

@@ -6,28 +6,14 @@ int64_t& CounterRegistry::Counter(const std::string& name) {
   return counters_.try_emplace(name, 0).first->second;
 }
 
-double& CounterRegistry::Gauge(const std::string& name) {
-  return gauges_.try_emplace(name, 0.0).first->second;
-}
-
 int64_t CounterRegistry::CounterValue(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
 
-double CounterRegistry::GaugeValue(const std::string& name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
 std::vector<std::pair<std::string, int64_t>> CounterRegistry::CounterSnapshot()
     const {
   return {counters_.begin(), counters_.end()};
-}
-
-std::vector<std::pair<std::string, double>> CounterRegistry::GaugeSnapshot()
-    const {
-  return {gauges_.begin(), gauges_.end()};
 }
 
 }  // namespace unitdb

@@ -723,22 +723,7 @@ UNIT_COLD void Engine::FinalizeObservability() {
   }
   if (params_.trace != nullptr) params_.trace->Flush();
   if (params_.counters != nullptr) {
-    // Slab/read-set telemetry joins the registry snapshot, but only when a
-    // sink or recorder is attached: a run with tracing off must leave the
-    // registry empty (the trace-off overhead test keys off that), and the
-    // plain RunMetrics fields carry the same numbers unconditionally.
-    if (params_.trace != nullptr || params_.series != nullptr) {
-      CounterRegistry& reg = *params_.counters;
-      reg.Counter("engine.txn_slots_created") = metrics_.txn_slots_created;
-      reg.Counter("engine.txn_released") = metrics_.txn_released;
-      reg.Counter("engine.readset_inline") = metrics_.readset_inline;
-      reg.Counter("engine.readset_spill") = metrics_.readset_spill;
-      reg.Gauge("engine.txn_live_peak") =
-          static_cast<double>(metrics_.txn_live_peak);
-      reg.Gauge("engine.txn_live") = static_cast<double>(txns_.live());
-    }
     metrics_.obs_counters = params_.counters->CounterSnapshot();
-    metrics_.obs_gauges = params_.counters->GaugeSnapshot();
   }
 }
 

@@ -72,8 +72,8 @@ struct EngineParams {
   /// percentiles, admission knob), sampled at every control tick plus once
   /// at end of run.
   TimeSeriesRecorder* series = nullptr;
-  /// Named counter/gauge registry; its snapshot is merged into
-  /// RunMetrics::obs_counters / obs_gauges at end of run.
+  /// Named counter registry (the trace sinks' counters); its snapshot is
+  /// copied into RunMetrics::obs_counters at end of run.
   CounterRegistry* counters = nullptr;
 
   /// Compiled fault schedule (src/unit/faults/; non-owning, may be null).

@@ -32,7 +32,6 @@ enum class OracleRole {
 };
 
 using ObsCounterSnapshot = std::vector<std::pair<std::string, int64_t>>;
-using ObsGaugeSnapshot = std::vector<std::pair<std::string, double>>;
 
 /// The RunMetrics field table, X(type, name, ShardMerge, OracleRole), in
 /// declaration order. It declares the members, so every field has exactly
@@ -105,8 +104,7 @@ using ObsGaugeSnapshot = std::vector<std::pair<std::string, double>>;
   X(std::vector<int64_t>, per_item_applied_updates, kPerItem, kCompared)    \
   /* EngineParams::counters snapshot at end of run; empty unless tracing     \
      registered something. Tracing must change no other field. */            \
-  X(ObsCounterSnapshot, obs_counters, kObs, kObs)                            \
-  X(ObsGaugeSnapshot, obs_gauges, kObs, kObs)
+  X(ObsCounterSnapshot, obs_counters, kObs, kObs)
 
 /// Everything one engine run records. Outcome counts feed the USM; the rest
 /// supports the paper's distribution plots (Fig. 3), the ratio decomposition

@@ -67,7 +67,7 @@ struct ObsOptions {
 };
 
 /// RunExperiment with tracing/telemetry attached per `obs`. The counter
-/// registry snapshot lands in RunMetrics::obs_counters / obs_gauges. With a
+/// registry snapshot lands in RunMetrics::obs_counters. With a
 /// default ObsOptions this is exactly RunExperiment (no hooks attached).
 StatusOr<ExperimentResult> RunTracedExperiment(
     const Workload& workload, const std::string& policy,

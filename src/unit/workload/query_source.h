@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "unit/common/rng.h"
 #include "unit/common/status.h"
 #include "unit/workload/query_trace.h"
 #include "unit/workload/spec.h"
@@ -71,91 +70,21 @@ class VectorQuerySource final : public QuerySource {
   int64_t count() const override {
     return static_cast<int64_t>(queries_.size());
   }
-  std::unique_ptr<QueryCursor> NewCursor() const override;
+  std::unique_ptr<QueryCursor> NewCursor() const override {
+    return std::make_unique<VectorCursor>(&queries_);
+  }
 
  private:
   std::vector<QueryRequest> queries_;
 };
 
-/// Whole-trace properties the streaming generator needs before the first
-/// query: GenerateQueryTrace draws each deadline from Uniform[lo, hi] where
-/// lo/hi derive from the mean and max execution time over the *entire*
-/// trace. CalibrateQueryStream recovers them in O(1) memory by replaying
-/// clones of the arrival and execution RNG streams (same draw and
-/// floating-point accumulation order as the materialized generator, so the
-/// bounds are bit-identical).
-struct QueryStreamCalibration {
-  int64_t count = 0;          ///< total arrivals in [0, duration)
-  double deadline_lo_ms = 0;  ///< lo_factor * mean exec (ms)
-  double deadline_hi_ms = 0;  ///< max(lo + 1e-9, hi_factor * max exec) (ms)
-};
-
-/// Computes the calibration for `params` (already-validated parameters).
-QueryStreamCalibration CalibrateQueryStream(const QueryTraceParams& params);
-
-/// Streaming twin of GenerateQueryTrace (workload/query_trace.cc): yields
-/// the same MMPP arrivals, Zipf/working-set read sets, lognormal service
-/// demands, and uniform deadlines bit-for-bit, one query at a time, from
-/// O(working_set_size) state. The materialized generator stays the oracle —
-/// tests/workload/query_stream_test.cc pins prefix identity for both.
-class QueryStream final : public QueryCursor {
- public:
-  QueryStream(const QueryTraceParams& params,
-              const QueryStreamCalibration& calibration);
-
-  bool Next(QueryRequest* out) override;
-
- private:
-  ItemId DrawItem();
-  void Touch(ItemId item);
-  /// Advances the MMPP to the next arrival; false when the horizon is hit.
-  bool NextArrival(SimTime* arrival);
-
-  const QueryTraceParams params_;
-  const QueryStreamCalibration calibration_;
-  Rng arrival_rng_;
-  Rng item_rng_;
-  Rng exec_rng_;
-  Rng deadline_rng_;
-  ZipfSampler zipf_;
-  std::vector<ItemId> working_set_;
-  size_t ws_cursor_ = 0;
-  bool in_burst_ = false;
-  double t_s_ = 0.0;
-  double state_end_s_ = 0.0;
-  double horizon_s_ = 0.0;
-  double exec_mu_ = 0.0;
-  int64_t index_ = 0;
-};
-
-/// QuerySource producing QueryStream cursors: validates and calibrates once,
-/// then every cursor replays the identical trace.
-class StreamingQuerySource final : public QuerySource {
- public:
-  /// Fails on the same parameter errors as GenerateQueryTrace.
-  static StatusOr<std::shared_ptr<const StreamingQuerySource>> Make(
-      const QueryTraceParams& params);
-
-  int64_t count() const override { return calibration_.count; }
-  std::unique_ptr<QueryCursor> NewCursor() const override;
-
-  const QueryTraceParams& params() const { return params_; }
-  const QueryStreamCalibration& calibration() const { return calibration_; }
-
- private:
-  StreamingQuerySource(const QueryTraceParams& params,
-                       const QueryStreamCalibration& calibration)
-      : params_(params), calibration_(calibration) {}
-
-  QueryTraceParams params_;
-  QueryStreamCalibration calibration_;
-};
-
-/// Builds a workload whose query side streams on demand: num_items /
-/// duration / trace name are set as GenerateQueryTrace would, `queries`
-/// stays empty, and `query_source` yields the identical trace. Attach
-/// updates with GenerateUpdateTrace as usual (correlated distributions make
-/// one calibration pass over the stream for access counts).
+/// Builds a workload whose query side streams on demand from the one query
+/// generator (workload/query_trace.cc): num_items and duration as
+/// GenerateQueryTrace sets them, the name "cello-like (streamed)", empty
+/// `queries`, and a `query_source` yielding GenerateQueryTrace's trace.
+/// Fails on the parameters ValidateQueryTraceParams rejects. Attach updates
+/// with GenerateUpdateTrace as usual (a correlated distribution reads the
+/// stream once for access counts).
 StatusOr<Workload> MakeStreamingWorkload(const QueryTraceParams& params);
 
 /// Moves `w.queries` into a VectorQuerySource attached as `w.query_source`,

@@ -58,19 +58,24 @@ struct QueryTraceParams {
 
   double freshness_req = 0.9;  ///< paper fixes qf at 90% for every query
 
-  /// Number of user preference classes; queries are assigned uniformly at
-  /// random. 1 = the paper's single-class assumption.
+  /// Number of user preference classes, in [1, kMaxPreferenceClasses];
+  /// queries are assigned uniformly at random. 1 = the paper's
+  /// single-class assumption.
   int num_preference_classes = 1;
 
   uint64_t seed = 42;
 };
 
-/// Parameter validation shared by GenerateQueryTrace and its streaming twin
-/// (workload/query_source.h), so both fail on exactly the same inputs.
+/// Parameter validation shared by GenerateQueryTrace, MakeStreamingWorkload
+/// (workload/query_source.h) and the oracle ReferenceGenerateQueryTrace
+/// (model/reference_query_trace.h), so all three fail on exactly the same
+/// inputs.
 Status ValidateQueryTraceParams(const QueryTraceParams& params);
 
 /// Generates the query side of a workload (updates attached separately by
-/// GenerateUpdateTrace). Fails on nonsensical parameters.
+/// GenerateUpdateTrace), named "cello-like": drains the same per-query
+/// stream MakeStreamingWorkload hands out into `queries`. Fails on the
+/// parameters ValidateQueryTraceParams rejects.
 StatusOr<Workload> GenerateQueryTrace(const QueryTraceParams& params);
 
 }  // namespace unitdb

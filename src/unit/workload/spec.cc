@@ -1,5 +1,7 @@
 #include "unit/workload/spec.h"
 
+#include <utility>
+
 #include "unit/workload/query_source.h"
 
 namespace unitdb {
@@ -31,6 +33,12 @@ std::vector<int64_t> Workload::QueryAccessCounts() const {
     for (ItemId it : q.items) ++counts[it];
   }
   return counts;
+}
+
+void ConvertToStreamingWorkload(Workload* w) {
+  w->query_source =
+      std::make_shared<VectorQuerySource>(std::move(w->queries));
+  w->queries.clear();
 }
 
 }  // namespace unitdb

@@ -64,6 +64,39 @@ StatusOr<std::vector<ItemId>> SplitItems(const std::string& s) {
   return items;
 }
 
+std::string QueryRowName(size_t row, TxnId id) {
+  return "Q row " + std::to_string(row) + " (id " + std::to_string(id) + ")";
+}
+
+/// Why the engine cannot replay Q row `q`, or "" if it can. The engine
+/// replays rows in order, so arrivals may not decrease (workload/spec.h).
+std::string QueryRowProblem(const QueryRequest& q, SimTime prev_arrival,
+                            int num_items) {
+  const auto str = [](auto v) { return std::to_string(v); };
+  if (q.arrival < 0) return "arrival " + str(q.arrival) + " is negative";
+  if (q.arrival < prev_arrival) {
+    return "arrival " + str(q.arrival) + " precedes the previous row's " +
+           str(prev_arrival);
+  }
+  if (q.exec < 1) return "exec " + str(q.exec) + " is below 1";
+  if (q.relative_deadline < 1) {
+    return "deadline " + str(q.relative_deadline) + " is below 1";
+  }
+  if (!(q.freshness_req >= 0.0 && q.freshness_req <= 1.0)) {
+    return "freshness " + FormatDouble(q.freshness_req) + " outside [0, 1]";
+  }
+  if (q.preference_class < 0 || q.preference_class >= kMaxPreferenceClasses) {
+    return "class " + str(q.preference_class) + " outside [0, " +
+           str(kMaxPreferenceClasses) + ")";
+  }
+  for (ItemId item : q.items) {
+    if (item < 0 || item >= num_items) {
+      return "item " + str(item) + " outside [0, " + str(num_items) + ")";
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 std::string WorkloadToCsv(const Workload& w) {
@@ -103,6 +136,10 @@ StatusOr<Workload> WorkloadFromCsv(const std::string& text) {
         return Status::InvalidArgument("M row: num_items " + row[1] +
                                        " is not a positive int");
       }
+      if (*dur <= 0) {
+        return Status::InvalidArgument("M row: duration " + row[2] +
+                                       " is not positive");
+      }
       w.num_items = static_cast<int>(*items);
       w.duration = *dur;
       w.query_trace_name = row[3];
@@ -133,16 +170,12 @@ StatusOr<Workload> WorkloadFromCsv(const std::string& text) {
       if (row.size() == 8) {
         auto cls = ParseI64(row[7]);
         if (!cls.ok()) return cls.status();
+        if (*cls != static_cast<int>(*cls)) {
+          return Status::InvalidArgument(QueryRowName(w.queries.size(), q.id) +
+                                         ": class " + row[7] +
+                                         " overflows an int");
+        }
         q.preference_class = static_cast<int>(*cls);
-      }
-      // The engine replays a trace in row order and needs non-decreasing
-      // arrivals (workload/spec.h).
-      if (!w.queries.empty() && q.arrival < w.queries.back().arrival) {
-        return Status::InvalidArgument(
-            "Q row " + std::to_string(w.queries.size()) + " (id " +
-            std::to_string(q.id) + "): arrival " + std::to_string(q.arrival) +
-            " precedes the previous row's " +
-            std::to_string(w.queries.back().arrival));
       }
       w.queries.push_back(std::move(q));
     } else if (tag == "U") {
@@ -166,15 +199,14 @@ StatusOr<Workload> WorkloadFromCsv(const std::string& text) {
     }
   }
   if (!saw_meta) return Status::InvalidArgument("missing M (meta) row");
+  // Checked once every row is in: the M row, which bounds the items, may
+  // come last.
   for (size_t i = 0; i < w.queries.size(); ++i) {
-    for (ItemId item : w.queries[i].items) {
-      if (item < 0 || item >= w.num_items) {
-        return Status::InvalidArgument(
-            "Q row " + std::to_string(i) + " (id " +
-            std::to_string(w.queries[i].id) + "): item " +
-            std::to_string(item) + " outside [0, " +
-            std::to_string(w.num_items) + ")");
-      }
+    const std::string problem = QueryRowProblem(
+        w.queries[i], i > 0 ? w.queries[i - 1].arrival : 0, w.num_items);
+    if (!problem.empty()) {
+      return Status::InvalidArgument(QueryRowName(i, w.queries[i].id) + ": " +
+                                     problem);
     }
   }
   // The U rows must be sources the engine's database accepts: the same

@@ -18,8 +18,13 @@ namespace unitdb {
 std::string WorkloadToCsv(const Workload& workload);
 
 /// Parses a document produced by WorkloadToCsv. Fails with
-/// INVALID_ARGUMENT on a Q row whose arrival precedes the previous row's:
-/// the engine replays queries in row order.
+/// INVALID_ARGUMENT, naming the row, on anything the engine cannot replay:
+/// an M row whose duration is not positive; a Q row whose arrival is
+/// negative or precedes the previous row's (the engine replays queries in
+/// row order), whose exec or deadline is below one tick, whose freshness
+/// lies outside [0, 1], whose class lies outside
+/// [0, kMaxPreferenceClasses), or which reads an item outside
+/// [0, num_items); and U rows the database refuses as update sources.
 StatusOr<Workload> WorkloadFromCsv(const std::string& text);
 
 /// Convenience file round-trips.

@@ -31,6 +31,30 @@ const char* UpdateDistributionName(UpdateDistribution d) {
   return "?";
 }
 
+bool UpdateVolumeFromName(const std::string& name, UpdateVolume* out) {
+  for (UpdateVolume v :
+       {UpdateVolume::kLow, UpdateVolume::kMedium, UpdateVolume::kHigh}) {
+    if (name == UpdateVolumeName(v)) {
+      *out = v;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool UpdateDistributionFromName(const std::string& name,
+                                UpdateDistribution* out) {
+  for (UpdateDistribution d :
+       {UpdateDistribution::kUniform, UpdateDistribution::kPositive,
+        UpdateDistribution::kNegative}) {
+    if (name == UpdateDistributionName(d)) {
+      *out = d;
+      return true;
+    }
+  }
+  return false;
+}
+
 double VolumeUtilization(UpdateVolume v) {
   switch (v) {
     case UpdateVolume::kLow:

@@ -21,6 +21,12 @@ enum class UpdateDistribution { kUniform, kPositive, kNegative };
 const char* UpdateVolumeName(UpdateVolume v);        ///< "low"/"med"/"high"
 const char* UpdateDistributionName(UpdateDistribution d);  ///< "unif"/"pos"/"neg"
 
+/// Inverses of UpdateVolumeName and UpdateDistributionName; return false on
+/// an unknown name and leave `*out` unchanged.
+bool UpdateVolumeFromName(const std::string& name, UpdateVolume* out);
+bool UpdateDistributionFromName(const std::string& name,
+                                UpdateDistribution* out);
+
 /// Parameters of the update-trace generator.
 struct UpdateTraceParams {
   UpdateVolume volume = UpdateVolume::kMedium;

@@ -9,10 +9,8 @@ TEST(CounterRegistryTest, StartsEmpty) {
   CounterRegistry reg;
   EXPECT_TRUE(reg.empty());
   EXPECT_TRUE(reg.CounterSnapshot().empty());
-  EXPECT_TRUE(reg.GaugeSnapshot().empty());
   // Value lookups do not create entries.
   EXPECT_EQ(reg.CounterValue("nope"), 0);
-  EXPECT_DOUBLE_EQ(reg.GaugeValue("nope"), 0.0);
   EXPECT_TRUE(reg.empty());
 }
 
@@ -29,30 +27,16 @@ TEST(CounterRegistryTest, CounterReferenceIsStable) {
   EXPECT_EQ(&reg.Counter("a"), &a);
 }
 
-TEST(CounterRegistryTest, GaugeLastWriteWins) {
-  CounterRegistry reg;
-  double& g = reg.Gauge("depth");
-  g = 3.5;
-  g = 1.25;
-  EXPECT_DOUBLE_EQ(reg.GaugeValue("depth"), 1.25);
-}
-
 TEST(CounterRegistryTest, SnapshotsAreSortedByName) {
   CounterRegistry reg;
   reg.Counter("zeta") = 1;
   reg.Counter("alpha") = 2;
   reg.Counter("mid") = 3;
-  reg.Gauge("b") = 0.5;
-  reg.Gauge("a") = 0.25;
   const auto counters = reg.CounterSnapshot();
   ASSERT_EQ(counters.size(), 3u);
   EXPECT_EQ(counters[0].first, "alpha");
   EXPECT_EQ(counters[1].first, "mid");
   EXPECT_EQ(counters[2].first, "zeta");
-  const auto gauges = reg.GaugeSnapshot();
-  ASSERT_EQ(gauges.size(), 2u);
-  EXPECT_EQ(gauges[0].first, "a");
-  EXPECT_EQ(gauges[1].first, "b");
 }
 
 }  // namespace

@@ -27,9 +27,7 @@ StatusOr<Workload> SmallWorkload() {
 // Every field except the obs_* snapshots, bit for bit.
 void ExpectSameMetrics(RunMetrics a, RunMetrics b) {
   a.obs_counters.clear();
-  a.obs_gauges.clear();
   b.obs_counters.clear();
-  b.obs_gauges.clear();
   EXPECT_TRUE(a == b);
 }
 
@@ -46,7 +44,6 @@ TEST(EngineObsTest, TraceOffLeavesTheRegistryEmpty) {
   // branches taken on behalf of the obs layer).
   EXPECT_TRUE(reg.empty());
   EXPECT_TRUE(r->metrics.obs_counters.empty());
-  EXPECT_TRUE(r->metrics.obs_gauges.empty());
 }
 
 // The tentpole guarantee: attaching every obs hook changes nothing about

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "testing/fake_policy.h"
+#include "unit/model/reference_query_trace.h"
 #include "unit/sched/engine.h"
 #include "unit/workload/query_trace.h"
 #include "unit/workload/update_trace.h"
@@ -23,32 +24,52 @@ QueryTraceParams SmallParams() {
   return p;
 }
 
-// The materialized generator is the oracle: every prefix of the stream must
-// be bit-identical to GenerateQueryTrace's output, field by field.
-void ExpectStreamMatchesTrace(const QueryTraceParams& p) {
-  auto oracle = GenerateQueryTrace(p);
-  ASSERT_TRUE(oracle.ok());
-  auto source = StreamingQuerySource::Make(p);
-  ASSERT_TRUE(source.ok());
-  EXPECT_EQ((*source)->count(),
-            static_cast<int64_t>(oracle->queries.size()));
+// Every field, bit for bit; stops at the first difference.
+void ExpectSameQuery(const QueryRequest& got, const QueryRequest& want,
+                     size_t i) {
+  ASSERT_EQ(got.id, want.id) << "query " << i;
+  ASSERT_EQ(got.arrival, want.arrival) << "query " << i;
+  ASSERT_EQ(got.exec, want.exec) << "query " << i;
+  ASSERT_EQ(got.relative_deadline, want.relative_deadline) << "query " << i;
+  ASSERT_EQ(got.freshness_req, want.freshness_req) << "query " << i;
+  ASSERT_EQ(got.items, want.items) << "query " << i;
+  ASSERT_EQ(got.preference_class, want.preference_class) << "query " << i;
+}
 
-  auto cursor = (*source)->NewCursor();
+// The two-pass generator in model/ is the oracle: GenerateQueryTrace and
+// every prefix of MakeStreamingWorkload's cursor must both equal its
+// output, field by field.
+void ExpectStreamMatchesTrace(const QueryTraceParams& p) {
+  auto oracle = ReferenceGenerateQueryTrace(p);
+  ASSERT_TRUE(oracle.ok());
+  const std::vector<QueryRequest>& want = oracle->queries;
+
+  auto materialized = GenerateQueryTrace(p);
+  ASSERT_TRUE(materialized.ok());
+  EXPECT_EQ(materialized->num_items, oracle->num_items);
+  EXPECT_EQ(materialized->duration, oracle->duration);
+  EXPECT_EQ(materialized->query_trace_name, oracle->query_trace_name);
+  ASSERT_EQ(materialized->queries.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameQuery(materialized->queries[i], want[i], i));
+  }
+
+  auto streamed = MakeStreamingWorkload(p);
+  ASSERT_TRUE(streamed.ok());
+  EXPECT_EQ(streamed->num_items, oracle->num_items);
+  EXPECT_EQ(streamed->duration, oracle->duration);
+  EXPECT_TRUE(streamed->queries.empty());
+  EXPECT_EQ(streamed->QueryCount(), static_cast<int64_t>(want.size()));
+  auto cursor = streamed->NewQueryCursor();
   QueryRequest q;
   size_t i = 0;
   while (cursor->Next(&q)) {
-    ASSERT_LT(i, oracle->queries.size());
-    const QueryRequest& want = oracle->queries[i];
-    ASSERT_EQ(q.id, want.id);
-    ASSERT_EQ(q.arrival, want.arrival) << "query " << i;
-    ASSERT_EQ(q.exec, want.exec) << "query " << i;
-    ASSERT_EQ(q.relative_deadline, want.relative_deadline) << "query " << i;
-    ASSERT_EQ(q.freshness_req, want.freshness_req) << "query " << i;
-    ASSERT_EQ(q.items, want.items) << "query " << i;
-    ASSERT_EQ(q.preference_class, want.preference_class) << "query " << i;
+    ASSERT_LT(i, want.size());
+    ASSERT_NO_FATAL_FAILURE(ExpectSameQuery(q, want[i], i));
     ++i;
   }
-  EXPECT_EQ(i, oracle->queries.size());
+  EXPECT_EQ(i, want.size());
 }
 
 TEST(QueryStreamTest, MatchesMaterializedTraceBitForBit) {
@@ -89,16 +110,46 @@ TEST(QueryStreamTest, MatchesOracleAcrossParameterVariants) {
     p.seed = 15;
     ExpectStreamMatchesTrace(p);
   }
+  {
+    // perfbench's paper-heavy and stream-session queries, over 20 s: 50 Hz
+    // with short, frequent flash crowds.
+    QueryTraceParams p;
+    p.duration = SecondsToSim(20.0);
+    p.base_rate_hz = 50.0;
+    p.mean_normal_sojourn_s = 9.0;
+    p.mean_burst_sojourn_s = 0.25;
+    p.seed = 16;
+    ExpectStreamMatchesTrace(p);
+    // perfbench's shard-write queries: stationary 80 Hz Poisson with
+    // deadlines capped at 3x the longest service demand.
+    p.base_rate_hz = 80.0;
+    p.burst_rate_multiplier = 1.0;
+    p.deadline_hi_factor = 3.0;
+    p.seed = 17;
+    ExpectStreamMatchesTrace(p);
+  }
+  {
+    QueryTraceParams p = SmallParams();
+    p.exec_sigma = 0.0;  // every service demand is the median
+    p.seed = 18;
+    ExpectStreamMatchesTrace(p);
+  }
+  {
+    QueryTraceParams p = SmallParams();
+    p.duration = 1;  // one tick: an empty trace, barring a 1-us first gap
+    p.seed = 19;
+    ExpectStreamMatchesTrace(p);
+  }
 }
 
 TEST(QueryStreamTest, EveryCursorReplaysTheIdenticalSequence) {
-  auto source = StreamingQuerySource::Make(SmallParams());
-  ASSERT_TRUE(source.ok());
-  auto a = (*source)->NewCursor();
+  auto w = MakeStreamingWorkload(SmallParams());
+  ASSERT_TRUE(w.ok());
+  auto a = w->NewQueryCursor();
   QueryRequest qa;
   // Consume a short prefix from one cursor first: cursors are independent.
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(a->Next(&qa));
-  auto b = (*source)->NewCursor();
+  auto b = w->NewQueryCursor();
   QueryRequest qb;
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(b->Next(&qb));
   EXPECT_EQ(qa.arrival, qb.arrival);
@@ -110,10 +161,16 @@ TEST(QueryStreamTest, EveryCursorReplaysTheIdenticalSequence) {
 TEST(QueryStreamTest, RejectsTheSameBadParametersAsTheOracle) {
   QueryTraceParams p = SmallParams();
   p.num_items = 0;
-  EXPECT_FALSE(StreamingQuerySource::Make(p).ok());
+  EXPECT_FALSE(ReferenceGenerateQueryTrace(p).ok());
+  EXPECT_FALSE(MakeStreamingWorkload(p).ok());
   p = SmallParams();
   p.exec_max_ms = p.exec_min_ms / 2;
-  EXPECT_FALSE(StreamingQuerySource::Make(p).ok());
+  EXPECT_FALSE(ReferenceGenerateQueryTrace(p).ok());
+  EXPECT_FALSE(MakeStreamingWorkload(p).ok());
+  p = SmallParams();
+  p.num_preference_classes = kMaxPreferenceClasses + 1;
+  EXPECT_FALSE(ReferenceGenerateQueryTrace(p).ok());
+  EXPECT_FALSE(MakeStreamingWorkload(p).ok());
 }
 
 TEST(QueryStreamTest, VectorSourceRoundTripsMaterializedQueries) {

@@ -37,6 +37,14 @@ TEST(QueryTraceTest, ValidatesParameters) {
   p = SmallParams();
   p.exec_max_ms = p.exec_min_ms / 2;
   EXPECT_FALSE(GenerateQueryTrace(p).ok());
+  // The engine sizes per-class counters to the largest class: the bound.
+  p = SmallParams();
+  p.num_preference_classes = kMaxPreferenceClasses + 1;
+  auto too_many = GenerateQueryTrace(p);
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
+  p.num_preference_classes = kMaxPreferenceClasses;
+  EXPECT_TRUE(GenerateQueryTrace(p).ok());
 }
 
 TEST(QueryTraceTest, BasicInvariants) {

@@ -139,6 +139,33 @@ TEST(TraceIoTest, MalformedQueryRowFails) {
   EXPECT_FALSE(
       WorkloadFromCsv("M,4,1000000,a,b\nQ,0,0,1000,2000,0.9,4294967296\n")
           .ok());
+  // Rows a replay would abort on or silently miscount, one per rule:
+  // arrival, exec, deadline, freshness (NaN included) and class bounds.
+  for (const char* row :
+       {"Q,0,-1,1000,2000,0.9,1", "Q,0,0,0,2000,0.9,1",
+        "Q,0,0,-5000,2000,0.9,1", "Q,0,0,1000,0,0.9,1",
+        "Q,0,0,1000,-7,0.9,1", "Q,0,0,1000,2000,1.5,1",
+        "Q,0,0,1000,2000,-0.1,1", "Q,0,0,1000,2000,nan,1",
+        "Q,0,0,1000,2000,0.9,1,-1", "Q,0,0,1000,2000,0.9,1,1024",
+        "Q,0,0,1000,2000,0.9,1,2000000000",
+        "Q,0,0,1000,2000,0.9,1,4294967296"}) {
+    // The M row may come first or last.
+    for (const std::string& doc :
+         {std::string("M,4,1000000,a,b\n") + row + "\n",
+          std::string(row) + "\nM,4,1000000,a,b\n"}) {
+      auto w = WorkloadFromCsv(doc);
+      ASSERT_FALSE(w.ok()) << doc;
+      EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument) << doc;
+      EXPECT_NE(w.status().message().find("Q row 0 (id 0)"),
+                std::string::npos)
+          << w.status().ToString();
+    }
+  }
+  // The bounds themselves load.
+  auto edge = WorkloadFromCsv(
+      "M,4,1000000,a,b\nQ,0,0,1,1,0,1,0\nQ,1,0,1,1,1,2,1023\n");
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge->queries[1].preference_class, kMaxPreferenceClasses - 1);
 }
 
 TEST(TraceIoTest, MalformedUpdateRowFails) {
@@ -164,6 +191,13 @@ TEST(TraceIoTest, MalformedMetaRowFails) {
     ASSERT_FALSE(w.ok()) << meta;
     EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument) << meta;
     EXPECT_NE(w.status().message().find("num_items"), std::string::npos)
+        << w.status().ToString();
+  }
+  for (const char* meta : {"M,4,0,a,b\n", "M,4,-5,a,b\n"}) {
+    auto w = WorkloadFromCsv(meta);
+    ASSERT_FALSE(w.ok()) << meta;
+    EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument) << meta;
+    EXPECT_NE(w.status().message().find("duration"), std::string::npos)
         << w.status().ToString();
   }
 }

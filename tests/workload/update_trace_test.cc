@@ -33,6 +33,33 @@ TEST(UpdateTraceTest, NamesFollowTable1) {
   EXPECT_EQ(UpdateTraceName(p), "med-pos");
 }
 
+TEST(UpdateTraceTest, NamesParseBack) {
+  for (UpdateVolume v :
+       {UpdateVolume::kLow, UpdateVolume::kMedium, UpdateVolume::kHigh}) {
+    UpdateVolume back = UpdateVolume::kLow;
+    ASSERT_TRUE(UpdateVolumeFromName(UpdateVolumeName(v), &back));
+    EXPECT_EQ(back, v);
+  }
+  for (UpdateDistribution d :
+       {UpdateDistribution::kUniform, UpdateDistribution::kPositive,
+        UpdateDistribution::kNegative}) {
+    UpdateDistribution back = UpdateDistribution::kUniform;
+    ASSERT_TRUE(UpdateDistributionFromName(UpdateDistributionName(d), &back));
+    EXPECT_EQ(back, d);
+  }
+  // Unknown names fail and leave the output alone.
+  UpdateVolume v = UpdateVolume::kHigh;
+  for (const char* bad : {"hgih", "", "medium", "HIGH", "med "}) {
+    EXPECT_FALSE(UpdateVolumeFromName(bad, &v)) << bad;
+  }
+  EXPECT_EQ(v, UpdateVolume::kHigh);
+  UpdateDistribution d = UpdateDistribution::kPositive;
+  for (const char* bad : {"negg", "", "uniform", "NEG"}) {
+    EXPECT_FALSE(UpdateDistributionFromName(bad, &d)) << bad;
+  }
+  EXPECT_EQ(d, UpdateDistribution::kPositive);
+}
+
 TEST(UpdateTraceTest, CanonicalUtilizations) {
   EXPECT_DOUBLE_EQ(VolumeUtilization(UpdateVolume::kLow), 0.15);
   EXPECT_DOUBLE_EQ(VolumeUtilization(UpdateVolume::kMedium), 0.75);
