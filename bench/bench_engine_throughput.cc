@@ -77,8 +77,9 @@ Status Run(bench::Args& args) {
     auto w = MakeCell(cell.volume, cell.dist, cell.rate_hz, scale, seed);
     if (!w.ok()) return w.status();
     for (const std::string& policy : policies) {
-      auto r = bench::FastestOf(
-          reps, [&] { return RunExperiment(*w, policy, weights); });
+      auto r = bench::FastestOf(reps, [&] {
+        return RunExperiment(*w, {.policy = policy, .weights = weights});
+      });
       if (!r.ok()) return r.status();
       const RunMetrics& m = r->value.metrics;
       const double events_per_sec = bench::PerSecond(

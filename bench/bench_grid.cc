@@ -1,15 +1,19 @@
-// Reproduces the paper's tables and figures and the ablations around them.
-// Each figure is a value: one or two grids of update traces x policies x
-// named variants (USM weights, engine and policy parameters), run through
-// RunGrid (sim/experiment.h), plus a print function for its tables. So every
-// figure takes jobs= and seeds=, and prints the same for any jobs= except
-// its "grid wall-clock:" line.
+// Reproduces the paper's tables and figures, the ablations around them and
+// the extension figures. Each figure is a value: one or two grids of update
+// traces x policies x named variants (a RunRequest each: USM weights, engine
+// and policy parameters, a fault scenario), run through RunGrid
+// (sim/experiment.h), plus a print function for its tables. So every figure
+// takes jobs= and seeds=, and prints the same for any jobs= except its "grid
+// wall-clock:" line.
 //
 // Usage: bench_grid [figure=all] [scale=1.0] [seed=42] [seeds=1] [jobs=0]
-//                   [shards=0] [trace_dir=DIR] [trace_cell=NAME]
+//                   [shards=0] [trace_dir=DIR] [trace_cell=NAME] [out=FILE]
+//                   [scenario=FILE]
 //   figure  table1 (Table 1), fig3..fig6 (Figs. 3-6, fig5 with Table 2),
-//           a1..a5 (ablations A1-A5), hybrid (extension E+), or all of them
-//   scale   trace-length multiplier (a5 defaults to 0.5)
+//           a1..a5 (ablations A1-A5), hybrid (extension E+), fig7..fig9
+//           (extensions: adaptivity under faults, closed-loop sessions,
+//           result cache), or all of them
+//   scale   trace-length multiplier (a5 defaults to 0.5, fig7..fig9 to 0.25)
 //   seeds   replications per cell, at seeds ReplicationSeed(seed, i) (a5
 //           defaults to 3); tables show their mean, fig4's panels show
 //           replication 0 and a mean +/- stddev table follows
@@ -21,12 +25,18 @@
 //           input) and the window series to
 //           DIR/<trace>-<policy>[-<variant>].jsonl / -series.csv;
 //           trace_cell=NAME (e.g. med-unif) keeps one trace
+//   out     fig7..fig9: also write the cells as JSON (compare_bench.py's)
+//   scenario  fig7: a fault scenario file in place of the canned two
+// fig7..fig9 exit 1 when a layer attached but off changes a run, and fig9
+// when its largest cache saves under 20% of the engine events (EXPERIMENTS.md).
 
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <iostream>
 #include <numeric>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,9 +61,7 @@ struct Panel {
   int traces() const {
     return volumes() * static_cast<int>(spec.distributions.size());
   }
-  int variants() const {
-    return std::max(1, static_cast<int>(spec.variants.size()));
-  }
+  int variants() const { return static_cast<int>(spec.variants.size()); }
   int policies() const { return static_cast<int>(spec.policies.size()); }
   const GridCellResult& cell(int trace, int variant, int policy) const {
     return cells[static_cast<size_t>(
@@ -77,6 +85,9 @@ struct Panel {
 struct FigureRun {
   std::vector<Panel> panels;
   int jobs = 1;
+  int shards = 0;
+  std::string out;  ///< JSON path ("" = none)
+  const bench::Args* args = nullptr;
 };
 
 struct Figure {
@@ -88,6 +99,7 @@ struct Figure {
   double scale;  ///< default scale=
   int seeds;     ///< default seeds=
   Status (*print)(const FigureRun&);
+  bool json = false;  ///< takes out=
 };
 
 const std::vector<UpdateDistribution> kUniform = {
@@ -113,7 +125,7 @@ template <typename T, typename Name, typename Set>
 std::vector<GridVariant> Sweep(std::vector<T> values, Name name, Set set) {
   std::vector<GridVariant> out;
   for (const T& value : values) {
-    GridVariant v{name(value), {}, {}, {}};
+    GridVariant v{name(value), {}};
     set(v, value);
     out.push_back(std::move(v));
   }
@@ -197,7 +209,7 @@ Status PrintTable1(const FigureRun& run) {
     if (t % p.volumes() == p.volumes() - 1) table.AddSeparator();
   }
   table.Print(std::cout);
-  if (p.spec.shards < 1) return Status::Ok();
+  if (run.shards < 1) return Status::Ok();
 
   // Each trace under UNIT, parent-level (post-CrossShardJoin) accounting
   // with the naive weighting.
@@ -205,7 +217,7 @@ Status PrintTable1(const FigureRun& run) {
   spec.policies = {"unit"};
   auto cells = RunGrid(spec, p.workloads, run.jobs);
   if (!cells.ok()) return cells.status();
-  std::cout << "\n--- engine runs (unit policy, shards=" << spec.shards
+  std::cout << "\n--- engine runs (unit policy, shards=" << run.shards
             << ") ---\n";
   TextTable runs;
   runs.SetHeader({"trace", "submitted", "success", "rejected", "dmf", "dsf",
@@ -332,9 +344,9 @@ Status PrintFig5(const FigureRun& run) {
   for (size_t r = 0; r < run.panels.size(); ++r) {
     if (r > 0) weights.AddSeparator();
     for (const GridVariant& v : run.panels[r].spec.variants) {
-      weights.AddRow({std::string(regimes[r]) + " " + v.name,
-                      Fmt(v.weights.gain, 1), Fmt(v.weights.c_r, 1),
-                      Fmt(v.weights.c_fm, 1), Fmt(v.weights.c_fs, 1)});
+      const UsmWeights& w = v.request.weights;
+      weights.AddRow({std::string(regimes[r]) + " " + v.name, Fmt(w.gain, 1),
+                      Fmt(w.c_r, 1), Fmt(w.c_fm, 1), Fmt(w.c_fs, 1)});
     }
   }
   weights.Print(std::cout);
@@ -466,7 +478,7 @@ Status PrintA2(const FigureRun& run) {
   PrintVariantTable(
       p, {"decay", "C_forget"},
       [](const GridVariant& v) -> std::vector<std::string> {
-        const ModulationParams& m = v.options.unit.modulation;
+        const ModulationParams& m = v.request.options.unit.modulation;
         return {m.time_decay ? "time" : "per-event", Fmt(m.c_forget, 2)};
       },
       static_cast<int>(kForgetFactors.size()));
@@ -489,7 +501,7 @@ Status PrintA3(const FigureRun& run) {
 
 Status PrintA4(const FigureRun& run) {
   const Panel& dt = run.panels[0];
-  if (dt.spec.shards > 1) {
+  if (run.shards > 1) {
     return Status::InvalidArgument(
         "a4's ODU dedupe panel runs one engine directly; shards= must be at "
         "most 1");
@@ -561,7 +573,252 @@ Status PrintHybrid(const FigureRun& run) {
   return Status::Ok();
 }
 
-std::vector<Figure> Figures() {
+// The extension figures (fig7..fig9) score every run with one weighting and
+// run one figure-wide sweep each; their first panel is an off gate.
+const UsmWeights kExtensionWeights{1.0, 0.5, 1.0, 0.5};
+constexpr double kExtensionScale = 0.25;
+
+double Usm(const ExperimentResult& r) { return r.usm; }
+
+/// The mean of `value(run)` over a cell's replications.
+template <typename Fn>
+double MeanOf(const GridCellResult& c, Fn value) {
+  RunningStat s;
+  for (const ExperimentResult& r : c.runs) s.Add(static_cast<double>(value(r)));
+  return s.mean();
+}
+
+/// A field of a run's metrics.
+template <typename T>
+auto Metric(T RunMetrics::*field) {
+  return [field](const ExperimentResult& r) { return r.metrics.*field; };
+}
+
+/// A field of a run's disturbance report.
+auto Disturbance(double DisturbanceReport::*field) {
+  return [field](const ExperimentResult& r) { return r.disturbance.*field; };
+}
+
+/// One grid cell as a JSON object and a table row. Values are replication
+/// means; at one replication each is the run's own value in its own type, so
+/// a count prints as the count.
+struct Line {
+  const GridCellResult& c;
+  bench::JsonObject json{};
+  std::vector<std::string> row{};
+
+  /// A value of the cell itself, shown in the table as `shown` ("": not).
+  template <typename T>
+  Line& Fixed(const std::string& key, const T& value,
+              const std::string& shown) {
+    json.Add(key, value);
+    if (!shown.empty()) row.push_back(shown);
+    return *this;
+  }
+  /// The mean of `value(run)`, shown with `decimals` (< 0: not shown).
+  template <typename Fn>
+  Line& Mean(const std::string& key, Fn value, int decimals = -1) {
+    const std::string shown =
+        decimals < 0 ? "" : Fmt(MeanOf(c, value), decimals);
+    return c.runs.size() == 1 ? Fixed(key, value(c.runs.front()), shown)
+                              : Fixed(key, MeanOf(c, value), shown);
+  }
+  /// recover_s, the settling time after the faults, where -1 means a run
+  /// never settled: with several replications the table shows how many
+  /// settled ("k/m") and the JSON their mean (-1 when none did) and count.
+  Line& Recovery() {
+    RunningStat settled;
+    for (const ExperimentResult& r : c.runs) {
+      if (r.disturbance.recover_s >= 0.0) settled.Add(r.disturbance.recover_s);
+    }
+    const double recover_s = settled.count() > 0 ? settled.mean() : -1.0;
+    if (c.runs.size() == 1) {
+      return Fixed("recover_s", recover_s,
+                   recover_s < 0 ? "never" : Fmt(recover_s, 1));
+    }
+    return Fixed("recover_s", recover_s,
+                 std::to_string(settled.count()) + "/" +
+                     std::to_string(c.runs.size()))
+        .Fixed("settled", settled.count(), "");
+  }
+};
+
+/// An extension figure. Its off gate fails unless every run of panel 0's
+/// variant 1 (off) equals variant 0's (plain) bit for bit; then one
+/// `line(variant, cell)` per cell of panel 1 is printed as a table under
+/// `columns` and written as a JSON cell to out= if given, under `header` plus
+/// the run's scale, seed and seeds.
+template <typename Fn>
+Status PrintExtension(const FigureRun& run, const std::string& layer,
+                      const std::string& check, bench::JsonObject header,
+                      std::vector<std::string> columns, Fn line) {
+  const Panel& gate = run.panels[0];
+  for (int k = 0; k < gate.policies(); ++k) {
+    const GridCellResult& plain = gate.cell(0, 0, k);
+    const GridCellResult& off = gate.cell(0, 1, k);
+    for (size_t i = 0; i < plain.runs.size(); ++i) {
+      if (!(off.runs[i].metrics == plain.runs[i].metrics)) {
+        return Status(StatusCode::kInternal,
+                      layer + " perturbed policy '" + plain.result.policy +
+                          "' (usm " + Fmt(off.runs[i].usm, 6) + " vs " +
+                          Fmt(plain.runs[i].usm, 6) + ")");
+      }
+    }
+  }
+  std::cout << check << ": ok (" << gate.policies() << " policies)\n";
+
+  const Panel& p = run.panels[1];
+  TextTable table;
+  table.SetHeader(std::move(columns));
+  std::vector<bench::JsonObject> cells;
+  for (size_t i = 0; i < p.cells.size(); ++i) {
+    const int v = static_cast<int>(i) / p.policies() % p.variants();
+    const Line l = line(p.spec.variants[static_cast<size_t>(v)], p.cells[i]);
+    table.AddRow(l.row);
+    cells.push_back(l.json);
+  }
+  table.Print(std::cout);
+  if (run.out.empty()) return Status::Ok();
+  header.Add("scale", p.spec.scale)
+      .Add("seed", p.spec.base_seed)
+      .Add("seeds", p.spec.replications);
+  return bench::WriteJson(run.out, "bench_grid", header, cells, *run.args);
+}
+
+Status PrintFig7(const FigureRun& run) {
+  return PrintExtension(
+      run, "empty fault schedule", "no-fault no-op check",
+      bench::JsonObject().Add("figure", "fig7"),
+      {"scenario", "policy", "usm", "baseline", "dip", "recover_s"},
+      [](const GridVariant&, const GridCellResult& c) {
+        return Line{c}
+            .Fixed("scenario", c.variant, c.variant)
+            .Fixed("policy", c.result.policy, c.result.policy)
+            .Mean("usm", Usm, 4)
+            .Mean("baseline_usm", Disturbance(&DisturbanceReport::baseline_usm),
+                  4)
+            .Mean("min_usm", Disturbance(&DisturbanceReport::min_usm))
+            .Mean("dip_depth", Disturbance(&DisturbanceReport::dip_depth), 4)
+            .Recovery()
+            .Mean("fault_start_s",
+                  Disturbance(&DisturbanceReport::fault_start_s))
+            .Mean("fault_end_s", Disturbance(&DisturbanceReport::fault_end_s));
+      });
+}
+
+/// `part` of `whole`; 0 when `whole` is.
+double Share(int64_t part, int64_t whole) {
+  return whole > 0 ? static_cast<double>(part) / static_cast<double>(whole)
+                   : 0.0;
+}
+
+double AbandonRate(const ExperimentResult& r) {
+  return Share(r.metrics.session_abandons, r.metrics.session_requests);
+}
+
+/// p90 of a run's kSessionRetry client delays, in seconds; 0 without any.
+double RetryP90(const ExperimentResult& r) {
+  std::vector<SimDuration> delays;
+  for (const TraceEvent& e : r.events) {
+    if (e.type == TraceEventType::kSessionRetry) delays.push_back(e.lag);
+  }
+  if (delays.empty()) return 0.0;
+  std::sort(delays.begin(), delays.end());
+  const size_t idx = (delays.size() * 9) / 10;
+  return SimToSeconds(delays[std::min(idx, delays.size() - 1)]);
+}
+
+Status PrintFig8(const FigureRun& run) {
+  return PrintExtension(
+      run, "disabled session layer", "sessions-off no-op check",
+      bench::JsonObject().Add("figure", "fig8").Add("policy", "unit"),
+      {"cell", "sessions", "patience_s", "usm", "abandon_rate", "retry_p90_s",
+       "recover_s"},
+      [](const GridVariant& v, const GridCellResult& c) {
+        const SessionParams& session = v.request.engine.session;
+        const double patience_s = SimToSeconds(session.patience);
+        return Line{c}
+            .Fixed("cell", c.variant, c.variant)
+            .Fixed("sessions", session.sessions,
+                   std::to_string(session.sessions))
+            .Fixed("patience_s", patience_s, Fmt(patience_s, 1))
+            .Mean("usm", Usm, 4)
+            .Mean("requests", Metric(&RunMetrics::session_requests))
+            .Mean("retries", Metric(&RunMetrics::session_retries))
+            .Mean("abandons", Metric(&RunMetrics::session_abandons))
+            .Mean("shed", Metric(&RunMetrics::queries_shed))
+            .Mean("abandon_rate", AbandonRate, 4)
+            .Mean("retry_p90_s", RetryP90, 4)
+            .Recovery();
+      });
+}
+
+double HitRate(const ExperimentResult& r) {
+  const RunMetrics& m = r.metrics;
+  return Share(m.cache_hits,
+               m.cache_hits + m.cache_misses + m.cache_stale_skips);
+}
+
+Status PrintFig9(const FigureRun& run) {
+  const auto name = [](const GridCellResult& c) {
+    return std::string(UpdateVolumeName(c.volume)) + "_" + c.variant;
+  };
+  Status s = PrintExtension(
+      run, "disabled result cache", "cache-off no-op check",
+      bench::JsonObject().Add("figure", "fig9").Add("policy", "unit"),
+      {"cell", "volume", "capacity", "usm", "hit_rate", "events", "freshness"},
+      [&](const GridVariant& v, const GridCellResult& c) {
+        const std::string volume = UpdateVolumeName(c.volume);
+        const int capacity = v.request.engine.cache.capacity;
+        return Line{c}
+            .Fixed("cell", name(c), name(c))
+            .Fixed("volume", volume, volume)
+            .Fixed("capacity", capacity, std::to_string(capacity))
+            .Mean("usm", Usm, 4)
+            .Mean("hit_rate", HitRate, 4)
+            .Mean("events_processed", Metric(&RunMetrics::events_processed), 0)
+            .Mean("hits", Metric(&RunMetrics::cache_hits))
+            .Mean("misses", Metric(&RunMetrics::cache_misses))
+            .Mean("stale_skips", Metric(&RunMetrics::cache_stale_skips))
+            .Mean("invalidations", Metric(&RunMetrics::cache_invalidations))
+            .Mean("mean_freshness", [](const ExperimentResult& r) {
+              return r.metrics.query_freshness.mean();
+            }, 4);
+      });
+  if (!s.ok()) return s;
+
+  // The high-hit cell, the largest cache under low update volume (trace 0),
+  // must process at least 20% fewer events than that volume's uncached run,
+  // with USM no worse.
+  const Panel& p = run.panels[1];
+  const GridCellResult& uncached = p.cell(0, 0, 0);
+  const GridCellResult& high_hit = p.cell(0, p.variants() - 1, 0);
+  const auto events = Metric(&RunMetrics::events_processed);
+  const double saving =
+      1.0 - MeanOf(high_hit, events) / MeanOf(uncached, events);
+  const std::string usm = Fmt(MeanOf(high_hit, Usm), 4);
+  const std::string uncached_usm = Fmt(MeanOf(uncached, Usm), 4);
+  std::cout << "high-hit cell " << name(high_hit) << ": hit_rate "
+            << Fmt(MeanOf(high_hit, HitRate), 4) << ", event saving "
+            << Fmt(100.0 * saving, 1) << "% vs uncached, usm " << usm
+            << " (uncached " << uncached_usm << ")\n";
+  if (saving < 0.20) {
+    return Status::FailedPrecondition("GATE: high-hit cell saved only " +
+                                      Fmt(100.0 * saving, 1) +
+                                      "% of events (want >= 20%)");
+  }
+  return MeanOf(high_hit, Usm) < MeanOf(uncached, Usm)
+             ? Status::FailedPrecondition("GATE: high-hit cell USM " + usm +
+                                          " regressed below uncached " +
+                                          uncached_usm)
+             : Status::Ok();
+}
+
+/// Every figure. The extension figures' fault windows sit at fixed shares of
+/// the run, so they follow `scale` (given, or theirs); the `scenario` file
+/// ("" = none) replaces fig7's two canned disturbances.
+StatusOr<std::vector<Figure>> Figures(std::optional<double> scale,
+                                      const std::string& scenario) {
   const std::vector<std::string> paper = {"imu", "odu", "qmf", "unit"};
   const auto fixed = [](double x) { return Fmt(x, 0); };
   const auto two_places = [](double x) { return Fmt(x, 2); };
@@ -571,8 +828,8 @@ std::vector<Figure> Figures() {
     const std::vector<GridVariant> sweep = Sweep(
         kForgetFactors, [&](double c) { return mode + Fmt(c, 2); },
         [&](GridVariant& v, double c) {
-          v.options.unit.modulation.c_forget = c;
-          v.options.unit.modulation.time_decay = time_decay;
+          v.request.options.unit.modulation.c_forget = c;
+          v.request.options.unit.modulation.time_decay = time_decay;
         });
     forget.insert(forget.end(), sweep.begin(), sweep.end());
   }
@@ -584,10 +841,80 @@ std::vector<Figure> Figures() {
   const std::vector<Upgrade> upgrades = {{"selective", true, false},
                                          {"global-halving", false, false},
                                          {"global-linear", false, true}};
-  GridVariant fcfs{"FCFS", {}, {}, {}};
-  fcfs.engine.discipline = QueueDiscipline::kFcfs;
+  GridVariant fcfs{"FCFS", {}};
+  fcfs.request.engine.discipline = QueueDiscipline::kFcfs;
 
-  return {
+  const double run_s =  // MakeStandardWorkload's run length
+      SimToSeconds(static_cast<SimDuration>(
+          static_cast<double>(QueryTraceParams{}.duration) *
+          scale.value_or(kExtensionScale)));
+  // `body` with its fault window over [lo, hi] of the run, parsed as a
+  // scenario file is.
+  const auto windowed = [&](const std::string& body, double lo, double hi) {
+    std::ostringstream os;
+    os << body << "fault0.start_s = " << run_s * lo << "\n"
+       << "fault0.end_s = " << run_s * hi << "\n";
+    return FaultScenarioSpec::Parse(os.str());
+  };
+  auto step = windowed(
+      "name = step\nfault0.kind = load-step\nfault0.rate_hz = 20\n", 0.4, 0.6);
+  auto outage = windowed(
+      "name = outage\nfault0.kind = update-outage\nfault0.items = 0-63\n",
+      0.4, 0.7);
+  auto storm = windowed(
+      "name = retry-storm\nfault0.kind = retry-storm\nfault0.rate_hz = 40\n",
+      0.4, 0.7);
+  auto file = scenario.empty() ? StatusOr(FaultScenarioSpec{})
+                              : FaultScenarioSpec::Load(scenario);
+  for (const auto* spec : {&step, &outage, &storm, &file}) {
+    if (!spec->ok()) return spec->status();
+  }
+  std::vector<GridVariant> disturbances;
+  for (const FaultScenarioSpec& spec :
+       scenario.empty() ? std::vector{*step, *outage} : std::vector{*file}) {
+    disturbances.push_back({spec.name,
+                            {.weights = kExtensionWeights,
+                             .scenario = spec,
+                             .obs = {.series = true}}});
+  }
+
+  // The off gates' pairs: the plain run, then the same run with a layer
+  // attached but off.
+  const GridVariant plain{"plain", {.weights = kExtensionWeights}};
+  GridVariant faults_off{"off", {.weights = kExtensionWeights,
+                                 .scenario = FaultScenarioSpec{}}};
+  GridVariant sessions_off{"off", {.weights = kExtensionWeights}};
+  SessionParams& off = sessions_off.request.engine.session;  // sessions=0
+  off.max_retries = 9;
+  off.patience = SecondsToSim(1.0);
+  off.backoff_base = MillisToSim(7.0);
+  off.seed = 0xDEADBEEFULL;
+  std::vector<GridVariant> storms;  // sessions x patience under the storm
+  for (int sessions : {8, 24, 48}) {
+    for (double patience_s : {0.0, 2.0}) {
+      RunRequest& r = storms.emplace_back(GridVariant{
+          "s" + std::to_string(sessions) + "_p" + Fmt(patience_s, 0),
+          {.weights = kExtensionWeights,
+           .scenario = *storm,
+           .obs = {.series = true, .events = {TraceEventType::kSessionRetry}}}})
+          .request;
+      r.engine.session.sessions = sessions;
+      r.engine.session.max_retries = 3;
+      r.engine.session.patience = SecondsToSim(patience_s);
+      r.engine.shed_watermark = 8;
+    }
+  }
+
+  GridVariant cache_off{"off", {.weights = kExtensionWeights}};
+  cache_off.request.engine.cache.max_hit_udrop = 3;  // capacity 0
+  std::vector<GridVariant> caches;
+  for (int capacity : {0, 16, 64, 256}) {
+    caches.push_back({"c" + std::to_string(capacity),
+                      {.weights = kExtensionWeights}});
+    caches.back().request.engine.cache.capacity = capacity;
+  }
+
+  return std::vector<Figure>{
       {"table1", "Table 1: update traces", {Axes({})}, 1.0, 1, PrintTable1},
       {"fig3",
        "Figure 3: accesses and updates over data items",
@@ -612,7 +939,7 @@ std::vector<Figure> Figures() {
        {Axes({"unit"},
              Sweep(std::vector<double>{0.05, 0.1, 0.25, 0.5, 1.0}, two_places,
                    [](GridVariant& v, double c) {
-                     v.options.unit.modulation.c_du = c;
+                     v.request.options.unit.modulation.c_du = c;
                    }),
              {UpdateDistribution::kUniform, UpdateDistribution::kNegative},
              kMedium)},
@@ -631,27 +958,47 @@ std::vector<Figure> Figures() {
              Sweep(std::vector<double>{1.0, 10.0, 50.0, 100.0, 400.0, 1000.0},
                    fixed,
                    [](GridVariant& v, double s) {
-                     v.options.unit.modulation.dt_scale = s;
+                     v.request.options.unit.modulation.dt_scale = s;
                    }),
              kUniform, kMedium),
         Axes({"unit"},
              Sweep(upgrades,
                    [](const Upgrade& u) { return std::string(u.name); },
                    [](GridVariant& v, const Upgrade& u) {
-                     v.options.unit.modulation.selective_upgrade = u.selective;
-                     v.options.unit.modulation.linear_upgrade = u.linear;
+                     ModulationParams& m = v.request.options.unit.modulation;
+                     m.selective_upgrade = u.selective;
+                     m.linear_upgrade = u.linear;
                    }),
              kUniform, kMedium)},
        1.0, 1, PrintA4},
       {"a5",
        "Ablation A5: EDF vs FCFS intra-class dispatch",
-       {Axes({"unit", "imu", "odu", "qmf"}, {{"EDF", {}, {}, {}}, fcfs},
+       {Axes({"unit", "imu", "odu", "qmf"}, {{"EDF", {}}, fcfs},
              kUniform, kMedium)},
        0.5, 3, PrintA5},
       {"hybrid",
        "Extension: unit-hybrid (UNIT + just-in-time repair)",
        {Axes({"unit", "odu", "unit-hybrid"})},
        1.0, 1, PrintHybrid},
+      {"fig7",
+       "Adaptivity under disturbance (Fig. 7 territory)",
+       {Axes({"unit", "unit-bare", "imu", "qmf"}, {plain, faults_off},
+             kUniform, kMedium),
+        Axes({"unit", "unit-bare", "imu", "qmf"}, disturbances, kUniform,
+             kMedium)},
+       kExtensionScale, 1, PrintFig7, true},
+      {"fig8",
+       "Closed-loop sessions under a retry storm (Fig. 8)",
+       {Axes({"unit", "unit-bare", "imu", "qmf"}, {plain, sessions_off},
+             kUniform, kMedium),
+        Axes({"unit"}, storms, kUniform, kMedium)},
+       kExtensionScale, 1, PrintFig8, true},
+      {"fig9",
+       "Freshness-aware result cache (Fig. 9)",
+       {Axes({"unit", "imu", "odu", "qmf"}, {plain, cache_off}, kUniform,
+             kMedium),
+        Axes({"unit"}, caches, kUniform)},
+       kExtensionScale, 1, PrintFig9, true},
   };
 }
 
@@ -671,21 +1018,19 @@ Status TraceCells(const FigureRun& run, const std::string& dir,
       const Workload& w = p.workload(t, 0);
       if (!only.empty() && w.update_trace_name != only) continue;
       matched = true;
-      for (int v = 0; v < p.variants(); ++v) {
-        const GridVariant variant =
-            p.spec.variants.empty()
-                ? GridVariant{}
-                : p.spec.variants[static_cast<size_t>(v)];
+      for (const GridVariant& variant : p.spec.variants) {
         for (const std::string& policy : p.spec.policies) {
-          const std::string label =
-              p.spec.variants.empty() ? policy : policy + "-" + variant.name;
+          const std::string label =  // the default variant adds no suffix
+              variant.name == "naive" ? policy : policy + "-" + variant.name;
           const std::string stem =
               dir + "/" + w.update_trace_name + "-" + label;
-          ObsOptions obs;
-          obs.trace_path = stem + ".jsonl";
-          obs.series_csv_path = stem + "-series.csv";
-          auto r = RunTracedExperiment(w, policy, variant.weights, obs,
-                                       variant.engine, variant.options);
+          RunRequest request = variant.request;
+          request.policy = policy;
+          request.fault_seed = ReplicationSeed(p.spec.base_seed, 0);
+          request.shards = 0;
+          request.obs = {.trace_path = stem + ".jsonl",
+                         .series_csv_path = stem + "-series.csv"};
+          auto r = RunExperiment(w, request);
           if (!r.ok()) return r.status();
           int64_t events = 0;
           for (const auto& [name, value] : r->metrics.obs_counters) {
@@ -718,31 +1063,44 @@ Status Run(bench::Args& args) {
   const int shards = static_cast<int>(args.Int("shards", 0, 0));
   const std::string trace_dir = args.String("trace_dir", "");
   const std::string trace_cell = args.String("trace_cell", "");
+  const std::string out = args.String("out", "");
+  const std::string scenario = args.String("scenario", "");
   if (Status s = args.Check(); !s.ok()) return s;
   if (!trace_cell.empty() && trace_dir.empty()) {
     return Status::InvalidArgument("trace_cell= needs trace_dir=");
   }
+  if (!scenario.empty() && name != "fig7") {
+    return Status::InvalidArgument("scenario= applies to figure=fig7 only");
+  }
 
-  std::vector<Figure> figures = Figures();
+  auto all = Figures(own_scale ? std::nullopt : std::optional(scale), scenario);
+  if (!all.ok()) return all.status();
+  std::vector<Figure> figures = *all;
   if (name != "all") {
     std::erase_if(figures, [&](const Figure& f) { return f.name != name; });
     if (figures.empty()) {
       std::string known;
-      for (const Figure& f : Figures()) known += std::string(f.name) + "|";
+      for (const Figure& f : *all) known += std::string(f.name) + "|";
       return Status::InvalidArgument("unknown figure '" + name + "' (want " +
                                      known + "all)");
     }
   }
+  if (!out.empty() && (figures.size() != 1 || !figures.front().json)) {
+    return Status::InvalidArgument(
+        "out= applies to one of figure=fig7|fig8|fig9");
+  }
   for (size_t f = 0; f < figures.size(); ++f) {
     const Figure& fig = figures[f];
     const auto start = std::chrono::steady_clock::now();
-    FigureRun run;
-    run.jobs = jobs;
+    FigureRun run{{}, jobs, shards, out, &args};
     for (GridSpec spec : fig.panels) {
       spec.scale = own_scale ? fig.scale : scale;
       spec.replications = own_seeds ? fig.seeds : seeds;
       spec.base_seed = seed;
-      spec.shards = shards;
+      if (spec.variants.empty()) spec.variants = {{"naive", {}}};
+      for (GridVariant& v : spec.variants) {
+        v.request.shards = shards > 1 ? shards : 0;
+      }
       Panel panel;
       auto workloads = MakeGridWorkloads(spec, jobs);
       if (!workloads.ok()) return workloads.status();
@@ -780,6 +1138,7 @@ Status Run(bench::Args& args) {
 int main(int argc, char** argv) {
   return unitdb::bench::Main(argc, argv,
                              {"figure", "scale", "seed", "seeds", "jobs",
-                              "shards", "trace_dir", "trace_cell"},
+                              "shards", "trace_dir", "trace_cell", "out",
+                              "scenario"},
                              unitdb::Run);
 }

@@ -166,10 +166,10 @@ void BM_AdmissionScan(benchmark::State& state) {
     q.items = {static_cast<ItemId>(i % 16)};
     w.queries.push_back(q);
   }
-  // The candidate arrives last.
+  // The candidate arrives last, 1 ms after the last queued query.
   QueryRequest cand = w.queries.back();
   cand.id = queue_len + 1;
-  cand.arrival = SecondsToSim(1.0);
+  cand.arrival += MillisToSim(1.0);
   w.queries.push_back(cand);
 
   struct Probe : Policy {
@@ -227,7 +227,7 @@ void BM_EngineRun(benchmark::State& state) {
   }
   int64_t txns = 0;
   for (auto _ : state) {
-    auto r = RunExperiment(*w, policy, UsmWeights{});
+    auto r = RunExperiment(*w, {.policy = policy});
     if (!r.ok()) {
       state.SkipWithError("run failed");
       return;
@@ -265,7 +265,7 @@ void BM_EngineThroughput(benchmark::State& state) {
   }
   int64_t events = 0;
   for (auto _ : state) {
-    auto r = RunExperiment(*w, "unit", UsmWeights{1.0, 0.5, 1.0, 0.5});
+    auto r = RunExperiment(*w, {.weights = {1.0, 0.5, 1.0, 0.5}});  // unit
     if (!r.ok()) {
       state.SkipWithError("run failed");
       return;

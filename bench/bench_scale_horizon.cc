@@ -88,8 +88,9 @@ Status Run(bench::Args& args) {
                      bool streamed, bool bursty) -> Status {
     auto w = MakeCell(dur_s, rr, seed, streamed, bursty);
     if (!w.ok()) return w.status();
-    auto r = bench::FastestOf(
-        reps, [&] { return RunExperiment(*w, policy, weights); });
+    auto r = bench::FastestOf(reps, [&] {
+      return RunExperiment(*w, {.policy = policy, .weights = weights});
+    });
     if (!r.ok()) return r.status();
     const RunMetrics& m = r->value.metrics;
     const double events_per_sec =

@@ -20,8 +20,8 @@ repo root with the invocation CI runs:
     build/bench/bench_engine_throughput scale=0.1 reps=2 out=bench/baseline/BENCH_engine.json
     build/bench/bench_scale_horizon base_s=120 rate=5 reps=3 out=bench/baseline/BENCH_scale.json
     build/bench/bench_shard_scaling scale=0.1 reps=5 out=bench/baseline/BENCH_shard.json
-    build/bench/bench_fig8_closed_loop out=bench/baseline/BENCH_session.json
-    build/bench/bench_fig9_cache out=bench/baseline/BENCH_cache.json
+    build/bench/bench_grid figure=fig8 out=bench/baseline/BENCH_session.json
+    build/bench/bench_grid figure=fig9 out=bench/baseline/BENCH_cache.json
 
 Usage: compare_bench.py BASELINE CURRENT [--max-regression 0.25]
 """

@@ -46,34 +46,6 @@ class Args {
               int64_t min = std::numeric_limits<int64_t>::min()) {
     return AtLeast(key, config_.GetInt(key, def), min);
   }
-  /// A comma-separated list; empty entries are skipped.
-  std::vector<std::string> List(const std::string& key,
-                                const std::string& def) const {
-    std::vector<std::string> out;
-    std::stringstream in(config_.GetString(key, def));
-    std::string token;
-    while (std::getline(in, token, ',')) {
-      if (!token.empty()) out.push_back(token);
-    }
-    return out;
-  }
-  /// A comma-separated list of integers, each at least `min`.
-  std::vector<int64_t> Ints(const std::string& key, const std::string& def,
-                            int64_t min = std::numeric_limits<int64_t>::min()) {
-    std::vector<int64_t> out;
-    for (const std::string& token : List(key, def)) {
-      out.push_back(AtLeast(key, Entry(key, token, &Config::GetInt), min));
-    }
-    return out;
-  }
-  /// A comma-separated list of numbers.
-  std::vector<double> Doubles(const std::string& key, const std::string& def) {
-    std::vector<double> out;
-    for (const std::string& token : List(key, def)) {
-      out.push_back(Entry(key, token, &Config::GetDouble));
-    }
-    return out;
-  }
   /// The first malformed or out-of-range value a getter read.
   Status Check() const {
     Status s = config_.CheckNumbers();
@@ -88,16 +60,6 @@ class Args {
       error_ = Status::InvalidArgument(key + "=" + std::to_string(value) +
                                        " is below " + std::to_string(min));
     }
-    return value;
-  }
-  // Reads one list entry exactly as a lone key=value would be read.
-  template <typename T>
-  T Entry(const std::string& key, const std::string& token,
-          T (Config::*get)(const std::string&, T) const) {
-    Config entry;
-    entry.Set(key, token);
-    const T value = (entry.*get)(key, T{});
-    if (Status s = entry.CheckNumbers(); !s.ok() && error_.ok()) error_ = s;
     return value;
   }
 

@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   MarkingHybrid hybrid((UsmWeights()));
   add("marking-hybrid", RunWith(*w, hybrid));
   for (const char* builtin : {"unit", "unit-hybrid", "imu", "odu", "qmf"}) {
-    auto r = RunExperiment(*w, builtin, UsmWeights{});
+    auto r = RunExperiment(*w, {.policy = builtin});
     if (!r.ok()) {
       std::cerr << r.status().ToString() << "\n";
       return 1;

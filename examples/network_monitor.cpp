@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
 
   // Analysts prefer a clear "try again" over stale intel: C_fs dominant.
   const UsmWeights analyst{1.0, 0.2, 0.4, 0.8};
-  auto results =
-      RunPolicies(*workload, {"unit", "imu", "odu", "qmf"}, analyst);
+  auto results = RunPolicies(*workload, {"unit", "imu", "odu", "qmf"},
+                             {.weights = analyst});
   if (!results.ok()) {
     std::cerr << results.status().ToString() << "\n";
     return 1;

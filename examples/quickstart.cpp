@@ -56,7 +56,8 @@ Status Run(const Config& config) {
       100.0 * workload->UpdateUtilization(),
       100.0 * workload->QueryUtilization());
 
-  auto results = RunPolicies(*workload, {"unit", "imu", "odu", "qmf"}, weights);
+  auto results = RunPolicies(*workload, {"unit", "imu", "odu", "qmf"},
+                             {.weights = weights});
   if (!results.ok()) return results.status();
 
   TextTable table;

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
             << "2s deadline guarantee, flash crowd at t=60s\n\n";
 
   auto results =
-      RunPolicies(market, {"unit", "imu", "odu", "qmf"}, UsmWeights{});
+      RunPolicies(market, {"unit", "imu", "odu", "qmf"});
   if (!results.ok()) {
     std::cerr << results.status().ToString() << "\n";
     return 1;
@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
   // Traders hate late fills more than polite rejections: high C_fm.
   std::cout << "\nwith trader preferences (C_fm=4 > C_r=2, C_fs=2):\n";
   const UsmWeights trader{1.0, 2.0, 4.0, 2.0};
-  auto tuned = RunPolicies(market, {"unit", "imu", "odu", "qmf"}, trader);
+  auto tuned =
+      RunPolicies(market, {"unit", "imu", "odu", "qmf"}, {.weights = trader});
   if (!tuned.ok()) {
     std::cerr << tuned.status().ToString() << "\n";
     return 1;

@@ -114,7 +114,7 @@ Status Replay(const Config& config) {
   auto workload = LoadWorkload(config.GetString("in"));
   if (!workload.ok()) return workload.status();
   const std::string policy = config.GetString("policy", "unit");
-  auto r = RunExperiment(*workload, policy, weights);
+  auto r = RunExperiment(*workload, {.policy = policy, .weights = weights});
   if (!r.ok()) return r.status();
   const auto& c = r->metrics.counts;
   std::cout << policy << " on " << r->trace << ": USM=" << Fmt(r->usm, 4)

@@ -63,7 +63,7 @@ struct ShardedParams {
   /// Write shard-tagged JSONL traces here ("" = no tracing): one
   /// shard<k>.jsonl per shard plus merged.jsonl, the global view sorted by
   /// (time, shard, emission order) — deterministic for any jobs count.
-  std::string trace_dir;
+  std::string trace_dir{};
   /// Self-test defect (differential-harness support): shard 0's policy
   /// wrapper vetoes its 8th admitted query, a guaranteed divergence the
   /// sharded oracle must catch.

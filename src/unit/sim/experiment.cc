@@ -1,125 +1,163 @@
 #include "unit/sim/experiment.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
 #include "unit/common/thread_pool.h"
+#include "unit/faults/schedule.h"
 #include "unit/obs/counters.h"
 #include "unit/obs/trace_sink.h"
+#include "unit/shard/sharded.h"
 
 namespace unitdb {
 
+namespace {
+
+// Keeps the events of the requested types, then hands every event on.
+class KeepingSink : public TraceSink {
+ public:
+  KeepingSink(const std::vector<TraceEventType>& types, TraceSink* next)
+      : types_(types), next_(next) {}
+
+  void Emit(const TraceEvent& e) override {
+    if (std::find(types_.begin(), types_.end(), e.type) != types_.end()) {
+      kept.push_back(e);
+    }
+    if (next_ != nullptr) next_->Emit(e);
+  }
+  void Flush() override {
+    if (next_ != nullptr) next_->Flush();
+  }
+
+  std::vector<TraceEvent> kept;
+
+ private:
+  const std::vector<TraceEventType>& types_;
+  TraceSink* next_;
+};
+
+bool NamesAFile(const ObsOptions& obs) {
+  return !obs.trace_path.empty() || !obs.series_csv_path.empty();
+}
+
+// Folds one replication's headline metrics into the aggregate. RunGrid
+// folds in replication order, so the floating-point accumulation sequence
+// never depends on the worker count.
+void AccumulateReplication(const ExperimentResult& r, ReplicatedResult& agg) {
+  const OutcomeCounts& c = r.metrics.counts;
+  agg.trace = r.trace;
+  agg.usm.Add(r.usm);
+  agg.success_ratio.Add(c.SuccessRatio());
+  agg.rejection_ratio.Add(c.RejectionRatio());
+  agg.dmf_ratio.Add(c.DmfRatio());
+  agg.dsf_ratio.Add(c.DsfRatio());
+}
+
+Status CheckGrid(const GridSpec& spec) {
+  if (spec.replications <= 0) {
+    return Status::InvalidArgument("replications must be positive");
+  }
+  if (spec.volumes.empty() || spec.distributions.empty() ||
+      spec.policies.empty()) {
+    return Status::InvalidArgument("grid has an empty axis");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 StatusOr<ExperimentResult> RunExperiment(const Workload& workload,
-                                         const std::string& policy,
-                                         const UsmWeights& weights,
-                                         const EngineParams& engine,
-                                         const PolicyOptions& options) {
-  Server::Config config;
-  config.policy = policy;
-  config.weights = weights;
-  config.engine = engine;
-  config.options = options;
-  auto server = Server::Create(workload, config);
-  if (!server.ok()) return server.status();
-
-  ExperimentResult result;
-  result.trace = workload.update_trace_name.empty()
-                     ? workload.query_trace_name
-                     : workload.update_trace_name;
-  result.policy = policy;
-  result.weights = weights;
-  result.metrics = (*server)->Run();
-  result.usm = UsmAverage(result.metrics.counts, weights);
-  result.breakdown = UsmDecompose(result.metrics.counts, weights);
-  return result;
-}
-
-StatusOr<ExperimentResult> RunShardedExperiment(
-    const Workload& workload, const std::string& policy,
-    const UsmWeights& weights, int shards, int jobs,
-    const EngineParams& engine, const PolicyOptions& options) {
-  ShardedParams params;
-  params.shards = shards;
-  params.jobs = jobs;
-  params.engine = engine;
-  params.options = options;
-  auto sharded = RunSharded(workload, policy, weights, params);
-  if (!sharded.ok()) return sharded.status();
-
-  ExperimentResult result;
-  result.trace = workload.update_trace_name.empty()
-                     ? workload.query_trace_name
-                     : workload.update_trace_name;
-  result.policy = policy;
-  result.weights = weights;
-  result.metrics = std::move(sharded.value().metrics);
-  result.usm = sharded.value().usm;
-  result.breakdown = sharded.value().breakdown;
-  return result;
-}
-
-StatusOr<ExperimentResult> RunTracedExperiment(
-    const Workload& workload, const std::string& policy,
-    const UsmWeights& weights, const ObsOptions& obs,
-    const EngineParams& engine, const PolicyOptions& options) {
-  EngineParams ep = engine;
-  CounterRegistry counters;
-  ep.counters = &counters;
-
-  std::unique_ptr<JsonlTraceSink> sink;
-  if (!obs.trace_path.empty()) {
-    auto opened = JsonlTraceSink::Open(obs.trace_path, &counters);
-    if (!opened.ok()) return opened.status();
-    sink = std::move(*opened);
-    ep.trace = sink.get();
+                                         const RunRequest& request) {
+  const ObsOptions& obs = request.obs;
+  const bool series = obs.series || !obs.series_csv_path.empty();
+  std::optional<FaultSchedule> schedule;
+  if (request.scenario) {
+    auto compiled =
+        FaultSchedule::Compile(*request.scenario, workload, request.fault_seed);
+    if (!compiled.ok()) return compiled.status();
+    schedule = std::move(*compiled);
   }
 
-  const bool want_series = obs.series || !obs.series_csv_path.empty() ||
-                           !obs.series_json_path.empty();
-  TimeSeriesRecorder recorder(weights);
-  if (want_series) ep.series = &recorder;
+  ExperimentResult result;
+  result.trace = workload.update_trace_name.empty()
+                     ? workload.query_trace_name
+                     : workload.update_trace_name;
+  result.policy = request.policy;
+  result.weights = request.weights;
+  if (request.shards > 0) {
+    // RunSharded compiles the scenario per shard and merges the series.
+    const EngineParams& e = request.engine;
+    if (e.trace != nullptr || e.series != nullptr || e.counters != nullptr ||
+        e.faults != nullptr || NamesAFile(obs) || !obs.events.empty()) {
+      return Status::InvalidArgument(
+          "a sharded run wires its own trace, series, counters and faults: "
+          "set no EngineParams pointer, ObsOptions file or kept event");
+    }
+    auto sharded = RunSharded(
+        workload, request.policy, request.weights,
+        {.shards = request.shards,
+         .jobs = request.jobs,
+         .engine = e,
+         .options = request.options,
+         .record_series = series,
+         .scenario = request.scenario ? &*request.scenario : nullptr,
+         .fault_seed = request.fault_seed});
+    if (!sharded.ok()) return sharded.status();
+    result.metrics = std::move(sharded->metrics);
+    result.series = std::move(sharded->merged_series);
+  } else {
+    Server::Config config{request.policy, request.weights, request.engine,
+                          request.options};
+    EngineParams& ep = config.engine;
+    if (schedule) {
+      if (ep.faults != nullptr) {
+        return Status::InvalidArgument(
+            "a run takes its faults from a scenario or from "
+            "EngineParams::faults, not both");
+      }
+      ep.faults = &*schedule;
+    }
+    CounterRegistry counters;
+    if (ep.counters == nullptr) ep.counters = &counters;
+    std::unique_ptr<JsonlTraceSink> file;
+    if (!obs.trace_path.empty()) {
+      auto opened = JsonlTraceSink::Open(obs.trace_path, ep.counters);
+      if (!opened.ok()) return opened.status();
+      file = std::move(*opened);
+      ep.trace = file.get();
+    }
+    std::optional<KeepingSink> keep;
+    if (!obs.events.empty()) ep.trace = &keep.emplace(obs.events, ep.trace);
+    TimeSeriesRecorder recorder(request.weights);
+    if (series) ep.series = &recorder;
 
-  auto result = RunExperiment(workload, policy, weights, ep, options);
-  if (!result.ok()) return result;
-  if (want_series) {
-    result->series = recorder.samples();
+    auto server = Server::Create(workload, config);
+    if (!server.ok()) return server.status();
+    result.metrics = (*server)->Run();
+    if (keep) result.events = std::move(keep->kept);
+    if (series) result.series = recorder.samples();
     if (!obs.series_csv_path.empty()) {
-      Status s = recorder.WriteCsv(obs.series_csv_path);
-      if (!s.ok()) return s;
-    }
-    if (!obs.series_json_path.empty()) {
-      Status s = recorder.WriteJson(obs.series_json_path);
-      if (!s.ok()) return s;
+      if (Status s = recorder.WriteCsv(obs.series_csv_path); !s.ok()) return s;
     }
   }
-  return result;
-}
-
-StatusOr<ExperimentResult> RunFaultedExperiment(
-    const Workload& workload, const std::string& policy,
-    const UsmWeights& weights, const FaultSchedule& schedule,
-    const ObsOptions& obs, const EngineParams& engine,
-    const PolicyOptions& options, double settle_epsilon) {
-  EngineParams ep = engine;
-  ep.faults = &schedule;
-  auto result = RunTracedExperiment(workload, policy, weights, obs, ep,
-                                    options);
-  if (!result.ok()) return result;
-  if (!schedule.empty() && !result->series.empty()) {
-    result->disturbance =
-        ComputeDisturbance(result->series, schedule, settle_epsilon);
+  result.usm = UsmAverage(result.metrics.counts, request.weights);
+  result.breakdown = UsmDecompose(result.metrics.counts, request.weights);
+  if (schedule && !schedule->empty() && !result.series.empty()) {
+    result.disturbance = ComputeDisturbance(result.series, *schedule);
   }
   return result;
 }
 
 StatusOr<std::vector<ExperimentResult>> RunPolicies(
     const Workload& workload, const std::vector<std::string>& policies,
-    const UsmWeights& weights, const EngineParams& engine,
-    const PolicyOptions& options) {
+    const RunRequest& request) {
   std::vector<ExperimentResult> results;
   results.reserve(policies.size());
+  RunRequest each = request;
   for (const auto& policy : policies) {
-    auto r = RunExperiment(workload, policy, weights, engine, options);
+    each.policy = policy;
+    auto r = RunExperiment(workload, each);
     if (!r.ok()) return r.status();
     results.push_back(std::move(*r));
   }
@@ -150,59 +188,6 @@ uint64_t ReplicationSeed(uint64_t base_seed, int replication) {
   return base_seed + 100 * static_cast<uint64_t>(replication);
 }
 
-namespace {
-
-// Folds one replication's headline metrics into the aggregate. RunGrid
-// folds in replication order, so the floating-point accumulation sequence
-// never depends on the worker count.
-void AccumulateReplication(const ExperimentResult& r, ReplicatedResult& agg) {
-  const OutcomeCounts& c = r.metrics.counts;
-  agg.trace = r.trace;
-  agg.usm.Add(r.usm);
-  agg.success_ratio.Add(c.SuccessRatio());
-  agg.rejection_ratio.Add(c.RejectionRatio());
-  agg.dmf_ratio.Add(c.DmfRatio());
-  agg.dsf_ratio.Add(c.DsfRatio());
-}
-
-Status CheckGrid(const GridSpec& spec) {
-  if (spec.replications <= 0) {
-    return Status::InvalidArgument("replications must be positive");
-  }
-  if (spec.volumes.empty() || spec.distributions.empty() ||
-      spec.policies.empty()) {
-    return Status::InvalidArgument("grid has an empty axis");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-StatusOr<std::vector<ExperimentResult>> RunFaultedReplicated(
-    UpdateVolume volume, UpdateDistribution distribution,
-    const std::string& policy, const UsmWeights& weights,
-    const FaultScenarioSpec& scenario, int replications, int jobs,
-    double scale, uint64_t base_seed, const EngineParams& engine,
-    const PolicyOptions& options, double settle_epsilon) {
-  if (replications <= 0) {
-    return Status::InvalidArgument("replications must be positive");
-  }
-  // Workload and compiled schedule both derive from the replication's seed.
-  // The series is always recorded: the disturbance report is the whole
-  // point of a faulted replication.
-  return FanOut(replications, jobs, [&](int i) -> StatusOr<ExperimentResult> {
-    const uint64_t seed = ReplicationSeed(base_seed, i);
-    auto w = MakeStandardWorkload(volume, distribution, scale, seed);
-    if (!w.ok()) return w.status();
-    auto schedule = FaultSchedule::Compile(scenario, *w, seed);
-    if (!schedule.ok()) return schedule.status();
-    ObsOptions obs;
-    obs.series = true;
-    return RunFaultedExperiment(*w, policy, weights, *schedule, obs, engine,
-                                options, settle_epsilon);
-  });
-}
-
 StatusOr<std::vector<Workload>> MakeGridWorkloads(const GridSpec& spec,
                                                   int jobs) {
   const int num_volumes = static_cast<int>(spec.volumes.size());
@@ -230,41 +215,51 @@ StatusOr<std::vector<GridCellResult>> RunGrid(
                                    "replication)");
   }
   const std::vector<GridVariant> variants =
-      spec.variants.empty() ? std::vector<GridVariant>{{"naive", {}, {}, {}}}
+      spec.variants.empty() ? std::vector<GridVariant>{{"naive", {}}}
                             : spec.variants;
+  for (const GridVariant& v : variants) {
+    if (NamesAFile(v.request.obs)) {
+      return Status::InvalidArgument(
+          "grid variant '" + v.name +
+          "' names an ObsOptions file, which every replication would write");
+    }
+  }
 
-  // One task per (trace, variant, policy) cell; a cell folds its
-  // replications in order, so no result depends on the worker count.
-  const int num_variants = static_cast<int>(variants.size());
-  const int num_policies = static_cast<int>(spec.policies.size());
-  return FanOut(
-      num_traces * num_variants * num_policies, jobs,
-      [&](int c) -> StatusOr<GridCellResult> {
-        const int trace = c / (num_variants * num_policies);
-        const GridVariant& v =
-            variants[static_cast<size_t>(c / num_policies % num_variants)];
-        GridCellResult cell;
-        cell.volume = spec.volumes[static_cast<size_t>(trace % num_volumes)];
+  // One task per (cell, replication); each cell then folds its replications
+  // in order, so no result depends on the worker count.
+  std::vector<GridCellResult> cells;
+  std::vector<const RunRequest*> requests;  // per cell
+  for (int t = 0; t < num_traces; ++t) {
+    for (const GridVariant& v : variants) {
+      for (const std::string& policy : spec.policies) {
+        GridCellResult& cell = cells.emplace_back();
+        cell.volume = spec.volumes[static_cast<size_t>(t % num_volumes)];
         cell.distribution =
-            spec.distributions[static_cast<size_t>(trace / num_volumes)];
+            spec.distributions[static_cast<size_t>(t / num_volumes)];
         cell.variant = v.name;
-        cell.result.policy =
-            spec.policies[static_cast<size_t>(c % num_policies)];
+        cell.result.policy = policy;
         cell.result.replications = reps;
-        for (int i = 0; i < reps; ++i) {
-          const Workload& w = workloads[static_cast<size_t>(trace * reps + i)];
-          auto r = spec.shards > 1
-                       ? RunShardedExperiment(w, cell.result.policy,
-                                              v.weights, spec.shards,
-                                              /*jobs=*/1, v.engine, v.options)
-                       : RunExperiment(w, cell.result.policy, v.weights,
-                                       v.engine, v.options);
-          if (!r.ok()) return r.status();
-          AccumulateReplication(*r, cell.result);
-          cell.runs.push_back(std::move(*r));
-        }
-        return cell;
-      });
+        requests.push_back(&v.request);
+      }
+    }
+  }
+  const int cells_per_trace = static_cast<int>(cells.size()) / num_traces;
+  auto runs = FanOut(static_cast<int>(cells.size()) * reps, jobs, [&](int k) {
+    const size_t c = static_cast<size_t>(k / reps);
+    RunRequest request = *requests[c];
+    request.policy = cells[c].result.policy;
+    request.fault_seed = ReplicationSeed(spec.base_seed, k % reps);
+    const int trace = k / reps / cells_per_trace;
+    return RunExperiment(
+        workloads[static_cast<size_t>(trace * reps + k % reps)], request);
+  });
+  if (!runs.ok()) return runs.status();
+  for (size_t k = 0; k < runs->size(); ++k) {
+    GridCellResult& cell = cells[k / static_cast<size_t>(reps)];
+    AccumulateReplication((*runs)[k], cell.result);
+    cell.runs.push_back(std::move((*runs)[k]));
+  }
+  return cells;
 }
 
 StatusOr<std::vector<GridCellResult>> RunGrid(const GridSpec& spec,
@@ -280,17 +275,17 @@ StatusOr<std::vector<GridCellResult>> RunGrid(const GridSpec& spec,
 // penalty dominant — with representative magnitudes (see DESIGN.md §4).
 std::vector<GridVariant> Table2WeightsBelowOne() {
   return {
-      {"high-Cr", UsmWeights{1.0, 0.8, 0.2, 0.2}, {}, {}},
-      {"high-Cfm", UsmWeights{1.0, 0.2, 0.8, 0.2}, {}, {}},
-      {"high-Cfs", UsmWeights{1.0, 0.2, 0.2, 0.8}, {}, {}},
+      {"high-Cr", {.weights = {1.0, 0.8, 0.2, 0.2}}},
+      {"high-Cfm", {.weights = {1.0, 0.2, 0.8, 0.2}}},
+      {"high-Cfs", {.weights = {1.0, 0.2, 0.2, 0.8}}},
   };
 }
 
 std::vector<GridVariant> Table2WeightsAboveOne() {
   return {
-      {"high-Cr", UsmWeights{1.0, 4.0, 2.0, 2.0}, {}, {}},
-      {"high-Cfm", UsmWeights{1.0, 2.0, 4.0, 2.0}, {}, {}},
-      {"high-Cfs", UsmWeights{1.0, 2.0, 2.0, 4.0}, {}, {}},
+      {"high-Cr", {.weights = {1.0, 4.0, 2.0, 2.0}}},
+      {"high-Cfm", {.weights = {1.0, 2.0, 4.0, 2.0}}},
+      {"high-Cfs", {.weights = {1.0, 2.0, 2.0, 4.0}}},
   };
 }
 

@@ -1,25 +1,69 @@
 #ifndef UNIT_SIM_EXPERIMENT_H_
 #define UNIT_SIM_EXPERIMENT_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "unit/common/stats.h"
 #include "unit/common/status.h"
 #include "unit/core/usm.h"
-#include "unit/faults/schedule.h"
+#include "unit/faults/scenario.h"
 #include "unit/faults/settling.h"
 #include "unit/obs/timeseries.h"
+#include "unit/obs/trace_event.h"
 #include "unit/sched/engine.h"
 #include "unit/sched/metrics.h"
-#include "unit/shard/sharded.h"
 #include "unit/sim/server.h"
 #include "unit/workload/query_trace.h"
 #include "unit/workload/update_trace.h"
 
 namespace unitdb {
 
-/// Everything one (workload, policy, weights) run produced.
+/// Observability attachments for one run. RunExperiment owns the sinks and
+/// recorders for the duration of the run; the engine only ever sees
+/// non-owning pointers (EngineParams::{trace, series, counters}). The
+/// counter registry snapshot lands in RunMetrics::obs_counters.
+struct ObsOptions {
+  /// Write the JSONL event trace here ("" = no trace sink).
+  std::string trace_path{};
+  /// Record the per-control-window time series into ExperimentResult::series.
+  bool series = false;
+  /// Also export the series as CSV ("" = don't); implies `series`.
+  std::string series_csv_path{};
+  /// Keep the trace events of these types in ExperimentResult::events, in
+  /// memory (empty = keep none).
+  std::vector<TraceEventType> events{};
+};
+
+/// Everything one run takes except its workload. Every member has an
+/// initializer, so a designated initializer may leave any of them out.
+struct RunRequest {
+  std::string policy = "unit";
+  UsmWeights weights{};
+  EngineParams engine{};
+  PolicyOptions options{};
+  /// Fault scenario, compiled against the workload with `fault_seed`.
+  /// Absent: no fault layer. Present, even empty: its compiled schedule is
+  /// attached (EngineParams::faults; an empty one is a strict no-op), and
+  /// when the series is recorded and the schedule is non-empty the result
+  /// carries its DisturbanceReport.
+  std::optional<FaultScenarioSpec> scenario{};
+  uint64_t fault_seed = 42;
+  /// 0: one monolithic engine. >= 1: the sharded runner (shard/sharded.h):
+  /// items and queries split across `shards` hash-routed shards, each a full
+  /// server stack, run on `jobs` workers. Its metrics are the merged global
+  /// view (parent-level Eq. 5 accounting after the CrossShardJoin barrier),
+  /// bit-identical for any `jobs`, and shards=1 reproduces the monolithic
+  /// run. It compiles the scenario per shard and wires its own trace,
+  /// series, counters and faults, so a sharded request may set no
+  /// EngineParams pointer, ObsOptions file or kept event.
+  int shards = 0;
+  int jobs = 1;
+  ObsOptions obs{};
+};
+
+/// Everything one run produced.
 struct ExperimentResult {
   std::string trace;   ///< e.g. "med-unif"
   std::string policy;  ///< e.g. "unit"
@@ -27,84 +71,25 @@ struct ExperimentResult {
   RunMetrics metrics;
   double usm = 0.0;  ///< average USM (Eq. 5)
   UsmBreakdown breakdown;
-  /// Window time series (RunTracedExperiment with ObsOptions::series; empty
-  /// otherwise).
+  /// Window time series (ObsOptions::series; empty otherwise).
   std::vector<WindowSample> series;
-  /// Dynamic-response summary (RunFaultedExperiment with a non-empty
-  /// schedule and the series recorded; invalid otherwise).
+  /// Trace events of the ObsOptions::events types, in emission order.
+  std::vector<TraceEvent> events;
+  /// Dynamic-response summary (a non-empty fault schedule with the series
+  /// recorded; invalid otherwise).
   DisturbanceReport disturbance;
 };
 
-/// Runs `policy` on `workload` under `weights`. Fails on an unknown policy.
+/// Serves `request` on `workload`. Fails on an unknown policy, a scenario
+/// that does not compile, an I/O error, or a request its path cannot honour
+/// (InvalidArgument).
 StatusOr<ExperimentResult> RunExperiment(const Workload& workload,
-                                         const std::string& policy,
-                                         const UsmWeights& weights,
-                                         const EngineParams& engine = {},
-                                         const PolicyOptions& options = {});
+                                         const RunRequest& request);
 
-/// RunExperiment over the sharded multi-engine runner (shard/sharded.h):
-/// items and queries are partitioned across `shards` hash-routed shards,
-/// each running its own full server stack, executed on `jobs` workers.
-/// The headline metrics are the merged global view (parent-level Eq. 5
-/// accounting after the CrossShardJoin barrier); results are bit-identical
-/// for any `jobs`, and `shards=1` reproduces RunExperiment exactly.
-StatusOr<ExperimentResult> RunShardedExperiment(
-    const Workload& workload, const std::string& policy,
-    const UsmWeights& weights, int shards, int jobs = 1,
-    const EngineParams& engine = {}, const PolicyOptions& options = {});
-
-/// Observability attachments for one run. RunTracedExperiment owns the
-/// actual sinks/recorders for the duration of the run; the engine only ever
-/// sees non-owning pointers (EngineParams::{trace, series, counters}).
-struct ObsOptions {
-  /// Write the JSONL event trace here ("" = no trace sink).
-  std::string trace_path;
-  /// Record the per-control-window time series into ExperimentResult::series.
-  bool series = false;
-  /// Also export the series ("" = don't). Either implies `series`.
-  std::string series_csv_path;
-  std::string series_json_path;
-};
-
-/// RunExperiment with tracing/telemetry attached per `obs`. The counter
-/// registry snapshot lands in RunMetrics::obs_counters. With a
-/// default ObsOptions this is exactly RunExperiment (no hooks attached).
-StatusOr<ExperimentResult> RunTracedExperiment(
-    const Workload& workload, const std::string& policy,
-    const UsmWeights& weights, const ObsOptions& obs,
-    const EngineParams& engine = {}, const PolicyOptions& options = {});
-
-/// RunTracedExperiment with `schedule` attached (EngineParams::faults).
-/// When the series is recorded and the schedule is non-empty, the result's
-/// DisturbanceReport (USM dip depth, settling time, per-window
-/// decomposition inside the fault envelope) is computed with
-/// `settle_epsilon` as the settling band (fraction of the dip). An empty schedule is a strict
-/// no-op: metrics are bit-identical to RunTracedExperiment.
-StatusOr<ExperimentResult> RunFaultedExperiment(
-    const Workload& workload, const std::string& policy,
-    const UsmWeights& weights, const FaultSchedule& schedule,
-    const ObsOptions& obs = {}, const EngineParams& engine = {},
-    const PolicyOptions& options = {}, double settle_epsilon = 0.25);
-
-/// Runs `replications` faulted standard workloads on FanOut's `jobs` workers
-/// (jobs <= 0: one per hardware thread). Replication i builds its workload from
-/// ReplicationSeed(base_seed, i) and compiles `scenario` against it with
-/// that same seed, so each replication draws its own injection stream and
-/// the per-replication results (returned in replication order, series and
-/// disturbance included) are bit-identical for any jobs count.
-StatusOr<std::vector<ExperimentResult>> RunFaultedReplicated(
-    UpdateVolume volume, UpdateDistribution distribution,
-    const std::string& policy, const UsmWeights& weights,
-    const FaultScenarioSpec& scenario, int replications, int jobs = 1,
-    double scale = 1.0, uint64_t base_seed = 42,
-    const EngineParams& engine = {}, const PolicyOptions& options = {},
-    double settle_epsilon = 0.25);
-
-/// Runs several policies over one workload (same weights, same engine).
+/// RunExperiment of `request` under each of `policies` in turn.
 StatusOr<std::vector<ExperimentResult>> RunPolicies(
     const Workload& workload, const std::vector<std::string>& policies,
-    const UsmWeights& weights, const EngineParams& engine = {},
-    const PolicyOptions& options = {});
+    const RunRequest& request = {});
 
 /// Builds the paper's standard evaluation workload: the cello-like query
 /// trace plus one of Table 1's nine update traces. `scale` multiplies the
@@ -135,14 +120,15 @@ struct ReplicatedResult {
 /// decorrelated streams rather than continuity.)
 uint64_t ReplicationSeed(uint64_t base_seed, int replication);
 
-/// A named setting a grid runs every (trace, policy) under: the weights that
-/// score the run and the engine and policy parameters it runs with (e.g. a
-/// Table 2 weighting, an ablation's parameter, a dispatch discipline).
+/// A named setting a grid runs every (trace, policy) under: everything a
+/// run takes except its workload (e.g. a Table 2 weighting, an ablation's
+/// parameter, a fault scenario). The grid's policy axis sets the request's
+/// policy and the replication seed its fault seed. Its ObsOptions may keep
+/// the series and events but name no file, which every replication would
+/// write.
 struct GridVariant {
   std::string name;
-  UsmWeights weights;
-  EngineParams engine;
-  PolicyOptions options;
+  RunRequest request;
 };
 
 /// A (trace x variant x policy) sweep: the cross product of every listed
@@ -162,10 +148,6 @@ struct GridSpec {
   int replications = 1;
   double scale = 1.0;
   uint64_t base_seed = 42;
-  /// Shards per cell (shard/sharded.h). 1 = monolithic engine; > 1 routes
-  /// every replication through the sharded runner (sequential inside the
-  /// cell — grid cells already fan out across the pool).
-  int shards = 1;
 };
 
 /// One cell of a RunGrid sweep; `result.trace` / `result.policy` identify
@@ -185,10 +167,12 @@ StatusOr<std::vector<Workload>> MakeGridWorkloads(const GridSpec& spec,
                                                   int jobs = 1);
 
 /// Runs the grid's cells on MakeGridWorkloads(spec)'s `workloads`, shared
-/// read-only, on FanOut's `jobs` workers (jobs <= 0: one per hardware
-/// thread). Cells come back distribution-major, then volume, variant,
-/// policy (the paper's presentation order), each folding its replications
-/// in order, so every cell is bit-identical for any `jobs`.
+/// read-only, one task per (cell, replication) on FanOut's `jobs` workers
+/// (jobs <= 0: one per hardware thread). Replication i compiles its
+/// variant's fault scenario with seed ReplicationSeed(base_seed, i). Cells
+/// come back distribution-major, then volume, variant, policy (the paper's
+/// presentation order), each folding its replications in order, so every
+/// cell is bit-identical for any `jobs`.
 StatusOr<std::vector<GridCellResult>> RunGrid(
     const GridSpec& spec, const std::vector<Workload>& workloads,
     int jobs = 1);

@@ -40,8 +40,9 @@ TEST(CacheEngineTest, CacheOffIsBitIdenticalToDefaultEngine) {
   off.cache.capacity = 0;
   off.cache.max_hit_udrop = 5;  // ignored while disabled
   for (const char* policy : {"unit", "imu", "odu", "qmf"}) {
-    auto a = RunExperiment(*w, policy, kWeights);
-    auto b = RunExperiment(*w, policy, kWeights, off);
+    auto a = RunExperiment(*w, {.policy = policy, .weights = kWeights});
+    auto b = RunExperiment(
+        *w, {.policy = policy, .weights = kWeights, .engine = off});
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     EXPECT_EQ(a->metrics.counts.submitted, b->metrics.counts.submitted);
@@ -63,8 +64,9 @@ TEST(CacheEngineTest, CacheOffIsBitIdenticalToDefaultEngine) {
 TEST(CacheEngineTest, CachedRunHitsAndConserves) {
   auto w = StandardWorkload();
   ASSERT_TRUE(w.ok()) << w.status().ToString();
-  auto off = RunExperiment(*w, "unit", kWeights);
-  auto on = RunExperiment(*w, "unit", kWeights, CachedEngine(64));
+  auto off = RunExperiment(*w, {.policy = "unit", .weights = kWeights});
+  auto on = RunExperiment(
+      *w, {.policy = "unit", .weights = kWeights, .engine = CachedEngine(64)});
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   ASSERT_TRUE(on.ok()) << on.status().ToString();
   const RunMetrics& m = on->metrics;
@@ -85,8 +87,12 @@ TEST(CacheEngineTest, CachedRunHitsAndConserves) {
 TEST(CacheEngineTest, UdropBoundForcesStaleSkips) {
   auto w = StandardWorkload(UpdateVolume::kHigh);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
-  auto loose = RunExperiment(*w, "unit", kWeights, CachedEngine(64, -1));
-  auto strict = RunExperiment(*w, "unit", kWeights, CachedEngine(64, 0));
+  auto loose = RunExperiment(*w,
+                             {.policy = "unit", .weights = kWeights,
+                              .engine = CachedEngine(64, -1)});
+  auto strict = RunExperiment(*w,
+                              {.policy = "unit", .weights = kWeights,
+                               .engine = CachedEngine(64, 0)});
   ASSERT_TRUE(loose.ok()) << loose.status().ToString();
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   // With max_hit_udrop=0 only perfectly fresh read sets are served; the
@@ -120,7 +126,10 @@ TEST(CacheEngineTest, TracedCachedRunPassesEveryInvariant) {
   ASSERT_TRUE(w.ok()) << w.status().ToString();
   ObsOptions obs;
   obs.trace_path = trace;
-  auto r = RunTracedExperiment(*w, "unit", kWeights, obs, CachedEngine(64));
+  auto r = RunExperiment(*w, {.policy = "unit",
+                              .weights = kWeights,
+                              .engine = CachedEngine(64),
+                              .obs = obs});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   auto events = ReadTraceFile(trace);
   ASSERT_TRUE(events.ok()) << events.status().ToString();
@@ -136,14 +145,21 @@ TEST(CacheEngineTest, TracedCachedRunPassesEveryInvariant) {
 TEST(CacheEngineTest, ShardedRunMergesCacheCounters) {
   auto w = StandardWorkload();
   ASSERT_TRUE(w.ok()) << w.status().ToString();
-  auto mono = RunShardedExperiment(*w, "unit", kWeights, /*shards=*/1,
-                                   /*jobs=*/1, CachedEngine(32));
-  auto sharded = RunShardedExperiment(*w, "unit", kWeights, /*shards=*/4,
-                                      /*jobs=*/2, CachedEngine(32));
+  auto mono = RunExperiment(*w, {.policy = "unit",
+                                 .weights = kWeights,
+                                 .engine = CachedEngine(32),
+                                 .shards = 1,
+                                 .jobs = 1});
+  auto sharded = RunExperiment(*w, {.policy = "unit",
+                                    .weights = kWeights,
+                                    .engine = CachedEngine(32),
+                                    .shards = 4,
+                                    .jobs = 2});
   ASSERT_TRUE(mono.ok()) << mono.status().ToString();
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   // shards=1 is the identity, so its counters match the monolithic run.
-  auto direct = RunExperiment(*w, "unit", kWeights, CachedEngine(32));
+  auto direct = RunExperiment(
+      *w, {.policy = "unit", .weights = kWeights, .engine = CachedEngine(32)});
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   EXPECT_EQ(mono->metrics.cache_hits, direct->metrics.cache_hits);
   EXPECT_EQ(mono->metrics.cache_invalidations,

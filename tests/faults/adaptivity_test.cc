@@ -92,7 +92,7 @@ TEST(DisturbanceTest, EmptyScheduleOverloadIsInvalid) {
 }
 
 /// Canned update outage over the bulk of the hot items, window at 40-70% of
-/// the run — the same shape bench_fig7_adaptivity uses.
+/// the run — the same shape `bench_grid figure=fig7` uses.
 class AdaptivityRegressionTest : public ::testing::Test {
  protected:
   static constexpr double kScale = 0.25;
@@ -109,13 +109,12 @@ class AdaptivityRegressionTest : public ::testing::Test {
         "fault0.end_s = " + std::to_string(0.7 * duration_s) + "\n"
         "fault0.items = 0-63\n");
     EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-    auto schedule = FaultSchedule::Compile(*spec, *w, 42);
-    EXPECT_TRUE(schedule.ok()) << schedule.status().ToString();
-    ObsOptions obs;
-    obs.series = true;
-    obs.trace_path = trace_path;
-    auto result = RunFaultedExperiment(*w, policy, UsmWeights{1.0, 0.5, 1.0, 0.5},
-                                       *schedule, obs);
+    auto result = RunExperiment(
+        *w, {.policy = policy,
+             .weights = {1.0, 0.5, 1.0, 0.5},
+             .scenario = *spec,
+             .fault_seed = 42,
+             .obs = {.trace_path = trace_path, .series = true}});
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return *result;
   }

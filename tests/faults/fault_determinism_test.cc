@@ -1,7 +1,7 @@
 // Golden determinism for the fault layer: a faulted run is a pure function
 // of (scenario, workload seed) — re-running reproduces the RunMetrics and
-// the JSONL trace byte-for-byte, and the jobs=N replicated runner returns
-// results bit-identical to the sequential path.
+// the JSONL trace byte-for-byte, and a replicated grid cell returns results
+// bit-identical to the sequential path at any worker count.
 
 #include <gtest/gtest.h>
 
@@ -54,22 +54,32 @@ void ExpectResultIdentical(const ExperimentResult& a,
   }
 }
 
+// One cell, four replications: RunGrid runs one task per (cell,
+// replication), so the replications still spread across the workers.
+StatusOr<std::vector<ExperimentResult>> Replicated(int jobs) {
+  GridSpec spec;
+  spec.volumes = {UpdateVolume::kMedium};
+  spec.distributions = {UpdateDistribution::kUniform};
+  spec.variants = {{"mixed",
+                    {.weights = {1.0, 0.5, 1.0, 0.5},
+                     .scenario = MixedScenario(),
+                     .obs = {.series = true}}}};
+  spec.replications = 4;
+  spec.scale = kScale;
+  auto grid = RunGrid(spec, jobs);
+  if (!grid.ok()) return grid.status();
+  return grid->front().runs;
+}
+
 TEST(FaultDeterminismTest, ReplicatedBitIdenticalAcrossWorkerCounts) {
-  const FaultScenarioSpec scenario = MixedScenario();
-  const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
-  auto seq = RunFaultedReplicated(UpdateVolume::kMedium,
-                                  UpdateDistribution::kUniform, "unit",
-                                  weights, scenario, /*replications=*/4,
-                                  /*jobs=*/1, kScale);
+  auto seq = Replicated(/*jobs=*/1);
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   ASSERT_EQ(seq->size(), 4u);
   // Replications must actually differ (each draws its own workload and
   // injection stream) or the parallel comparison proves nothing.
   EXPECT_NE((*seq)[0].usm, (*seq)[1].usm);
   for (int jobs : {2, 4, 8}) {
-    auto par = RunFaultedReplicated(UpdateVolume::kMedium,
-                                    UpdateDistribution::kUniform, "unit",
-                                    weights, scenario, 4, jobs, kScale);
+    auto par = Replicated(jobs);
     ASSERT_TRUE(par.ok()) << "jobs=" << jobs;
     ASSERT_EQ(par->size(), seq->size());
     for (size_t i = 0; i < seq->size(); ++i) {
@@ -88,17 +98,16 @@ TEST(FaultDeterminismTest, SameSeedReproducesMetricsAndTrace) {
   ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
   ASSERT_FALSE(schedule->empty());
 
-  const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
   const std::string path_a = ::testing::TempDir() + "/fault_det_a.jsonl";
   const std::string path_b = ::testing::TempDir() + "/fault_det_b.jsonl";
-  ObsOptions obs_a;
-  obs_a.series = true;
-  obs_a.trace_path = path_a;
-  ObsOptions obs_b = obs_a;
-  obs_b.trace_path = path_b;
-
-  auto a = RunFaultedExperiment(*w, "unit", weights, *schedule, obs_a);
-  auto b = RunFaultedExperiment(*w, "unit", weights, *schedule, obs_b);
+  RunRequest request{.policy = "unit",
+                     .weights = {1.0, 0.5, 1.0, 0.5},
+                     .scenario = MixedScenario(),
+                     .fault_seed = 42,
+                     .obs = {.trace_path = path_a, .series = true}};
+  auto a = RunExperiment(*w, request);
+  request.obs.trace_path = path_b;
+  auto b = RunExperiment(*w, request);
   ASSERT_TRUE(a.ok() && b.ok());
   ExpectResultIdentical(*a, *b);
   EXPECT_GT(a->metrics.fault_edges, 0);

@@ -63,12 +63,13 @@ TEST(FaultEngineTest, EmptyScheduleIsStrictNoOp) {
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kUniform, 0.02, 42);
   ASSERT_TRUE(w.ok());
-  auto empty = FaultSchedule::Compile(FaultScenarioSpec{}, *w, 42);
-  ASSERT_TRUE(empty.ok());
   const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
   for (const char* policy : {"unit", "qmf", "imu"}) {
-    auto plain = RunExperiment(*w, policy, weights);
-    auto faulted = RunFaultedExperiment(*w, policy, weights, *empty);
+    auto plain = RunExperiment(*w, {.policy = policy, .weights = weights});
+    auto faulted = RunExperiment(*w, {.policy = policy,
+                                      .weights = weights,
+                                      .scenario = FaultScenarioSpec{},
+                                      .fault_seed = 42});
     ASSERT_TRUE(plain.ok() && faulted.ok());
     SCOPED_TRACE(policy);
     EXPECT_EQ(plain->usm, faulted->usm);  // bitwise

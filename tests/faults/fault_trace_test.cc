@@ -223,14 +223,13 @@ TEST(FaultTraceTest, RealFaultedTracePassesChecker) {
       "fault1.kind = load-step\nfault1.start_s = 50\n"
       "fault1.end_s = 70\nfault1.rate_hz = 15\n");
   ASSERT_TRUE(spec.ok());
-  auto schedule = FaultSchedule::Compile(*spec, *w, 42);
-  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
 
   const std::string path = ::testing::TempDir() + "/faulted_trace.jsonl";
-  ObsOptions obs;
-  obs.trace_path = path;
-  auto result = RunFaultedExperiment(*w, "unit", UsmWeights{1.0, 0.5, 1.0, 0.5},
-                                     *schedule, obs);
+  auto result = RunExperiment(*w, {.policy = "unit",
+                                   .weights = {1.0, 0.5, 1.0, 0.5},
+                                   .scenario = *spec,
+                                   .fault_seed = 42,
+                                   .obs = {.trace_path = path}});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   auto events = ReadTraceFile(path);

@@ -15,7 +15,7 @@ TEST(EndToEndTest, AllFourPoliciesRunTheStandardWorkload) {
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kUniform, 0.25, 42);
   ASSERT_TRUE(w.ok());
-  auto results = RunPolicies(*w, {"unit", "imu", "odu", "qmf"}, UsmWeights{});
+  auto results = RunPolicies(*w, {"unit", "imu", "odu", "qmf"});
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 4u);
   for (const auto& r : *results) {
@@ -31,7 +31,7 @@ TEST(EndToEndTest, UnknownPolicyFails) {
   auto w = MakeStandardWorkload(UpdateVolume::kLow,
                                 UpdateDistribution::kUniform, 0.05, 1);
   ASSERT_TRUE(w.ok());
-  auto result = RunExperiment(*w, "definitely-not-a-policy", UsmWeights{});
+  auto result = RunExperiment(*w, {.policy = "definitely-not-a-policy"});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
@@ -70,7 +70,8 @@ TEST(EndToEndTest, NonFiniteOrNegativeUsmWeightFails) {
   auto w = MakeStandardWorkload(UpdateVolume::kLow,
                                 UpdateDistribution::kUniform, 0.05, 1);
   ASSERT_TRUE(w.ok());
-  auto result = RunExperiment(*w, "unit", UsmWeights{1, nan, 1, 0.5});
+  auto result = RunExperiment(
+      *w, {.policy = "unit", .weights = {1, nan, 1, 0.5}});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -99,8 +100,8 @@ TEST(EndToEndTest, SavedTraceReproducesIdenticalResults) {
   ASSERT_TRUE(loaded.ok());
   std::remove(path.c_str());
 
-  auto a = RunExperiment(*w, "unit", UsmWeights{});
-  auto b = RunExperiment(*loaded, "unit", UsmWeights{});
+  auto a = RunExperiment(*w, {.policy = "unit"});
+  auto b = RunExperiment(*loaded, {.policy = "unit"});
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->metrics.counts, b->metrics.counts);
   EXPECT_EQ(a->metrics.update_commits, b->metrics.update_commits);
@@ -112,7 +113,7 @@ TEST(EndToEndTest, UnitBeatsImuAndQmfOnMediumUniform) {
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kUniform, 1.0, 42);
   ASSERT_TRUE(w.ok());
-  auto results = RunPolicies(*w, {"unit", "imu", "qmf"}, UsmWeights{});
+  auto results = RunPolicies(*w, {"unit", "imu", "qmf"});
   ASSERT_TRUE(results.ok());
   const double unit = (*results)[0].usm;
   EXPECT_GT(unit, (*results)[1].usm);
@@ -123,7 +124,7 @@ TEST(EndToEndTest, ImuCollapsesUnderHighUpdateVolume) {
   auto w = MakeStandardWorkload(UpdateVolume::kHigh,
                                 UpdateDistribution::kUniform, 0.5, 42);
   ASSERT_TRUE(w.ok());
-  auto results = RunPolicies(*w, {"unit", "imu"}, UsmWeights{});
+  auto results = RunPolicies(*w, {"unit", "imu"});
   ASSERT_TRUE(results.ok());
   EXPECT_LT((*results)[1].usm, 0.1);           // IMU near zero
   EXPECT_GT((*results)[0].usm, (*results)[1].usm + 0.3);  // UNIT far above
@@ -134,8 +135,9 @@ TEST(EndToEndTest, BaselinesIgnoreUsmWeights) {
                                 UpdateDistribution::kUniform, 0.1, 42);
   ASSERT_TRUE(w.ok());
   for (const char* policy : {"imu", "odu", "qmf"}) {
-    auto naive = RunExperiment(*w, policy, UsmWeights{});
-    auto weighted = RunExperiment(*w, policy, UsmWeights{1.0, 4.0, 2.0, 2.0});
+    auto naive = RunExperiment(*w, {.policy = policy});
+    auto weighted = RunExperiment(
+        *w, {.policy = policy, .weights = {1.0, 4.0, 2.0, 2.0}});
     ASSERT_TRUE(naive.ok() && weighted.ok());
     EXPECT_EQ(naive->metrics.counts, weighted->metrics.counts) << policy;
   }
@@ -146,8 +148,7 @@ TEST(EndToEndTest, ComponentAblationsBracketFullUnit) {
                                 UpdateDistribution::kUniform, 1.0, 42);
   ASSERT_TRUE(w.ok());
   auto results =
-      RunPolicies(*w, {"unit", "unit-noac", "unit-noum", "unit-bare"},
-                  UsmWeights{});
+      RunPolicies(*w, {"unit", "unit-noac", "unit-noum", "unit-bare"});
   ASSERT_TRUE(results.ok());
   const double full = (*results)[0].usm;
   const double bare = (*results)[3].usm;
@@ -159,13 +160,13 @@ TEST(EndToEndTest, ComponentAblationsBracketFullUnit) {
 
 TEST(EndToEndTest, Table2WeightSetsAreWellFormed) {
   for (const auto& nw : Table2WeightsBelowOne()) {
-    EXPECT_FALSE(nw.weights.AllZeroPenalties());
-    EXPECT_LT(std::max({nw.weights.c_r, nw.weights.c_fm, nw.weights.c_fs}),
-              1.0);
+    const UsmWeights& w = nw.request.weights;
+    EXPECT_FALSE(w.AllZeroPenalties());
+    EXPECT_LT(std::max({w.c_r, w.c_fm, w.c_fs}), 1.0);
   }
   for (const auto& nw : Table2WeightsAboveOne()) {
-    EXPECT_GT(std::max({nw.weights.c_r, nw.weights.c_fm, nw.weights.c_fs}),
-              1.0);
+    const UsmWeights& w = nw.request.weights;
+    EXPECT_GT(std::max({w.c_r, w.c_fm, w.c_fs}), 1.0);
   }
   EXPECT_EQ(Table2WeightsBelowOne().size(), 3u);
   EXPECT_EQ(Table2WeightsAboveOne().size(), 3u);

@@ -19,7 +19,7 @@ std::map<std::string, double> RunCell(UpdateVolume volume,
   auto w = MakeStandardWorkload(volume, dist, 1.0, 42);
   EXPECT_TRUE(w.ok());
   auto results =
-      RunPolicies(*w, {"unit", "imu", "odu", "qmf"}, weights);
+      RunPolicies(*w, {"unit", "imu", "odu", "qmf"}, {.weights = weights});
   EXPECT_TRUE(results.ok());
   std::map<std::string, double> usm;
   for (const auto& r : *results) usm[r.policy] = r.usm;
@@ -72,7 +72,7 @@ TEST(FigureShapeTest, Fig5UnitStableAcrossWeightRegimes) {
   double lo = 1e9, hi = -1e9;
   for (const auto& nw : Table2WeightsBelowOne()) {
     auto usm = RunCell(UpdateVolume::kMedium, UpdateDistribution::kUniform,
-                       nw.weights);
+                       nw.request.weights);
     lo = std::min(lo, usm["unit"]);
     hi = std::max(hi, usm["unit"]);
     // UNIT beats IMU and QMF in every weighting.
@@ -86,8 +86,10 @@ TEST(FigureShapeTest, Fig6UnitShiftsFailureMixWithWeights) {
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kUniform, 1.0, 42);
   ASSERT_TRUE(w.ok());
-  auto high_cr = RunExperiment(*w, "unit", UsmWeights{1.0, 0.8, 0.2, 0.2});
-  auto high_cfm = RunExperiment(*w, "unit", UsmWeights{1.0, 0.2, 0.8, 0.2});
+  auto high_cr = RunExperiment(
+      *w, {.policy = "unit", .weights = {1.0, 0.8, 0.2, 0.2}});
+  auto high_cfm = RunExperiment(
+      *w, {.policy = "unit", .weights = {1.0, 0.2, 0.8, 0.2}});
   ASSERT_TRUE(high_cr.ok() && high_cfm.ok());
   // Rejections smallest when rejections are priciest; DMF smallest when
   // deadline misses are priciest.
@@ -101,9 +103,9 @@ TEST(FigureShapeTest, QmfRejectionShareIsLargestAmongBaselines) {
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kUniform, 1.0, 42);
   ASSERT_TRUE(w.ok());
-  auto qmf = RunExperiment(*w, "qmf", UsmWeights{});
-  auto imu = RunExperiment(*w, "imu", UsmWeights{});
-  auto odu = RunExperiment(*w, "odu", UsmWeights{});
+  auto qmf = RunExperiment(*w, {.policy = "qmf"});
+  auto imu = RunExperiment(*w, {.policy = "imu"});
+  auto odu = RunExperiment(*w, {.policy = "odu"});
   ASSERT_TRUE(qmf.ok() && imu.ok() && odu.ok());
   EXPECT_GT(qmf->metrics.counts.RejectionRatio(), 0.1);
   EXPECT_EQ(imu->metrics.counts.rejected, 0);
@@ -114,7 +116,7 @@ TEST(FigureShapeTest, Fig3UnitFollowsQueryDistribution) {
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kNegative, 1.0, 42);
   ASSERT_TRUE(w.ok());
-  auto r = RunExperiment(*w, "unit", UsmWeights{});
+  auto r = RunExperiment(*w, {.policy = "unit"});
   ASSERT_TRUE(r.ok());
   const auto src = w->SourceUpdateCounts();
   const auto accesses = w->QueryAccessCounts();
@@ -143,10 +145,10 @@ TEST(FigureShapeTest, UnitRobustToNoisyExecutionEstimates) {
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kUniform, 1.0, 42);
   ASSERT_TRUE(w.ok());
-  auto exact = RunExperiment(*w, "unit", UsmWeights{});
+  auto exact = RunExperiment(*w, {.policy = "unit"});
   EngineParams noisy;
   noisy.estimate_noise_sigma = 0.3;
-  auto noised = RunExperiment(*w, "unit", UsmWeights{}, noisy);
+  auto noised = RunExperiment(*w, {.policy = "unit", .engine = noisy});
   ASSERT_TRUE(exact.ok() && noised.ok());
   EXPECT_GT(noised->usm, exact->usm - 0.05);
 }

@@ -21,7 +21,8 @@ class RunInvariantsTest : public ::testing::TestWithParam<PropertyParams> {
     auto w = MakeStandardWorkload(volume, dist, /*scale=*/0.15, seed);
     EXPECT_TRUE(w.ok());
     workload_ = *w;
-    auto r = RunExperiment(workload_, policy, UsmWeights{1.0, 0.5, 1.0, 0.5});
+    auto r = RunExperiment(
+        workload_, {.policy = policy, .weights = {1.0, 0.5, 1.0, 0.5}});
     EXPECT_TRUE(r.ok());
     return *r;
   }
@@ -125,8 +126,8 @@ TEST_P(DeterminismTest, IdenticalRunsProduceIdenticalMetrics) {
   auto w = MakeStandardWorkload(UpdateVolume::kMedium,
                                 UpdateDistribution::kUniform, 0.1, seed);
   ASSERT_TRUE(w.ok());
-  auto a = RunExperiment(*w, policy, UsmWeights{});
-  auto b = RunExperiment(*w, policy, UsmWeights{});
+  auto a = RunExperiment(*w, {.policy = policy});
+  auto b = RunExperiment(*w, {.policy = policy});
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->metrics.counts, b->metrics.counts);
   EXPECT_EQ(a->metrics.update_commits, b->metrics.update_commits);
@@ -159,7 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GridPropertyTest, UnitAtLeastMatchesImuAndOduOnEveryTable1Cell) {
   GridSpec spec;  // default axes: the full Table 1 trace grid
   spec.policies = {"unit", "imu", "odu"};
-  spec.variants = {{"high-Cfm", UsmWeights{1.0, 0.2, 0.8, 0.2}, {}, {}}};
+  spec.variants = {{"high-Cfm", {.weights = {1.0, 0.2, 0.8, 0.2}}}};
   spec.scale = 0.6;
   auto grid = RunGrid(spec, /*jobs=*/4);
   ASSERT_TRUE(grid.ok());

@@ -182,12 +182,12 @@ TEST(DiffEquivalenceTest, Fig5PenaltyWeightSettings) {
   for (const GridVariant& v : Table2WeightsBelowOne()) {
     ExpectEquivalent(StandardCase(UpdateVolume::kMedium,
                                   UpdateDistribution::kUniform, "unit",
-                                  v.weights));
+                                  v.request.weights));
   }
   for (const GridVariant& v : Table2WeightsAboveOne()) {
     ExpectEquivalent(StandardCase(UpdateVolume::kHigh,
                                   UpdateDistribution::kNegative, "unit",
-                                  v.weights));
+                                  v.request.weights));
   }
 }
 

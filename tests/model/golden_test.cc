@@ -58,7 +58,7 @@ TEST_P(GoldenPinTest, CanonicalRunMatchesCommittedMetrics) {
   w.c_r = 0.5;
   w.c_fm = 1.0;
   w.c_fs = 1.0;
-  auto result = RunExperiment(*workload, pin.policy, w);
+  auto result = RunExperiment(*workload, {.policy = pin.policy, .weights = w});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const RunMetrics& m = result->metrics;
   EXPECT_EQ(m.counts.submitted, pin.submitted);

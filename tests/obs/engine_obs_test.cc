@@ -37,7 +37,7 @@ TEST(EngineObsTest, TraceOffLeavesTheRegistryEmpty) {
   CounterRegistry reg;
   EngineParams ep;
   ep.counters = &reg;  // registry attached, but no sink or recorder
-  auto r = RunExperiment(*w, "unit", UsmWeights{}, ep);
+  auto r = RunExperiment(*w, {.policy = "unit", .engine = ep});
   ASSERT_TRUE(r.ok());
   // Nothing may register into the registry on a trace-off run — this is
   // the zero-overhead-when-off contract (no counters, no allocations, no
@@ -53,7 +53,7 @@ TEST(EngineObsTest, TracingDoesNotPerturbTheRun) {
   auto w = SmallWorkload();
   ASSERT_TRUE(w.ok());
   for (const char* policy : {"imu", "odu", "qmf", "unit"}) {
-    auto plain = RunExperiment(*w, policy, UsmWeights{});
+    auto plain = RunExperiment(*w, {.policy = policy});
     ASSERT_TRUE(plain.ok());
 
     std::ostringstream trace_out;
@@ -64,7 +64,7 @@ TEST(EngineObsTest, TracingDoesNotPerturbTheRun) {
     ep.trace = &sink;
     ep.series = &recorder;
     ep.counters = &reg;
-    auto traced = RunExperiment(*w, policy, UsmWeights{}, ep);
+    auto traced = RunExperiment(*w, {.policy = policy, .engine = ep});
     ASSERT_TRUE(traced.ok());
 
     SCOPED_TRACE(policy);
@@ -84,7 +84,7 @@ TEST(EngineObsTest, EngineTracePassesTheChecker) {
     JsonlTraceSink sink(trace_out);
     EngineParams ep;
     ep.trace = &sink;
-    auto r = RunExperiment(*w, policy, UsmWeights{}, ep);
+    auto r = RunExperiment(*w, {.policy = policy, .engine = ep});
     ASSERT_TRUE(r.ok());
 
     std::istringstream in(trace_out.str());
@@ -114,7 +114,7 @@ TEST(EngineObsTest, SeriesWindowsSumToTheRunTotals) {
   TimeSeriesRecorder recorder;
   EngineParams ep;
   ep.series = &recorder;
-  auto r = RunExperiment(*w, "unit", UsmWeights{}, ep);
+  auto r = RunExperiment(*w, {.policy = "unit", .engine = ep});
   ASSERT_TRUE(r.ok());
   ASSERT_FALSE(recorder.samples().empty());
 
@@ -141,7 +141,7 @@ TEST(EngineObsTest, RingBufferKeepsTheTailOfTheRun) {
   RingBufferTraceSink ring(128);
   EngineParams ep;
   ep.trace = &ring;
-  auto r = RunExperiment(*w, "unit", UsmWeights{}, ep);
+  auto r = RunExperiment(*w, {.policy = "unit", .engine = ep});
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(ring.size(), 128u);
   EXPECT_GT(ring.overwritten(), 0);
@@ -158,7 +158,7 @@ TEST(EngineObsTest, RunTracedExperimentWritesTheArtifacts) {
   ObsOptions obs;
   obs.trace_path = ::testing::TempDir() + "/obs_run.jsonl";
   obs.series_csv_path = ::testing::TempDir() + "/obs_run.csv";
-  auto r = RunTracedExperiment(*w, "unit", UsmWeights{}, obs);
+  auto r = RunExperiment(*w, {.policy = "unit", .obs = obs});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->series.empty());
   EXPECT_FALSE(r->metrics.obs_counters.empty());

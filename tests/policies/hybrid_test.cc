@@ -51,7 +51,7 @@ TEST(HybridPolicyTest, AtLeastMatchesPlainUnit) {
   Engine e1(w, &hybrid, {});
   const double hybrid_usm =
       UsmAverage(e1.Run().counts, UsmWeights{});
-  auto unit = RunExperiment(w, "unit", UsmWeights{});
+  auto unit = RunExperiment(w, {.policy = "unit"});
   ASSERT_TRUE(unit.ok());
   EXPECT_GE(hybrid_usm, unit->usm - 0.01);
 }
@@ -62,7 +62,7 @@ TEST(HybridPolicyTest, ClosesTheHighPosGapToOdu) {
   Workload w = StandardWorkload(UpdateVolume::kHigh,
                                 UpdateDistribution::kPositive, 1.0);
   auto results =
-      RunPolicies(w, {"unit-hybrid", "odu", "unit"}, UsmWeights{});
+      RunPolicies(w, {"unit-hybrid", "odu", "unit"});
   ASSERT_TRUE(results.ok());
   EXPECT_GE((*results)[0].usm, (*results)[1].usm - 0.05);  // ~ ODU
   EXPECT_GT((*results)[0].usm, (*results)[2].usm + 0.05);  // >> plain UNIT
@@ -71,7 +71,7 @@ TEST(HybridPolicyTest, ClosesTheHighPosGapToOdu) {
 TEST(HybridPolicyTest, AvailableFromTheFactory) {
   Workload w = StandardWorkload(UpdateVolume::kLow,
                                 UpdateDistribution::kUniform, 0.05);
-  auto r = RunExperiment(w, "unit-hybrid", UsmWeights{});
+  auto r = RunExperiment(w, {.policy = "unit-hybrid"});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->policy, "unit-hybrid");
 }

@@ -131,9 +131,9 @@ TEST(UnitPolicyTest, StableUsmAcrossWeightSettings) {
                                 UpdateDistribution::kUniform, 1.0);
   double lo = 1e9, hi = -1e9;
   for (const auto& nw : Table2WeightsBelowOne()) {
-    UnitPolicy policy(nw.weights);
+    UnitPolicy policy(nw.request.weights);
     Engine engine(w, &policy, {});
-    const double usm = UsmAverage(engine.Run().counts, nw.weights);
+    const double usm = UsmAverage(engine.Run().counts, nw.request.weights);
     lo = std::min(lo, usm);
     hi = std::max(hi, usm);
   }

@@ -22,7 +22,7 @@ namespace unitdb {
 namespace {
 
 /// Canned retry storm at 40-70% of the run, closed-loop sessions attached —
-/// the same shape bench_fig8_closed_loop sweeps.
+/// the same shape `bench_grid figure=fig8` sweeps.
 class RetryStormRegressionTest : public ::testing::Test {
  protected:
   static constexpr double kScale = 0.25;
@@ -39,19 +39,16 @@ class RetryStormRegressionTest : public ::testing::Test {
         "fault0.end_s = " + std::to_string(0.7 * duration_s) + "\n"
         "fault0.rate_hz = 40\n");
     EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-    auto schedule = FaultSchedule::Compile(*spec, *w, 42);
-    EXPECT_TRUE(schedule.ok()) << schedule.status().ToString();
-    ObsOptions obs;
-    obs.series = true;
-    obs.trace_path = trace_path;
-    EngineParams engine;
-    engine.session.sessions = 24;
-    engine.session.max_retries = 3;
-    engine.session.patience = SecondsToSim(5.0);
-    engine.shed_watermark = shed_watermark;
-    auto result =
-        RunFaultedExperiment(*w, policy, UsmWeights{1.0, 0.5, 1.0, 0.5},
-                             *schedule, obs, engine);
+    RunRequest request{.policy = policy,
+                       .weights = {1.0, 0.5, 1.0, 0.5},
+                       .scenario = *spec,
+                       .fault_seed = 42,
+                       .obs = {.trace_path = trace_path, .series = true}};
+    request.engine.session.sessions = 24;
+    request.engine.session.max_retries = 3;
+    request.engine.session.patience = SecondsToSim(5.0);
+    request.engine.shed_watermark = shed_watermark;
+    auto result = RunExperiment(*w, request);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return *result;
   }

@@ -171,13 +171,13 @@ class SessionConservationTest : public ::testing::Test {
         "fault0.end_s = " + std::to_string(0.7 * dur) + "\n"
         "fault0.rate_hz = 60\n");
     if (!spec.ok()) return spec.status();
-    auto schedule = FaultSchedule::Compile(*spec, *w, 42);
-    if (!schedule.ok()) return schedule.status();
-    ObsOptions obs;
-    obs.series = true;
-    obs.trace_path = trace_path;
-    return RunFaultedExperiment(*w, policy, UsmWeights{1.0, 0.5, 1.0, 0.5},
-                                *schedule, obs, engine);
+    return RunExperiment(
+        *w, {.policy = policy,
+             .weights = {1.0, 0.5, 1.0, 0.5},
+             .engine = engine,
+             .scenario = *spec,
+             .fault_seed = 42,
+             .obs = {.trace_path = trace_path, .series = true}});
   }
 };
 

@@ -225,9 +225,10 @@ TEST(ShardFaultTest, SingleShardScenarioMatchesMonolithicCompilation) {
   f.factor = 2.0;
   scenario.faults.push_back(f);
 
-  auto schedule = FaultSchedule::Compile(scenario, *w, /*workload_seed=*/42);
-  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
-  auto mono = RunFaultedExperiment(*w, "unit", weights, *schedule);
+  auto mono = RunExperiment(*w, {.policy = "unit",
+                                 .weights = weights,
+                                 .scenario = scenario,
+                                 .fault_seed = 42});
   ASSERT_TRUE(mono.ok()) << mono.status().ToString();
 
   ShardedParams p;
@@ -243,6 +244,55 @@ TEST(ShardFaultTest, SingleShardScenarioMatchesMonolithicCompilation) {
             sharded->metrics.fault_injected_queries);
   EXPECT_EQ(mono->metrics.busy_s, sharded->metrics.busy_s);
   EXPECT_EQ(mono->usm, sharded->usm);
+}
+
+TEST(ShardFaultTest, ShardedRequestCarriesItsScenario) {
+  // RunExperiment hands a sharded request's scenario to the sharded runner,
+  // which compiles it per shard: at shards=1 the run equals the monolithic
+  // faulted request bit for bit, and at shards=2 the faults still fire.
+  auto w = SmallWorkload();
+  ASSERT_TRUE(w.ok());
+  const double dur_s = SimToSeconds(w->duration);
+  FaultScenarioSpec scenario;
+  scenario.name = "outage-and-step";
+  FaultSpec outage;
+  outage.kind = FaultKind::kUpdateOutage;
+  outage.start_s = 0.2 * dur_s;
+  outage.end_s = 0.5 * dur_s;
+  outage.items = "*";
+  scenario.faults.push_back(outage);
+  FaultSpec step;
+  step.kind = FaultKind::kLoadStep;
+  step.start_s = 0.3 * dur_s;
+  step.end_s = 0.6 * dur_s;
+  step.rate_hz = 15;
+  scenario.faults.push_back(step);
+
+  RunRequest request{.policy = "unit",
+                     .weights = {1.0, 0.5, 1.0, 0.5},
+                     .scenario = scenario,
+                     .obs = {.series = true}};
+  auto mono = RunExperiment(*w, request);
+  request.shards = 1;
+  auto one = RunExperiment(*w, request);
+  request.shards = 2;
+  auto two = RunExperiment(*w, request);
+  ASSERT_TRUE(mono.ok()) << mono.status().ToString();
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+
+  EXPECT_GT(mono->metrics.fault_edges, 0);
+  RunMetrics a = mono->metrics;
+  RunMetrics b = one->metrics;
+  a.obs_counters.clear();  // the sharded runner attaches no registry
+  b.obs_counters.clear();
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(mono->usm, one->usm);
+  ASSERT_TRUE(mono->disturbance.valid);
+  EXPECT_EQ(mono->disturbance.dip_depth, one->disturbance.dip_depth);
+  EXPECT_EQ(mono->disturbance.recover_s, one->disturbance.recover_s);
+  EXPECT_GT(two->metrics.fault_edges, 0);
+  EXPECT_GT(two->metrics.fault_injected_queries, 0);
 }
 
 }  // namespace

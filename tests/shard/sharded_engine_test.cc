@@ -281,7 +281,7 @@ TEST(ShardedEngineTest, SingleShardMatchesMonolithicBitForBit) {
   ASSERT_TRUE(w.ok());
   const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
   for (const char* policy : {"unit", "imu", "odu", "qmf"}) {
-    auto mono = RunExperiment(*w, policy, weights);
+    auto mono = RunExperiment(*w, {.policy = policy, .weights = weights});
     ASSERT_TRUE(mono.ok()) << mono.status().ToString();
     ShardedParams params;
     params.shards = 1;
@@ -352,7 +352,8 @@ TEST(ShardedEngineTest, ShardedExperimentWrapperMatchesRunSharded) {
   params.shards = 2;
   auto direct = RunSharded(*w, "unit", weights, params);
   ASSERT_TRUE(direct.ok());
-  auto wrapped = RunShardedExperiment(*w, "unit", weights, /*shards=*/2);
+  auto wrapped =
+      RunExperiment(*w, {.policy = "unit", .weights = weights, .shards = 2});
   ASSERT_TRUE(wrapped.ok());
   EXPECT_EQ(wrapped->usm, direct->usm);
   EXPECT_EQ(wrapped->metrics.counts.success, direct->metrics.counts.success);

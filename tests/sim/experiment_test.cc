@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "unit/faults/schedule.h"
+
 namespace unitdb {
 namespace {
 
@@ -43,7 +47,7 @@ StatusOr<GridCellResult> ReplicatedCell(UpdateVolume volume,
   spec.volumes = {volume};
   spec.distributions = {distribution};
   spec.policies = {policy};
-  spec.variants = {{"naive", UsmWeights{}, engine, {}}};
+  spec.variants = {{"naive", {.engine = engine}}};
   spec.replications = replications;
   spec.scale = scale;
   auto grid = RunGrid(spec);
@@ -98,6 +102,67 @@ TEST(RunReplicatedTest, EngineParamsPropagate) {
   EXPECT_GE(edf->result.usm.mean(), fcfs_r->result.usm.mean());
 }
 
+TEST(RunExperimentTest, KeepsTheRequestedTraceEventsInMemory) {
+  auto w = MakeStandardWorkload(UpdateVolume::kMedium,
+                                UpdateDistribution::kUniform, 0.02, 42);
+  ASSERT_TRUE(w.ok());
+  RunRequest request{.policy = "imu"};
+  request.obs.events = {TraceEventType::kCommit, TraceEventType::kReject};
+  auto r = RunExperiment(*w, request);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  int64_t commits = 0;
+  for (const TraceEvent& e : r->events) {
+    ASSERT_TRUE(e.type == TraceEventType::kCommit ||
+                e.type == TraceEventType::kReject);
+    commits += e.type == TraceEventType::kCommit ? 1 : 0;
+  }
+  EXPECT_GT(commits, 0);
+  EXPECT_LT(static_cast<int64_t>(r->events.size()),
+            r->metrics.events_processed);
+  // Keeping events changes nothing about the run itself.
+  auto plain = RunExperiment(*w, {.policy = "imu"});
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain->metrics.counts, r->metrics.counts);
+  EXPECT_EQ(plain->metrics.busy_s, r->metrics.busy_s);
+}
+
+TEST(RunExperimentTest, RejectsWhatItsPathCannotHonour) {
+  auto w = MakeStandardWorkload(UpdateVolume::kLow,
+                                UpdateDistribution::kUniform, 0.02, 42);
+  ASSERT_TRUE(w.ok());
+  FaultSchedule schedule;
+  EngineParams attached;
+  attached.faults = &schedule;
+  const std::vector<RunRequest> bad = {
+      // The sharded runner writes its own per-shard traces.
+      {.shards = 2, .obs = {.trace_path = "run.jsonl"}},
+      {.shards = 1, .obs = {.series_csv_path = "series.csv"}},
+      {.shards = 2, .obs = {.events = {TraceEventType::kCommit}}},
+      // It compiles faults per shard, so it takes no attached schedule.
+      {.engine = attached, .shards = 2},
+      // Faults come from the scenario or the engine pointer, not both.
+      {.engine = attached, .scenario = FaultScenarioSpec{}},
+  };
+  for (const RunRequest& request : bad) {
+    auto r = RunExperiment(*w, request);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+}
+
+TEST(RunGridTest, RejectsAVariantThatNamesAFile) {
+  // Every replication of the cell would write the same file.
+  GridSpec spec;
+  spec.volumes = {UpdateVolume::kLow};
+  spec.distributions = {UpdateDistribution::kUniform};
+  spec.scale = 0.02;
+  spec.variants = {{"traced", {.obs = {.trace_path = "cell.jsonl"}}}};
+  auto grid = RunGrid(spec);
+  ASSERT_FALSE(grid.ok());
+  EXPECT_EQ(grid.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(RunGridTest, VariantPolicyOptionsPropagate) {
   // "unit" with admission control switched off in the variant's options is
   // exactly the "unit-noac" ablation.
@@ -106,8 +171,8 @@ TEST(RunGridTest, VariantPolicyOptionsPropagate) {
   spec.distributions = {UpdateDistribution::kNegative};
   spec.policies = {"unit"};
   spec.scale = 0.05;
-  GridVariant noac{"noac", UsmWeights{}, {}, {}};
-  noac.options.unit.enable_admission_control = false;
+  GridVariant noac{"noac", {}};
+  noac.request.options.unit.enable_admission_control = false;
   spec.variants = {noac};
   auto via_options = RunGrid(spec);
   spec.policies = {"unit-noac"};

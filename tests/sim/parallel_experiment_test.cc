@@ -59,7 +59,7 @@ StatusOr<ReplicatedResult> Replicated(UpdateVolume volume,
   spec.volumes = {volume};
   spec.distributions = {distribution};
   spec.policies = {policy};
-  spec.variants = {{"weights", weights, {}, {}}};
+  spec.variants = {{"weights", {.weights = weights}}};
   spec.replications = replications;
   spec.scale = scale;
   auto grid = RunGrid(spec, jobs);
@@ -142,8 +142,8 @@ TEST(RunGridTest, WorkerCountDoesNotChangeAnyCell) {
   spec.distributions = {UpdateDistribution::kUniform,
                         UpdateDistribution::kNegative};
   spec.policies = {"unit", "imu"};
-  spec.variants = {{"naive", UsmWeights{}, {}, {}},
-                   {"high-Cr", UsmWeights{1.0, 0.8, 0.2, 0.2}, {}, {}}};
+  spec.variants = {{"naive", {}},
+                   {"high-Cr", {.weights = {1.0, 0.8, 0.2, 0.2}}}};
   spec.replications = 3;  // 4 traces x 2 variants x 2 policies, 3 reps
   spec.scale = kScale;
   auto one = RunGrid(spec, 1);
