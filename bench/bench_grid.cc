@@ -692,7 +692,7 @@ Status PrintFig7(const FigureRun& run) {
       {"scenario", "policy", "usm", "baseline", "dip", "recover_s"},
       [](const GridVariant&, const GridCellResult& c) {
         return Line{c}
-            .Fixed("scenario", c.variant, c.variant)
+            .Fixed("cell", c.variant, c.variant)
             .Fixed("policy", c.result.policy, c.result.policy)
             .Mean("usm", Usm, 4)
             .Mean("baseline_usm", Disturbance(&DisturbanceReport::baseline_usm),

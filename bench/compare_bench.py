@@ -2,8 +2,9 @@
 """Regression gate over bench JSON output.
 
 Compares a fresh bench JSON (BENCH_engine, BENCH_scale, BENCH_shard,
-BENCH_session or BENCH_cache) against the checked-in baseline under
-bench/baseline/, cell by cell, and exits non-zero if any cell regressed:
+BENCH_fig7, BENCH_session or BENCH_cache) against the checked-in baseline
+under bench/baseline/, cell by cell, and exits non-zero if any cell
+regressed:
 
   * the wall-clock keys (wall_s, events_per_sec) are machine-dependent: a
     cell fails when its events_per_sec dropped by more than
@@ -20,6 +21,7 @@ repo root with the invocation CI runs:
     build/bench/bench_engine_throughput scale=0.1 reps=2 out=bench/baseline/BENCH_engine.json
     build/bench/bench_scale_horizon base_s=120 rate=5 reps=3 out=bench/baseline/BENCH_scale.json
     build/bench/bench_shard_scaling scale=0.1 reps=5 out=bench/baseline/BENCH_shard.json
+    build/bench/bench_grid figure=fig7 scale=0.1 out=bench/baseline/BENCH_fig7.json
     build/bench/bench_grid figure=fig8 out=bench/baseline/BENCH_session.json
     build/bench/bench_grid figure=fig9 out=bench/baseline/BENCH_cache.json
 

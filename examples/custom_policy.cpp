@@ -2,8 +2,8 @@
 // Policy interface. Two custom schemes are built here:
 //
 //  1. DeadlinePassPolicy — admission by a plain laxity check (no USM
-//     reasoning), periodic updates untouched. A minimal useful policy in
-//     ~20 lines.
+//     reasoning) on the EST that EngineContext::ProjectAdmission projects,
+//     periodic updates untouched. A minimal useful policy in ~20 lines.
 //  2. MarkingHybrid — a from-scratch re-build of the library's
 //     unit-hybrid policy (UNIT + ODU-style pre-read repair), showing how
 //     to extend a built-in policy by overriding one hook.
@@ -34,10 +34,11 @@ class DeadlinePassPolicy : public Policy {
 
   bool AdmitQuery(EngineContext& engine, const Transaction& query) override {
     // Admit iff the query could start right after the current backlog and
-    // still meet its deadline (C_flex == 1, no USM check).
-    const SimDuration est = engine.RunningRemaining() +
-                            engine.QueuedUpdateWork() +
-                            engine.EarlierQueryWork(query.absolute_deadline());
+    // still meet its deadline (C_flex == 1; zero costs: no USM check).
+    const SimDuration est =
+        engine.ProjectAdmission(query.absolute_deadline(), query.estimate(),
+                                /*dmf_cost=*/0.0, /*rejection_cost=*/0.0)
+            .est;
     return est + query.estimate() <
            query.absolute_deadline() - engine.now();
   }

@@ -8,6 +8,19 @@
 
 namespace unitdb {
 
+int64_t EndangeredCap(double dmf_cost, double rejection_cost,
+                      int64_t bound) {
+  if (!(dmf_cost > 0.0)) return 0;
+  // Summed one query at a time, like the per-transaction cost sum: a
+  // multiply could round differently and move pinned results.
+  double cost = 0.0;
+  for (int64_t k = 1; k <= bound; ++k) {
+    cost += dmf_cost;
+    if (cost > rejection_cost) return k;
+  }
+  return 0;
+}
+
 // --- AdmissionIndex -------------------------------------------------------
 
 void AdmissionIndex::Init(const Workload& /*workload*/) {
@@ -132,66 +145,60 @@ void AdmissionIndex::OnRemove(const Transaction& query) {
   root_ = EraseAt(root_, query.absolute_deadline(), query.id());
 }
 
-SimDuration AdmissionIndex::EarlierWork(SimTime deadline) const {
-  SimDuration work = 0;
-  for (int32_t t = root_; t != kNil;) {
-    const Node& n = nodes_[t];
-    if (n.deadline <= deadline) {
-      work += n.own_work + (n.left != kNil ? nodes_[n.left].work : 0);
-      t = n.right;
-    } else {
-      t = n.left;
-    }
-  }
-  return work;
+AdmissionIndex::Projection AdmissionIndex::Project(SimTime deadline,
+                                                  int64_t lo, int64_t hi,
+                                                  int64_t cap) const {
+  Projection p;
+  int64_t acc = 0;
+  Descend(root_, deadline, lo, hi, cap, acc, p);
+  p.endangered = std::min(p.endangered, cap);
+  return p;
 }
 
-int64_t AdmissionIndex::LaterCount(SimTime deadline) const {
-  int64_t count = 0;
-  for (int32_t t = root_; t != kNil;) {
+void AdmissionIndex::Descend(int32_t t, SimTime d, int64_t lo, int64_t hi,
+                             int64_t cap, int64_t& acc, Projection& p) const {
+  // Skip the keys due no later than d, adding their work to the prefix.
+  while (t != kNil && nodes_[t].deadline <= d) {
     const Node& n = nodes_[t];
-    if (n.deadline > deadline) {
-      count += 1 + (n.right != kNil ? nodes_[n.right].count : 0);
-      t = n.left;
-    } else {
-      t = n.right;
-    }
+    acc += n.own_work + (n.left != kNil ? nodes_[n.left].work : 0);
+    t = n.right;
   }
-  return count;
-}
-
-int64_t AdmissionIndex::Endangered(int32_t t, SimTime d, int64_t lo,
-                                   int64_t hi, int64_t& acc) const {
-  if (t == kNil) return 0;
+  if (t == kNil) {
+    // The first later key, if any, comes next: everything ahead is earlier.
+    p.earlier_work = acc;
+    return;
+  }
+  // n is due after d. In EDF order: its left subtree, which straddles d,
+  // then n, then its right subtree, which lies wholly past d.
   const Node& n = nodes_[t];
-  if (n.deadline <= d) return Endangered(n.right, d, lo, hi, acc);
-  if (d == kWholeSubtree) {
-    // The subtree's lags, shifted by the work accumulated before it, span
+  Descend(n.left, d, lo, hi, cap, acc, p);
+  acc += n.own_work;
+  const int64_t m = n.deadline - acc;
+  if (lo <= m && m < hi) ++p.endangered;
+  CountLags(n.right, lo, hi, cap, acc, p.endangered);
+}
+
+void AdmissionIndex::CountLags(int32_t t, int64_t lo, int64_t hi,
+                               int64_t cap, int64_t& acc,
+                               int64_t& count) const {
+  while (t != kNil && count < cap) {
+    const Node& n = nodes_[t];
+    // The subtree's lags, shifted by the work ahead of it, span
     // [min_m - acc, max_m - acc].
     const int64_t mn = n.min_m - acc;
     const int64_t mx = n.max_m - acc;
-    if (mx < lo || mn >= hi) {
+    const bool inside = lo <= mn && mx < hi;
+    if (inside || mx < lo || mn >= hi) {  // all of the subtree or none
+      if (inside) count += n.count;
       acc += n.work;
-      return 0;
+      return;
     }
-    if (lo <= mn && mx < hi) {
-      acc += n.work;
-      return n.count;
-    }
+    CountLags(n.left, lo, hi, cap, acc, count);
+    acc += n.own_work;
+    const int64_t m = n.deadline - acc;
+    if (lo <= m && m < hi) ++count;
+    t = n.right;
   }
-  // In EDF order: the left subtree, which may straddle d, then n, then the
-  // right subtree, which lies wholly past d.
-  int64_t c = Endangered(n.left, d, lo, hi, acc);
-  acc += n.own_work;
-  const int64_t m = n.deadline - acc;
-  if (lo <= m && m < hi) ++c;
-  return c + Endangered(n.right, kWholeSubtree, lo, hi, acc);
-}
-
-int64_t AdmissionIndex::CountEndangered(SimTime deadline, int64_t lo,
-                                        int64_t hi) const {
-  int64_t acc = 0;
-  return Endangered(root_, deadline, lo, hi, acc);
 }
 
 // --- AdmissionController --------------------------------------------------
@@ -208,13 +215,15 @@ bool AdmissionController::Admit(const EngineContext& engine,
 bool AdmissionController::Admit(const EngineContext& engine,
                                 const Transaction& candidate,
                                 const UsmWeights& weights) {
-  // EST: the running transaction, every queued update, and the queued
-  // queries due no later than the candidate. All sums are integer SimTime.
-  const SimTime deadline = candidate.absolute_deadline();
-  const SimDuration est = engine.RunningRemaining() +
-                          engine.QueuedUpdateWork() +
-                          engine.EarlierQueryWork(deadline);
+  // With every penalty zero (the naive setting) the USM check compares the
+  // endangered queries and the candidate at unit cost.
   const bool naive = weights.AllZeroPenalties();
+  const double dmf_cost = naive ? 1.0 : weights.c_fm;
+  const double rejection_cost = naive ? 1.0 : weights.c_r;
+  const SimTime deadline = candidate.absolute_deadline();
+  const AdmissionProjection projection = engine.ProjectAdmission(
+      deadline, candidate.estimate(),
+      params_.usm_check_enabled ? dmf_cost : 0.0, rejection_cost);
 
   // 1. Transaction deadline check: C_flex * EST + qe < qt. Rejecting an
   // unpromising query only raises user satisfaction when a rejection costs
@@ -222,7 +231,7 @@ bool AdmissionController::Admit(const EngineContext& engine,
   // USM-rational move is to admit and let the firm deadline decide (the
   // system USM check still protects the other transactions).
   if (naive || !(weights.c_r > weights.c_fm)) {
-    const double lhs = c_flex_ * static_cast<double>(est) +
+    const double lhs = c_flex_ * static_cast<double>(projection.est) +
                        static_cast<double>(candidate.estimate());
     const double qt = static_cast<double>(deadline - engine.now());
     if (!(lhs < qt)) {
@@ -232,27 +241,13 @@ bool AdmissionController::Admit(const EngineContext& engine,
     }
   }
 
-  // 2. System USM check: which later-deadline queries would newly miss if
-  // the candidate's demand were slotted into the EDF schedule ahead of them?
-  if (params_.usm_check_enabled && engine.LaterQueryCount(deadline) > 0) {
-    const double dmf_cost =
-        naive ? params_.zero_weight_unit_cost : weights.c_fm;
-    const double rejection_cost =
-        naive ? params_.zero_weight_unit_cost : weights.c_r;
-    if (dmf_cost > 0.0) {
-      const int64_t endangered = engine.EndangeredQueryCount(
-          deadline, engine.now() + est, candidate.estimate());
-      // Summed one endangered query at a time, like the paper's
-      // per-transaction cost sum: a multiply could round differently and
-      // move pinned results.
-      double endangered_cost = 0.0;
-      for (int64_t i = 0; i < endangered; ++i) endangered_cost += dmf_cost;
-      if (endangered_cost > rejection_cost) {
-        ++rejected_by_usm_;
-        last_reject_reason_ = "usm";
-        return false;
-      }
-    }
+  // 2. System USM check: the later-deadline queries that would newly miss
+  // if the candidate's demand were slotted into the EDF schedule ahead of
+  // them cost more than turning the candidate away.
+  if (projection.endangers) {
+    ++rejected_by_usm_;
+    last_reject_reason_ = "usm";
+    return false;
   }
 
   ++admitted_;

@@ -2,7 +2,6 @@
 #define UNIT_CORE_ADMISSION_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "unit/common/types.h"
@@ -22,15 +21,17 @@ struct AdmissionParams {
   double max_c_flex = 16.0;
   /// Enables the system USM check on top of the deadline check.
   bool usm_check_enabled = true;
-  /// Effective per-query cost used by the USM check when every weight is
-  /// zero (the naive setting): endangered transactions and the candidate are
-  /// then compared at unit cost.
-  double zero_weight_unit_cost = 1.0;
 };
+
+/// The system USM check's threshold as a count: the fewest endangered
+/// queries whose DMF costs, summed one at a time like the paper's
+/// per-transaction sum, exceed `rejection_cost`; 0 when no count up to
+/// `bound` (the queue length) does.
+int64_t EndangeredCap(double dmf_cost, double rejection_cost, int64_t bound);
 
 /// Online EST/admission index over the queued queries, owned by the engine
 /// and kept in sync at every ready-queue mutation of a query transaction.
-/// The engine answers EngineContext's three admission questions from it.
+/// The engine answers EngineContext::ProjectAdmission from it.
 ///
 /// A treap keyed on (absolute deadline, txn id) — EDF order, which admission
 /// projects under either dispatch discipline — holds exactly the queued
@@ -38,15 +39,17 @@ struct AdmissionParams {
 /// session retry), so nothing is precomputed.
 /// Each node aggregates its subtree's query count, remaining service demand
 /// and min/max "lag" m_k = deadline_k - P_k (P_k = EDF-prefix remaining work
-/// through query k within the subtree). That answers, in O(log N):
+/// through query k within the subtree). One descent in EDF order (Project)
+/// carries the work of every query it passes, so the lags it reads are over
+/// the whole queue, and answers in O(log N):
 ///
-///  - the deadline check's earlier-deadline work term (EST);
-///  - "how many queued queries with deadline > d have lag in [lo, hi)",
-///    with P_k taken over that deadline suffix — exactly the set of
-///    transactions the candidate would newly endanger. Subtrees whose
-///    shifted [min, max] lag window misses or lies inside [lo, hi) are
-///    answered from their aggregates, so the count is O(log N) except when
-///    many queries straddle the window.
+///  - the deadline check's earlier-deadline work term (EST), read where the
+///    descent reaches the first query due after the candidate;
+///  - "how many queued queries due after the candidate have a lag in
+///    [lo, hi)" — exactly the set it would newly endanger — counted only up
+///    to a cap. Subtrees whose shifted [min, max] lag window misses or lies
+///    inside [lo, hi) are answered from their aggregates, and the walk stops
+///    once the count reaches the cap.
 ///
 /// Treap priorities hash the txn id with SplitMix64, so the index draws
 /// nothing from the engine RNG. Nodes live in a pooled vector with a free
@@ -69,23 +72,27 @@ class AdmissionIndex {
   /// The query left the ready queue.
   void OnRemove(const Transaction& query);
 
-  /// Sum of remaining demand of queued queries with deadline <= `deadline`.
-  SimDuration EarlierWork(SimTime deadline) const;
+  /// What one descent reads (see Project): the remaining demand of the
+  /// queued queries due no later than the candidate, and the endangered
+  /// count up to the cap.
+  struct Projection {
+    SimDuration earlier_work = 0;
+    int64_t endangered = 0;
+  };
 
-  /// Number of queued queries with deadline > `deadline`.
-  int64_t LaterCount(SimTime deadline) const;
-
-  /// Number of queued queries with deadline > `deadline` whose EDF lag
-  /// (deadline minus the prefix work of later-deadline queries through
-  /// themselves) falls in [lo, hi) — the candidate's newly endangered set.
-  int64_t CountEndangered(SimTime deadline, int64_t lo, int64_t hi) const;
+  /// One descent for a candidate due at `deadline`: the earlier-deadline
+  /// work and, of the queued queries with deadline > `deadline`, the number
+  /// whose lag — deadline minus the work of every queued query through
+  /// itself in (deadline, id) order — falls in [lo, hi), as min(number,
+  /// `cap`). A cap of 0 counts nothing.
+  Projection Project(SimTime deadline, int64_t lo, int64_t hi,
+                     int64_t cap) const;
 
   /// Number of currently indexed (queued) queries.
   int64_t occupied() const { return root_ == kNil ? 0 : nodes_[root_].count; }
 
  private:
   static constexpr int32_t kNil = -1;
-  static constexpr SimTime kWholeSubtree = std::numeric_limits<SimTime>::min();
 
   /// One cache line per node.
   struct alignas(64) Node {
@@ -118,11 +125,15 @@ class AdmissionIndex {
   int32_t Join(int32_t a, int32_t b);
   /// Erases key (deadline, id) from subtree `t`; returns its new root.
   int32_t EraseAt(int32_t t, SimTime deadline, TxnId id);
-  /// Endangered count over the keys of subtree `t` with deadline > `d`
-  /// (every key when d == kWholeSubtree); `acc` carries the suffix work
-  /// before the subtree and is advanced past it.
-  int64_t Endangered(int32_t t, SimTime d, int64_t lo, int64_t hi,
-                     int64_t& acc) const;
+  /// Project over subtree `t`, whose keys due no later than `d` it skips;
+  /// `acc` carries the queued work ahead of the subtree in EDF order and is
+  /// advanced past it until the count reaches `cap`.
+  void Descend(int32_t t, SimTime d, int64_t lo, int64_t hi, int64_t cap,
+               int64_t& acc, Projection& p) const;
+  /// Adds to `count` the keys of subtree `t` whose lag falls in [lo, hi),
+  /// stopping once it reaches `cap`; `acc` as in Descend.
+  void CountLags(int32_t t, int64_t lo, int64_t hi, int64_t cap,
+                 int64_t& acc, int64_t& count) const;
 
   int32_t root_ = kNil;
   int32_t free_ = kNil;     ///< head of the free-node list
@@ -140,9 +151,10 @@ class AdmissionIndex {
 ///     "endangered". Reject when their total DMF cost exceeds the rejection
 ///     cost C_r of turning the candidate away.
 ///
-/// Both checks are O(N_rq) in the paper. The controller asks the engine
-/// (EngineContext) for the queue sums they need: the optimized engine
-/// answers from its AdmissionIndex in O(log N_rq), the reference engine by
+/// Both checks are O(N_rq) in the paper. The controller asks the engine one
+/// question, EngineContext::ProjectAdmission, for the EST and whether the
+/// endangered queries outweigh a rejection: the optimized engine answers
+/// from one AdmissionIndex descent in O(log N_rq), the reference engine by
 /// scanning its ready queue, with bit-identical decisions. Either way the
 /// projection is the EDF schedule, whatever the dispatch discipline.
 class AdmissionController {

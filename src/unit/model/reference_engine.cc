@@ -160,14 +160,6 @@ void ReferenceEngine::ReadyRemove(Transaction* t) {
   ready_.erase(it);
 }
 
-SimDuration ReferenceEngine::QueuedUpdateWork() const {
-  SimDuration total = 0;
-  for (const Transaction* t : ready_) {
-    if (t->is_update()) total += t->remaining();
-  }
-  return total;
-}
-
 int ReferenceEngine::ReadyQueryCount() const {
   int n = 0;
   for (const Transaction* t : ready_) n += t->is_query() ? 1 : 0;
@@ -180,31 +172,22 @@ int ReferenceEngine::ReadyUpdateCount() const {
   return n;
 }
 
-SimDuration ReferenceEngine::EarlierQueryWork(SimTime deadline) const {
-  SimDuration work = 0;
-  for (const Transaction* t : ready_) {
-    if (t->is_query() && t->absolute_deadline() <= deadline) {
-      work += t->remaining();
-    }
-  }
-  return work;
-}
-
-int64_t ReferenceEngine::LaterQueryCount(SimTime deadline) const {
-  int64_t n = 0;
-  for (const Transaction* t : ready_) {
-    n += t->is_query() && t->absolute_deadline() > deadline ? 1 : 0;
-  }
-  return n;
-}
-
-int64_t ReferenceEngine::EndangeredQueryCount(SimTime deadline, SimTime start,
-                                              SimDuration extra) const {
-  // The later-deadline queries in EDF (deadline, id) order, whatever the
-  // dispatch discipline: admission projects the EDF schedule.
+AdmissionProjection ReferenceEngine::ProjectAdmission(
+    SimTime deadline, SimDuration extra, double dmf_cost,
+    double rejection_cost) const {
+  // EST: the running remainder, every queued update and the queued queries
+  // due no later than the candidate. The later-deadline queries are kept in
+  // EDF (deadline, id) order, whatever the dispatch discipline: admission
+  // projects the EDF schedule.
+  SimDuration est = 0;
+  if (running_ != nullptr) est += running_->remaining() - (now_ - run_start_);
   std::vector<const Transaction*> later;
   for (const Transaction* t : ready_) {
-    if (t->is_query() && t->absolute_deadline() > deadline) later.push_back(t);
+    if (t->is_query() && t->absolute_deadline() > deadline) {
+      later.push_back(t);
+    } else {
+      est += t->remaining();
+    }
   }
   std::sort(later.begin(), later.end(),
             [](const Transaction* a, const Transaction* b) {
@@ -213,18 +196,19 @@ int64_t ReferenceEngine::EndangeredQueryCount(SimTime deadline, SimTime start,
               }
               return a->id() < b->id();
             });
-  // Walk the schedule twice over, with and without `extra` ahead of it.
-  SimTime with = start + extra;
-  SimTime without = start;
-  int64_t endangered = 0;
+  // Walk the schedule twice over, with and without `extra` ahead of it,
+  // adding the DMF cost of each query only the candidate makes miss.
+  SimTime with = now_ + est + extra;
+  SimTime without = now_ + est;
+  double endangered_cost = 0.0;
   for (const Transaction* q : later) {
     with += q->remaining();
     without += q->remaining();
     if (with > q->absolute_deadline() && without <= q->absolute_deadline()) {
-      ++endangered;
+      endangered_cost += dmf_cost;
     }
   }
-  return endangered;
+  return {est, endangered_cost > rejection_cost};
 }
 
 Transaction* ReferenceEngine::NewQueryTxn(const QueryRequest& request) {
@@ -533,11 +517,6 @@ void ReferenceEngine::HandleFaultUpdateArrival(int64_t injected_index) {
   t->set_state(TxnState::kReady);
   ReadyInsert(t);
   ++metrics_.fault_injected_updates;
-}
-
-SimDuration ReferenceEngine::RunningRemaining() const {
-  if (running_ == nullptr) return 0;
-  return running_->remaining() - (now_ - run_start_);
 }
 
 void ReferenceEngine::TryDispatch() {

@@ -34,10 +34,11 @@ namespace unitdb {
 ///  - ready queue: a flat vector, dispatched by a linear scan with the
 ///    same strict (class, deadline, id) priority order; queued-update work
 ///    and queue depths are recomputed by full sums/counts on every call;
-///  - admission: the three queue sums admission control asks for
-///    (EngineContext) are answered by scanning the ready vector, the
-///    endangered count by walking the later-deadline queries in EDF order
-///    with and without the candidate's demand — no order-statistic tree;
+///  - admission: admission control's one question (EngineContext::
+///    ProjectAdmission) is answered by scanning the ready vector for the
+///    EST, then walking the later-deadline queries in EDF order with and
+///    without the candidate's demand and summing the DMF cost of each one
+///    it would newly endanger — no order-statistic tree, no cap;
 ///  - closed-loop sessions: the optimized engine's SessionPool (hash-map
 ///    retry chains) is mirrored with a flat vector scanned linearly per
 ///    outcome, reusing only the pure SessionOf / RetryDelay helpers — the
@@ -86,12 +87,9 @@ class ReferenceEngine final : public EngineContext {
     if (running_ != nullptr) busy += SimToSeconds(now_ - run_start_);
     return busy;
   }
-  SimDuration RunningRemaining() const override;
-  SimDuration QueuedUpdateWork() const override;
-  SimDuration EarlierQueryWork(SimTime deadline) const override;
-  int64_t LaterQueryCount(SimTime deadline) const override;
-  int64_t EndangeredQueryCount(SimTime deadline, SimTime start,
-                               SimDuration extra) const override;
+  AdmissionProjection ProjectAdmission(SimTime deadline, SimDuration extra,
+                                       double dmf_cost,
+                                       double rejection_cost) const override;
   int64_t PendingUpdatesForItem(ItemId item) const override {
     return pending_updates_per_item_[item];
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 
 #include "unit/common/logging.h"
 #include "unit/faults/schedule.h"
@@ -187,9 +188,7 @@ void Engine::ScheduleInitialEvents() {
   // QueryRequest exist at a time.
   events_.ReserveSequences(static_cast<uint64_t>(workload_.QueryCount()));
   query_cursor_ = workload_.NewQueryCursor();
-  if (query_cursor_->Next(&staged_query_)) {
-    events_.PushWithSeq(staged_query_.arrival, 0, EventType::kQueryArrival, 0);
-  }
+  StageQuery(0);
   if (policy_->UsesPeriodicUpdates()) {
     for (const auto& spec : workload_.updates) {
       if (spec.ideal_period <= 0 || spec.ideal_period >= kNoUpdates) continue;
@@ -222,16 +221,24 @@ void Engine::ScheduleInitialEvents() {
   }
 }
 
+void Engine::StageQuery(int64_t query_index) {
+  if (!query_cursor_->Next(&staged_query_)) return;
+  if (staged_query_.arrival < now_) [[unlikely]] {
+    // Replaying it would step the clock back: stop in every build type.
+    UNIT_LOG(Error) << "query " << staged_query_.id << " arrives at "
+                    << SimToSeconds(staged_query_.arrival) << " s, before "
+                    << SimToSeconds(now_)
+                    << " s: trace arrivals must not decrease";
+    std::abort();
+  }
+  events_.PushWithSeq(staged_query_.arrival,
+                      static_cast<uint64_t>(query_index),
+                      EventType::kQueryArrival, query_index);
+}
+
 void Engine::HandleQueryArrival(int64_t query_index) {
   AdmitArrivedQuery(staged_query_);
-  // Stage arrival query_index + 1 under its reserved sequence. Trace
-  // arrivals never decrease, so the event is never in the past.
-  if (query_cursor_->Next(&staged_query_)) {
-    assert(staged_query_.arrival >= now_ && "trace arrivals must not decrease");
-    events_.PushWithSeq(staged_query_.arrival,
-                        static_cast<uint64_t>(query_index) + 1,
-                        EventType::kQueryArrival, query_index + 1);
-  }
+  StageQuery(query_index + 1);
 }
 
 void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
@@ -460,9 +467,22 @@ void Engine::HandleFaultUpdateArrival(int64_t injected_index) {
   ++metrics_.fault_injected_updates;
 }
 
-SimDuration Engine::RunningRemaining() const {
-  if (running_ == nullptr) return 0;
-  return running_->remaining() - (now_ - run_start_);
+AdmissionProjection Engine::ProjectAdmission(SimTime deadline,
+                                             SimDuration extra,
+                                             double dmf_cost,
+                                             double rejection_cost) const {
+  // Every queued query waits behind the running remainder and the queued
+  // updates (dual priority), so the lag window starts at `start`.
+  SimDuration ahead = ready_.TotalUpdateWork();
+  if (running_ != nullptr) ahead += running_->remaining() - (now_ - run_start_);
+  const SimTime start = now_ + ahead;
+  // No more queries than are queued can be endangered, so the search for
+  // the cap stops there (cap 0: none can reach it, count nothing).
+  const int64_t cap = EndangeredCap(dmf_cost, rejection_cost,
+                                    admission_index_.occupied());
+  const AdmissionIndex::Projection p =
+      admission_index_.Project(deadline, start, start + extra, cap);
+  return {ahead + p.earlier_work, cap > 0 && p.endangered >= cap};
 }
 
 void Engine::TryDispatch() {

@@ -72,25 +72,11 @@ class Engine final : public EngineContext {
     return busy;
   }
 
-  /// Remaining service demand of the transaction on the CPU (0 if idle).
-  SimDuration RunningRemaining() const override;
-  /// Total remaining demand of queued (not running) update transactions.
-  SimDuration QueuedUpdateWork() const override {
-    return ready_.TotalUpdateWork();
-  }
-
-  /// Admission control's queue sums, answered from the admission index in
-  /// O(log N_rq) (see EngineContext).
-  SimDuration EarlierQueryWork(SimTime deadline) const override {
-    return admission_index_.EarlierWork(deadline);
-  }
-  int64_t LaterQueryCount(SimTime deadline) const override {
-    return admission_index_.LaterCount(deadline);
-  }
-  int64_t EndangeredQueryCount(SimTime deadline, SimTime start,
-                               SimDuration extra) const override {
-    return admission_index_.CountEndangered(deadline, start, start + extra);
-  }
+  /// Admission control's projection, from one descent of the admission
+  /// index in O(log N_rq) (see EngineContext).
+  AdmissionProjection ProjectAdmission(SimTime deadline, SimDuration extra,
+                                       double dmf_cost,
+                                       double rejection_cost) const override;
 
   /// The online admission index over the queued queries (perfbench times
   /// its set-up through this).
@@ -159,6 +145,9 @@ class Engine final : public EngineContext {
   void RecordWindowSample();
 
   void ScheduleInitialEvents();
+  /// Stages the cursor's next query under its reserved FIFO sequence (its
+  /// trace position); aborts in every build type if it arrives before now.
+  void StageQuery(int64_t query_index);
   void HandleQueryArrival(int64_t query_index);
   void HandleUpdateArrival(ItemId item);
   /// `handle` is the transaction's packed slab handle (TxnSlot), not its id:

@@ -84,6 +84,16 @@ struct EngineParams {
   const FaultSchedule* faults = nullptr;
 };
 
+/// What admission control learns about the queue for one candidate
+/// (EngineContext::ProjectAdmission).
+struct AdmissionProjection {
+  /// Earliest start (EST): the remaining demand of the running transaction,
+  /// every queued update and the queued queries due no later than it.
+  SimDuration est = 0;
+  /// Whether the queries it would newly endanger cost more than rejecting it.
+  bool endangers = false;
+};
+
 /// The engine surface a transaction-management policy (and the admission
 /// controller) programs against: the simulation clock, the database, queue
 /// introspection, on-demand updates, and run counters. Two implementations
@@ -111,27 +121,18 @@ class EngineContext {
   /// measure windowed utilization).
   virtual double BusySeconds() const = 0;
 
-  /// Remaining service demand of the transaction on the CPU (0 if idle).
-  virtual SimDuration RunningRemaining() const = 0;
-  /// Total remaining demand of queued (not running) update transactions.
-  virtual SimDuration QueuedUpdateWork() const = 0;
-
-  // --- admission control's view of the queued queries ---
-  // All three see the queued queries in EDF (deadline, txn id) order,
-  // whatever EngineParams::discipline dispatches by: admission projects the
-  // EDF schedule (core/admission.h).
-
-  /// Total remaining demand of queued queries with deadline <= `deadline`
-  /// (the earlier-deadline term of a candidate's EST).
-  virtual SimDuration EarlierQueryWork(SimTime deadline) const = 0;
-  /// Number of queued queries with deadline > `deadline`.
-  virtual int64_t LaterQueryCount(SimTime deadline) const = 0;
-  /// Of the queued queries with deadline > `deadline`, served in EDF order
-  /// from `start`, how many meet their deadline as things stand but miss it
-  /// once `extra` demand runs ahead of them: the set a candidate due at
-  /// `deadline` with estimate `extra` would newly endanger.
-  virtual int64_t EndangeredQueryCount(SimTime deadline, SimTime start,
-                                       SimDuration extra) const = 0;
+  /// Admission control's one question about the queue, for a candidate due
+  /// at `deadline` with estimate `extra`. The queued queries are projected
+  /// in EDF (deadline, txn id) order, whatever EngineParams::discipline
+  /// dispatches by (core/admission.h), behind the running transaction and
+  /// every queued update. A query due later is endangered when it meets its
+  /// deadline as things stand but misses it once `extra` runs ahead of it;
+  /// `endangers` says whether the endangered queries' `dmf_cost`s, summed
+  /// one at a time, exceed `rejection_cost` (costs are non-negative; a zero
+  /// `dmf_cost` never endangers).
+  virtual AdmissionProjection ProjectAdmission(
+      SimTime deadline, SimDuration extra, double dmf_cost,
+      double rejection_cost) const = 0;
 
   /// Update transactions for `item` currently in the system (queued,
   /// blocked, or running) — lets ODU avoid issuing duplicate refreshes.

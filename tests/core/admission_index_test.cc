@@ -206,6 +206,20 @@ TEST(AdmissionIndexEquivalenceTest,
   EXPECT_GT(shed, 0);
 }
 
+// C_r / C_fm = 1e12: no queue endangers enough to reject, and the engine's
+// search for the count that would stops at the queue's length. Unbounded,
+// it would add C_fm 1e12 times per decision.
+TEST(AdmissionIndexEquivalenceTest, ExtremeCostRatioMatchesNaive) {
+  auto w = MakeStandardWorkload(UpdateVolume::kMedium,
+                                UpdateDistribution::kUniform,
+                                /*scale=*/0.02, /*seed=*/42);
+  ASSERT_TRUE(w.ok());
+  DiffStats stats;
+  ExpectMatchesReference(UnitCase(*w, UsmWeights{1.0, 1e6, 1e-6, 0.0}, 1.0),
+                         &stats);
+  EXPECT_GT(stats.deep_queues, 0);
+}
+
 // --- randomized structural check against brute force ---------------------
 
 TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
@@ -233,30 +247,29 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
   std::vector<bool> queued(kQueries, false);
   int64_t queued_count = 0;
   // Reference answers come from re-simulating a scan over the queued set in
-  // EDF (deadline, id) order.
-  auto brute = [&](SimTime d, int64_t lo, int64_t hi, SimDuration* earlier,
-                   int64_t* later_count) -> int64_t {
-    std::vector<const Transaction*> later;
-    *earlier = 0;
+  // EDF (deadline, id) order: a query's lag is its deadline minus the work
+  // of every queued query through itself, earlier-deadline ones included.
+  auto brute = [&](SimTime d, int64_t lo, int64_t hi,
+                   SimDuration* earlier) -> int64_t {
+    std::vector<const Transaction*> edf;
     for (int i = 0; i < kQueries; ++i) {
-      if (!queued[i]) continue;
-      if (txns[i].absolute_deadline() <= d) {
-        *earlier += txns[i].remaining();
-      } else {
-        later.push_back(&txns[i]);
-      }
+      if (queued[i]) edf.push_back(&txns[i]);
     }
-    std::sort(later.begin(), later.end(),
+    std::sort(edf.begin(), edf.end(),
               [](const Transaction* a, const Transaction* b) {
                 if (a->absolute_deadline() != b->absolute_deadline())
                   return a->absolute_deadline() < b->absolute_deadline();
                 return a->id() < b->id();
               });
-    *later_count = static_cast<int64_t>(later.size());
+    *earlier = 0;
     int64_t prefix = 0;
     int64_t endangered = 0;
-    for (const Transaction* t : later) {
+    for (const Transaction* t : edf) {
       prefix += t->remaining();
+      if (t->absolute_deadline() <= d) {
+        *earlier += t->remaining();
+        continue;
+      }
       const int64_t m = t->absolute_deadline() - prefix;
       if (m >= lo && m < hi) ++endangered;
     }
@@ -264,24 +277,30 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
   };
   AdmissionIndex index;
   int64_t empty_probes = 0;
+  int64_t counted_probes = 0;  ///< probes with endangered queries below cap
+  int64_t capped_probes = 0;   ///< probes the cap cut short
   auto probe = [&](int step) {
     ASSERT_EQ(index.occupied(), queued_count) << "step " << step;
     if (queued_count == 0) ++empty_probes;
     // Probe near a random query's deadline (often exactly on a tie run)
-    // with a random lag window.
+    // with a random lag window and a random cap (0 counts nothing).
     const int at = static_cast<int>(rng() % kQueries);
     const SimTime d = txns[at].absolute_deadline() +
                       static_cast<SimTime>(rng() % 3) - 1;
-    const int64_t lo = static_cast<int64_t>(rng() % SecondsToSim(3.5)) -
-                       SecondsToSim(0.5);
-    const int64_t hi = lo + 1 + static_cast<int64_t>(rng() % SecondsToSim(1.0));
+    const int64_t lo = static_cast<int64_t>(rng() % SecondsToSim(9.0)) -
+                       SecondsToSim(6.0);
+    const int64_t hi = lo + 1 + static_cast<int64_t>(rng() % SecondsToSim(2.0));
+    const int64_t cap =
+        rng() % 4 == 0 ? kQueries : static_cast<int64_t>(rng() % 8);
     SimDuration want_earlier = 0;
-    int64_t want_later = 0;
-    const int64_t want_endangered = brute(d, lo, hi, &want_earlier, &want_later);
-    ASSERT_EQ(index.EarlierWork(d), want_earlier) << "step " << step;
-    ASSERT_EQ(index.LaterCount(d), want_later) << "step " << step;
-    ASSERT_EQ(index.CountEndangered(d, lo, hi), want_endangered)
-        << "step " << step << " d=" << d << " lo=" << lo << " hi=" << hi;
+    const int64_t want = brute(d, lo, hi, &want_earlier);
+    const AdmissionIndex::Projection p = index.Project(d, lo, hi, cap);
+    ASSERT_EQ(p.earlier_work, want_earlier) << "step " << step;
+    ASSERT_EQ(p.endangered, std::min(want, cap))
+        << "step " << step << " d=" << d << " lo=" << lo << " hi=" << hi
+        << " cap=" << cap;
+    if (want > 0 && want < cap) ++counted_probes;
+    if (want > cap) ++capped_probes;
   };
 
   probe(-1);  // a fresh index
@@ -314,13 +333,15 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
     probe(step);
   }
   EXPECT_GE(empty_probes, 5);
+  EXPECT_GT(counted_probes, 100);
+  EXPECT_GT(capped_probes, 100);
 }
 
 TEST(AdmissionIndexTest, EqualDeadlinesOrderByTxnIdWhateverInsertionOrder) {
-  // Four queries share deadline 5 s; one more is due at 2 s. In EDF order
-  // (deadline, id) the tie run is ids 2, 4, 7, 9 with work 20, 80, 10, 40 ms,
-  // so past the 2 s boundary their lags are 5 s minus 20, 100, 110 and
-  // 150 ms. Any other tie order gives other lags.
+  // Four queries share deadline 5 s; one more (5 ms of work) is due at 2 s.
+  // In EDF order (deadline, id) the tie run is ids 2, 4, 7, 9 with work 20,
+  // 80, 10, 40 ms, so behind the 5 ms due earlier their lags are 5 s minus
+  // 25, 105, 115 and 155 ms. Any other tie order gives other lags.
   struct Q {
     TxnId id;
     double deadline_s;
@@ -334,30 +355,34 @@ TEST(AdmissionIndexTest, EqualDeadlinesOrderByTxnIdWhateverInsertionOrder) {
                                           SecondsToSim(q.deadline_s), 0.9,
                                           {0}));
   }
+  const SimTime d3 = SecondsToSim(3.0);
   const SimTime d5 = SecondsToSim(5.0);
-  const double want_lag_ms[] = {20, 100, 110, 150};
+  const double want_lag_ms[] = {25, 105, 115, 155};
+  std::mt19937_64 rng(20261018);
   std::vector<int> order = {0, 1, 2, 3, 4};
   int permutations = 0;
   do {
     AdmissionIndex index;
     for (int k : order) index.OnInsert(txns[static_cast<size_t>(k)]);
     SCOPED_TRACE(::testing::PrintToString(order));
-    EXPECT_EQ(index.EarlierWork(SecondsToSim(3.0)), MillisToSim(5));
-    EXPECT_EQ(index.EarlierWork(d5), MillisToSim(155));
-    EXPECT_EQ(index.LaterCount(SecondsToSim(3.0)), 4);
-    EXPECT_EQ(index.LaterCount(d5), 0);
+    // A random cap per probe: the count is the true one, capped.
+    auto project = [&](SimTime d, int64_t lo, int64_t hi, int64_t want) {
+      const int64_t cap = static_cast<int64_t>(rng() % 6);
+      const AdmissionIndex::Projection p = index.Project(d, lo, hi, cap);
+      EXPECT_EQ(p.endangered, std::min(want, cap)) << "cap " << cap;
+      return p.earlier_work;
+    };
+    EXPECT_EQ(project(d3, 0, 0, 0), MillisToSim(5));
+    EXPECT_EQ(project(d5, 0, d5, 0), MillisToSim(155));
     for (double lag_ms : want_lag_ms) {
       const int64_t m = d5 - MillisToSim(lag_ms);
-      EXPECT_EQ(index.CountEndangered(SecondsToSim(3.0), m, m + 1), 1)
-          << "lag 5 s - " << lag_ms << " ms";
+      project(d3, m, m + 1, 1);
     }
-    EXPECT_EQ(index.CountEndangered(SecondsToSim(3.0), d5 - MillisToSim(150),
-                                    d5 - MillisToSim(20) + 1),
-              4);
-    // Insertion order's lags (10, 30, 70 ms) must not appear.
-    for (double lag_ms : {10.0, 30.0, 70.0}) {
+    project(d3, d5 - MillisToSim(155), d5 - MillisToSim(25) + 1, 4);
+    // Insertion order's lags (15, 35, 75 ms) must not appear.
+    for (double lag_ms : {15.0, 35.0, 75.0}) {
       const int64_t m = d5 - MillisToSim(lag_ms);
-      EXPECT_EQ(index.CountEndangered(SecondsToSim(3.0), m, m + 1), 0);
+      project(d3, m, m + 1, 0);
     }
     ++permutations;
   } while (std::next_permutation(order.begin(), order.end()));

@@ -128,6 +128,28 @@ TEST(AdmissionTest, NaiveWeightsUseUnitCosts) {
   EXPECT_TRUE(DecideForCandidate(w, ac));
 }
 
+TEST(AdmissionTest, EndangeredCapSumsOneQueryAtATime) {
+  // The cap is the fewest endangered queries whose DMF costs, summed one
+  // at a time, exceed C_r. Where a multiply rounds the other way, the sum
+  // decides: 6 * 0.1 > 0.6 but six additions of 0.1 are not, and 15 * 0.1
+  // is not > 1.5 but fifteen additions are.
+  EXPECT_GT(6 * 0.1, 0.6);
+  EXPECT_EQ(EndangeredCap(0.1, 0.6, 100), 7);
+  EXPECT_FALSE(15 * 0.1 > 1.5);
+  EXPECT_EQ(EndangeredCap(0.1, 1.5, 100), 15);
+  // The naive weighting compares at unit cost: one endangered query ties
+  // the rejection cost, two exceed it. C_fm 1 over C_r 0.5 needs one.
+  EXPECT_EQ(EndangeredCap(1.0, 1.0, 100), 2);
+  EXPECT_EQ(EndangeredCap(1.0, 0.5, 100), 1);
+  // 0 when the bound (the queue length) is too short to get there, or the
+  // DMF cost never adds up.
+  EXPECT_EQ(EndangeredCap(0.1, 0.6, 6), 0);
+  EXPECT_EQ(EndangeredCap(0.1, 0.6, 7), 7);
+  EXPECT_EQ(EndangeredCap(1.0, 0.5, 0), 0);
+  EXPECT_EQ(EndangeredCap(0.0, 0.5, 100), 0);
+  EXPECT_EQ(EndangeredCap(1e-6, 1e6, 1000), 0);
+}
+
 TEST(AdmissionTest, TightenAndLoosenAdjustCFlexWithinBounds) {
   AdmissionParams params;
   params.initial_c_flex = 1.0;

@@ -6,6 +6,7 @@
 #include "testing/fake_policy.h"
 #include "unit/model/reference_engine.h"
 #include "unit/sched/engine.h"
+#include "unit/sim/server.h"
 #include "unit/workload/spec.h"
 
 namespace unitdb {
@@ -259,6 +260,29 @@ TEST(EngineEdgeTest, BusyAccountingMatchesCommittedWork) {
   RunMetrics m = engine.Run();
   EXPECT_EQ(m.counts.success, 10);
   EXPECT_NEAR(m.busy_s, expected_s, 1e-6);
+}
+
+// A trace whose arrivals go backwards would step the clock back. The engine
+// aborts on one in every build type, naming the query and both times, and
+// checks the first arrival against time 0.
+TEST(EngineEdgeDeathTest, BackwardArrivalAbortsInEveryBuild) {
+  // Re-executes the test binary for the child instead of forking a process
+  // that may hold threads (sanitizer builds).
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto run = [](const Workload& w) {
+    auto server = Server::Create(w, {});
+    if (server.ok()) (*server)->Run();
+  };
+  Workload w = Empty(4, 10.0);
+  const double arrivals_s[] = {0.0, 2.0, 1.0, 3.0};
+  for (int i = 0; i < 4; ++i) {
+    w.queries.push_back(Query(i, arrivals_s[i], 10.0, 5.0, {i}));
+  }
+  EXPECT_DEATH(run(w), "query 2 arrives at 1 s, before 2 s");
+
+  Workload early = Empty(4, 10.0);
+  early.queries.push_back(Query(0, -1.0, 10.0, 5.0, {0}));
+  EXPECT_DEATH(run(early), "query 0 arrives at -1 s, before 0 s");
 }
 
 }  // namespace
