@@ -33,7 +33,9 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -1032,10 +1034,10 @@ Status TraceCells(const FigureRun& run, const std::string& dir,
                          .series_csv_path = stem + "-series.csv"};
           auto r = RunExperiment(w, request);
           if (!r.ok()) return r.status();
-          int64_t events = 0;
-          for (const auto& [name, value] : r->metrics.obs_counters) {
-            if (name == "sink.jsonl.events") events = value;
-          }
+          std::ifstream trace(request.obs.trace_path);  // one event a line
+          const auto events =
+              std::count(std::istreambuf_iterator<char>(trace),
+                         std::istreambuf_iterator<char>(), '\n');
           std::cout << "  " << w.update_trace_name << " " << label
                     << " usm=" << Fmt(r->usm, 3) << " events=" << events
                     << " windows=" << r->series.size() << "\n";

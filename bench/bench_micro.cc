@@ -136,24 +136,54 @@ void BM_FreshnessProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_FreshnessProbe);
 
+// The queued queries `q` would newly endanger, read from the engine's own
+// projection at unit DMF cost: more than r of them outweigh a rejection
+// costing r + 0.5. Binary search over r in [0, queued].
+int64_t Endangered(const EngineContext& e, const Transaction& q,
+                   int64_t queued) {
+  int64_t lo = 0;
+  int64_t hi = queued;
+  while (lo < hi) {
+    const int64_t mid = (lo + hi) / 2;
+    const bool more = e.ProjectAdmission(q.absolute_deadline(), q.estimate(),
+                                         1.0, static_cast<double>(mid) + 0.5)
+                          .endangers;
+    if (more) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 // Admission control: cost of one Admit() decision as the ready queue grows.
 // arg0 = queue length, arg1 = 0 for the reference engine's O(N_rq) ready-queue
 // scan (model/reference_engine.h), 1 for the engine's online admission index
-// (O(log N_rq)). Built by flooding an engine with long-deadline queries
-// behind a long-running head query, then timing decisions via the policy
-// hook on repeated replays.
+// (O(log N_rq)). A head query pins the CPU for 900 s while `queue_len`
+// queries pile up behind it, all due after the head so none preempts it;
+// the last arrival is the measured candidate, timed via the policy hook on
+// repeated replays. Queued query r finishes at 900 s + (r + 1) d in the EDF
+// projection, d = 120 s / queue_len, and is due (queue_len - r) d / 2 after
+// that: the slacks shrink along the queue and only the last one, d / 2, is
+// under the candidate's demand d. The candidate is due mid-queue, so the
+// EST sums the earlier half and both engines walk the later half to the one
+// query the candidate endangers (the `endangered` counter).
 void BM_AdmissionScan(benchmark::State& state) {
   const int queue_len = static_cast<int>(state.range(0));
   const bool indexed = state.range(1) != 0;
+  const SimTime start = SecondsToSim(900.0);
+  const SimDuration demand = SecondsToSim(120.0) / queue_len;
+  const auto due = [&](int r) {
+    return start + (r + 1) * demand + (queue_len - r) * demand / 2;
+  };
   Workload w;
   w.num_items = 16;
-  w.duration = SecondsToSim(1000.0);
-  // Head query pins the CPU; `queue_len` queries pile up behind it; the
-  // last arrival is the measured candidate (via AdmissionController).
+  w.duration = SecondsToSim(1100.0);
   QueryRequest head;
   head.id = 0;
   head.arrival = 0;
-  head.exec = SecondsToSim(900.0);
+  head.exec = start;
   head.relative_deadline = SecondsToSim(950.0);
   head.items = {0};
   w.queries.push_back(head);
@@ -161,21 +191,25 @@ void BM_AdmissionScan(benchmark::State& state) {
     QueryRequest q;
     q.id = i + 1;
     q.arrival = SecondsToSim(0.001 * (i + 1));
-    q.exec = MillisToSim(10.0);
-    q.relative_deadline = SecondsToSim(990.0);
+    q.exec = demand;
+    q.relative_deadline = due(i) - q.arrival;
     q.items = {static_cast<ItemId>(i % 16)};
     w.queries.push_back(q);
   }
-  // The candidate arrives last, 1 ms after the last queued query.
+  // The candidate arrives 1 ms after the last queued query, due between
+  // the two middle ones.
   QueryRequest cand = w.queries.back();
   cand.id = queue_len + 1;
   cand.arrival += MillisToSim(1.0);
+  cand.relative_deadline =
+      (due(queue_len / 2 - 1) + due(queue_len / 2)) / 2 - cand.arrival;
   w.queries.push_back(cand);
 
   struct Probe : Policy {
     AdmissionController* ac = nullptr;
     benchmark::State* state = nullptr;
     TxnId candidate_id = 0;
+    int64_t endangered = -1;
     std::string name() const override { return "probe"; }
     bool AdmitQuery(EngineContext& e, const Transaction& q) override {
       if (q.id() == candidate_id) {
@@ -184,11 +218,14 @@ void BM_AdmissionScan(benchmark::State& state) {
         const auto t1 = std::chrono::steady_clock::now();
         state->SetIterationTime(
             std::chrono::duration<double>(t1 - t0).count());
+        // Queries 1 .. candidate_id - 1 are queued behind the head.
+        endangered = Endangered(e, q, candidate_id - 1);
       }
       return true;
     }
   };
   AdmissionController ac({}, UsmWeights{1.0, 0.5, 1.0, 0.5});
+  int64_t endangered = -1;
   for (auto _ : state) {
     Probe probe;
     probe.ac = &ac;
@@ -199,7 +236,9 @@ void BM_AdmissionScan(benchmark::State& state) {
     } else {
       ReferenceEngine(w, &probe, {}).Run();
     }
+    endangered = probe.endangered;
   }
+  state.counters["endangered"] = static_cast<double>(endangered);
   state.SetItemsProcessed(state.iterations() * queue_len);
   state.SetLabel(indexed ? "indexed" : "scan");
 }

@@ -95,8 +95,8 @@ void UpdateModulator::EmitPeriodChange(ItemId item, SimDuration from,
 
 void UpdateModulator::Degrade(Database& db, Rng& rng, SimTime now) {
   ++degrade_signals_;
-  const int batch =
-      params_.degrade_batch > 0 ? params_.degrade_batch : sampler_.size();
+  const int batch = params_.degrade_batch > 0 ? params_.degrade_batch
+                                              : sampler_.eligible_count();
   for (int k = 0; k < batch; ++k) {
     const int victim = sampler_.Sample(rng);
     if (victim < 0) return;  // nothing eligible

@@ -45,11 +45,12 @@ struct ModulationParams {
   /// ue/pi CPU per second, far below the USM value of fresh accesses).
   /// Ablated in `bench_grid figure=a4`.
   double dt_scale = 100.0;
-  /// Lottery picks per Degrade-Update signal; 0 = one pick per data item on
-  /// average. The paper leaves the batch size unspecified; roughly one pick
-  /// per item per signal lets stretches compound faster than upgrade signals
-  /// reset them, stratifying items by ticket weight (see DESIGN.md §4 and
-  /// the A1/A4 ablations).
+  /// Lottery picks per Degrade-Update signal; 0 = one pick per item the
+  /// lottery can pick (an item with an update source) on average. The paper
+  /// leaves the batch size unspecified; roughly one pick per item per
+  /// signal lets stretches compound faster than upgrade signals reset them,
+  /// stratifying items by ticket weight (see DESIGN.md §4 and the A1/A4
+  /// ablations).
   int degrade_batch = 0;
   /// Safety cap: pc <= pi * max_stretch.
   double max_stretch = 1024.0;

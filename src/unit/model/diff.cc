@@ -108,7 +108,6 @@ StatusOr<DiffRun> RunSide(const DiffCase& c, const Workload& w,
   const Perturbation perturb = reference ? Perturbation::kNone : opts.perturb;
   EngineParams params = c.engine;
   params.trace = nullptr;
-  params.counters = nullptr;
   params.faults = faults;
   params.session.drop_retry_at = perturb == Perturbation::kDropRetry ? 1 : 0;
   return RunRecorded(w, c.policy, c.weights,

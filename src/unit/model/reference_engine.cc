@@ -6,7 +6,6 @@
 
 #include "unit/common/logging.h"
 #include "unit/faults/schedule.h"
-#include "unit/obs/counters.h"
 #include "unit/obs/timeseries.h"
 #include "unit/workload/query_source.h"
 
@@ -86,8 +85,9 @@ RunMetrics ReferenceEngine::Run() {
   }
   assert(running_ == nullptr);
   assert(ready_.empty());
-  if (params_.series != nullptr || params_.counters != nullptr) {
-    FinalizeObservability();
+  // Trailing partial control window, as in the optimized engine.
+  if (params_.series != nullptr && now_ > series_last_sample_) {
+    RecordWindowSample();
   }
   metrics_.per_item_accesses.resize(db_.num_items());
   metrics_.per_item_applied_updates.resize(db_.num_items());
@@ -795,15 +795,6 @@ void ReferenceEngine::RecordWindowSample() {
   s.admission_knob = policy_->AdmissionKnob();
   s.degraded_items = db_.DegradedCount();
   params_.series->Record(s);
-}
-
-void ReferenceEngine::FinalizeObservability() {
-  if (params_.series != nullptr && now_ > series_last_sample_) {
-    RecordWindowSample();
-  }
-  if (params_.counters != nullptr) {
-    metrics_.obs_counters = params_.counters->CounterSnapshot();
-  }
 }
 
 }  // namespace unitdb

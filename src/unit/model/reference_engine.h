@@ -58,8 +58,8 @@ namespace unitdb {
 /// noise at query-transaction creation), and both accumulate busy seconds
 /// and window statistics with the same floating-point operation order.
 ///
-/// Tracing (EngineParams::trace) is not supported and is ignored; series
-/// and counters hooks work as in the optimized engine.
+/// Tracing (EngineParams::trace) is not supported and is ignored; the
+/// series hook works as in the optimized engine.
 class ReferenceEngine final : public EngineContext {
  public:
   /// `workload` and `policy` must outlive the engine; neither is owned.
@@ -166,7 +166,6 @@ class ReferenceEngine final : public EngineContext {
   void ReleaseLocksOf(Transaction* t);
 
   void RecordWindowSample();
-  void FinalizeObservability();
 
   const Workload& workload_;
   Policy* policy_;

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <fstream>
 #include <type_traits>
-#include <utility>
 
 namespace unitdb {
 
@@ -33,22 +32,6 @@ void ForEachCell(const WindowSample& s, F&& cell) {
       emit(field.column, v);
     }
   });
-}
-
-void AppendRowValues(const WindowSample& s, std::vector<std::string>& out) {
-  ForEachCell(s, [&out](const std::string&, std::string text) {
-    out.push_back(std::move(text));
-  });
-}
-
-Status WriteStringToFile(const std::string& text, const std::string& path) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f.is_open()) {
-    return Status(StatusCode::kIoError, "cannot open " + path);
-  }
-  f << text;
-  if (!f.good()) return Status(StatusCode::kIoError, "write failed " + path);
-  return Status::Ok();
 }
 
 }  // namespace
@@ -91,47 +74,26 @@ std::string TimeSeriesRecorder::ToCsv() const {
     out += cols[i];
   }
   out += '\n';
-  std::vector<std::string> row;
   for (const WindowSample& s : samples_) {
-    row.clear();
-    AppendRowValues(s, row);
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += ',';
-      out += row[i];
-    }
+    bool first = true;
+    ForEachCell(s, [&](const std::string&, const std::string& text) {
+      if (!first) out += ',';
+      first = false;
+      out += text;
+    });
     out += '\n';
   }
   return out;
 }
 
-std::string TimeSeriesRecorder::ToJson() const {
-  const auto& cols = ColumnNames();
-  std::string out = "[\n";
-  std::vector<std::string> row;
-  for (size_t r = 0; r < samples_.size(); ++r) {
-    row.clear();
-    AppendRowValues(samples_[r], row);
-    out += "  {";
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += '"';
-      out += cols[i];
-      out += "\": ";
-      // NaN (no admission knob) is not valid JSON; emit null instead.
-      out += row[i] == "nan" || row[i] == "-nan" ? "null" : row[i];
-    }
-    out += r + 1 < samples_.size() ? "},\n" : "}\n";
-  }
-  out += "]\n";
-  return out;
-}
-
 Status TimeSeriesRecorder::WriteCsv(const std::string& path) const {
-  return WriteStringToFile(ToCsv(), path);
-}
-
-Status TimeSeriesRecorder::WriteJson(const std::string& path) const {
-  return WriteStringToFile(ToJson(), path);
+  std::ofstream f(path, std::ios::trunc);
+  if (!f.is_open()) {
+    return Status(StatusCode::kIoError, "cannot open " + path);
+  }
+  f << ToCsv();
+  if (!f.good()) return Status(StatusCode::kIoError, "write failed " + path);
+  return Status::Ok();
 }
 
 }  // namespace unitdb

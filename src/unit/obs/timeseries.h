@@ -22,7 +22,7 @@ enum class WindowMerge {
 };
 
 /// The WindowSample field table, X(type, name, WindowMerge, column, source),
-/// in declaration and CSV order. `column` is the CSV/JSON column, or for a
+/// in declaration and CSV order. `column` is the CSV column, or for a
 /// struct field the prefix of its members' columns. `source` is the
 /// cumulative RunMetrics counter whose growth over the window the field
 /// records (TakeWindowDeltas), or nullptr for a value the engine samples
@@ -92,8 +92,8 @@ void TakeWindowDeltas(const RunMetrics& run, WindowSample* last,
                       WindowSample* sample);
 
 /// Collects WindowSamples during a run (EngineParams::series) and exports
-/// them as CSV or JSON. Column set and order are stable — plotting scripts
-/// and the DESIGN.md §8 schema table key off ColumnNames().
+/// them as CSV. Column set and order are stable — plotting scripts and the
+/// DESIGN.md §8 schema table key off ColumnNames().
 class TimeSeriesRecorder {
  public:
   explicit TimeSeriesRecorder(const UsmWeights& weights = {});
@@ -104,13 +104,11 @@ class TimeSeriesRecorder {
   const std::vector<WindowSample>& samples() const { return samples_; }
   const UsmWeights& weights() const { return weights_; }
 
-  /// Stable CSV/JSON column names, in emission order.
+  /// Stable CSV column names, in emission order.
   static const std::vector<std::string>& ColumnNames();
 
   std::string ToCsv() const;
-  std::string ToJson() const;
   Status WriteCsv(const std::string& path) const;
-  Status WriteJson(const std::string& path) const;
 
  private:
   UsmWeights weights_;

@@ -2,51 +2,104 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <initializer_list>
+#include <iterator>
 
 namespace unitdb {
 
 namespace {
 
-struct TypeName {
+using enum TraceKey;
+
+/// One event type's wire name and the keys it carries after the time, the
+/// type and the shard, in emission order.
+struct TypeSchema {
   TraceEventType type;
   const char* name;
+  std::initializer_list<TraceKey> keys;
 };
 
-constexpr TypeName kTypeNames[] = {
-    {TraceEventType::kQueryArrival, "query-arrival"},
-    {TraceEventType::kAdmit, "admit"},
-    {TraceEventType::kReject, "reject"},
-    {TraceEventType::kPreempt, "preempt"},
-    {TraceEventType::kLockRestart, "lock-restart"},
-    {TraceEventType::kCommit, "commit"},
-    {TraceEventType::kDeadlineMiss, "deadline-miss"},
-    {TraceEventType::kUpdateArrival, "update-arrival"},
-    {TraceEventType::kUpdateDrop, "update-drop"},
-    {TraceEventType::kUpdateApply, "update-apply"},
-    {TraceEventType::kPeriodChange, "period-change"},
-    {TraceEventType::kLbcSignal, "lbc"},
-    {TraceEventType::kFaultStart, "fault-start"},
-    {TraceEventType::kFaultStop, "fault-stop"},
-    {TraceEventType::kSessionRetry, "session-retry"},
-    {TraceEventType::kSessionAbandon, "session-abandon"},
-    {TraceEventType::kShed, "shed"},
-    {TraceEventType::kCacheHit, "cache-hit"},
-    {TraceEventType::kCacheInvalidate, "cache-invalidate"},
+/// Indexed by TraceEventType.
+constexpr TypeSchema kTypes[] = {
+    {TraceEventType::kQueryArrival, "query-arrival",
+     {kTxn, kClass, kDeadline, kEst}},
+    {TraceEventType::kAdmit, "admit", {kTxn}},
+    {TraceEventType::kReject, "reject", {kTxn, kReason}},
+    {TraceEventType::kPreempt, "preempt", {kTxn}},
+    {TraceEventType::kLockRestart, "lock-restart", {kTxn}},
+    {TraceEventType::kCommit, "commit",
+     {kTxn, kOutcome, kFreshness, kFreq, kUdrop}},
+    {TraceEventType::kDeadlineMiss, "deadline-miss", {kTxn}},
+    {TraceEventType::kUpdateArrival, "update-arrival", {kItem}},
+    {TraceEventType::kUpdateDrop, "update-drop", {kItem}},
+    {TraceEventType::kUpdateApply, "update-apply",
+     {kTxn, kItem, kLag, kReason}},
+    {TraceEventType::kPeriodChange, "period-change",
+     {kItem, kFrom, kTo, kReason}},
+    {TraceEventType::kLbcSignal, "lbc",
+     {kSignal, kR, kFm, kFs, kUtil, kResolved, kDrop, kKnob0, kKnob}},
+    {TraceEventType::kFaultStart, "fault-start",
+     {kFault, kKind, kItem, kItems, kMag}},
+    {TraceEventType::kFaultStop, "fault-stop",
+     {kFault, kKind, kItem, kItems, kMag}},
+    {TraceEventType::kSessionRetry, "session-retry",
+     {kTxn, kSession, kRequest, kAttempt, kDelay}},
+    {TraceEventType::kSessionAbandon, "session-abandon",
+     {kTxn, kSession, kRequest, kAttempt}},
+    {TraceEventType::kShed, "shed", {kTxn, kDepth, kWatermark}},
+    // `item` is the staleness-dominant read-set item (the arg max of Udrop,
+    // whose history the checker verifies `udrop` against), and `capacity`
+    // the active cache capacity, so a hit emitted with the cache off is
+    // checkable as a violation.
+    {TraceEventType::kCacheHit, "cache-hit",
+     {kTxn, kOutcome, kFreshness, kFreq, kUdrop, kItem, kCapacity}},
+    {TraceEventType::kCacheInvalidate, "cache-invalidate", {kItem, kTxn}},
+};
+
+constexpr bool InTypeOrder() {
+  for (size_t i = 0; i < std::size(kTypes); ++i) {
+    if (static_cast<size_t>(kTypes[i].type) != i) return false;
+  }
+  return true;
+}
+static_assert(InTypeOrder(), "kTypes must be indexed by TraceEventType");
+
+const TypeSchema* SchemaOf(TraceEventType t) {
+  const auto i = static_cast<size_t>(t);
+  return i < std::size(kTypes) ? &kTypes[i] : nullptr;
+}
+
+constexpr const char* kKeyNames[] = {
+#define UNIT_TRACE_KEY_NAME(key, wire, member, encoding) wire,
+    UNIT_TRACE_KEYS(UNIT_TRACE_KEY_NAME)
+#undef UNIT_TRACE_KEY_NAME
 };
 
 }  // namespace
 
 const char* TraceEventTypeName(TraceEventType t) {
-  for (const TypeName& tn : kTypeNames) {
-    if (tn.type == t) return tn.name;
-  }
-  return "?";
+  const TypeSchema* s = SchemaOf(t);
+  return s != nullptr ? s->name : "?";
 }
 
 bool TraceEventTypeFromName(const char* name, TraceEventType* out) {
-  for (const TypeName& tn : kTypeNames) {
-    if (std::strcmp(tn.name, name) == 0) {
-      *out = tn.type;
+  for (const TypeSchema& s : kTypes) {
+    if (std::strcmp(s.name, name) == 0) {
+      *out = s.type;
+      return true;
+    }
+  }
+  return false;
+}
+
+const char* TraceKeyName(TraceKey k) {
+  return kKeyNames[static_cast<size_t>(k)];
+}
+
+bool TraceKeyFromName(const char* name, TraceKey* out) {
+  for (size_t i = 0; i < std::size(kKeyNames); ++i) {
+    if (std::strcmp(kKeyNames[i], name) == 0) {
+      *out = static_cast<TraceKey>(i);
       return true;
     }
   }
@@ -65,25 +118,29 @@ class Appender {
     while (*s != '\0' && len_ + 1 < cap_) buf_[len_++] = *s++;
   }
 
-  void Int(const char* key, int64_t v) {
-    Key(key);
-    char tmp[32];
-    std::snprintf(tmp, sizeof(tmp), "%" PRId64, v);
-    Raw(tmp);
-  }
-
-  void Double(const char* key, double v) {
-    Key(key);
-    char tmp[40];
-    std::snprintf(tmp, sizeof(tmp), "%.17g", v);
-    Raw(tmp);
-  }
-
-  void Str(const char* key, const char* v) {
-    Key(key);
-    Raw("\"");
-    Raw(v);  // reasons/outcomes are fixed identifiers; nothing to escape
-    Raw("\"");
+  /// Writes key `k` of `e` by its encoding.
+  void Put(TraceKey k, const TraceEvent& e) {
+    Raw(len_ == 1 ? "\"" : ",\"");  // len_ == 1: only '{' written so far
+    Raw(TraceKeyName(k));
+    Raw("\":");
+    VisitTraceKey(k, e, [this](const auto& v, auto encoding) {
+      constexpr TraceEncoding kEncoding = decltype(encoding)::value;
+      if constexpr (kEncoding == TraceEncoding::kInt) {
+        Int(v);
+      } else if constexpr (kEncoding == TraceEncoding::kDouble) {
+        char tmp[40];
+        std::snprintf(tmp, sizeof(tmp), "%.17g", v);
+        Raw(tmp);
+      } else if constexpr (kEncoding == TraceEncoding::kWhole) {
+        Int(static_cast<int64_t>(v));
+      } else if constexpr (kEncoding == TraceEncoding::kFlag) {
+        Int(v ? 1 : 0);
+      } else if constexpr (kEncoding == TraceEncoding::kString) {
+        Quoted(v);
+      } else {
+        Quoted(TraceEventTypeName(v));
+      }
+    });
   }
 
   size_t Finish() {
@@ -93,10 +150,16 @@ class Appender {
   }
 
  private:
-  void Key(const char* key) {
-    Raw(len_ == 1 ? "\"" : ",\"");  // len_ == 1: only '{' written so far
-    Raw(key);
-    Raw("\":");
+  void Int(int64_t v) {
+    char tmp[32];
+    std::snprintf(tmp, sizeof(tmp), "%" PRId64, v);
+    Raw(tmp);
+  }
+
+  void Quoted(const char* v) {
+    Raw("\"");
+    Raw(v);
+    Raw("\"");
   }
 
   char* buf_;
@@ -109,105 +172,13 @@ class Appender {
 size_t FormatJsonl(const TraceEvent& e, char* buf, size_t cap) {
   Appender a(buf, cap);
   a.Raw("{");
-  a.Int("t", e.time);
-  a.Str("ev", TraceEventTypeName(e.type));
-  // Emitted only for shard-tagged events so pre-sharding goldens (and the
-  // monolithic trace_check corpus) stay byte-identical.
-  if (e.shard >= 0) a.Int("shard", e.shard);
-  switch (e.type) {
-    case TraceEventType::kQueryArrival:
-      a.Int("txn", e.txn);
-      a.Int("class", e.pref_class);
-      a.Int("deadline", e.deadline);
-      a.Int("est", e.estimate);
-      break;
-    case TraceEventType::kAdmit:
-    case TraceEventType::kPreempt:
-    case TraceEventType::kLockRestart:
-    case TraceEventType::kDeadlineMiss:
-      a.Int("txn", e.txn);
-      break;
-    case TraceEventType::kReject:
-      a.Int("txn", e.txn);
-      a.Str("reason", e.reason);
-      break;
-    case TraceEventType::kCommit:
-      a.Int("txn", e.txn);
-      a.Str("outcome", e.reason);
-      a.Double("freshness", e.freshness);
-      a.Double("freq", e.freshness_req);
-      a.Int("udrop", e.udrop);
-      break;
-    case TraceEventType::kUpdateArrival:
-    case TraceEventType::kUpdateDrop:
-      a.Int("item", e.item);
-      break;
-    case TraceEventType::kUpdateApply:
-      a.Int("txn", e.txn);
-      a.Int("item", e.item);
-      a.Int("lag", e.lag);
-      a.Str("reason", e.reason);
-      break;
-    case TraceEventType::kPeriodChange:
-      a.Int("item", e.item);
-      a.Int("from", e.period_from);
-      a.Int("to", e.period_to);
-      a.Str("reason", e.reason);
-      break;
-    case TraceEventType::kLbcSignal:
-      a.Str("signal", e.reason);
-      a.Double("r", e.r);
-      a.Double("fm", e.fm);
-      a.Double("fs", e.fs);
-      a.Double("util", e.utilization);
-      a.Int("resolved", e.resolved);
-      a.Int("drop", e.drop_trigger ? 1 : 0);
-      a.Double("knob0", e.knob_before);
-      a.Double("knob", e.knob);
-      break;
-    case TraceEventType::kFaultStart:
-    case TraceEventType::kFaultStop:
-      a.Int("fault", e.txn);
-      a.Str("kind", e.reason);
-      a.Int("item", e.item);
-      a.Int("items", e.resolved);
-      a.Double("mag", e.magnitude);
-      break;
-    case TraceEventType::kSessionRetry:
-      a.Int("txn", e.txn);
-      a.Int("session", e.session);
-      a.Int("request", e.request);
-      a.Int("attempt", e.resolved);
-      a.Int("delay", e.lag);
-      break;
-    case TraceEventType::kSessionAbandon:
-      a.Int("txn", e.txn);
-      a.Int("session", e.session);
-      a.Int("request", e.request);
-      a.Int("attempt", e.resolved);
-      break;
-    case TraceEventType::kShed:
-      a.Int("txn", e.txn);
-      a.Int("depth", e.resolved);
-      a.Int("watermark", static_cast<int64_t>(e.magnitude));
-      break;
-    case TraceEventType::kCacheHit:
-      // `item` is the staleness-dominant read-set item (the arg max of
-      // Udrop — the item whose history the checker verifies `udrop`
-      // against), and `capacity` the active cache capacity, so a hit
-      // emitted with the cache off is checkable as a violation.
-      a.Int("txn", e.txn);
-      a.Str("outcome", e.reason);
-      a.Double("freshness", e.freshness);
-      a.Double("freq", e.freshness_req);
-      a.Int("udrop", e.udrop);
-      a.Int("item", e.item);
-      a.Int("capacity", e.resolved);
-      break;
-    case TraceEventType::kCacheInvalidate:
-      a.Int("item", e.item);
-      a.Int("txn", e.txn);
-      break;
+  a.Put(kTime, e);
+  a.Put(kEvent, e);
+  // Only shard-tagged events carry their shard, so monolithic goldens (and
+  // the monolithic trace_check corpus) stay byte-identical.
+  if (e.shard >= 0) a.Put(kShard, e);
+  if (const TypeSchema* s = SchemaOf(e.type); s != nullptr) {
+    for (TraceKey k : s->keys) a.Put(k, e);
   }
   return a.Finish();
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "unit/common/types.h"
 
@@ -42,7 +43,7 @@ const char* TraceEventTypeName(TraceEventType t);
 bool TraceEventTypeFromName(const char* name, TraceEventType* out);
 
 /// One trace record. POD (fixed-size reason buffer, no heap members) so the
-/// ring-buffer sink and the JSONL formatter are allocation-free per event.
+/// JSONL formatter is allocation-free per event.
 struct TraceEvent {
   SimTime time = 0;
   TraceEventType type = TraceEventType::kQueryArrival;
@@ -78,9 +79,9 @@ struct TraceEvent {
   // kind's scalar (factor / delta / rate_hz; 0 for outages).
   double magnitude = 0.0;
 
-  /// Shard that emitted the event (shard/sharded.h tagging sink); -1 in a
-  /// monolithic run, and the field is omitted from the serialized form so
-  /// non-sharded goldens are unchanged.
+  /// Shard that emitted the event, set as RunSharded writes its traces
+  /// (shard/sharded.h); -1 in a monolithic run, and the field is omitted
+  /// from the serialized form so non-sharded goldens are unchanged.
   int32_t shard = -1;
 
   // Closed-loop session fields (kSessionRetry / kSessionAbandon): the home
@@ -101,10 +102,97 @@ struct TraceEvent {
   }
 };
 
+/// How a wire key's value is written, and read back.
+enum class TraceEncoding : uint8_t {
+  kInt,     ///< an integer member, in decimal
+  kDouble,  ///< a double member, as %.17g (round-trips bit-exactly)
+  kWhole,   ///< a double member holding a whole number, as an integer
+  kFlag,    ///< a bool member, as 0 or 1
+  kString,  ///< the reason buffer, quoted (fixed identifiers: no escapes)
+  kType,    ///< the event type, quoted as its TraceEventTypeName
+};
+
+/// TraceEvent's JSONL schema, X(key, wire, member, encoding): every wire key
+/// once, with the TraceEvent member it carries and how it is encoded. The
+/// writer (FormatJsonl) and the reader (ParseTraceLine) both dispatch
+/// through VisitTraceKey, so the reader accepts exactly the keys the writer
+/// emits. Several keys may share a member: the reason buffer carries the
+/// reject reason, commit outcome, LBC signal and fault kind, and `resolved`
+/// the cohort, affected-item count, attempt, shed depth or cache capacity,
+/// as the event type's key list (trace_event.cc) decides.
+#define UNIT_TRACE_KEYS(X)                           \
+  X(kTime, "t", time, kInt)                          \
+  X(kEvent, "ev", type, kType)                       \
+  X(kShard, "shard", shard, kInt)                    \
+  X(kTxn, "txn", txn, kInt)                          \
+  X(kClass, "class", pref_class, kInt)               \
+  X(kDeadline, "deadline", deadline, kInt)           \
+  X(kEst, "est", estimate, kInt)                     \
+  X(kReason, "reason", reason, kString)              \
+  X(kOutcome, "outcome", reason, kString)            \
+  X(kFreshness, "freshness", freshness, kDouble)     \
+  X(kFreq, "freq", freshness_req, kDouble)           \
+  X(kUdrop, "udrop", udrop, kInt)                    \
+  X(kItem, "item", item, kInt)                       \
+  X(kLag, "lag", lag, kInt)                          \
+  X(kFrom, "from", period_from, kInt)                \
+  X(kTo, "to", period_to, kInt)                      \
+  X(kSignal, "signal", reason, kString)              \
+  X(kR, "r", r, kDouble)                             \
+  X(kFm, "fm", fm, kDouble)                          \
+  X(kFs, "fs", fs, kDouble)                          \
+  X(kUtil, "util", utilization, kDouble)             \
+  X(kResolved, "resolved", resolved, kInt)           \
+  X(kDrop, "drop", drop_trigger, kFlag)              \
+  X(kKnob0, "knob0", knob_before, kDouble)           \
+  X(kKnob, "knob", knob, kDouble)                    \
+  X(kFault, "fault", txn, kInt)                      \
+  X(kKind, "kind", reason, kString)                  \
+  X(kItems, "items", resolved, kInt)                 \
+  X(kMag, "mag", magnitude, kDouble)                 \
+  X(kSession, "session", session, kInt)              \
+  X(kRequest, "request", request, kInt)              \
+  X(kAttempt, "attempt", resolved, kInt)             \
+  X(kDelay, "delay", lag, kInt)                      \
+  X(kDepth, "depth", resolved, kInt)                 \
+  X(kWatermark, "watermark", magnitude, kWhole)      \
+  X(kCapacity, "capacity", resolved, kInt)
+
+/// One enumerator per UNIT_TRACE_KEYS row, in table order.
+enum class TraceKey : uint8_t {
+#define UNIT_TRACE_KEY_ENUM(key, wire, member, encoding) key,
+  UNIT_TRACE_KEYS(UNIT_TRACE_KEY_ENUM)
+#undef UNIT_TRACE_KEY_ENUM
+};
+
+/// Wire string of a key.
+const char* TraceKeyName(TraceKey k);
+
+/// Inverse of TraceKeyName; returns false on an unknown key.
+bool TraceKeyFromName(const char* name, TraceKey* out);
+
+/// Calls `f(member, encoding)` on the member of `e` that key `k` carries
+/// (const when `e` is), with `encoding` its
+/// std::integral_constant<TraceEncoding, ...>.
+template <typename Event, typename F>
+void VisitTraceKey(TraceKey k, Event& e, F&& f) {
+  switch (k) {
+#define UNIT_TRACE_KEY_CASE(key, wire, member, encoding)                 \
+  case TraceKey::key:                                                   \
+    f(e.member,                                                         \
+      std::integral_constant<TraceEncoding, TraceEncoding::encoding>{}); \
+    return;
+    UNIT_TRACE_KEYS(UNIT_TRACE_KEY_CASE)
+#undef UNIT_TRACE_KEY_CASE
+  }
+}
+
 /// Serializes one event as a single JSON line (no trailing newline) into
 /// `buf`; returns the number of characters written (truncated at cap - 1,
-/// which no well-formed event reaches). Doubles use %.17g so parsed values
-/// round-trip bit-exactly — trace_check re-evaluates producer comparisons.
+/// which no well-formed event reaches): the time, the type, the shard when
+/// the event carries one (>= 0), then the type's own keys in its key-list
+/// order. Doubles use %.17g so parsed values round-trip bit-exactly —
+/// trace_check re-evaluates producer comparisons.
 size_t FormatJsonl(const TraceEvent& e, char* buf, size_t cap);
 
 }  // namespace unitdb

@@ -1,8 +1,8 @@
 #include "unit/obs/trace_reader.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <type_traits>
 
 namespace unitdb {
 
@@ -65,65 +65,36 @@ class LineCursor {
   size_t pos_ = 0;
 };
 
-Status SetField(TraceEvent* e, const char* key, LineCursor& cur) {
-  // String-valued fields. "reason", "outcome", and "signal" all land in
-  // e->reason — the writer picks the wire key by event type.
-  if (std::strcmp(key, "ev") == 0) {
+/// Reads one value of encoding `kEncoding` into member `v`.
+template <typename T, TraceEncoding kEncoding>
+Status ReadValue(LineCursor& cur, T& v,
+                 std::integral_constant<TraceEncoding, kEncoding>) {
+  if constexpr (kEncoding == TraceEncoding::kString) {
+    return cur.QuotedString(v, sizeof(v));
+  } else if constexpr (kEncoding == TraceEncoding::kType) {
     char name[32];
-    Status st = cur.QuotedString(name, sizeof(name));
-    if (!st.ok()) return st;
-    if (!TraceEventTypeFromName(name, &e->type)) {
+    if (Status st = cur.QuotedString(name, sizeof(name)); !st.ok()) return st;
+    if (!TraceEventTypeFromName(name, &v)) {
       return Status(StatusCode::kInvalidArgument,
                     std::string("unknown event type \"") + name + "\"");
     }
     return Status::Ok();
+  } else {
+    int64_t iv = 0;
+    double dv = 0.0;
+    bool is_int = false;
+    if (Status st = cur.Number(&iv, &dv, &is_int); !st.ok()) return st;
+    if constexpr (kEncoding == TraceEncoding::kDouble) {
+      v = dv;
+    } else if constexpr (kEncoding == TraceEncoding::kWhole) {
+      v = static_cast<double>(iv);
+    } else if constexpr (kEncoding == TraceEncoding::kFlag) {
+      v = iv != 0;
+    } else {
+      v = static_cast<T>(iv);
+    }
+    return Status::Ok();
   }
-  if (std::strcmp(key, "reason") == 0 || std::strcmp(key, "outcome") == 0 ||
-      std::strcmp(key, "signal") == 0 || std::strcmp(key, "kind") == 0) {
-    return cur.QuotedString(e->reason, sizeof(e->reason));
-  }
-
-  int64_t iv = 0;
-  double dv = 0.0;
-  bool is_int = false;
-  Status st = cur.Number(&iv, &dv, &is_int);
-  if (!st.ok()) return st;
-
-  if (std::strcmp(key, "t") == 0) e->time = iv;
-  else if (std::strcmp(key, "txn") == 0) e->txn = static_cast<TxnId>(iv);
-  else if (std::strcmp(key, "fault") == 0) e->txn = static_cast<TxnId>(iv);
-  else if (std::strcmp(key, "items") == 0) e->resolved = iv;
-  else if (std::strcmp(key, "mag") == 0) e->magnitude = dv;
-  else if (std::strcmp(key, "item") == 0) e->item = static_cast<ItemId>(iv);
-  else if (std::strcmp(key, "class") == 0) e->pref_class = static_cast<int>(iv);
-  else if (std::strcmp(key, "deadline") == 0) e->deadline = iv;
-  else if (std::strcmp(key, "est") == 0) e->estimate = iv;
-  else if (std::strcmp(key, "lag") == 0) e->lag = iv;
-  else if (std::strcmp(key, "from") == 0) e->period_from = iv;
-  else if (std::strcmp(key, "to") == 0) e->period_to = iv;
-  else if (std::strcmp(key, "udrop") == 0) e->udrop = iv;
-  else if (std::strcmp(key, "resolved") == 0) e->resolved = iv;
-  else if (std::strcmp(key, "drop") == 0) e->drop_trigger = iv != 0;
-  else if (std::strcmp(key, "freshness") == 0) e->freshness = dv;
-  else if (std::strcmp(key, "freq") == 0) e->freshness_req = dv;
-  else if (std::strcmp(key, "r") == 0) e->r = dv;
-  else if (std::strcmp(key, "fm") == 0) e->fm = dv;
-  else if (std::strcmp(key, "fs") == 0) e->fs = dv;
-  else if (std::strcmp(key, "util") == 0) e->utilization = dv;
-  else if (std::strcmp(key, "knob0") == 0) e->knob_before = dv;
-  else if (std::strcmp(key, "knob") == 0) e->knob = dv;
-  else if (std::strcmp(key, "session") == 0) e->session = iv;
-  else if (std::strcmp(key, "request") == 0) e->request = static_cast<TxnId>(iv);
-  else if (std::strcmp(key, "attempt") == 0) e->resolved = iv;
-  else if (std::strcmp(key, "delay") == 0) e->lag = iv;
-  else if (std::strcmp(key, "depth") == 0) e->resolved = iv;
-  else if (std::strcmp(key, "capacity") == 0) e->resolved = iv;
-  else if (std::strcmp(key, "watermark") == 0) e->magnitude = static_cast<double>(iv);
-  else {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string("unknown trace key \"") + key + "\"");
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -141,13 +112,22 @@ StatusOr<TraceEvent> ParseTraceLine(const std::string& line) {
     Status st = cur.QuotedString(key, sizeof(key));
     if (!st.ok()) return st;
     if (!cur.Consume(':')) return cur.Fail("expected ':'");
-    st = SetField(&e, key, cur);
+    TraceKey k{};
+    if (!TraceKeyFromName(key, &k)) {
+      return Status(StatusCode::kInvalidArgument,
+                    std::string("unknown trace key \"") + key + "\"");
+    }
+    VisitTraceKey(k, e, [&](auto& v, auto encoding) {
+      st = ReadValue(cur, v, encoding);
+    });
     if (!st.ok()) return st;
-    if (std::strcmp(key, "ev") == 0) saw_type = true;
+    saw_type = saw_type || k == TraceKey::kEvent;
   }
   if (cur.Peek() != '\0') return cur.Fail("trailing characters");
   if (!saw_type) {
-    return Status(StatusCode::kInvalidArgument, "missing \"ev\" field");
+    return Status(StatusCode::kInvalidArgument,
+                  std::string("missing \"") + TraceKeyName(TraceKey::kEvent) +
+                      "\" field");
   }
   return e;
 }

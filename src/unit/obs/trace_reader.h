@@ -12,8 +12,9 @@ namespace unitdb {
 
 /// Parses one JSONL trace line (as produced by FormatJsonl) back into a
 /// TraceEvent. Only accepts the flat {"key":value} shape this repo emits —
-/// this is a trace reader, not a general JSON parser. Unknown keys are an
-/// error so schema drift between writer and checker is caught immediately.
+/// this is a trace reader, not a general JSON parser. Keys are read through
+/// the writer's own schema (UNIT_TRACE_KEYS, obs/trace_event.h); a key
+/// outside it is an error.
 StatusOr<TraceEvent> ParseTraceLine(const std::string& line);
 
 /// Reads every non-empty line of a JSONL stream. Fails on the first bad

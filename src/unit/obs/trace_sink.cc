@@ -1,6 +1,7 @@
 #include "unit/obs/trace_sink.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace unitdb {
 
@@ -8,22 +9,15 @@ TraceSink::~TraceSink() = default;
 
 // --- JsonlTraceSink -------------------------------------------------------
 
-JsonlTraceSink::JsonlTraceSink(std::ostream& os, CounterRegistry* counters)
-    : os_(&os) {
-  if (counters != nullptr) {
-    c_events_ = &counters->Counter("sink.jsonl.events");
-    c_bytes_ = &counters->Counter("sink.jsonl.bytes");
-  }
-}
+JsonlTraceSink::JsonlTraceSink(std::ostream& os) : os_(&os) {}
 
 StatusOr<std::unique_ptr<JsonlTraceSink>> JsonlTraceSink::Open(
-    const std::string& path, CounterRegistry* counters) {
+    const std::string& path) {
   auto file = std::make_unique<std::ofstream>(path, std::ios::trunc);
   if (!file->is_open()) {
     return Status(StatusCode::kIoError, "cannot open trace file " + path);
   }
-  auto sink = std::unique_ptr<JsonlTraceSink>(
-      new JsonlTraceSink(*file, counters));
+  auto sink = std::make_unique<JsonlTraceSink>(*file);
   sink->owned_ = std::move(file);
   return sink;
 }
@@ -34,43 +28,25 @@ void JsonlTraceSink::Emit(const TraceEvent& e) {
   os_->write(line, static_cast<std::streamsize>(n));
   os_->put('\n');
   ++emitted_;
-  if (c_events_ != nullptr) {
-    ++*c_events_;
-    *c_bytes_ += static_cast<int64_t>(n) + 1;
-  }
 }
 
 void JsonlTraceSink::Flush() { os_->flush(); }
 
-// --- RingBufferTraceSink --------------------------------------------------
+// --- KeepingSink ----------------------------------------------------------
 
-RingBufferTraceSink::RingBufferTraceSink(size_t capacity,
-                                         CounterRegistry* counters)
-    : buf_(std::max<size_t>(capacity, 1)) {
-  if (counters != nullptr) {
-    c_events_ = &counters->Counter("sink.ring.events");
-    c_overwrites_ = &counters->Counter("sink.ring.overwrites");
+KeepingSink::KeepingSink(std::vector<TraceEventType> types, TraceSink* next)
+    : types_(std::move(types)), next_(next) {}
+
+void KeepingSink::Emit(const TraceEvent& e) {
+  if (types_.empty() ||
+      std::find(types_.begin(), types_.end(), e.type) != types_.end()) {
+    kept.push_back(e);
   }
+  if (next_ != nullptr) next_->Emit(e);
 }
 
-void RingBufferTraceSink::Emit(const TraceEvent& e) {
-  if (size_ < buf_.size()) {
-    buf_[(head_ + size_) % buf_.size()] = e;
-    ++size_;
-  } else {
-    buf_[head_] = e;  // overwrite the oldest
-    head_ = (head_ + 1) % buf_.size();
-    if (c_overwrites_ != nullptr) ++*c_overwrites_;
-  }
-  ++emitted_;
-  if (c_events_ != nullptr) ++*c_events_;
-}
-
-std::vector<TraceEvent> RingBufferTraceSink::Events() const {
-  std::vector<TraceEvent> out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) out.push_back(at(i));
-  return out;
+void KeepingSink::Flush() {
+  if (next_ != nullptr) next_->Flush();
 }
 
 }  // namespace unitdb

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "unit/common/status.h"
-#include "unit/obs/counters.h"
 #include "unit/obs/trace_event.h"
 
 namespace unitdb {
@@ -26,16 +25,15 @@ class TraceSink {
 };
 
 /// Writes one JSON object per event (JSONL) to a stream or file. Formats
-/// into a fixed stack buffer — no per-event allocation. Registers
-/// "sink.jsonl.events" / "sink.jsonl.bytes" when a registry is supplied.
+/// into a fixed stack buffer — no per-event allocation.
 class JsonlTraceSink : public TraceSink {
  public:
   /// Non-owning stream variant (tests, stringstream goldens).
-  explicit JsonlTraceSink(std::ostream& os, CounterRegistry* counters = nullptr);
+  explicit JsonlTraceSink(std::ostream& os);
 
   /// Opens `path` for writing (truncating); fails on I/O error.
   static StatusOr<std::unique_ptr<JsonlTraceSink>> Open(
-      const std::string& path, CounterRegistry* counters = nullptr);
+      const std::string& path);
 
   void Emit(const TraceEvent& e) override;
   void Flush() override;
@@ -46,42 +44,25 @@ class JsonlTraceSink : public TraceSink {
   std::unique_ptr<std::ofstream> owned_;  ///< set by Open
   std::ostream* os_;
   int64_t emitted_ = 0;
-  int64_t* c_events_ = nullptr;
-  int64_t* c_bytes_ = nullptr;
 };
 
-/// Fixed-capacity in-memory ring: keeps the newest `capacity` events,
-/// overwriting the oldest. All storage is preallocated at construction, so
-/// emission never allocates — the always-on flight-recorder sink. Registers
-/// "sink.ring.events" / "sink.ring.overwrites" when a registry is supplied.
-class RingBufferTraceSink : public TraceSink {
+/// The in-memory sink: keeps the events of `types` (every type when empty)
+/// in emission order, and hands every event on to `next` (may be null).
+/// ObsOptions::events and each shard of RunSharded keep their events here.
+/// Keeping allocates as the vector grows.
+class KeepingSink : public TraceSink {
  public:
-  explicit RingBufferTraceSink(size_t capacity,
-                               CounterRegistry* counters = nullptr);
+  explicit KeepingSink(std::vector<TraceEventType> types = {},
+                       TraceSink* next = nullptr);
 
   void Emit(const TraceEvent& e) override;
+  void Flush() override;
 
-  size_t capacity() const { return buf_.size(); }
-  size_t size() const { return size_; }
-  int64_t emitted() const { return emitted_; }
-  /// Events lost to overwriting (= emitted - size).
-  int64_t overwritten() const { return emitted_ - static_cast<int64_t>(size_); }
-
-  /// i-th retained event in chronological order (0 = oldest).
-  const TraceEvent& at(size_t i) const {
-    return buf_[(head_ + i) % buf_.size()];
-  }
-
-  /// Chronological copy of the retained events.
-  std::vector<TraceEvent> Events() const;
+  std::vector<TraceEvent> kept;
 
  private:
-  std::vector<TraceEvent> buf_;
-  size_t head_ = 0;  ///< index of the oldest retained event
-  size_t size_ = 0;
-  int64_t emitted_ = 0;
-  int64_t* c_events_ = nullptr;
-  int64_t* c_overwrites_ = nullptr;
+  std::vector<TraceEventType> types_;
+  TraceSink* next_;
 };
 
 }  // namespace unitdb

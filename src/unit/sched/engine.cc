@@ -7,7 +7,6 @@
 
 #include "unit/common/logging.h"
 #include "unit/faults/schedule.h"
-#include "unit/obs/counters.h"
 #include "unit/obs/timeseries.h"
 #include "unit/obs/trace_sink.h"
 
@@ -107,8 +106,7 @@ RunMetrics Engine::Run() {
   metrics_.txn_live_peak = txns_.high_water();
   metrics_.txn_slots_created = txns_.slots_created();
   metrics_.txn_released = txns_.released();
-  if (params_.series != nullptr || params_.trace != nullptr ||
-      params_.counters != nullptr) {
+  if (params_.series != nullptr || params_.trace != nullptr) {
     FinalizeObservability();
   }
   metrics_.peak_ready_depth = ready_.peak_size();
@@ -742,9 +740,6 @@ UNIT_COLD void Engine::FinalizeObservability() {
     RecordWindowSample();
   }
   if (params_.trace != nullptr) params_.trace->Flush();
-  if (params_.counters != nullptr) {
-    metrics_.obs_counters = params_.counters->CounterSnapshot();
-  }
 }
 
 UNIT_COLD void Engine::TraceQueryArrival(const Transaction& t) {

@@ -24,7 +24,6 @@
 
 namespace unitdb {
 
-class CounterRegistry;
 class FaultSchedule;
 struct FaultEdge;
 class TraceSink;
@@ -124,8 +123,8 @@ class Engine final : public EngineContext {
   /// tracing is on, and all are defined noinline/cold in engine.cc so the
   /// ~170-byte TraceEvent construction never bloats a hot handler's frame
   /// on trace-off runs (measurably ~4% engine throughput).
-  /// End-of-run obs epilogue (final window sample, sink flush, registry
-  /// snapshot); called from Run() only when some hook is attached.
+  /// End-of-run obs epilogue (final window sample, sink flush); called
+  /// from Run() only when some hook is attached.
   void FinalizeObservability();
   void TraceQueryArrival(const Transaction& t);
   void TraceSimpleEvent(TraceEventType type, TxnId txn);

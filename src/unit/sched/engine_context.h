@@ -13,7 +13,6 @@
 
 namespace unitdb {
 
-class CounterRegistry;
 class Database;
 class FaultSchedule;
 class TimeSeriesRecorder;
@@ -61,9 +60,9 @@ struct EngineParams {
 
   // --- observability hooks (src/unit/obs/; all non-owning, may be null) ---
   // Tracing is strictly read-only with respect to engine and policy state:
-  // a run produces bit-identical RunMetrics (modulo the obs_* snapshot
-  // fields) whether these are set or not. When null, every emission site
-  // reduces to one predictable untaken branch.
+  // a run produces bit-identical RunMetrics whether these are set or not.
+  // When null, every emission site reduces to one predictable untaken
+  // branch.
 
   /// Typed event stream (arrivals, admits/rejects, preempts, commits,
   /// deadline misses, update lifecycle, LBC signals).
@@ -72,9 +71,6 @@ struct EngineParams {
   /// percentiles, admission knob), sampled at every control tick plus once
   /// at end of run.
   TimeSeriesRecorder* series = nullptr;
-  /// Named counter registry (the trace sinks' counters); its snapshot is
-  /// copied into RunMetrics::obs_counters at end of run.
-  CounterRegistry* counters = nullptr;
 
   /// Compiled fault schedule (src/unit/faults/; non-owning, may be null).
   /// Everything a schedule injects is materialized before the run, so the

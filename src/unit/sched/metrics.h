@@ -2,8 +2,6 @@
 #define UNIT_SCHED_METRICS_H_
 
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "unit/common/stats.h"
@@ -21,17 +19,13 @@ enum class ShardMerge {
   kPerItem,  ///< element-wise sum over the item ids every shard has
   kSame,     ///< identical on every shard; shard 0's copy stands
   kJoin,     ///< recomputed over the joined parent queries
-  kObs,      ///< per-shard registry snapshot; dropped when shards > 1
 };
 
 /// What the differential oracle (model/diff.h) does with one field.
 enum class OracleRole {
   kCompared,   ///< must equal the reference engine's value bit for bit
   kTelemetry,  ///< implementation telemetry; the two engines differ by design
-  kObs,        ///< observability side channel; never compared
 };
-
-using ObsCounterSnapshot = std::vector<std::pair<std::string, int64_t>>;
 
 /// The RunMetrics field table, X(type, name, ShardMerge, OracleRole), in
 /// declaration order. It declares the members, so every field has exactly
@@ -101,10 +95,7 @@ using ObsCounterSnapshot = std::vector<std::pair<std::string, int64_t>>;
   X(int64_t, updates_dropped, kSum, kCompared)                               \
   /* Per-item counters copied from the database at end of run. */            \
   X(std::vector<int64_t>, per_item_accesses, kPerItem, kCompared)           \
-  X(std::vector<int64_t>, per_item_applied_updates, kPerItem, kCompared)    \
-  /* EngineParams::counters snapshot at end of run; empty unless tracing     \
-     registered something. Tracing must change no other field. */            \
-  X(ObsCounterSnapshot, obs_counters, kObs, kObs)
+  X(std::vector<int64_t>, per_item_applied_updates, kPerItem, kCompared)
 
 /// Everything one engine run records. Outcome counts feed the USM; the rest
 /// supports the paper's distribution plots (Fig. 3), the ratio decomposition

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -22,32 +23,8 @@
 namespace unitdb {
 namespace {
 
-/// Stamps the shard index onto every event, forwards to the shard's own
-/// JSONL file, and keeps an in-memory copy for the merged global trace.
-class ShardTagSink final : public TraceSink {
- public:
-  ShardTagSink(TraceSink* file, int shard, std::vector<TraceEvent>* collect)
-      : file_(file), shard_(shard), collect_(collect) {}
-
-  void Emit(const TraceEvent& e) override {
-    TraceEvent tagged = e;
-    tagged.shard = shard_;
-    if (file_ != nullptr) file_->Emit(tagged);
-    if (collect_ != nullptr) collect_->push_back(tagged);
-  }
-
-  void Flush() override {
-    if (file_ != nullptr) file_->Flush();
-  }
-
- private:
-  TraceSink* file_;
-  int shard_;
-  std::vector<TraceEvent>* collect_;
-};
-
 /// Everything one shard's run produced: its recorded run (one QueryRecord
-/// per resolved sub-query) and, when tracing, its tagged events.
+/// per resolved sub-query) and, when tracing, its events (untagged).
 struct ShardRunOutput {
   DiffRun run;
   std::vector<TraceEvent> events;
@@ -127,7 +104,6 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
   EngineParams ep = params.engine;
   ep.seed = ShardSeed(params.engine.seed, shard, num_shards);
   ep.trace = nullptr;
-  ep.counters = nullptr;
   ep.faults = nullptr;
 
   FaultSchedule schedule;
@@ -147,15 +123,9 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
   }
 
   ShardRunOutput out;
-  std::unique_ptr<JsonlTraceSink> file_sink;
-  std::unique_ptr<ShardTagSink> tag;
+  std::optional<KeepingSink> keep;
   if (!params.trace_dir.empty() && !params.reference_engines) {
-    auto sink = JsonlTraceSink::Open(params.trace_dir + "/shard" +
-                                     std::to_string(shard) + ".jsonl");
-    if (!sink.ok()) return sink.status();
-    file_sink = std::move(sink).value();
-    tag = std::make_unique<ShardTagSink>(file_sink.get(), shard, &out.events);
-    ep.trace = tag.get();
+    ep.trace = &keep.emplace();
   }
 
   auto run = RunRecorded(sub, policy_name, weights, options, ep,
@@ -163,42 +133,41 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
                          params.perturb_admit_off_by_one && shard == 0,
                          params.record_series);
   if (!run.ok()) return run.status();
-  if (tag != nullptr) tag->Flush();
   out.run = std::move(*run);
+  if (keep) out.events = std::move(keep->kept);
   return out;
 }
 
-/// Writes the merged global trace: every shard's tagged events, sorted by
-/// (time, shard, per-shard emission order).
-Status WriteMergedTrace(const std::vector<ShardRunOutput>& outputs,
-                        const std::string& dir) {
-  struct Tagged {
-    SimTime time;
-    int shard;
-    size_t idx;
-    const TraceEvent* e;
-  };
-  std::vector<Tagged> all;
-  for (size_t s = 0; s < outputs.size(); ++s) {
-    for (size_t i = 0; i < outputs[s].events.size(); ++i) {
-      all.push_back(Tagged{outputs[s].events[i].time, static_cast<int>(s), i,
-                           &outputs[s].events[i]});
-    }
-  }
-  std::sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
-    return std::tie(a.time, a.shard, a.idx) < std::tie(b.time, b.shard, b.idx);
-  });
-  const std::string path = dir + "/merged.jsonl";
+/// Writes the kept events of shards [first, last) to `path` through one
+/// JSONL sink, tagging each with its shard, in (time, shard, per-shard
+/// emission order) order. Each shard emits its events in time order, so
+/// that order is one ordered merge.
+Status WriteTrace(const std::string& path,
+                  const std::vector<ShardRunOutput>& outputs, size_t first,
+                  size_t last) {
   std::ofstream f(path, std::ios::trunc);
-  if (!f) return Status::Internal("cannot open " + path);
-  char buf[512];
-  for (const Tagged& t : all) {
-    const size_t n = FormatJsonl(*t.e, buf, sizeof(buf));
-    f.write(buf, static_cast<std::streamsize>(n));
-    f.put('\n');
+  if (!f) return Status::IoError("cannot open trace file " + path);
+  JsonlTraceSink sink(f);
+  std::vector<size_t> head(outputs.size(), 0);
+  while (true) {
+    const TraceEvent* next = nullptr;
+    size_t shard = last;
+    for (size_t s = first; s < last; ++s) {
+      const std::vector<TraceEvent>& events = outputs[s].events;
+      if (head[s] < events.size() &&
+          (next == nullptr || events[head[s]].time < next->time)) {
+        next = &events[head[s]];
+        shard = s;
+      }
+    }
+    if (next == nullptr) break;
+    ++head[shard];
+    TraceEvent tagged = *next;
+    tagged.shard = static_cast<int32_t>(shard);
+    sink.Emit(tagged);
   }
-  f.flush();
-  if (!f.good()) return Status::Internal("write failed: " + path);
+  sink.Flush();
+  if (!f.good()) return Status::IoError("write failed: " + path);
   return Status::Ok();
 }
 
@@ -475,8 +444,6 @@ void MergeShardMetrics(RunMetrics& merged, const RunMetrics& shard) {
       for (size_t i = 0; i < std::min(into.size(), from.size()); ++i) {
         into[i] += from[i];
       }
-    } else if constexpr (Field::merge == ShardMerge::kObs) {
-      into.clear();  // same names, different per-shard meanings
     }
   });
 }
@@ -665,8 +632,15 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
   result.breakdown = UsmDecompose(merged.counts, weights);
 
   if (!params.trace_dir.empty() && !params.reference_engines) {
-    Status s = WriteMergedTrace(outputs, params.trace_dir);
-    if (!s.ok()) return s;
+    // shard<k>.jsonl per shard, then the global view merged.jsonl.
+    const std::string& dir = params.trace_dir;
+    for (size_t s = 0; s < outputs.size(); ++s) {
+      Status st = WriteTrace(dir + "/shard" + std::to_string(s) + ".jsonl",
+                             outputs, s, s + 1);
+      if (!st.ok()) return st;
+    }
+    Status st = WriteTrace(dir + "/merged.jsonl", outputs, 0, outputs.size());
+    if (!st.ok()) return st;
   }
   return result;
 }

@@ -60,9 +60,12 @@ struct ShardedParams {
   /// k must leave every other shard's metrics bit-identical to a fault-free
   /// run.
   int fault_target_shard = -1;
-  /// Write shard-tagged JSONL traces here ("" = no tracing): one
-  /// shard<k>.jsonl per shard plus merged.jsonl, the global view sorted by
-  /// (time, shard, emission order) — deterministic for any jobs count.
+  /// Write shard-tagged JSONL traces here ("" = no tracing). Each shard
+  /// keeps its events in memory (KeepingSink); after the runs one writer
+  /// tags and writes them as shard<k>.jsonl per shard, each a trace_check
+  /// input, plus merged.jsonl, the global view in (time, shard, emission
+  /// order) — deterministic for any jobs count. merged.jsonl is for reading
+  /// only: txn ids repeat across shards, so it is no trace_check input.
   std::string trace_dir{};
   /// Self-test defect (differential-harness support): shard 0's policy
   /// wrapper vetoes its 8th admitted query, a guaranteed divergence the

@@ -1,41 +1,16 @@
 #include "unit/sim/experiment.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
 #include "unit/common/thread_pool.h"
 #include "unit/faults/schedule.h"
-#include "unit/obs/counters.h"
 #include "unit/obs/trace_sink.h"
 #include "unit/shard/sharded.h"
 
 namespace unitdb {
 
 namespace {
-
-// Keeps the events of the requested types, then hands every event on.
-class KeepingSink : public TraceSink {
- public:
-  KeepingSink(const std::vector<TraceEventType>& types, TraceSink* next)
-      : types_(types), next_(next) {}
-
-  void Emit(const TraceEvent& e) override {
-    if (std::find(types_.begin(), types_.end(), e.type) != types_.end()) {
-      kept.push_back(e);
-    }
-    if (next_ != nullptr) next_->Emit(e);
-  }
-  void Flush() override {
-    if (next_ != nullptr) next_->Flush();
-  }
-
-  std::vector<TraceEvent> kept;
-
- private:
-  const std::vector<TraceEventType>& types_;
-  TraceSink* next_;
-};
 
 bool NamesAFile(const ObsOptions& obs) {
   return !obs.trace_path.empty() || !obs.series_csv_path.empty();
@@ -88,11 +63,11 @@ StatusOr<ExperimentResult> RunExperiment(const Workload& workload,
   if (request.shards > 0) {
     // RunSharded compiles the scenario per shard and merges the series.
     const EngineParams& e = request.engine;
-    if (e.trace != nullptr || e.series != nullptr || e.counters != nullptr ||
-        e.faults != nullptr || NamesAFile(obs) || !obs.events.empty()) {
+    if (e.trace != nullptr || e.series != nullptr || e.faults != nullptr ||
+        NamesAFile(obs) || !obs.events.empty()) {
       return Status::InvalidArgument(
-          "a sharded run wires its own trace, series, counters and faults: "
-          "set no EngineParams pointer, ObsOptions file or kept event");
+          "a sharded run wires its own trace, series and faults: set no "
+          "EngineParams pointer, ObsOptions file or kept event");
     }
     auto sharded = RunSharded(
         workload, request.policy, request.weights,
@@ -118,11 +93,9 @@ StatusOr<ExperimentResult> RunExperiment(const Workload& workload,
       }
       ep.faults = &*schedule;
     }
-    CounterRegistry counters;
-    if (ep.counters == nullptr) ep.counters = &counters;
     std::unique_ptr<JsonlTraceSink> file;
     if (!obs.trace_path.empty()) {
-      auto opened = JsonlTraceSink::Open(obs.trace_path, ep.counters);
+      auto opened = JsonlTraceSink::Open(obs.trace_path);
       if (!opened.ok()) return opened.status();
       file = std::move(*opened);
       ep.trace = file.get();

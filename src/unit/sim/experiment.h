@@ -22,8 +22,7 @@ namespace unitdb {
 
 /// Observability attachments for one run. RunExperiment owns the sinks and
 /// recorders for the duration of the run; the engine only ever sees
-/// non-owning pointers (EngineParams::{trace, series, counters}). The
-/// counter registry snapshot lands in RunMetrics::obs_counters.
+/// non-owning pointers (EngineParams::{trace, series}).
 struct ObsOptions {
   /// Write the JSONL event trace here ("" = no trace sink).
   std::string trace_path{};
@@ -32,7 +31,7 @@ struct ObsOptions {
   /// Also export the series as CSV ("" = don't); implies `series`.
   std::string series_csv_path{};
   /// Keep the trace events of these types in ExperimentResult::events, in
-  /// memory (empty = keep none).
+  /// memory through a KeepingSink (empty = keep none).
   std::vector<TraceEventType> events{};
 };
 
@@ -56,8 +55,8 @@ struct RunRequest {
   /// view (parent-level Eq. 5 accounting after the CrossShardJoin barrier),
   /// bit-identical for any `jobs`, and shards=1 reproduces the monolithic
   /// run. It compiles the scenario per shard and wires its own trace,
-  /// series, counters and faults, so a sharded request may set no
-  /// EngineParams pointer, ObsOptions file or kept event.
+  /// series and faults, so a sharded request may set no EngineParams
+  /// pointer, ObsOptions file or kept event.
   int shards = 0;
   int jobs = 1;
   ObsOptions obs{};

@@ -120,6 +120,19 @@ TEST(UpdateModulatorTest, DegradeStretchesVictimPeriods) {
   EXPECT_GT(pc0 + pc1, 2 * db.item(0).ideal_period);
 }
 
+// The default batch draws one pick per item the lottery can pick, not per
+// item in the database: a shard sourcing half the items draws half.
+TEST(UpdateModulatorTest, DefaultBatchDrawsOnePickPerPickableItem) {
+  Database db(4);
+  ASSERT_TRUE(db.ApplySpecs({Source(0, 10, 50), Source(1, 10, 50)}).ok());
+  ModulationParams p = EventDecayParams();
+  p.degrade_batch = 0;
+  UpdateModulator um(db, p);
+  Rng rng(3);
+  um.Degrade(db, rng);
+  EXPECT_EQ(um.total_picks(), 2);
+}
+
 TEST(UpdateModulatorTest, DegradeRespectsMaxStretch) {
   Database db(1);
   ASSERT_TRUE(db.SetSource(Source(0, 10, 50)).ok());

@@ -82,7 +82,7 @@ TEST(MetricTablesTest, OracleReportsExactlyTheComparedFields) {
       EXPECT_EQ(r.divergence_count, 0);
     }
   });
-  EXPECT_EQ(compared, 29);  // 41 fields less 10 telemetry and 2 obs
+  EXPECT_EQ(compared, 29);  // 39 fields less 10 telemetry
 }
 
 // Fails when the oracle compares only the common prefix of the per-item
@@ -122,8 +122,6 @@ TEST(MetricTablesTest, ShardMergeAppliesEachFieldsRule) {
     } else if constexpr (F::merge == ShardMerge::kPerItem) {
       // Element-wise over the common prefix; shard 0's tail stands.
       EXPECT_EQ(got, (std::vector<int64_t>{8, 8, 8}));
-    } else if constexpr (F::merge == ShardMerge::kObs) {
-      EXPECT_TRUE(got.empty());
     } else {
       EXPECT_TRUE(got == x);  // kSame, kJoin: shard 0's copy
     }

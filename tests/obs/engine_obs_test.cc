@@ -1,6 +1,6 @@
 // Engine <-> observability integration: tracing must be a pure observer
-// (bit-identical metrics on or off), the registry must stay empty with
-// tracing off, and real engine output must satisfy trace_check's invariants.
+// (bit-identical metrics on or off), and real engine output must satisfy
+// trace_check's invariants.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <sstream>
 #include <string>
 
-#include "unit/obs/counters.h"
 #include "unit/obs/trace_check.h"
 #include "unit/obs/trace_reader.h"
 #include "unit/obs/trace_sink.h"
@@ -24,31 +23,9 @@ StatusOr<Workload> SmallWorkload() {
                               UpdateDistribution::kUniform, kScale, 42);
 }
 
-// Every field except the obs_* snapshots, bit for bit.
-void ExpectSameMetrics(RunMetrics a, RunMetrics b) {
-  a.obs_counters.clear();
-  b.obs_counters.clear();
-  EXPECT_TRUE(a == b);
-}
-
-TEST(EngineObsTest, TraceOffLeavesTheRegistryEmpty) {
-  auto w = SmallWorkload();
-  ASSERT_TRUE(w.ok());
-  CounterRegistry reg;
-  EngineParams ep;
-  ep.counters = &reg;  // registry attached, but no sink or recorder
-  auto r = RunExperiment(*w, {.policy = "unit", .engine = ep});
-  ASSERT_TRUE(r.ok());
-  // Nothing may register into the registry on a trace-off run — this is
-  // the zero-overhead-when-off contract (no counters, no allocations, no
-  // branches taken on behalf of the obs layer).
-  EXPECT_TRUE(reg.empty());
-  EXPECT_TRUE(r->metrics.obs_counters.empty());
-}
-
-// The tentpole guarantee: attaching every obs hook changes nothing about
-// the simulation itself. Same workload, same policy, same seed -> the
-// RunMetrics agree field for field (obs_* excluded by construction).
+// Attaching every obs hook changes nothing about the simulation itself.
+// Same workload, same policy, same seed -> the RunMetrics agree field for
+// field.
 TEST(EngineObsTest, TracingDoesNotPerturbTheRun) {
   auto w = SmallWorkload();
   ASSERT_TRUE(w.ok());
@@ -57,22 +34,19 @@ TEST(EngineObsTest, TracingDoesNotPerturbTheRun) {
     ASSERT_TRUE(plain.ok());
 
     std::ostringstream trace_out;
-    CounterRegistry reg;
-    JsonlTraceSink sink(trace_out, &reg);
+    JsonlTraceSink sink(trace_out);
     TimeSeriesRecorder recorder;
     EngineParams ep;
     ep.trace = &sink;
     ep.series = &recorder;
-    ep.counters = &reg;
     auto traced = RunExperiment(*w, {.policy = policy, .engine = ep});
     ASSERT_TRUE(traced.ok());
 
     SCOPED_TRACE(policy);
-    ExpectSameMetrics(plain->metrics, traced->metrics);
+    EXPECT_TRUE(plain->metrics == traced->metrics);
     EXPECT_EQ(plain->usm, traced->usm);
     EXPECT_GT(sink.emitted(), 0);
     EXPECT_FALSE(recorder.samples().empty());
-    EXPECT_FALSE(traced->metrics.obs_counters.empty());
   }
 }
 
@@ -135,23 +109,6 @@ TEST(EngineObsTest, SeriesWindowsSumToTheRunTotals) {
   EXPECT_EQ(total, r->metrics.counts);
 }
 
-TEST(EngineObsTest, RingBufferKeepsTheTailOfTheRun) {
-  auto w = SmallWorkload();
-  ASSERT_TRUE(w.ok());
-  RingBufferTraceSink ring(128);
-  EngineParams ep;
-  ep.trace = &ring;
-  auto r = RunExperiment(*w, {.policy = "unit", .engine = ep});
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(ring.size(), 128u);
-  EXPECT_GT(ring.overwritten(), 0);
-  // Retained events are the newest, still in chronological order.
-  const auto events = ring.Events();
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].time, events[i].time);
-  }
-}
-
 TEST(EngineObsTest, RunTracedExperimentWritesTheArtifacts) {
   auto w = SmallWorkload();
   ASSERT_TRUE(w.ok());
@@ -161,7 +118,6 @@ TEST(EngineObsTest, RunTracedExperimentWritesTheArtifacts) {
   auto r = RunExperiment(*w, {.policy = "unit", .obs = obs});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->series.empty());
-  EXPECT_FALSE(r->metrics.obs_counters.empty());
 
   auto events = ReadTraceFile(obs.trace_path);
   ASSERT_TRUE(events.ok()) << events.status().ToString();

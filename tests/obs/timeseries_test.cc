@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 
@@ -100,40 +99,22 @@ TEST(TimeSeriesRecorderTest, CsvHeaderAndRowAreByteStable) {
             "1.1000000000000001,4,7,2,3,9,8\n");
 }
 
-TEST(TimeSeriesRecorderTest, JsonEncodesNanKnobAsNull) {
-  TimeSeriesRecorder rec;
-  WindowSample s = Sample(1.0);
-  s.admission_knob = std::numeric_limits<double>::quiet_NaN();
-  rec.Record(s);
-  const std::string json = rec.ToJson();
-  EXPECT_NE(json.find("\"c_flex\": null"), std::string::npos) << json;
-  EXPECT_EQ(json.find("nan"), std::string::npos) << json;
-}
-
-TEST(TimeSeriesRecorderTest, WritesCsvAndJsonFiles) {
+TEST(TimeSeriesRecorderTest, WritesCsvFile) {
   TimeSeriesRecorder rec;
   rec.Record(Sample(1.0));
   const std::string csv_path = ::testing::TempDir() + "/obs_series.csv";
-  const std::string json_path = ::testing::TempDir() + "/obs_series.json";
   ASSERT_TRUE(rec.WriteCsv(csv_path).ok());
-  ASSERT_TRUE(rec.WriteJson(json_path).ok());
   std::ifstream csv(csv_path);
-  std::string header;
-  ASSERT_TRUE(std::getline(csv, header));
-  EXPECT_EQ(header.rfind("t_s,", 0), 0u);
-  std::ifstream json(json_path);
   std::stringstream buf;
-  buf << json.rdbuf();
-  EXPECT_NE(buf.str().find("\"t_s\""), std::string::npos);
+  buf << csv.rdbuf();
+  EXPECT_EQ(buf.str(), rec.ToCsv());
   std::remove(csv_path.c_str());
-  std::remove(json_path.c_str());
 }
 
 TEST(TimeSeriesRecorderTest, WriteFailsOnBadPath) {
   TimeSeriesRecorder rec;
   rec.Record(Sample(1.0));
   EXPECT_FALSE(rec.WriteCsv("/nonexistent-dir/series.csv").ok());
-  EXPECT_FALSE(rec.WriteJson("/nonexistent-dir/series.json").ok());
 }
 
 }  // namespace

@@ -8,13 +8,12 @@
 #include <sstream>
 #include <string>
 
-#include "unit/obs/counters.h"
-
 // Allocation counter: every (unaligned) global new in this test binary bumps
-// g_allocs. The obs emission paths advertise "allocation-free per event";
-// the tests below hold them to it. Sanitizer builds intercept global
-// new/delete themselves — replacing them there mismatches the sanitizer's
-// allocator, so the counter (and the assertions built on it) compiles away.
+// g_allocs. The JSONL formatter advertises "allocation-free per event";
+// FormatJsonlNeverAllocates holds it to that. Sanitizer builds intercept
+// global new/delete themselves — replacing them there mismatches the
+// sanitizer's allocator, so the counter (and the assertions built on it)
+// compiles away.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define UNIT_COUNTS_ALLOCS 0
 #elif defined(__has_feature)
@@ -56,8 +55,7 @@ TraceEvent Admit(SimTime t, TxnId txn) {
 
 TEST(JsonlTraceSinkTest, GoldenLines) {
   std::ostringstream out;
-  CounterRegistry reg;
-  JsonlTraceSink sink(out, &reg);
+  JsonlTraceSink sink(out);
 
   TraceEvent arrival;
   arrival.time = 5;
@@ -76,9 +74,6 @@ TEST(JsonlTraceSinkTest, GoldenLines) {
       "{\"t\":5,\"ev\":\"admit\",\"txn\":1}\n";
   EXPECT_EQ(out.str(), expected);
   EXPECT_EQ(sink.emitted(), 2);
-  EXPECT_EQ(reg.CounterValue("sink.jsonl.events"), 2);
-  EXPECT_EQ(reg.CounterValue("sink.jsonl.bytes"),
-            static_cast<int64_t>(expected.size()));
 }
 
 TEST(JsonlTraceSinkTest, OpenFailsOnBadPath) {
@@ -86,44 +81,27 @@ TEST(JsonlTraceSinkTest, OpenFailsOnBadPath) {
   EXPECT_FALSE(sink.ok());
 }
 
-TEST(RingBufferTraceSinkTest, KeepsEverythingBelowCapacity) {
-  RingBufferTraceSink ring(4);
-  for (int i = 0; i < 3; ++i) ring.Emit(Admit(i, i));
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.emitted(), 3);
-  EXPECT_EQ(ring.overwritten(), 0);
+TEST(KeepingSinkTest, KeepsTheListedTypesAndForwardsEverything) {
+  std::ostringstream out;
+  JsonlTraceSink file(out);
+  KeepingSink keep({TraceEventType::kReject}, &file);
+  TraceEvent reject = Admit(2, 1);
+  reject.type = TraceEventType::kReject;
+  keep.Emit(Admit(1, 0));
+  keep.Emit(reject);
+  keep.Emit(Admit(3, 2));
+  ASSERT_EQ(keep.kept.size(), 1u);
+  EXPECT_EQ(keep.kept[0].time, 2);
+  EXPECT_EQ(file.emitted(), 3);
+}
+
+TEST(KeepingSinkTest, KeepsEveryTypeWhenNoneIsListed) {
+  KeepingSink keep;
+  for (int i = 0; i < 3; ++i) keep.Emit(Admit(i, i));
+  ASSERT_EQ(keep.kept.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(ring.at(i).time, static_cast<SimTime>(i));
+    EXPECT_EQ(keep.kept[i].time, static_cast<SimTime>(i));
   }
-}
-
-TEST(RingBufferTraceSinkTest, OverwritesOldestFirst) {
-  CounterRegistry reg;
-  RingBufferTraceSink ring(3, &reg);
-  for (int i = 0; i < 7; ++i) ring.Emit(Admit(i, i));
-  // Events 0..3 fell off; 4,5,6 remain, oldest first.
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.capacity(), 3u);
-  EXPECT_EQ(ring.emitted(), 7);
-  EXPECT_EQ(ring.overwritten(), 4);
-  const auto events = ring.Events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].time, 4);
-  EXPECT_EQ(events[1].time, 5);
-  EXPECT_EQ(events[2].time, 6);
-  EXPECT_EQ(reg.CounterValue("sink.ring.events"), 7);
-  EXPECT_EQ(reg.CounterValue("sink.ring.overwrites"), 4);
-}
-
-TEST(RingBufferTraceSinkTest, EmitNeverAllocates) {
-  RingBufferTraceSink ring(64);  // all storage preallocated here
-  TraceEvent e = Admit(0, 0);
-  const int64_t before = g_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < 1000; ++i) {
-    e.time = i;
-    ring.Emit(e);
-  }
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before);
 }
 
 TEST(TraceEventFormatTest, FormatJsonlNeverAllocates) {

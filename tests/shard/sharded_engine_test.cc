@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "unit/obs/trace_check.h"
+#include "unit/obs/trace_reader.h"
 #include "unit/shard/router.h"
 #include "unit/sim/experiment.h"
 #include "unit/workload/query_source.h"
@@ -304,6 +307,52 @@ TEST(ShardedEngineTest, SingleShardMatchesMonolithicBitForBit) {
     EXPECT_EQ(mono->usm, sharded->usm) << policy;
     EXPECT_EQ(sharded->cross_shard_queries, 0) << policy;
   }
+}
+
+// Every shard<k>.jsonl is trace_check input: it reads back through the
+// writer's schema, shard tag included, and passes every invariant on a run
+// with sessions, shedding, a cache and two fault windows per shard.
+TEST(ShardedEngineTest, EveryShardTracePassesTheChecker) {
+  auto w = SmallWorkload(/*seed=*/7);
+  ASSERT_TRUE(w.ok());
+  FaultScenarioSpec scenario;
+  FaultSpec step;
+  step.kind = FaultKind::kLoadStep;
+  step.start_s = 20;
+  step.end_s = 40;
+  step.rate_hz = 10;
+  FaultSpec outage;
+  outage.kind = FaultKind::kUpdateOutage;
+  outage.start_s = 50;
+  outage.end_s = 80;
+  outage.items = "*";
+  scenario.faults = {step, outage};
+  const std::filesystem::path root =
+      std::filesystem::path(testing::TempDir()) / "shard_trace_check";
+  ShardedParams p;
+  p.shards = 3;
+  p.jobs = 3;
+  p.engine.session.sessions = 4;
+  p.engine.shed_watermark = 6;
+  p.engine.cache.capacity = 32;
+  p.scenario = &scenario;
+  p.trace_dir = root.string();
+  auto r = RunSharded(*w, "unit", UsmWeights{1.0, 0.5, 1.0, 0.5}, p);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  for (int s = 0; s < 3; ++s) {
+    SCOPED_TRACE(s);
+    auto events = ReadTraceFile(
+        (root / ("shard" + std::to_string(s) + ".jsonl")).string());
+    ASSERT_TRUE(events.ok()) << events.status().ToString();
+    const TraceCheckResult check = CheckTrace(*events);
+    EXPECT_TRUE(check.ok()) << TraceCheckSummary(check);
+    EXPECT_EQ(check.arrivals, r->per_shard[static_cast<size_t>(s)]
+                                  .counts.submitted);
+    EXPECT_EQ(check.fault_starts, 2);
+    EXPECT_EQ(check.fault_stops, 2);
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(ShardedEngineTest, ParentAccountingConservesTheTrace) {

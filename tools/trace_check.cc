@@ -1,10 +1,12 @@
-// Replays JSONL run traces (EngineParams::trace / ObsOptions::trace_path)
-// and validates the engine's observable invariants: per-query lifecycle
-// (every admit reaches exactly one terminal outcome), Eq. 1 freshness
-// accounting (freshness = 1/(1 + Udrop), success iff freshness meets the
-// requirement), the Fig. 2 dominant-penalty rule behind every LBC signal,
-// and update/period-change sanity. CI pipes freshly generated traces
-// through this binary.
+// Replays JSONL run traces (EngineParams::trace / ObsOptions::trace_path,
+// or a sharded run's shard<k>.jsonl) and validates the engine's observable
+// invariants: per-query lifecycle (every admit reaches exactly one terminal
+// outcome), Eq. 1 freshness accounting (freshness = 1/(1 + Udrop), success
+// iff freshness meets the requirement), the Fig. 2 dominant-penalty rule
+// behind every LBC signal, and update/period-change sanity. CI pipes
+// freshly generated traces through this binary. A sharded run's
+// merged.jsonl is for reading only: txn ids repeat across its shards, so
+// invariant 2 fails on it.
 //
 // Usage: trace_check FILE [FILE...]
 //
@@ -21,7 +23,7 @@
 //            monotonicity, shed watermark)
 //          8 result-cache discipline (hit freshness/Udrop vs the item's
 //            update history, active capacity, invalidate pairing)
-//   9    trace file unreadable or parse error (writer/checker schema drift)
+//   9    trace file unreadable or parse error (a key outside the schema)
 //   64   usage error
 
 #include <cstdio>
