@@ -43,8 +43,8 @@
 #include <vector>
 
 #include "harness.h"
+#include "unit/common/fan_out.h"
 #include "unit/common/stats.h"
-#include "unit/common/thread_pool.h"
 #include "unit/core/policies/odu.h"
 #include "unit/sched/engine.h"
 #include "unit/sim/experiment.h"

@@ -12,9 +12,12 @@ regressed:
   * every other key the baseline cell records is a deterministic simulation
     output and must equal the baseline exactly.
 
-Cells are matched on (cell, policy). A baseline cell or key missing from the
-current run fails; keys only the current run records are ignored, and so are
-the run's top-level parameters and provenance. See bench/README.md for the
+The two files must come from the same bench: a baseline whose top-level
+`bench` or `figure` differs from the current run's fails, so a baseline
+recorded by another binary cannot stay committed. Cells are matched on
+(cell, policy). A baseline cell or key missing from the current run fails;
+keys only the current run records are ignored, and so are the run's other
+top-level parameters and its provenance. See bench/README.md for the
 gate policy. After an intentional change, regenerate a baseline from the
 repo root with the invocation CI runs:
 
@@ -33,17 +36,20 @@ import json
 import sys
 
 WALL_CLOCK_KEYS = ("wall_s", "events_per_sec")
+IDENTITY_KEYS = ("bench", "figure")
 
 
-def load_cells(path):
+def load(path):
+    """The file's identity (its `bench` and `figure`) and its cells."""
     with open(path) as f:
         doc = json.load(f)
     # bench_engine_throughput cells carry their policy; the other benches run
     # one policy for the whole sweep and record it at the top level.
     default_policy = doc.get("policy", "")
-    return {
+    cells = {
         (c["cell"], c.get("policy", default_policy)): c for c in doc["cells"]
     }
+    return {key: doc.get(key) for key in IDENTITY_KEYS}, cells
 
 
 def main():
@@ -63,12 +69,16 @@ def main():
     )
     args = parser.parse_args()
 
-    baseline = load_cells(args.baseline)
-    current = load_cells(args.current)
+    base_id, baseline = load(args.baseline)
+    cur_id, current = load(args.current)
 
     # One self-contained line per failure, naming the (cell, policy, key)
     # and both values, so a red CI log pinpoints it without the JSONs.
-    failures = []
+    failures = [
+        f"{key}: baseline={base_id[key]!r} current={cur_id[key]!r}"
+        for key in IDENTITY_KEYS
+        if base_id[key] != cur_id[key]
+    ]
     width = max(len(f"{cell}/{policy}") for cell, policy in baseline)
     print(f"{'cell':<{width}}  {'baseline':>12}  {'current':>12}  {'delta':>8}")
     for (cell, policy), base in sorted(baseline.items()):
@@ -106,7 +116,7 @@ def main():
         )
 
     if failures:
-        print(f"\nFAIL: {len(failures)} regression(s):")
+        print(f"\nFAIL: {len(failures)} failure(s):")
         for failure in failures:
             print(f"  {failure}")
         return 1

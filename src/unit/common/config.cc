@@ -102,13 +102,6 @@ double Config::GetDouble(const std::string& key, double def) const {
 
 Status Config::CheckNumbers() const { return bad_number_; }
 
-bool Config::GetBool(const std::string& key, bool def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  const std::string& v = it->second;
-  return v == "1" || v == "true" || v == "yes" || v == "on";
-}
-
 std::vector<std::string> Config::Keys() const {
   std::vector<std::string> keys;
   keys.reserve(values_.size());

@@ -37,7 +37,6 @@ class Config {
   /// CheckNumbers.
   int64_t GetInt(const std::string& key, int64_t def) const;
   double GetDouble(const std::string& key, double def) const;
-  bool GetBool(const std::string& key, bool def) const;
 
   /// All keys, sorted, for help/debug output.
   std::vector<std::string> Keys() const;

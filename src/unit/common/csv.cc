@@ -1,8 +1,5 @@
 #include "unit/common/csv.h"
 
-#include <fstream>
-#include <sstream>
-
 namespace unitdb {
 
 namespace {
@@ -38,14 +35,6 @@ std::string CsvWriter::ToString() const {
     out += '\n';
   }
   return out;
-}
-
-Status CsvWriter::WriteFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  out << ToString();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
 }
 
 StatusOr<std::vector<std::vector<std::string>>> CsvReader::Parse(
@@ -104,15 +93,6 @@ StatusOr<std::vector<std::vector<std::string>>> CsvReader::Parse(
   if (in_quotes) return Status::InvalidArgument("unterminated quoted field");
   end_row();
   return rows;
-}
-
-StatusOr<std::vector<std::vector<std::string>>> CsvReader::ReadFile(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return Parse(ss.str());
 }
 
 }  // namespace unitdb

@@ -18,9 +18,6 @@ class CsvWriter {
   /// Serializes all rows.
   std::string ToString() const;
 
-  /// Writes all rows to a file, replacing its contents.
-  Status WriteFile(const std::string& path) const;
-
   size_t rows() const { return rows_.size(); }
 
  private:
@@ -33,10 +30,6 @@ class CsvReader {
   /// Parses a whole document. Returns rows of fields.
   static StatusOr<std::vector<std::vector<std::string>>> Parse(
       const std::string& text);
-
-  /// Reads and parses a file.
-  static StatusOr<std::vector<std::vector<std::string>>> ReadFile(
-      const std::string& path);
 };
 
 }  // namespace unitdb

@@ -1,7 +1,6 @@
 #include "unit/common/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 
@@ -53,36 +52,6 @@ double RunningStat::stddev() const { return std::sqrt(variance()); }
 double RunningStat::min() const { return count_ > 0 ? min_ : 0.0; }
 
 double RunningStat::max() const { return count_ > 0 ? max_ : 0.0; }
-
-double Percentiles::Percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  p = std::clamp(p, 0.0, 100.0);
-  const size_t rank = static_cast<size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(samples_.size())));
-  return samples_[rank == 0 ? 0 : rank - 1];
-}
-
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / buckets), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    ++counts_[static_cast<size_t>((x - lo_) / width_)];
-  }
-}
-
-double Histogram::BucketLow(int b) const { return lo_ + b * width_; }
 
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y) {

@@ -9,8 +9,33 @@
 
 namespace unitdb {
 
-QmfPolicy::QmfPolicy(QmfParams params)
-    : params_(params), budget_(params.initial_budget) {}
+namespace {
+
+/// CPU utilization set-point separating "underutilized" from "overloaded".
+constexpr double kTargetUtilization = 0.90;
+/// Perceived-freshness target (fraction of committed queries meeting their
+/// freshness requirement).
+constexpr double kTargetFreshness = 0.90;
+/// Miss-ratio target among admitted queries.
+constexpr double kTargetMissRatio = 0.05;
+/// Admission budget: fraction of a control window's CPU the estimated
+/// demand of newly admitted queries may claim.
+constexpr double kInitialBudget = 1.0;
+constexpr double kMinBudget = 0.02;
+constexpr double kMaxBudget = 2.0;
+/// Relative budget adjustment per control action.
+constexpr double kBudgetStep = 0.15;
+/// Items degraded per QoD-degradation action (lowest access/update ratio
+/// first) and the per-action period stretch factor.
+constexpr size_t kDegradeBatch = 32;
+constexpr double kDegradeFactor = 2.0;
+constexpr double kMaxStretch = 1024.0;
+/// Forgetting factor on the per-item access/update counters.
+constexpr double kCounterDecay = 0.9;
+
+}  // namespace
+
+QmfPolicy::QmfPolicy() : budget_(kInitialBudget) {}
 
 void QmfPolicy::Attach(EngineContext& engine) {
   const int n = engine.db().num_items();
@@ -74,21 +99,19 @@ void QmfPolicy::OnControlTick(EngineContext& engine) {
                 static_cast<double>(window_admitted_resolved_)
           : 0.0;
 
-  const bool overloaded = utilization >= params_.target_utilization ||
-                          miss_ratio > params_.target_miss_ratio;
+  const bool overloaded =
+      utilization >= kTargetUtilization || miss_ratio > kTargetMissRatio;
   if (!overloaded) {
-    if (freshness < params_.target_freshness) {
+    if (freshness < kTargetFreshness) {
       UpgradeAll(engine);
     } else {
-      budget_ = std::min(params_.max_budget,
-                         budget_ * (1.0 + params_.budget_step));
+      budget_ = std::min(kMaxBudget, budget_ * (1.0 + kBudgetStep));
     }
   } else {
-    if (freshness >= params_.target_freshness) {
+    if (freshness >= kTargetFreshness) {
       DegradeLowestRatio(engine);
     } else {
-      budget_ = std::max(params_.min_budget,
-                         budget_ * (1.0 - params_.budget_step));
+      budget_ = std::max(kMinBudget, budget_ * (1.0 - kBudgetStep));
     }
   }
 
@@ -100,8 +123,8 @@ void QmfPolicy::OnControlTick(EngineContext& engine) {
   window_admitted_missed_ = 0;
   window_committed_ = 0;
   window_fresh_ = 0;
-  for (auto& c : access_count_) c *= params_.counter_decay;
-  for (auto& c : update_count_) c *= params_.counter_decay;
+  for (auto& c : access_count_) c *= kCounterDecay;
+  for (auto& c : update_count_) c *= kCounterDecay;
 }
 
 void QmfPolicy::DegradeLowestRatio(EngineContext& engine) {
@@ -114,7 +137,7 @@ void QmfPolicy::DegradeLowestRatio(EngineContext& engine) {
     const DataItemState& item = db.item(i);
     if (item.ideal_period >= kNoUpdates) continue;
     if (static_cast<double>(item.current_period) >=
-        static_cast<double>(item.ideal_period) * params_.max_stretch) {
+        static_cast<double>(item.ideal_period) * kMaxStretch) {
       continue;
     }
     order.push_back(i);
@@ -122,8 +145,7 @@ void QmfPolicy::DegradeLowestRatio(EngineContext& engine) {
   auto ratio = [this](int i) {
     return access_count_[i] / (update_count_[i] + 1.0);
   };
-  const size_t k =
-      std::min<size_t>(order.size(), static_cast<size_t>(params_.degrade_batch));
+  const size_t k = std::min(order.size(), kDegradeBatch);
   std::partial_sort(order.begin(), order.begin() + k, order.end(),
                     [&](int a, int b) {
                       const double ra = ratio(a), rb = ratio(b);
@@ -133,11 +155,9 @@ void QmfPolicy::DegradeLowestRatio(EngineContext& engine) {
   for (size_t j = 0; j < k; ++j) {
     const ItemId i = order[j];
     const DataItemState& item = db.item(i);
-    const double cap =
-        static_cast<double>(item.ideal_period) * params_.max_stretch;
-    const double stretched =
-        std::min(cap, static_cast<double>(item.current_period) *
-                          params_.degrade_factor);
+    const double cap = static_cast<double>(item.ideal_period) * kMaxStretch;
+    const double stretched = std::min(
+        cap, static_cast<double>(item.current_period) * kDegradeFactor);
     db.SetCurrentPeriod(i, static_cast<SimDuration>(stretched));
   }
 }
@@ -153,7 +173,7 @@ void QmfPolicy::UpgradeAll(EngineContext& engine) {
     const SimDuration shrunk = std::max(
         item.ideal_period,
         static_cast<SimDuration>(static_cast<double>(item.current_period) /
-                                 params_.degrade_factor));
+                                 kDegradeFactor));
     db.SetCurrentPeriod(i, shrunk);
   }
 }

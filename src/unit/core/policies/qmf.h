@@ -9,31 +9,6 @@
 
 namespace unitdb {
 
-/// Tunables of the QMF re-implementation.
-struct QmfParams {
-  /// CPU utilization set-point separating "underutilized" from "overloaded".
-  double target_utilization = 0.90;
-  /// Perceived-freshness target (fraction of committed queries meeting their
-  /// freshness requirement).
-  double target_freshness = 0.90;
-  /// Miss-ratio target among admitted queries.
-  double target_miss_ratio = 0.05;
-  /// Admission budget: fraction of a control window's CPU the estimated
-  /// demand of newly admitted queries may claim.
-  double initial_budget = 1.0;
-  double min_budget = 0.02;
-  double max_budget = 2.0;
-  /// Relative budget adjustment per control action.
-  double budget_step = 0.15;
-  /// Items degraded per QoD-degradation action (lowest access/update ratio
-  /// first) and the per-action period stretch factor.
-  int degrade_batch = 32;
-  double degrade_factor = 2.0;
-  double max_stretch = 1024.0;
-  /// Forgetting factor on the per-item access/update counters.
-  double counter_decay = 0.9;
-};
-
 /// Re-implementation of QMF (Kang, Son & Stankovic, TKDE'04) as described in
 /// the UNIT paper (Sections 4.1 and 4.5): a feedback loop on deadline miss
 /// ratio and data freshness.
@@ -47,10 +22,12 @@ struct QmfParams {
 /// Admission is a per-window CPU budget on the estimated demand of admitted
 /// queries; under bursts the budget exhausts and every further query is
 /// rejected — the conservative behaviour the UNIT paper observes ("QMF's
-/// rejection ratio [is] very high", Section 4.5).
+/// rejection ratio [is] very high", Section 4.5). The loop's set-points and
+/// steps are fixed constants (qmf.cc); the budget stays within [0.02, 2.0]
+/// of a control window's CPU.
 class QmfPolicy : public Policy {
  public:
-  explicit QmfPolicy(QmfParams params = {});
+  QmfPolicy();
 
   std::string name() const override { return "qmf"; }
   void Attach(EngineContext& engine) override;
@@ -67,7 +44,6 @@ class QmfPolicy : public Policy {
   void DegradeLowestRatio(EngineContext& engine);
   void UpgradeAll(EngineContext& engine);
 
-  QmfParams params_;
   double budget_;
   double window_admitted_work_s_ = 0.0;  ///< estimated demand admitted this window
   double window_budget_s_ = 0.0;         ///< CPU seconds the budget allows per window

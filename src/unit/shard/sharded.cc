@@ -11,7 +11,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "unit/common/thread_pool.h"
+#include "unit/common/fan_out.h"
 #include "unit/db/data_item.h"
 #include "unit/faults/schedule.h"
 #include "unit/model/diff.h"
@@ -107,8 +107,7 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
   ep.faults = nullptr;
 
   FaultSchedule schedule;
-  if (params.scenario != nullptr && !params.scenario->empty() &&
-      (params.fault_target_shard < 0 || params.fault_target_shard == shard)) {
+  if (params.scenario != nullptr && !params.scenario->empty()) {
     StatusOr<FaultScenarioSpec> scoped =
         num_shards == 1 ? StatusOr<FaultScenarioSpec>(*params.scenario)
                         : ScopeScenario(*params.scenario, sub);

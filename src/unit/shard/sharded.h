@@ -23,7 +23,7 @@ namespace unitdb {
 /// shards by ShardRouter, each shard runs a full independent server stack
 /// (Engine + Database + LockManager + AdmissionIndex + policy controllers)
 /// over its sub-workload, and shards execute in parallel through FanOut
-/// (common/thread_pool.h). Every per-shard seed derives from the caller's base
+/// (common/fan_out.h). Every per-shard seed derives from the caller's base
 /// seeds via ShardSeed, and all merging folds in a deterministic order, so
 /// the result is bit-identical for any `jobs` count — and, at shards=1,
 /// bit-identical to the monolithic engine (the differential oracle in
@@ -55,11 +55,6 @@ struct ShardedParams {
   const FaultScenarioSpec* scenario = nullptr;
   /// Run seed mixed into FaultSchedule::Compile.
   uint64_t fault_seed = 42;
-  /// Restrict fault injection to one shard (-1 = all shards). The fault
-  /// suite uses this to pin blast-radius isolation: a fault scoped to shard
-  /// k must leave every other shard's metrics bit-identical to a fault-free
-  /// run.
-  int fault_target_shard = -1;
   /// Write shard-tagged JSONL traces here ("" = no tracing). Each shard
   /// keeps its events in memory (KeepingSink); after the runs one writer
   /// tags and writes them as shard<k>.jsonl per shard, each a trace_check

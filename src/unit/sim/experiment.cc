@@ -3,7 +3,7 @@
 #include <memory>
 #include <utility>
 
-#include "unit/common/thread_pool.h"
+#include "unit/common/fan_out.h"
 #include "unit/faults/schedule.h"
 #include "unit/obs/trace_sink.h"
 #include "unit/shard/sharded.h"

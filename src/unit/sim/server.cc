@@ -7,6 +7,7 @@
 #include "unit/core/policies/hybrid.h"
 #include "unit/core/policies/imu.h"
 #include "unit/core/policies/odu.h"
+#include "unit/core/policies/qmf.h"
 
 namespace unitdb {
 
@@ -35,7 +36,7 @@ StatusOr<std::unique_ptr<Policy>> MakePolicy(const std::string& name,
     return std::unique_ptr<Policy>(new OduPolicy());
   }
   if (name == "qmf") {
-    return std::unique_ptr<Policy>(new QmfPolicy(options.qmf));
+    return std::unique_ptr<Policy>(new QmfPolicy());
   }
   if (name == "unit-hybrid") {
     return std::unique_ptr<Policy>(new HybridPolicy(weights, options.unit));

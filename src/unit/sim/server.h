@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "unit/common/status.h"
-#include "unit/core/policies/qmf.h"
 #include "unit/core/policies/unit_policy.h"
 #include "unit/core/policy.h"
 #include "unit/core/usm.h"
@@ -16,11 +15,9 @@
 
 namespace unitdb {
 
-/// Per-policy construction knobs; only the fields relevant to the chosen
-/// policy apply.
+/// Per-policy construction knobs; only the UNIT policies read them.
 struct PolicyOptions {
   UnitParams unit;
-  QmfParams qmf;
 };
 
 /// Builds a policy by name: "unit", "imu", "odu", "qmf", and the ablation

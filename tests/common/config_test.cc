@@ -43,24 +43,7 @@ TEST(ConfigTest, DefaultsWhenMissing) {
   EXPECT_EQ(c.GetInt("nope", -7), -7);
   EXPECT_DOUBLE_EQ(c.GetDouble("nope", 1.5), 1.5);
   EXPECT_EQ(c.GetString("nope", "d"), "d");
-  EXPECT_TRUE(c.GetBool("nope", true));
   EXPECT_FALSE(c.Has("nope"));
-}
-
-TEST(ConfigTest, BoolParsing) {
-  Config c;
-  c.Set("t1", "true");
-  c.Set("t2", "1");
-  c.Set("t3", "yes");
-  c.Set("t4", "on");
-  c.Set("f1", "false");
-  c.Set("f2", "0");
-  EXPECT_TRUE(c.GetBool("t1", false));
-  EXPECT_TRUE(c.GetBool("t2", false));
-  EXPECT_TRUE(c.GetBool("t3", false));
-  EXPECT_TRUE(c.GetBool("t4", false));
-  EXPECT_FALSE(c.GetBool("f1", true));
-  EXPECT_FALSE(c.GetBool("f2", true));
 }
 
 TEST(ConfigTest, SetOverwrites) {
@@ -116,7 +99,6 @@ TEST(ConfigTest, EmptyValueIsLegal) {
   EXPECT_TRUE(c->Has("blank"));
   EXPECT_EQ(c->GetString("empty", "default"), "");
   EXPECT_EQ(c->GetString("blank", "default"), "");
-  EXPECT_FALSE(c->GetBool("empty", false));
 }
 
 TEST(ConfigTest, ExpectKeysAcceptsKnownSubset) {

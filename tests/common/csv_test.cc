@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 namespace unitdb {
@@ -71,24 +70,6 @@ TEST(CsvReaderTest, EmptyDocument) {
   auto rows = CsvReader::Parse("");
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
-}
-
-TEST(CsvFileTest, WriteAndReadBack) {
-  const std::string path = ::testing::TempDir() + "/unitdb_csv_test.csv";
-  CsvWriter w;
-  w.AddRow({"x", "y,z"});
-  ASSERT_TRUE(w.WriteFile(path).ok());
-  auto rows = CsvReader::ReadFile(path);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0], (std::vector<std::string>{"x", "y,z"}));
-  std::remove(path.c_str());
-}
-
-TEST(CsvFileTest, ReadMissingFileFails) {
-  auto rows = CsvReader::ReadFile("/nonexistent/definitely/not/here.csv");
-  EXPECT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kIoError);
 }
 
 }  // namespace

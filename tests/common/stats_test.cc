@@ -74,112 +74,6 @@ TEST(RunningStatTest, ClearResets) {
   EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(EwmaTest, FirstObservationInitializes) {
-  Ewma e(0.5);
-  EXPECT_FALSE(e.initialized());
-  EXPECT_DOUBLE_EQ(e.ValueOr(42.0), 42.0);
-  e.Add(10.0);
-  EXPECT_TRUE(e.initialized());
-  EXPECT_DOUBLE_EQ(e.ValueOr(42.0), 10.0);
-}
-
-TEST(EwmaTest, Converges) {
-  Ewma e(0.5);
-  e.Add(0.0);
-  for (int i = 0; i < 50; ++i) e.Add(8.0);
-  EXPECT_NEAR(e.ValueOr(0.0), 8.0, 1e-9);
-}
-
-TEST(EwmaTest, WeightsNewest) {
-  Ewma e(0.25);
-  e.Add(0.0);
-  e.Add(4.0);
-  EXPECT_DOUBLE_EQ(e.ValueOr(0.0), 1.0);
-}
-
-TEST(PercentilesTest, EmptyIsZero) {
-  Percentiles p;
-  EXPECT_EQ(p.Percentile(50.0), 0.0);
-}
-
-TEST(PercentilesTest, NearestRank) {
-  Percentiles p;
-  for (int i = 1; i <= 100; ++i) p.Add(i);
-  EXPECT_DOUBLE_EQ(p.Percentile(50.0), 50.0);
-  EXPECT_DOUBLE_EQ(p.Percentile(95.0), 95.0);
-  EXPECT_DOUBLE_EQ(p.Percentile(100.0), 100.0);
-  EXPECT_DOUBLE_EQ(p.Percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.Median(), 50.0);
-}
-
-TEST(PercentilesTest, EmptyIsZeroAtEveryP) {
-  // No samples: every percentile, including the p = 0 / p = 100 bounds,
-  // answers 0 rather than reading past an empty buffer.
-  Percentiles p;
-  EXPECT_EQ(p.Percentile(0.0), 0.0);
-  EXPECT_EQ(p.Percentile(100.0), 0.0);
-  EXPECT_EQ(p.Median(), 0.0);
-}
-
-TEST(PercentilesTest, SingleSampleIsEveryPercentile) {
-  Percentiles p;
-  p.Add(7.5);
-  EXPECT_DOUBLE_EQ(p.Percentile(0.0), 7.5);
-  EXPECT_DOUBLE_EQ(p.Percentile(1.0), 7.5);
-  EXPECT_DOUBLE_EQ(p.Percentile(50.0), 7.5);
-  EXPECT_DOUBLE_EQ(p.Percentile(99.0), 7.5);
-  EXPECT_DOUBLE_EQ(p.Percentile(100.0), 7.5);
-}
-
-TEST(PercentilesTest, BoundsClampOutOfRangeP) {
-  Percentiles p;
-  p.Add(1.0);
-  p.Add(2.0);
-  p.Add(3.0);
-  // p below 0 clamps to the minimum sample; p above 100 to the maximum.
-  EXPECT_DOUBLE_EQ(p.Percentile(-5.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.Percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.Percentile(100.0), 3.0);
-  EXPECT_DOUBLE_EQ(p.Percentile(250.0), 3.0);
-}
-
-TEST(PercentilesTest, TwoSampleRankBoundaries) {
-  // Nearest-rank with n = 2: ceil(p/100 * 2) flips from rank 1 to rank 2
-  // strictly above p = 50.
-  Percentiles p;
-  p.Add(10.0);
-  p.Add(20.0);
-  EXPECT_DOUBLE_EQ(p.Percentile(50.0), 10.0);
-  EXPECT_DOUBLE_EQ(p.Percentile(50.1), 20.0);
-}
-
-TEST(PercentilesTest, AddAfterQuery) {
-  Percentiles p;
-  p.Add(10.0);
-  EXPECT_DOUBLE_EQ(p.Median(), 10.0);
-  p.Add(1.0);
-  p.Add(2.0);
-  EXPECT_DOUBLE_EQ(p.Median(), 2.0);
-}
-
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-1.0);
-  h.Add(0.0);
-  h.Add(1.9);
-  h.Add(2.0);
-  h.Add(9.999);
-  h.Add(10.0);
-  h.Add(100.0);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 2);
-  EXPECT_EQ(h.BucketCount(0), 2);
-  EXPECT_EQ(h.BucketCount(1), 1);
-  EXPECT_EQ(h.BucketCount(4), 1);
-  EXPECT_EQ(h.total(), 7);
-  EXPECT_DOUBLE_EQ(h.BucketLow(1), 2.0);
-}
-
 TEST(CorrelationTest, PerfectPositive) {
   std::vector<double> x = {1, 2, 3, 4, 5};
   std::vector<double> y = {2, 4, 6, 8, 10};

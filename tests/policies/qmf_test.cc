@@ -73,15 +73,13 @@ TEST(QmfPolicyTest, RejectsMoreAggressivelyThanImuMisses) {
 }
 
 TEST(QmfPolicyTest, BudgetStaysWithinBounds) {
+  // The budget's fixed bounds, qmf.cc's kMinBudget and kMaxBudget.
   Workload w = StandardWorkload(UpdateVolume::kHigh, 0.5);
-  QmfParams params;
-  params.min_budget = 0.05;
-  params.max_budget = 1.5;
-  QmfPolicy policy(params);
+  QmfPolicy policy;
   Engine engine(w, &policy, {});
   engine.Run();
-  EXPECT_GE(policy.budget(), 0.05);
-  EXPECT_LE(policy.budget(), 1.5);
+  EXPECT_GE(policy.budget(), 0.02);
+  EXPECT_LE(policy.budget(), 2.0);
 }
 
 TEST(QmfPolicyTest, WeightInsensitivity) {

@@ -45,43 +45,32 @@
 //   expect_divergence=1  invert success: exit 0 only if a divergence was
 //                        found, caught, and shrunk (self-test mode)
 //
+// Arguments go through Config: an unknown or repeated key, a value that is
+// not a whole number, one out of range (cases below 1; case, shards,
+// sessions, shed or cache negative or above INT_MAX; series, stream or
+// expect_divergence other than 0 or 1) or an unknown perturb name prints
+// INVALID_ARGUMENT and the usage, and exits 2.
+//
 // Exit codes: 0 success, 1 divergence found (or, with expect_divergence=1,
 // none found), 2 usage error, 3 case setup error (scenario failed to
 // compile / unknown policy).
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "unit/common/config.h"
 #include "unit/model/diff.h"
 #include "unit/model/gen.h"
 
 namespace {
 
-bool ParseU64(const char* s, uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
+using unitdb::Config;
+using unitdb::Status;
 
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [cases=N] [seed=S] [case=I] [series=0|1]\n"
-               "          [stream=0|1] [shards=K] [sessions=N] [shed=W]\n"
-               "          [cache=C] [perturb=none|cflex|admit|dropretry]\n"
-               "          [expect_divergence=0|1]\n",
-               argv0);
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  uint64_t cases = 100;
+struct Flags {
+  int64_t cases = 100;
   uint64_t seed = 1;
   int64_t only_case = -1;
   int stream_override = -1;    // -1: keep the generator's rotation
@@ -92,67 +81,101 @@ int main(int argc, char** argv) {
   unitdb::DiffOptions opts;
   bool expect_divergence = false;
   std::string overrides;  // the case-shaping arguments, for replay lines
+};
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* eq = std::strchr(arg, '=');
-    if (eq == nullptr) return Usage(argv[0]);
-    const std::string key(arg, eq - arg);
-    const char* val = eq + 1;
-    uint64_t num = 0;
-    if (key == "cases" && ParseU64(val, &num)) {
-      cases = num;
-    } else if (key == "seed" && ParseU64(val, &num)) {
-      seed = num;
-    } else if (key == "case" && ParseU64(val, &num)) {
-      only_case = static_cast<int64_t>(num);
-    } else if (key == "series" && ParseU64(val, &num)) {
-      opts.compare_series = num != 0;
-    } else if (key == "stream" && ParseU64(val, &num)) {
-      stream_override = num != 0 ? 1 : 0;
-    } else if (key == "shards" && ParseU64(val, &num)) {
-      shards_override = static_cast<int>(num);
-    } else if (key == "sessions" && ParseU64(val, &num)) {
-      sessions_override = static_cast<int>(num);
-    } else if (key == "shed" && ParseU64(val, &num)) {
-      shed_override = static_cast<int>(num);
-    } else if (key == "cache" && ParseU64(val, &num)) {
-      cache_override = static_cast<int>(num);
-    } else if (key == "expect_divergence" && ParseU64(val, &num)) {
-      expect_divergence = num != 0;
-    } else if (key == "perturb") {
-      if (std::strcmp(val, "none") == 0) {
-        opts.perturb = unitdb::Perturbation::kNone;
-      } else if (std::strcmp(val, "cflex") == 0) {
-        opts.perturb = unitdb::Perturbation::kCFlexStep;
-      } else if (std::strcmp(val, "admit") == 0) {
-        opts.perturb = unitdb::Perturbation::kAdmitOffByOne;
-      } else if (std::strcmp(val, "dropretry") == 0) {
-        opts.perturb = unitdb::Perturbation::kDropRetry;
-      } else {
-        return Usage(argv[0]);
-      }
-    } else {
-      return Usage(argv[0]);
-    }
+// Reads `key` as a whole number in [lo, hi]; `def` when absent. The first
+// value out of range goes to `*error`; a malformed one to CheckNumbers.
+int64_t InRange(const Config& config, const std::string& key, int64_t def,
+                int64_t lo, int64_t hi, Status* error) {
+  const int64_t v = config.GetInt(key, def);
+  if (error->ok() && config.Has(key) && (v < lo || v > hi)) {
+    *error = Status::InvalidArgument(
+        key + "=" + config.GetString(key) + " is " +
+        (v < lo ? "below " + std::to_string(lo)
+                : "above " + std::to_string(hi)));
+  }
+  return v;
+}
+
+Status ParseFlags(int argc, char** argv, Flags* f) {
+  auto config = Config::ParseArgs(argc, argv);
+  if (!config.ok()) return config.status();
+  if (Status s = config->ExpectKeys({"cases", "seed", "case", "series",
+                                     "stream", "shards", "sessions", "shed",
+                                     "cache", "perturb", "expect_divergence"});
+      !s.ok()) {
+    return s;
+  }
+  Status range;
+  const auto count = [&](const char* key) {
+    return static_cast<int>(InRange(*config, key, -1, 0, INT_MAX, &range));
+  };
+  const auto flag = [&](const char* key, int def) {
+    return static_cast<int>(InRange(*config, key, def, 0, 1, &range));
+  };
+  f->cases = InRange(*config, "cases", f->cases, 1, INT64_MAX, &range);
+  f->seed = static_cast<uint64_t>(
+      InRange(*config, "seed", 1, 0, INT64_MAX, &range));
+  f->only_case = count("case");
+  f->shards_override = count("shards");
+  f->sessions_override = count("sessions");
+  f->shed_override = count("shed");
+  f->cache_override = count("cache");
+  f->opts.compare_series = flag("series", 1) == 1;
+  f->stream_override = flag("stream", -1);
+  f->expect_divergence = flag("expect_divergence", 0) == 1;
+  if (Status s = config->CheckNumbers(); !s.ok()) return s;
+  if (!range.ok()) return range;
+
+  const std::string perturb = config->GetString("perturb", "none");
+  if (perturb == "cflex") {
+    f->opts.perturb = unitdb::Perturbation::kCFlexStep;
+  } else if (perturb == "admit") {
+    f->opts.perturb = unitdb::Perturbation::kAdmitOffByOne;
+  } else if (perturb == "dropretry") {
+    f->opts.perturb = unitdb::Perturbation::kDropRetry;
+  } else if (perturb != "none") {
+    return Status::InvalidArgument("perturb=" + perturb +
+                                   " is not none, cflex, admit or dropretry");
+  }
+  for (const std::string& key : config->Keys()) {
     if (key != "cases" && key != "seed" && key != "case" &&
         key != "expect_divergence") {
-      overrides += " " + key + "=" + val;
+      f->overrides += " " + key + "=" + config->GetString(key);
     }
   }
+  return Status::Ok();
+}
 
-  const int64_t begin = only_case >= 0 ? only_case : 0;
-  const int64_t end =
-      only_case >= 0 ? only_case + 1 : static_cast<int64_t>(cases);
+}  // namespace
+
+int main(int argc, char** argv) {
+  Flags f;
+  if (Status s = ParseFlags(argc, argv, &f); !s.ok()) {
+    std::fprintf(stderr,
+                 "%s\n"
+                 "usage: %s [cases=N] [seed=S] [case=I] [series=0|1]\n"
+                 "          [stream=0|1] [shards=K] [sessions=N] [shed=W]\n"
+                 "          [cache=C] [perturb=none|cflex|admit|dropretry]\n"
+                 "          [expect_divergence=0|1]\n",
+                 s.ToString().c_str(), argv[0]);
+    return 2;
+  }
+  const unitdb::DiffOptions& opts = f.opts;
+
+  const int64_t begin = f.only_case >= 0 ? f.only_case : 0;
+  const int64_t end = f.only_case >= 0 ? f.only_case + 1 : f.cases;
 
   int64_t divergent = 0;
   for (int64_t i = begin; i < end; ++i) {
-    unitdb::DiffCase c = unitdb::GenerateCase(seed, i);
-    if (stream_override >= 0) c.stream_queries = stream_override == 1;
-    if (shards_override >= 0) c.shards = shards_override;
-    if (sessions_override >= 0) c.engine.session.sessions = sessions_override;
-    if (shed_override >= 0) c.engine.shed_watermark = shed_override;
-    if (cache_override >= 0) c.engine.cache.capacity = cache_override;
+    unitdb::DiffCase c = unitdb::GenerateCase(f.seed, i);
+    if (f.stream_override >= 0) c.stream_queries = f.stream_override == 1;
+    if (f.shards_override >= 0) c.shards = f.shards_override;
+    if (f.sessions_override >= 0) {
+      c.engine.session.sessions = f.sessions_override;
+    }
+    if (f.shed_override >= 0) c.engine.shed_watermark = f.shed_override;
+    if (f.cache_override >= 0) c.engine.cache.capacity = f.cache_override;
     if (opts.perturb == unitdb::Perturbation::kDropRetry &&
         c.engine.session.sessions == 0) {
       c.engine.session.sessions = 4;  // the defect needs a closed loop
@@ -177,17 +200,17 @@ int main(int argc, char** argv) {
     std::printf("  shrunk: %s\n", unitdb::DescribeCase(shrunk).c_str());
     std::printf("  replay: diff_fuzz seed=%llu case=%lld%s\n",
                 static_cast<unsigned long long>(c.gen_seed),
-                static_cast<long long>(c.gen_index), overrides.c_str());
-    if (expect_divergence) break;  // self-test satisfied; stop early
+                static_cast<long long>(c.gen_index), f.overrides.c_str());
+    if (f.expect_divergence) break;  // self-test satisfied; stop early
   }
 
   const int64_t total = end - begin;
   std::printf("diff_fuzz: %lld/%lld cases divergent (seed=%llu%s)\n",
               static_cast<long long>(divergent),
               static_cast<long long>(total),
-              static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(f.seed),
               opts.perturb == unitdb::Perturbation::kNone ? ""
                                                           : ", perturbed");
-  if (expect_divergence) return divergent > 0 ? 0 : 1;
+  if (f.expect_divergence) return divergent > 0 ? 0 : 1;
   return divergent == 0 ? 0 : 1;
 }
