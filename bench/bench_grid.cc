@@ -894,8 +894,11 @@ StatusOr<std::vector<Figure>> Figures(std::optional<double> scale,
   std::vector<GridVariant> storms;  // sessions x patience under the storm
   for (int sessions : {8, 24, 48}) {
     for (double patience_s : {0.0, 2.0}) {
+      // Not "s" + std::string&&: GCC 12 at -O3 reports a false -Wrestrict.
+      std::string name = "s";
+      name += std::to_string(sessions) + "_p" + Fmt(patience_s, 0);
       RunRequest& r = storms.emplace_back(GridVariant{
-          "s" + std::to_string(sessions) + "_p" + Fmt(patience_s, 0),
+          std::move(name),
           {.weights = kExtensionWeights,
            .scenario = *storm,
            .obs = {.series = true, .events = {TraceEventType::kSessionRetry}}}})
@@ -911,8 +914,9 @@ StatusOr<std::vector<Figure>> Figures(std::optional<double> scale,
   cache_off.request.engine.cache.max_hit_udrop = 3;  // capacity 0
   std::vector<GridVariant> caches;
   for (int capacity : {0, 16, 64, 256}) {
-    caches.push_back({"c" + std::to_string(capacity),
-                      {.weights = kExtensionWeights}});
+    std::string name = "c";  // not "c" + std::string&& (see above)
+    name += std::to_string(capacity);
+    caches.push_back({std::move(name), {.weights = kExtensionWeights}});
     caches.back().request.engine.cache.capacity = capacity;
   }
 

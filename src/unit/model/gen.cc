@@ -199,6 +199,23 @@ DiffCase GenerateCase(uint64_t seed, int64_t index) {
   const int cache_capacity = static_cast<int>(rng.UniformInt(4, 64));
   if (cache_on) c.engine.cache.capacity = cache_capacity;
 
+  // ---- Flash crowd. Same compatibility discipline: the shape is drawn
+  // after every pre-existing draw, and a pure index rotation decides
+  // whether it applies. Squeezing the arrivals into a short window lets the
+  // ready queue grow deep enough for admission's USM check to bite.
+  const bool flash_on = index % 8 == 0;  // half the unit-policy cases
+  const double flash_len_s = rng.Uniform(0.01, 0.05) * dur_s;
+  const double flash_start_s = rng.Uniform(0.0, 0.95 * dur_s - flash_len_s);
+  if (flash_on) {
+    // Monotone in the old arrival, so the trace stays sorted and keeps ids.
+    const SimTime start = SecondsToSim(flash_start_s);
+    const double squeeze = flash_len_s / (0.95 * dur_s);
+    for (QueryRequest& q : w.queries) {
+      q.arrival = start + static_cast<SimTime>(
+                              static_cast<double>(q.arrival) * squeeze);
+    }
+  }
+
   return c;
 }
 

@@ -16,7 +16,7 @@ namespace unitdb {
 ///
 /// The case matrix rotates with `index` so a linear sweep covers
 /// {policy x faults on/off x streaming x shards x sessions x shedding x
-/// cache}:
+/// cache x flash crowd}:
 ///
 ///   policy              = {unit, imu, odu, qmf}[index % 4]
 ///   faults attached     = (index / 16) % 2 == 0
@@ -26,6 +26,8 @@ namespace unitdb {
 ///   sessions attached   = (index / 256) % 2 == 1  (closed-loop clients)
 ///   shed watermark set  = (index / 512) % 2 == 1  (overload shedding)
 ///   result cache on     = (index / 1024) % 2 == 1 (freshness-aware cache)
+///   flash crowd         = index % 8 == 0  (unit policy; every arrival
+///                         squeezed into 1-5% of the run)
 ///
 /// Everything else is drawn from Rng(SplitMix64(seed ^ SplitMix64(index))).
 /// The knob rotations are index arithmetic only (no RNG draw), so adding a

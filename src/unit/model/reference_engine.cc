@@ -17,7 +17,6 @@ ReferenceEngine::ReferenceEngine(const Workload& workload, Policy* policy,
       policy_(policy),
       params_(params),
       db_(workload.num_items),
-      locks_(workload.num_items),
       rng_(params.seed),
       pending_updates_per_item_(workload.num_items, 0) {
   assert(policy_ != nullptr);
@@ -572,34 +571,44 @@ void ReferenceEngine::PreemptRunning() {
   ++metrics_.preemptions;
 }
 
+std::vector<Transaction*> ReferenceEngine::LockHolders(ItemId item) const {
+  std::vector<Transaction*> candidates = ready_;
+  if (running_ != nullptr) candidates.push_back(running_);
+  std::vector<Transaction*> holders;
+  for (Transaction* h : candidates) {
+    if (!h->holds_locks()) continue;
+    for (ItemId locked : h->items()) {
+      if (locked == item) {
+        holders.push_back(h);
+        break;
+      }
+    }
+  }
+  std::sort(holders.begin(), holders.end(),
+            [](const Transaction* a, const Transaction* b) {
+              return a->id() < b->id();
+            });
+  return holders;
+}
+
 bool ReferenceEngine::AcquireLocks(Transaction* t) {
-  if (t->is_query()) {
-    if (locks_.TryAcquireSharedAll(t->id(), t->items())) {
-      t->set_holds_locks(true);
-      return true;
-    }
-    BlockOnLocks(t);
-    return false;
-  }
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    LockManager::XAttempt result =
-        locks_.TryAcquireExclusive(t->id(), t->update_item());
-    if (result.granted) {
-      t->set_holds_locks(true);
-      return true;
-    }
-    if (result.blocked_by_exclusive) {
-      BlockOnLocks(t);
-      return false;
-    }
-    for (TxnId victim : result.shared_holders) {
-      RestartQuery(&txns_[victim]);
+  // An X holder of any item t locks blocks t. Past that, an update restarts
+  // the S holders of its item (queries, a lower class), in id order.
+  for (ItemId item : t->items()) {
+    for (const Transaction* h : LockHolders(item)) {
+      if (h->is_update()) {
+        BlockOnLocks(t);
+        return false;
+      }
     }
   }
-  UNIT_LOG(Error) << "exclusive lock acquisition failed twice for txn "
-                  << t->id();
-  BlockOnLocks(t);
-  return false;
+  if (t->is_update()) {
+    for (Transaction* victim : LockHolders(t->update_item())) {
+      RestartQuery(victim);
+    }
+  }
+  t->set_holds_locks(true);
+  return true;
 }
 
 void ReferenceEngine::BlockOnLocks(Transaction* t) {
@@ -724,7 +733,6 @@ void ReferenceEngine::OnSessionOutcome(Transaction* t, Outcome outcome) {
 
 void ReferenceEngine::ReleaseLocksOf(Transaction* t) {
   if (!t->holds_locks()) return;
-  locks_.ReleaseAll(t->id());
   t->set_holds_locks(false);
   UnblockAll();
 }

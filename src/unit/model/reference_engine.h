@@ -9,7 +9,6 @@
 #include "unit/common/types.h"
 #include "unit/core/policy.h"
 #include "unit/db/database.h"
-#include "unit/db/lock_manager.h"
 #include "unit/obs/timeseries.h"
 #include "unit/sched/engine_context.h"
 #include "unit/sched/event_queue.h"
@@ -50,7 +49,13 @@ namespace unitdb {
 ///    FIFO stamp deque with lazy tombstones) is mirrored with a flat vector
 ///    kept in first-population order and scanned linearly for coverage,
 ///    eviction, and invalidation — identical hit/miss/evict/skip decisions
-///    from the simplest possible representation.
+///    from the simplest possible representation;
+///  - locks: no lock table. The holders of an item are worked out from the
+///    transactions themselves — those in the ready vector or running with
+///    holds_locks() whose items include it (a query share-locks its read
+///    set, an update exclusive-locks its item). Blocked transactions hold
+///    nothing and a preempted holder goes back to the ready vector, so the
+///    scan sees every holder.
 ///
 /// Determinism contract with the optimized engine: both push the same
 /// events in the same order (so FIFO tie-breaks at equal timestamps
@@ -157,6 +162,9 @@ class ReferenceEngine final : public EngineContext {
   void StartRunning(Transaction* t);
   void PreemptRunning();
   void CompleteRunning(Transaction* t);
+  /// Every transaction holding a lock on `item`, by a scan of the ready
+  /// vector and the running transaction, in txn-id order.
+  std::vector<Transaction*> LockHolders(ItemId item) const;
   bool AcquireLocks(Transaction* t);
   void BlockOnLocks(Transaction* t);
   void UnblockAll();
@@ -178,7 +186,6 @@ class ReferenceEngine final : public EngineContext {
   std::vector<QueryRequest> queries_;
 
   Database db_;
-  LockManager locks_;
   Rng rng_;
 
   std::vector<RefEvent> events_;

@@ -616,7 +616,8 @@ std::string TraceCheckSummary(const TraceCheckResult& r) {
   out += " [per invariant:";
   for (int i = 1; i <= 8; ++i) {
     if (r.invariant_violations[i] > 0) {
-      out += " " + std::to_string(i) + "x" +
+      out += " ";  // not " " + std::string&&: GCC 12 -O3 false -Wrestrict
+      out += std::to_string(i) + "x" +
              std::to_string(r.invariant_violations[i]);
     }
   }

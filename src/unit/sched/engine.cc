@@ -142,7 +142,6 @@ Transaction* Engine::NewQueryTxn(const QueryRequest& request) {
       id, request.arrival, exec, request.relative_deadline, freshness_req,
       request.items, request.preference_class));
   t->set_trace_id(request.id);
-  live_queries_.emplace(id, t);
   if (t->items().inlined()) {
     ++metrics_.readset_inline;
   } else {
@@ -266,19 +265,16 @@ void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
 
 void Engine::MaybeShed() {
   while (ready_.query_count() > params_.shed_watermark) {
-    // Victim: oldest ready query under the total order (arrival, id) — a
-    // unique key, so the pick is deterministic regardless of the hash map's
-    // iteration order. The query admitted just now carries the largest id
-    // among equal arrivals and is therefore never the victim.
+    // Victim: the oldest ready query by (arrival, id), a unique key, so the
+    // heap's layout cannot sway the pick. The query admitted just now has
+    // the largest id among equal arrivals, so it is never the victim.
     Transaction* victim = nullptr;
-    for (const auto& [id, q] : live_queries_) {
-      if (q->state() != TxnState::kReady) continue;
+    for (Transaction* q : ready_.queries()) {
       if (victim == nullptr || q->arrival() < victim->arrival() ||
           (q->arrival() == victim->arrival() && q->id() < victim->id())) {
         victim = q;
       }
     }
-    if (victim == nullptr) return;  // defensive: depth counts say otherwise
     shed_depth_ = ready_.query_count();
     resolving_shed_ = true;
     ++metrics_.queries_shed;
@@ -547,36 +543,19 @@ void Engine::PreemptRunning() {
 
 bool Engine::AcquireLocks(Transaction* t) {
   if (t->is_query()) {
-    if (locks_.TryAcquireSharedAll(t->id(), t->items())) {
-      t->set_holds_locks(true);
-      return true;
-    }
+    if (locks_.TryAcquireShared(t)) return true;
     BlockOnLocks(t);
     return false;
   }
-  // Update: X lock on its single item, applying the 2PL-HP rule against
-  // lower-priority shared holders (queries).
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    LockManager::XAttempt result =
-        locks_.TryAcquireExclusive(t->id(), t->update_item());
-    if (result.granted) {
-      t->set_holds_locks(true);
-      return true;
-    }
-    if (result.blocked_by_exclusive) {
-      BlockOnLocks(t);
-      return false;
-    }
-    // Shared holders are queries (strictly lower priority class): abort and
-    // restart them, then retry — the retry must succeed.
-    for (TxnId victim : result.shared_holders) {
-      auto it = live_queries_.find(victim);
-      assert(it != live_queries_.end() && "lock holder must be live");
-      RestartQuery(it->second);
-    }
+  // Update: X lock on its single item. Its shared holders are queries, a
+  // lower class: 2PL-HP restarts them, which frees the item for the retry.
+  LockManager::XAttempt result = locks_.TryAcquireExclusive(t);
+  if (!result.shared_holders.empty()) {
+    for (Transaction* victim : result.shared_holders) RestartQuery(victim);
+    result = locks_.TryAcquireExclusive(t);
+    assert(result.granted && "restarting the holders frees the item");
   }
-  UNIT_LOG(Error) << "exclusive lock acquisition failed twice for txn "
-                  << t->id();
+  if (result.granted) return true;
   BlockOnLocks(t);
   return false;
 }
@@ -676,14 +655,12 @@ void Engine::ResolveQuery(Transaction* t, Outcome outcome) {
   // Terminal: recycle the slot (and the read set's storage). Outstanding
   // deadline/completion events carry the now-stale slab handle and resolve
   // to nullptr.
-  live_queries_.erase(t->id());
   txns_.Release(t);
 }
 
 void Engine::ReleaseLocksOf(Transaction* t) {
   if (!t->holds_locks()) return;
-  locks_.ReleaseAll(t->id());
-  t->set_holds_locks(false);
+  locks_.Release(t);
   UnblockAll();
 }
 

@@ -2,7 +2,6 @@
 #define UNIT_SCHED_ENGINE_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "unit/common/rng.h"
@@ -214,10 +213,6 @@ class Engine final : public EngineContext {
   /// monotonic and unique (next_txn_id_), decoupled from slot indices.
   TxnSlab txns_;
   TxnId next_txn_id_ = 0;
-  /// Live *query* transactions by id. 2PL-HP hands back victim TxnIds from
-  /// the lock manager (shared holders are always queries) and the engine
-  /// needs pointers; updates are never looked up by id.
-  std::unordered_map<TxnId, Transaction*> live_queries_;
   std::vector<Transaction*> blocked_;
   std::vector<int64_t> pending_updates_per_item_;
 

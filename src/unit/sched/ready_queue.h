@@ -55,6 +55,9 @@ class ReadyQueue {
   int query_count() const { return static_cast<int>(queries_.size()); }
   int size() const { return update_count() + query_count(); }
 
+  /// The queued queries, in heap order (no priority order to rely on).
+  const std::vector<Transaction*>& queries() const { return queries_; }
+
   /// Largest size() ever observed (perf telemetry; monotonic).
   int peak_size() const { return peak_size_; }
 

@@ -76,6 +76,7 @@ class TxnSlab {
   void Release(Transaction* t) {
     const TxnSlot slot = TxnSlot::Unpack(t->slab_handle());
     assert(Get(t->slab_handle()) == t && "releasing a stale transaction");
+    assert(!t->holds_locks() && "the lock table points at this slot");
     ++generation_[slot.index];
     next_free_[slot.index] = free_head_;
     free_head_ = slot.index;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <map>
 #include <set>
 #include <vector>
@@ -69,6 +70,17 @@ TEST_P(LockManagerStressTest, MatchesReferenceModel) {
   LockManager lm(kItems);
   Model model;
   std::set<TxnId> live;  // txns currently holding (or having attempted)
+  // The transaction each id last attempted with; std::map keeps it at one
+  // address while the table points at it. Replaced only when it holds
+  // nothing.
+  std::map<TxnId, Transaction> txns;
+  const auto start = [&txns](TxnId txn, Transaction t) {
+    return &txns.insert_or_assign(txn, std::move(t)).first->second;
+  };
+  const auto release = [&txns, &lm](TxnId txn) {
+    auto it = txns.find(txn);
+    if (it != txns.end()) lm.Release(&it->second);
+  };
 
   for (int step = 0; step < 5000; ++step) {
     const int op = static_cast<int>(rng.UniformInt(0, 2));
@@ -81,7 +93,10 @@ TEST_P(LockManagerStressTest, MatchesReferenceModel) {
         items.push_back(static_cast<ItemId>(rng.UniformInt(0, kItems - 1)));
       }
       const bool can = model.CanShared(txn, items);
-      ASSERT_EQ(lm.TryAcquireSharedAll(txn, items), can) << "step " << step;
+      Transaction* q =
+          start(txn, Transaction::MakeQuery(txn, 0, 1, 10, 0.5, items));
+      ASSERT_EQ(lm.TryAcquireShared(q), can) << "step " << step;
+      ASSERT_EQ(q->holds_locks(), can) << "step " << step;
       if (can) {
         model.AcquireShared(txn, items);
         live.insert(txn);
@@ -92,24 +107,30 @@ TEST_P(LockManagerStressTest, MatchesReferenceModel) {
         Model copy = model;
         return copy.TryExclusive(txn, item);
       }();
-      auto attempt = lm.TryAcquireExclusive(txn, item);
+      Transaction* u = start(
+          txn, Transaction::MakeUpdate(txn, 0, 1, 10, item, false));
+      auto attempt = lm.TryAcquireExclusive(u);
       ASSERT_EQ(attempt.granted, expect) << "step " << step;
+      ASSERT_EQ(u->holds_locks(), expect) << "step " << step;
       if (expect) {
         model.TryExclusive(txn, item);
         live.insert(txn);
       } else {
-        // Conflict reporting must match the model's holders.
+        // Conflict reporting must match the model's holders, in id order.
         if (!attempt.shared_holders.empty()) {
-          for (TxnId h : attempt.shared_holders) {
-            ASSERT_TRUE(model.shared[item].count(h));
+          std::vector<TxnId> ids;
+          for (const Transaction* h : attempt.shared_holders) {
+            ids.push_back(h->id());
           }
+          const std::set<TxnId>& holders = model.shared[item];
+          ASSERT_EQ(ids, std::vector<TxnId>(holders.begin(), holders.end()))
+              << "step " << step;
         } else {
-          ASSERT_TRUE(attempt.blocked_by_exclusive);
-          ASSERT_TRUE(model.exclusive.count(item));
+          ASSERT_TRUE(model.exclusive.count(item));  // blocked by X
         }
       }
     } else {
-      lm.ReleaseAll(txn);
+      release(txn);
       model.Release(txn);
       live.erase(txn);
     }
@@ -119,7 +140,7 @@ TEST_P(LockManagerStressTest, MatchesReferenceModel) {
   }
   // Drain and verify everything unlocks.
   for (TxnId txn : live) {
-    lm.ReleaseAll(txn);
+    release(txn);
     model.Release(txn);
   }
   for (ItemId i = 0; i < kItems; ++i) {

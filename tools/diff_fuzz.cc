@@ -3,7 +3,7 @@
 // naive reference model, and compares semantic metrics, per-query outcomes,
 // and window series bit-for-bit (model/diff.h). A linear case sweep rotates
 // through {policy x faults on/off x streaming x shards x sessions x shedding
-// x cache}. On divergence the case is shrunk (ddmin-lite) and a replay line
+// x cache x flash crowd}. On divergence the case is shrunk (ddmin-lite) and a replay line
 // is printed: "diff_fuzz seed=S case=I" plus every override this run was
 // given, so pasting it reproduces the divergence.
 //
