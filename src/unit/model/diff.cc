@@ -477,9 +477,13 @@ StatusOr<DiffRun> RunRecorded(const Workload& workload,
   engine.series = record_series ? &series : nullptr;
   DiffRun run;
   if (reference) {
-    run.metrics = ReferenceEngine(workload, &recording, engine).Run();
+    ReferenceEngine e(workload, &recording, engine);
+    if (!e.workload_status().ok()) return e.workload_status();
+    run.metrics = e.Run();
   } else {
-    run.metrics = Engine(workload, &recording, engine).Run();
+    Engine e(workload, &recording, engine);
+    if (!e.workload_status().ok()) return e.workload_status();
+    run.metrics = e.Run();
   }
   run.queries = std::move(recording.records);
   run.series = series.samples();
@@ -598,7 +602,7 @@ std::string DescribeCase(const DiffCase& c) {
      << " shards=" << c.shards << " sjobs=" << c.shard_jobs
      << " sessions=" << c.engine.session.sessions
      << " shed=" << c.engine.shed_watermark
-     << " cache=" << c.engine.cache.capacity
+     << " cache=" << c.engine.cache.capacity << " shape=" << c.shape
      << " queries=" << c.workload.QueryCount()
      << " fault_windows=" << c.scenario.faults.size();
   return os.str();

@@ -61,6 +61,10 @@ struct DiffCase {
   /// Provenance for replay lines (filled by gen.h; -1 = hand-built case).
   uint64_t gen_seed = 0;
   int64_t gen_index = -1;
+  /// How gen.h reshaped the trace's times: "plain", "flash" (arrivals
+  /// squeezed into a short window), "coarse" (times on a 5 ms grid) or
+  /// "flash+coarse".
+  std::string shape = "plain";
 };
 
 /// Intentional defect injected into the *optimized* side only, for harness
@@ -121,7 +125,7 @@ struct DiffRun {
 /// the window series when `record_series`, and runs `workload` on the naive
 /// ReferenceEngine when `reference`, else on the optimized Engine. `engine`
 /// is used as given, except that the run attaches its own series recorder.
-/// Fails only on an unknown policy.
+/// Fails on an unknown policy and on update specs the database refuses.
 StatusOr<DiffRun> RunRecorded(const Workload& workload,
                               const std::string& policy,
                               const UsmWeights& weights,
@@ -152,8 +156,8 @@ struct DiffResult {
 /// Runs the optimized engine and the naive reference model on `c` and
 /// compares the RunMetrics fields tagged kCompared (sched/metrics.h),
 /// per-query outcomes, and (optionally) window series bit-for-bit. Fails
-/// (Status) only on setup errors: unknown policy or a fault scenario that
-/// does not compile against the workload.
+/// (Status) only on setup errors: unknown policy, update specs the database
+/// refuses, or a fault scenario that does not compile against the workload.
 StatusOr<DiffResult> RunDiff(const DiffCase& c, const DiffOptions& opts = {});
 
 /// Compares every RunMetrics field tagged OracleRole::kCompared bit for bit,
@@ -176,8 +180,8 @@ DiffCase ShrinkCase(const DiffCase& c, const DiffOptions& opts = {});
 
 /// One-line replayable description: "seed=S case=I policy=P
 /// discipline=edf|fcfs faults=0|1 stream=0|1 shards=K sjobs=J sessions=N
-/// shed=W cache=C queries=N fault_windows=F" — paste the seed/case pair into
-/// tools/diff_fuzz to reproduce.
+/// shed=W cache=C shape=S queries=N fault_windows=F" — paste the seed/case
+/// pair into tools/diff_fuzz to reproduce.
 std::string DescribeCase(const DiffCase& c);
 
 }  // namespace unitdb

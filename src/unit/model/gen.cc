@@ -214,6 +214,31 @@ DiffCase GenerateCase(uint64_t seed, int64_t index) {
       q.arrival = start + static_cast<SimTime>(
                               static_cast<double>(q.arrival) * squeeze);
     }
+    c.shape = "flash";
+  }
+
+  // ---- Coarse clock. A pure index rotation with no draw, so every other
+  // case keeps its workload. Snapping the trace's and the sources' times
+  // to a 5 ms grid, which the control periods already sit on, makes
+  // arrivals, completions, deadlines and timers tie: the engine's merge of
+  // its staged arrival and running completion into the event heap must
+  // then order them as the reference engine's single event list does.
+  const bool coarse_on = (index / 8) % 4 == 1;  // a quarter, every policy
+  if (coarse_on) {
+    constexpr SimDuration kGrid = MillisToSim(5.0);
+    auto snap = [](SimDuration t) { return (t + kGrid / 2) / kGrid * kGrid; };
+    for (QueryRequest& q : w.queries) {
+      q.arrival = snap(q.arrival);  // monotone: stays sorted, keeps ids
+      q.exec = std::max(kGrid, snap(q.exec));
+      q.relative_deadline =
+          std::max(q.exec + kGrid, snap(q.relative_deadline));
+    }
+    for (ItemUpdateSpec& u : w.updates) {
+      u.ideal_period = std::max(kGrid, snap(u.ideal_period));
+      u.update_exec = std::max(kGrid, snap(u.update_exec));
+      u.phase = std::min(snap(u.phase), u.ideal_period - kGrid);
+    }
+    c.shape = flash_on ? "flash+coarse" : "coarse";
   }
 
   return c;

@@ -16,7 +16,7 @@ namespace unitdb {
 ///
 /// The case matrix rotates with `index` so a linear sweep covers
 /// {policy x faults on/off x streaming x shards x sessions x shedding x
-/// cache x flash crowd}:
+/// cache x flash crowd x coarse clock}:
 ///
 ///   policy              = {unit, imu, odu, qmf}[index % 4]
 ///   faults attached     = (index / 16) % 2 == 0
@@ -28,6 +28,13 @@ namespace unitdb {
 ///   result cache on     = (index / 1024) % 2 == 1 (freshness-aware cache)
 ///   flash crowd         = index % 8 == 0  (unit policy; every arrival
 ///                         squeezed into 1-5% of the run)
+///   coarse clock        = (index / 8) % 4 == 1  (every policy; arrivals,
+///                         query exec times and deadlines, and update
+///                         periods, phases and exec times snapped to a
+///                         5 ms grid, so events tie)
+///
+/// DescribeCase prints the last two as shape=plain|flash|coarse|
+/// flash+coarse.
 ///
 /// Everything else is drawn from Rng(SplitMix64(seed ^ SplitMix64(index))).
 /// The knob rotations are index arithmetic only (no RNG draw), so adding a

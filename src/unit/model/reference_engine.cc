@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 
 #include "unit/common/logging.h"
 #include "unit/faults/schedule.h"
@@ -24,10 +25,7 @@ ReferenceEngine::ReferenceEngine(const Workload& workload, Policy* policy,
   // see nothing, so refuse it outright rather than half-support it.
   params_.trace = nullptr;
   db_.SetSourceHorizon(workload.duration);
-  Status s = db_.ApplySpecs(workload.updates);
-  if (!s.ok()) {
-    UNIT_LOG(Error) << "bad workload update specs: " << s.ToString();
-  }
+  workload_status_ = db_.ApplySpecs(workload.updates);
   metrics_.duration_s = SimToSeconds(workload.duration);
   queries_.reserve(static_cast<size_t>(workload.QueryCount()));
   QueryRequest q;
@@ -45,6 +43,11 @@ ReferenceEngine::ReferenceEngine(const Workload& workload, Policy* policy,
 RunMetrics ReferenceEngine::Run() {
   assert(!ran_ && "ReferenceEngine::Run must be called at most once");
   ran_ = true;
+  if (!workload_status_.ok()) {
+    UNIT_LOG(Error) << "bad workload update specs: "
+                    << workload_status_.ToString();
+    std::abort();
+  }
   policy_->Attach(*this);
   ScheduleInitialEvents();
   while (!events_.empty()) {
@@ -553,7 +556,6 @@ void ReferenceEngine::TryDispatch() {
 
 void ReferenceEngine::StartRunning(Transaction* t) {
   t->set_state(TxnState::kRunning);
-  t->BumpDispatchGeneration();
   running_ = t;
   run_start_ = now_;
   Push(now_ + t->remaining(), EventType::kCompletion, t->id());
@@ -635,7 +637,6 @@ void ReferenceEngine::RestartQuery(Transaction* t) {
   ReleaseLocksOf(t);
   t->ResetWork();
   t->IncrementRestarts();
-  t->BumpDispatchGeneration();
   t->set_state(TxnState::kReady);
   ReadyInsert(t);
   ++metrics_.lock_restarts;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "unit/common/rng.h"
+#include "unit/common/status.h"
 #include "unit/common/types.h"
 #include "unit/core/policy.h"
 #include "unit/db/database.h"
@@ -74,8 +75,13 @@ class ReferenceEngine final : public EngineContext {
   ReferenceEngine(const ReferenceEngine&) = delete;
   ReferenceEngine& operator=(const ReferenceEngine&) = delete;
 
+  /// Whether the database accepted the workload's update specs, as in
+  /// Engine::workload_status().
+  const Status& workload_status() const { return workload_status_; }
+
   /// Runs the whole workload to completion and returns the collected
-  /// metrics. Call at most once.
+  /// metrics. Call at most once. Aborts in every build type when
+  /// workload_status() is not OK.
   RunMetrics Run();
 
   // --- EngineContext ---
@@ -105,8 +111,9 @@ class ReferenceEngine final : public EngineContext {
   const Transaction& txn(TxnId id) const { return txns_[id]; }
 
  private:
-  /// One scheduled event. Unlike the optimized queue there is no lazy
-  /// generation check: events that can no longer fire are erased eagerly.
+  /// One scheduled event. Unlike the optimized engine, every trace arrival
+  /// is pushed up front and every completion is pushed at dispatch, and an
+  /// event that can no longer fire is erased eagerly, not tombstoned.
   struct RefEvent {
     SimTime time = 0;
     uint64_t seq = 0;  ///< FIFO tie-break at equal timestamps
@@ -181,11 +188,13 @@ class ReferenceEngine final : public EngineContext {
   /// The query trace, materialized in the constructor and scheduled whole
   /// up front — deliberately: the reference keeps the naive push-all
   /// schedule so the differential harness cross-checks the optimized
-  /// engine's staged arrivals (reserved FIFO sequences, one pending arrival)
-  /// and slab recycling against the simplest possible representation.
+  /// engine's merge (one staged arrival and the running completion, both
+  /// kept out of its timer heap) and slab recycling against the simplest
+  /// possible representation.
   std::vector<QueryRequest> queries_;
 
   Database db_;
+  Status workload_status_;
   Rng rng_;
 
   std::vector<RefEvent> events_;

@@ -35,10 +35,7 @@ Engine::Engine(const Workload& workload, Policy* policy, EngineParams params)
       cache_(params.cache) {
   assert(policy_ != nullptr);
   db_.SetSourceHorizon(workload.duration);
-  Status s = db_.ApplySpecs(workload.updates);
-  if (!s.ok()) {
-    UNIT_LOG(Error) << "bad workload update specs: " << s.ToString();
-  }
+  workload_status_ = db_.ApplySpecs(workload.updates);
   metrics_.duration_s = SimToSeconds(workload.duration);
   if (params_.faults != nullptr) {
     item_outage_.assign(workload.num_items, 0);
@@ -48,53 +45,76 @@ Engine::Engine(const Workload& workload, Policy* policy, EngineParams params)
 RunMetrics Engine::Run() {
   assert(!ran_ && "Engine::Run must be called at most once");
   ran_ = true;
+  if (!workload_status_.ok()) [[unlikely]] {
+    // Its update chains would name items the database never set up.
+    UNIT_LOG(Error) << "bad workload update specs: "
+                    << workload_status_.ToString();
+    std::abort();
+  }
   policy_->Attach(*this);
   ScheduleInitialEvents();
-  while (!events_.empty()) {
+  while (staged_ || running_ != nullptr || !events_.empty()) {
     if (events_.ShouldCompact()) {
       const size_t removed =
           events_.CompactIf([this](const Event& ev) { return EventIsDead(ev); });
       ++metrics_.event_compactions;
       metrics_.events_compacted += static_cast<int64_t>(removed);
-      if (events_.empty()) break;
+      continue;  // the pass may have emptied the heap
     }
-    const Event e = events_.Pop();
     ++metrics_.events_processed;
-    assert(e.time >= now_);
-    // Drop dead (lazily cancelled) events before they advance the clock:
-    // their handlers would no-op anyway, and the end-of-run time — which
-    // the trailing window sample observes — must not depend on whether a
-    // stale completion/deadline tombstone was compacted away earlier.
-    if (EventIsDead(e)) continue;
-    now_ = e.time;
-    switch (e.type) {
-      case EventType::kQueryArrival:
-        HandleQueryArrival(e.payload);
-        break;
-      case EventType::kUpdateArrival:
-        HandleUpdateArrival(static_cast<ItemId>(e.payload));
-        break;
-      case EventType::kCompletion:
-        HandleCompletion(e.payload, e.generation);
-        break;
-      case EventType::kQueryDeadline:
-        HandleQueryDeadline(e.payload);
-        break;
-      case EventType::kControlTick:
-        HandleControlTick();
-        break;
-      case EventType::kFaultEdge:
-        HandleFaultEdge(e.payload);
-        break;
-      case EventType::kFaultQueryArrival:
-        HandleFaultQueryArrival(e.payload);
-        break;
-      case EventType::kFaultUpdateArrival:
-        HandleFaultUpdateArrival(e.payload);
-        break;
-      case EventType::kClientResubmit:
-        HandleClientResubmit(e.payload);
-        break;
+    // Three sources, merged in the (time, seq) order of one queue holding
+    // them all. The staged arrival wins every tie: pushed up front, arrival
+    // i would hold sequence i, below every other event's. The completion
+    // holds the sequence taken at its dispatch.
+    const Event* top = events_.empty() ? nullptr : &events_.Top();
+    const SimTime done =
+        running_ != nullptr ? run_start_ + running_->remaining() : 0;
+    if (staged_ && (top == nullptr || staged_query_.arrival <= top->time) &&
+        (running_ == nullptr || staged_query_.arrival <= done)) {
+      now_ = staged_query_.arrival;
+      AdmitArrivedQuery(staged_query_);
+      StageQuery();
+    } else if (running_ != nullptr &&
+               (top == nullptr || done < top->time ||
+                (done == top->time && completion_seq_ < top->seq))) {
+      assert(done >= now_);
+      now_ = done;
+      CompleteRunning();
+    } else {
+      const Event e = events_.Pop();
+      assert(e.time >= now_);
+      // Drop dead (lazily cancelled) events before they advance the clock:
+      // their handlers would no-op anyway, and the end-of-run time — which
+      // the trailing window sample observes — must not depend on whether a
+      // deadline tombstone was compacted away earlier.
+      if (EventIsDead(e)) continue;
+      now_ = e.time;
+      switch (e.type) {
+        case EventType::kQueryArrival:  // staged off the heap (above)
+        case EventType::kCompletion:    // held by running_ (above)
+          break;
+        case EventType::kUpdateArrival:
+          HandleUpdateArrival(static_cast<ItemId>(e.payload));
+          break;
+        case EventType::kQueryDeadline:
+          HandleQueryDeadline(e.payload);
+          break;
+        case EventType::kControlTick:
+          HandleControlTick();
+          break;
+        case EventType::kFaultEdge:
+          HandleFaultEdge(e.payload);
+          break;
+        case EventType::kFaultQueryArrival:
+          HandleFaultQueryArrival(e.payload);
+          break;
+        case EventType::kFaultUpdateArrival:
+          HandleFaultUpdateArrival(e.payload);
+          break;
+        case EventType::kClientResubmit:
+          HandleClientResubmit(e.payload);
+          break;
+      }
     }
     // Every handler may have queued work — an arrival, a policy refresh
     // issued from a control tick — so the CPU is offered after each event.
@@ -176,16 +196,11 @@ Transaction* Engine::NewUpdateTxn(ItemId item, SimDuration relative_deadline,
 }
 
 void Engine::ScheduleInitialEvents() {
-  // Query arrivals stream from the trace cursor. Pushing all n up front
-  // would give them FIFO tie-break sequences 0..n-1; reserve exactly those,
-  // push only the first arrival, and let each arrival handler stage the
-  // next one under its reserved sequence. The pop order (and thus the whole
-  // simulation) is that of the push-all schedule the reference engine
-  // keeps, while only one pending arrival event and one staged
-  // QueryRequest exist at a time.
-  events_.ReserveSequences(static_cast<uint64_t>(workload_.QueryCount()));
+  // Query arrivals stream from the trace cursor, one staged at a time; Run
+  // merges the staged one in ahead of every event at its instant, the order
+  // of the push-all schedule the reference engine keeps.
   query_cursor_ = workload_.NewQueryCursor();
-  StageQuery(0);
+  StageQuery();
   if (policy_->UsesPeriodicUpdates()) {
     for (const auto& spec : workload_.updates) {
       if (spec.ideal_period <= 0 || spec.ideal_period >= kNoUpdates) continue;
@@ -218,9 +233,9 @@ void Engine::ScheduleInitialEvents() {
   }
 }
 
-void Engine::StageQuery(int64_t query_index) {
-  if (!query_cursor_->Next(&staged_query_)) return;
-  if (staged_query_.arrival < now_) [[unlikely]] {
+void Engine::StageQuery() {
+  staged_ = query_cursor_->Next(&staged_query_);
+  if (staged_ && staged_query_.arrival < now_) [[unlikely]] {
     // Replaying it would step the clock back: stop in every build type.
     UNIT_LOG(Error) << "query " << staged_query_.id << " arrives at "
                     << SimToSeconds(staged_query_.arrival) << " s, before "
@@ -228,14 +243,6 @@ void Engine::StageQuery(int64_t query_index) {
                     << " s: trace arrivals must not decrease";
     std::abort();
   }
-  events_.PushWithSeq(staged_query_.arrival,
-                      static_cast<uint64_t>(query_index),
-                      EventType::kQueryArrival, query_index);
-}
-
-void Engine::HandleQueryArrival(int64_t query_index) {
-  AdmitArrivedQuery(staged_query_);
-  StageQuery(query_index + 1);
 }
 
 void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
@@ -385,19 +392,8 @@ TxnId Engine::IssueOnDemandUpdate(ItemId item) {
   return t->id();
 }
 
-void Engine::HandleCompletion(int64_t handle, uint64_t generation) {
-  Transaction* t = txns_.Get(handle);
-  if (t == nullptr || t != running_ || t->state() != TxnState::kRunning ||
-      t->dispatch_generation() != generation) {
-    return;  // stale completion (preempted, aborted, or slot recycled)
-  }
-  CompleteRunning(t);
-}
-
 void Engine::HandleQueryDeadline(int64_t handle) {
-  Transaction* t = txns_.Get(handle);
-  if (t == nullptr || t->Terminal()) return;  // resolved; slot maybe recycled
-  AbortQuery(t, Outcome::kDeadlineMiss);
+  AbortQuery(txns_.Get(handle), Outcome::kDeadlineMiss);
 }
 
 void Engine::HandleControlTick() {
@@ -515,11 +511,9 @@ void Engine::TryDispatch() {
 
 void Engine::StartRunning(Transaction* t) {
   t->set_state(TxnState::kRunning);
-  t->BumpDispatchGeneration();
   running_ = t;
   run_start_ = now_;
-  events_.Push(now_ + t->remaining(), EventType::kCompletion,
-               t->slab_handle(), t->dispatch_generation());
+  completion_seq_ = events_.TakeSeq();
 }
 
 void Engine::PreemptRunning() {
@@ -527,9 +521,6 @@ void Engine::PreemptRunning() {
   const SimDuration ran = now_ - run_start_;
   metrics_.busy_s += SimToSeconds(ran);
   t->set_remaining(t->remaining() - ran);
-  t->BumpDispatchGeneration();  // the pending completion event goes stale
-  events_.NoteCancelled();
-  ++metrics_.events_cancelled;
   t->set_state(TxnState::kReady);
   running_ = nullptr;
   ReadyInsert(t);
@@ -583,7 +574,6 @@ void Engine::RestartQuery(Transaction* t) {
   ReleaseLocksOf(t);
   t->ResetWork();
   t->IncrementRestarts();
-  t->BumpDispatchGeneration();
   t->set_state(TxnState::kReady);
   ReadyInsert(t);
   ++metrics_.lock_restarts;
@@ -596,9 +586,6 @@ void Engine::AbortQuery(Transaction* t, Outcome outcome) {
     const SimDuration ran = now_ - run_start_;
     metrics_.busy_s += SimToSeconds(ran);
     t->set_remaining(t->remaining() - ran);
-    t->BumpDispatchGeneration();  // the pending completion event goes stale
-    events_.NoteCancelled();
-    ++metrics_.events_cancelled;
     running_ = nullptr;
   } else if (t->state() == TxnState::kReady) {
     ReadyRemove(t);
@@ -652,9 +639,9 @@ void Engine::ResolveQuery(Transaction* t, Outcome outcome) {
         break;
     }
   }
-  // Terminal: recycle the slot (and the read set's storage). Outstanding
-  // deadline/completion events carry the now-stale slab handle and resolve
-  // to nullptr.
+  // Terminal: recycle the slot (and the read set's storage). An outstanding
+  // deadline event carries the now-stale slab handle and resolves to
+  // nullptr.
   txns_.Release(t);
 }
 
@@ -664,7 +651,8 @@ void Engine::ReleaseLocksOf(Transaction* t) {
   UnblockAll();
 }
 
-void Engine::CompleteRunning(Transaction* t) {
+void Engine::CompleteRunning() {
+  Transaction* t = running_;
   const SimDuration ran = now_ - run_start_;
   metrics_.busy_s += SimToSeconds(ran);
   t->set_remaining(0);
@@ -895,20 +883,9 @@ void Engine::ReadyRemove(Transaction* t) {
 }
 
 bool Engine::EventIsDead(const Event& e) const {
-  switch (e.type) {
-    case EventType::kCompletion: {
-      const Transaction* t = txns_.Get(e.payload);
-      return t == nullptr || t != running_ ||
-             t->state() != TxnState::kRunning ||
-             t->dispatch_generation() != e.generation;
-    }
-    case EventType::kQueryDeadline: {
-      const Transaction* t = txns_.Get(e.payload);
-      return t == nullptr || t->Terminal();
-    }
-    default:
-      return false;
-  }
+  if (e.type != EventType::kQueryDeadline) return false;
+  const Transaction* t = txns_.Get(e.payload);
+  return t == nullptr || t->Terminal();
 }
 
 }  // namespace unitdb

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "unit/common/rng.h"
+#include "unit/common/status.h"
 #include "unit/common/types.h"
 #include "unit/core/admission.h"
 #include "unit/core/policy.h"
@@ -34,8 +35,9 @@ enum class TraceEventType : uint8_t;
 /// modulation. Deterministic for a fixed (workload, policy, params) triple.
 ///
 /// This is the optimized EngineContext implementation (admission index,
-/// intrusive ready-queue heaps, lazy event cancellation); the semantically
-/// identical naive implementation lives in model/reference_engine.h.
+/// intrusive ready-queue heaps, a timer-only event heap with lazy deadline
+/// cancellation); the semantically identical naive implementation lives in
+/// model/reference_engine.h.
 class Engine final : public EngineContext {
  public:
   /// `workload` and `policy` must outlive the engine; neither is owned.
@@ -44,8 +46,14 @@ class Engine final : public EngineContext {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
+  /// Whether the database accepted the workload's update specs
+  /// (Database::ApplySpecs): a duplicate item or one outside the item range
+  /// fails. Check it before Run.
+  const Status& workload_status() const { return workload_status_; }
+
   /// Runs the whole workload to completion and returns the collected
-  /// metrics. Call at most once.
+  /// metrics. Call at most once. Aborts in every build type when
+  /// workload_status() is not OK.
   RunMetrics Run();
 
   // --- introspection for policies (valid during hooks) ---
@@ -112,9 +120,9 @@ class Engine final : public EngineContext {
   void ReadyInsert(Transaction* t);
   void ReadyRemove(Transaction* t);
 
-  /// Whether a scheduled event's handler would no-op if popped now; the
-  /// predicate compaction uses to drop tombstones. Mirrors the staleness
-  /// checks in HandleCompletion / HandleQueryDeadline exactly.
+  /// Whether a popped event is a tombstone: a deadline whose query already
+  /// resolved (its slot may be recycled). Run skips such an event without
+  /// advancing the clock, and compaction drops it.
   bool EventIsDead(const Event& e) const;
 
   bool tracing() const { return params_.trace != nullptr; }
@@ -143,15 +151,11 @@ class Engine final : public EngineContext {
   void RecordWindowSample();
 
   void ScheduleInitialEvents();
-  /// Stages the cursor's next query under its reserved FIFO sequence (its
-  /// trace position); aborts in every build type if it arrives before now.
-  void StageQuery(int64_t query_index);
-  void HandleQueryArrival(int64_t query_index);
+  /// Reads the cursor's next query into staged_query_ (clears staged_ at the
+  /// end of the trace); aborts in every build type if it arrives before now.
+  void StageQuery();
   void HandleUpdateArrival(ItemId item);
-  /// `handle` is the transaction's packed slab handle (TxnSlot), not its id:
-  /// a stale handle (slot released, possibly reused) resolves to nullptr and
-  /// the event is dead — the same staleness test EventIsDead applies.
-  void HandleCompletion(int64_t handle, uint64_t generation);
+  /// `handle` is the live query's packed slab handle (TxnSlot), not its id.
   void HandleQueryDeadline(int64_t handle);
   void HandleControlTick();
   /// Flips a fault's effect on (start edge) or off (stop edge).
@@ -183,7 +187,8 @@ class Engine final : public EngineContext {
   void TryDispatch();
   void StartRunning(Transaction* t);
   void PreemptRunning();
-  void CompleteRunning(Transaction* t);
+  /// Commits the running transaction at its completion instant.
+  void CompleteRunning();
   /// Attempts lock acquisition for t; may block t or restart S holders.
   /// Returns true when t holds everything it needs.
   bool AcquireLocks(Transaction* t);
@@ -202,6 +207,7 @@ class Engine final : public EngineContext {
   EngineParams params_;
 
   Database db_;
+  Status workload_status_;
   LockManager locks_;
   ReadyQueue ready_;
   EventQueue events_;
@@ -216,14 +222,21 @@ class Engine final : public EngineContext {
   std::vector<Transaction*> blocked_;
   std::vector<int64_t> pending_updates_per_item_;
 
-  /// Cursor over the workload's query trace with the next query staged:
-  /// its arrival event already sits in the heap under its reserved FIFO
-  /// sequence (its trace position).
+  /// Cursor over the workload's query trace with the next query staged.
+  /// The staged arrival stays out of the event heap: Run takes it first at
+  /// any instant it shares with a heap event or the running completion, the
+  /// order it would have had if every arrival were pushed up front.
   std::unique_ptr<QueryCursor> query_cursor_;
   QueryRequest staged_query_;
+  bool staged_ = false;
 
+  /// The running transaction completes at run_start_ + remaining() unless
+  /// preempted or aborted first, which just clears running_. Its completion
+  /// stays out of the event heap and is ordered against it by
+  /// completion_seq_, the FIFO sequence taken at dispatch.
   Transaction* running_ = nullptr;
   SimTime run_start_ = 0;
+  uint64_t completion_seq_ = 0;
   SimTime now_ = 0;
   bool ran_ = false;
 

@@ -94,8 +94,9 @@ struct AdmissionProjection {
 /// controller) programs against: the simulation clock, the database, queue
 /// introspection, on-demand updates, and run counters. Two implementations
 /// exist — the optimized production engine (sched/engine.h: admission index,
-/// intrusive heaps, lazy event cancellation) and the deliberately naive
-/// reference engine (model/reference_engine.h: straight-line linear scans).
+/// intrusive heaps, a timer-only event heap that the staged arrival and the
+/// running completion are merged into) and the deliberately naive reference
+/// engine (model/reference_engine.h: straight-line linear scans).
 /// Policies written against this interface run unchanged on both, which is
 /// what makes differential testing of the optimized engine possible.
 class EngineContext {

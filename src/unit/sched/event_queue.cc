@@ -2,15 +2,8 @@
 
 namespace unitdb {
 
-void EventQueue::Push(SimTime time, EventType type, int64_t payload,
-                      uint64_t generation) {
-  events_.push_back(Event{time, next_seq_++, type, payload, generation});
-  std::push_heap(events_.begin(), events_.end(), Later{});
-}
-
-void EventQueue::PushWithSeq(SimTime time, uint64_t seq, EventType type,
-                             int64_t payload, uint64_t generation) {
-  events_.push_back(Event{time, seq, type, payload, generation});
+void EventQueue::Push(SimTime time, EventType type, int64_t payload) {
+  events_.push_back(Event{time, next_seq_++, type, payload});
   std::push_heap(events_.begin(), events_.end(), Later{});
 }
 

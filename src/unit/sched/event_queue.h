@@ -10,12 +10,16 @@
 
 namespace unitdb {
 
-/// Kinds of events the discrete-event engine processes.
+/// Kinds of events the discrete-event engines process. Engine keeps its
+/// staged trace arrival and its running transaction's completion outside
+/// the queue, so it pushes neither kQueryArrival nor kCompletion; the
+/// reference engine pushes both.
 enum class EventType {
   kQueryArrival = 0,   ///< payload: position in the workload's query trace
   kUpdateArrival,      ///< payload: item id
-  kCompletion,         ///< payload: txn id + dispatch generation
-  kQueryDeadline,      ///< payload: txn id (firm-deadline expiry)
+  kCompletion,         ///< payload: txn id
+  kQueryDeadline,      ///< payload: txn slab handle (Engine) or txn id
+                       ///< (ReferenceEngine); firm-deadline expiry
   kControlTick,        ///< periodic policy/monitoring tick
   kFaultEdge,          ///< payload: index into the fault schedule's edges
   kFaultQueryArrival,  ///< payload: index into the injected query list
@@ -30,34 +34,25 @@ struct Event {
   SimTime time = 0;
   uint64_t seq = 0;
   EventType type = EventType::kControlTick;
-  int64_t payload = 0;      ///< txn id, item id, or query index per type
-  uint64_t generation = 0;  ///< dispatch generation for kCompletion
+  int64_t payload = 0;  ///< txn handle, item id, or index per type
 };
 
 /// Deterministic min-heap of events ordered by (time, seq), with lazy
 /// cancellation support: the engine tombstones events whose handler would
-/// no-op (a query resolved before its deadline event; a completion whose
-/// dispatch generation went stale) and periodically compacts the heap so
-/// dead events stop paying O(log n) sift costs on heavy update traces.
+/// no-op (a query resolved before its deadline event) and periodically
+/// compacts the heap so dead events stop paying O(log n) sift costs on
+/// heavy update traces.
 class EventQueue {
  public:
   /// Out of line (event_queue.cc) on purpose: the inlined push_heap body is
   /// several hundred bytes, and letting the compiler splice it into every
   /// engine handler measurably slows the event loop (icache pressure).
-  void Push(SimTime time, EventType type, int64_t payload,
-            uint64_t generation = 0);
+  void Push(SimTime time, EventType type, int64_t payload);
 
-  /// Push with an explicitly chosen FIFO tie-break sequence instead of the
-  /// auto counter. Used for query arrivals: the engine pushes arrival i
-  /// lazily (while handling arrival i-1) under the sequence i it would have
-  /// had if all arrivals were pushed up front — pair with ReserveSequences
-  /// so the auto counter never collides.
-  void PushWithSeq(SimTime time, uint64_t seq, EventType type, int64_t payload,
-                   uint64_t generation = 0);
-
-  /// Pre-advances the auto sequence counter by `n`, reserving sequences
-  /// [current, current + n) for PushWithSeq. Call before any Push.
-  void ReserveSequences(uint64_t n) { next_seq_ += n; }
+  /// Takes the next FIFO sequence without pushing an event: the engine
+  /// orders its running transaction's completion against the queue by the
+  /// sequence a push at dispatch would have had.
+  uint64_t TakeSeq() { return next_seq_++; }
 
   bool empty() const { return events_.empty(); }
   size_t size() const { return events_.size(); }

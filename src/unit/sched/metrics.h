@@ -44,8 +44,9 @@ enum class OracleRole {
   /* Simulated run length and CPU busy time (aggregate over shard CPUs). */  \
   X(double, duration_s, kSame, kCompared)                                    \
   X(double, busy_s, kSum, kCompared)                                         \
-  /* Engine hot path: events popped, events tombstoned by lazy               \
-     cancellation, heap compaction passes, dead events removed, largest      \
+  /* Engine hot path: events handled (staged arrivals, completions and       \
+     heap pops, dead deadlines included), deadlines tombstoned by an early   \
+     commit, heap compaction passes, dead events removed, largest            \
      ready-queue size. */                                                    \
   X(int64_t, events_processed, kSum, kTelemetry)                             \
   X(int64_t, events_cancelled, kSum, kTelemetry)                             \

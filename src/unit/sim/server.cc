@@ -59,8 +59,12 @@ StatusOr<std::unique_ptr<Server>> Server::Create(const Workload& workload,
                                                  const Config& config) {
   auto policy = MakePolicy(config.policy, config.weights, config.options);
   if (!policy.ok()) return policy.status();
-  return std::unique_ptr<Server>(
+  std::unique_ptr<Server> server(
       new Server(workload, config, std::move(*policy)));
+  if (!server->engine_.workload_status().ok()) {
+    return server->engine_.workload_status();
+  }
+  return server;
 }
 
 Server::Server(const Workload& workload, Config config,

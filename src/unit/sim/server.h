@@ -43,7 +43,9 @@ class Server {
     PolicyOptions options;
   };
 
-  /// Fails on an unknown policy name. `workload` must outlive the server.
+  /// Fails on an unknown policy name and on update specs the database
+  /// refuses (Engine::workload_status()). `workload` must outlive the
+  /// server.
   static StatusOr<std::unique_ptr<Server>> Create(const Workload& workload,
                                                   const Config& config);
 

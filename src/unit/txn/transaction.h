@@ -100,11 +100,6 @@ class Transaction {
   int refresh_rounds() const { return refresh_rounds_; }
   void IncrementRefreshRounds() { ++refresh_rounds_; }
 
-  /// Generation counter invalidating stale completion events after
-  /// preemption or abort.
-  uint64_t dispatch_generation() const { return dispatch_gen_; }
-  void BumpDispatchGeneration() { ++dispatch_gen_; }
-
   SimTime commit_time() const { return commit_time_; }
   void set_commit_time(SimTime t) { commit_time_ = t; }
 
@@ -121,8 +116,8 @@ class Transaction {
   /// Packed {slot index, generation} handle of this transaction in its
   /// owning TxnSlab (txn/txn_slab.h); 0 when the transaction does not live
   /// in a slab (reference engine, tests). Stamped by the slab on allocation
-  /// and carried by completion/deadline events so a recycled slot turns
-  /// stale events into no-ops.
+  /// and carried by deadline events so a recycled slot turns a stale
+  /// deadline into a no-op.
   int64_t slab_handle() const { return slab_handle_; }
   void set_slab_handle(int64_t h) { slab_handle_ = h; }
 
@@ -148,7 +143,6 @@ class Transaction {
   bool holds_locks_ = false;
   int restarts_ = 0;
   int refresh_rounds_ = 0;
-  uint64_t dispatch_gen_ = 0;
   SimTime commit_time_ = -1;
   double observed_freshness_ = -1.0;
   int32_t ready_pos_ = -1;

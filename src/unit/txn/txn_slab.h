@@ -11,7 +11,7 @@
 namespace unitdb {
 
 /// Generation-tagged handle of a slot in a TxnSlab, packed into one int64 so
-/// engine events (kCompletion / kQueryDeadline payloads) can carry it. The
+/// an engine event (the kQueryDeadline payload) can carry it. The
 /// generation disambiguates reuse: releasing a slot bumps its generation, so
 /// a handle minted before the release no longer resolves.
 struct TxnSlot {

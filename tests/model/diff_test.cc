@@ -321,16 +321,45 @@ TEST(PerturbationTest, ShrinkReturnsCleanCaseUnchanged) {
   EXPECT_EQ(shrunk.scenario.faults.size(), c.scenario.faults.size());
 }
 
+TEST(GenTest, CoarseClockPutsTimesOnAFiveMillisecondGrid) {
+  const SimDuration grid = MillisToSim(5.0);
+  for (int64_t index = 8; index < 16; ++index) {  // (index / 8) % 4 == 1
+    const DiffCase c = GenerateCase(11, index);
+    EXPECT_EQ(c.shape, index == 8 ? "flash+coarse" : "coarse");
+    SimTime last = 0;
+    for (const QueryRequest& q : c.workload.queries) {
+      EXPECT_EQ(q.arrival % grid, 0);
+      EXPECT_GE(q.arrival, last);
+      last = q.arrival;
+      EXPECT_EQ(q.exec % grid, 0);
+      EXPECT_GT(q.exec, 0);
+      EXPECT_EQ(q.relative_deadline % grid, 0);
+      EXPECT_GT(q.relative_deadline, q.exec);
+    }
+    EXPECT_LT(last, c.workload.duration);
+    for (const ItemUpdateSpec& u : c.workload.updates) {
+      EXPECT_EQ(u.ideal_period % grid, 0);
+      EXPECT_EQ(u.update_exec % grid, 0);
+      EXPECT_GT(u.update_exec, 0);
+      EXPECT_EQ(u.phase % grid, 0);
+      EXPECT_GE(u.phase, 0);
+      EXPECT_LT(u.phase, u.ideal_period);
+    }
+  }
+  EXPECT_EQ(GenerateCase(11, 7).shape, "plain");
+  EXPECT_EQ(GenerateCase(11, 16).shape, "flash");
+}
+
 TEST(DescribeCaseTest, MentionsEveryMatrixAxis) {
   const std::string line = DescribeCase(GenerateCase(9, 21));
   for (const char* key :
        {"seed=9", "case=21", "policy=", "discipline=", "faults=", "stream=",
-        "shards=", "sjobs=", "sessions=", "shed=", "cache=", "queries=",
-        "fault_windows="}) {
+        "shards=", "sjobs=", "sessions=", "shed=", "cache=", "shape=",
+        "queries=", "fault_windows="}) {
     EXPECT_NE(line.find(key), std::string::npos) << line;
   }
   // Nothing else: each key the line prints is one checked above.
-  EXPECT_EQ(std::count(line.begin(), line.end(), '='), 13) << line;
+  EXPECT_EQ(std::count(line.begin(), line.end(), '='), 14) << line;
   DiffCase fcfs = GenerateCase(9, 21);
   fcfs.engine.discipline = QueueDiscipline::kFcfs;
   EXPECT_NE(DescribeCase(fcfs).find("discipline=fcfs"), std::string::npos);

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "testing/fake_policy.h"
+#include "unit/model/diff.h"
 #include "unit/model/reference_engine.h"
 #include "unit/sched/engine.h"
 #include "unit/sim/server.h"
@@ -131,9 +136,10 @@ TEST(EngineEdgeTest, QueryReadingManyItemsLocksAtomically) {
   EXPECT_EQ(m.counts.success + m.counts.dmf + m.counts.dsf, 1);
 }
 
-TEST(EngineEdgeTest, DeadlineExactlyAtCompletionCommitsFirst) {
-  // Completion and deadline land on the same instant; the completion event
-  // was scheduled first (FIFO tie-break), so the query succeeds.
+TEST(EngineEdgeTest, DeadlineScheduledBeforeDispatchBeatsTheCompletion) {
+  // Completion and deadline land on the same instant. The deadline was
+  // scheduled at admission, before the dispatch that scheduled the
+  // completion, so the firm deadline wins the tie: a DMF, deterministically.
   Workload w = Empty(1, 10.0);
   QueryRequest q = Query(0, 1.0, 100.0, 0.1, {0});
   w.queries.push_back(q);
@@ -141,10 +147,180 @@ TEST(EngineEdgeTest, DeadlineExactlyAtCompletionCommitsFirst) {
   Engine engine(w, &policy, {});
   RunMetrics m = engine.Run();
   EXPECT_EQ(m.counts.dmf + m.counts.success, 1);
-  // Deadline event (scheduled at admission) precedes the completion event
-  // (scheduled at dispatch) in the queue for equal timestamps, so the firm
-  // deadline wins the tie: this is a DMF, deterministically.
   EXPECT_EQ(m.counts.dmf, 1);
+}
+
+// --- Tie order at one instant -------------------------------------------
+//
+// Engine keeps the staged trace arrival and the running transaction's
+// completion out of its event heap and merges them in. At one instant the
+// arrival comes first; the completion comes after the heap events
+// scheduled before its dispatch and before those scheduled after it. The
+// tests below log what a scripted policy sees, in order, on both engines
+// (the reference engine pushes every event into one list), and run the
+// same workload through RunDiff.
+
+using Log = std::vector<std::string>;
+
+/// A query whose times are whole milliseconds, so that ties are exact.
+QueryRequest QueryMs(TxnId id, int64_t arrival_ms, int64_t exec_ms,
+                     int64_t deadline_ms, ItemId item) {
+  QueryRequest q;
+  q.id = id;
+  q.arrival = MillisToSim(static_cast<double>(arrival_ms));
+  q.exec = MillisToSim(static_cast<double>(exec_ms));
+  q.relative_deadline = MillisToSim(static_cast<double>(deadline_ms));
+  q.freshness_req = 0.0;
+  q.items = {item};
+  return q;
+}
+
+ItemUpdateSpec SourceMs(ItemId item, int64_t period_ms, int64_t exec_ms,
+                        int64_t phase_ms) {
+  ItemUpdateSpec s;
+  s.item = item;
+  s.ideal_period = MillisToSim(static_cast<double>(period_ms));
+  s.update_exec = MillisToSim(static_cast<double>(exec_ms));
+  s.phase = MillisToSim(static_cast<double>(phase_ms));
+  return s;
+}
+
+/// Runs `w` on Engine and on ReferenceEngine under a policy that admits
+/// every query and logs, at each step, "<ms> <what>": admissions and
+/// resolutions (by trace id), source arrivals, update commits and control
+/// ticks.
+/// `on_source` runs after each source arrival is logged. Expects both logs
+/// to equal `want` and the compared metrics to agree bit for bit. Then runs
+/// `w` through RunDiff under IMU, which also admits every query.
+void ExpectTieOrder(
+    const Workload& w, const EngineParams& params, const Log& want,
+    const std::function<void(EngineContext&, ItemId)>& on_source = {}) {
+  RunMetrics metrics[2];
+  for (const bool reference : {false, true}) {
+    Log log;
+    auto at = [&log](const EngineContext& e, const std::string& what) {
+      log.push_back(std::to_string(e.now() / MillisToSim(1.0)) + " " + what);
+    };
+    FakePolicy policy;
+    policy.admit = [&at](EngineContext& e, const Transaction& q) {
+      at(e, "admit q" + std::to_string(q.trace_id()));
+      return true;
+    };
+    policy.on_resolved = [&at](EngineContext& e, const Transaction& q,
+                               Outcome o) {
+      at(e, "resolve q" + std::to_string(q.trace_id()) + " " + OutcomeName(o));
+    };
+    policy.on_source_arrival = [&at, &on_source](EngineContext& e,
+                                                 ItemId item) {
+      at(e, "source " + std::to_string(item));
+      if (on_source) on_source(e, item);
+    };
+    policy.on_update_commit = [&at](EngineContext& e, const Transaction& u) {
+      at(e, "update " + std::to_string(u.update_item()));
+    };
+    policy.on_tick = [&at](EngineContext& e) { at(e, "tick"); };
+    metrics[reference] = reference ? ReferenceEngine(w, &policy, params).Run()
+                                   : Engine(w, &policy, params).Run();
+    EXPECT_EQ(log, want) << "reference=" << reference;
+  }
+  DiffResult metric_diff;
+  DiffMetrics(metrics[0], metrics[1], {}, &metric_diff);
+  EXPECT_EQ(metric_diff.divergence_count, 0)
+      << (metric_diff.divergences.empty() ? "" : metric_diff.divergences[0]);
+
+  DiffCase c;
+  c.workload = w;
+  c.engine = params;
+  c.policy = "imu";
+  auto diff = RunDiff(c);
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  EXPECT_TRUE(diff->equivalent)
+      << (diff->divergences.empty() ? "" : diff->divergences[0]);
+}
+
+TEST(EngineEdgeTest, ArrivalAtTheCompletionInstantComesFirst) {
+  // q0 runs 1000-1100 ms; q1 arrives at 1100 ms. Admission sees q0 still
+  // unresolved, and q0 then commits at the same instant.
+  Workload w = Empty(2, 5.0);
+  w.queries = {QueryMs(0, 1000, 100, 1000, 0), QueryMs(1, 1100, 50, 1000, 1)};
+  EngineParams params;
+  params.control_period = 0;
+  ExpectTieOrder(w, params,
+                 {"1000 admit q0", "1100 admit q1", "1100 resolve q0 success",
+                  "1150 resolve q1 success"});
+}
+
+TEST(EngineEdgeTest, ArrivalComesBeforeTimersAtItsInstant) {
+  {
+    SCOPED_TRACE("control tick");
+    Workload w = Empty(1, 2.5);
+    w.queries = {QueryMs(0, 1000, 50, 1000, 0)};
+    ExpectTieOrder(w, {},
+                   {"1000 admit q0", "1000 tick", "1050 resolve q0 success",
+                    "2000 tick"});
+  }
+  {
+    SCOPED_TRACE("update arrival");
+    // The update outranks q0, so it preempts q0 right after admission.
+    Workload w = Empty(2, 2.5);
+    w.updates = {SourceMs(0, 2000, 10, 1000)};
+    w.queries = {QueryMs(0, 1000, 50, 1000, 1)};
+    EngineParams params;
+    params.control_period = 0;
+    ExpectTieOrder(w, params,
+                   {"1000 admit q0", "1000 source 0", "1010 update 0",
+                    "1060 resolve q0 success"});
+  }
+  {
+    SCOPED_TRACE("another query's deadline");
+    // Under FCFS q1 waits behind q0 until its deadline at 1000 ms, the
+    // instant q2 arrives.
+    Workload w = Empty(3, 5.0);
+    w.queries = {QueryMs(0, 0, 2000, 5000, 0), QueryMs(1, 500, 100, 500, 1),
+                 QueryMs(2, 1000, 100, 5000, 2)};
+    EngineParams params;
+    params.control_period = 0;
+    params.discipline = QueueDiscipline::kFcfs;
+    ExpectTieOrder(w, params,
+                   {"0 admit q0", "500 admit q1", "1000 admit q2",
+                    "1000 resolve q1 dmf", "2000 resolve q0 success",
+                    "2100 resolve q2 success"});
+  }
+}
+
+TEST(EngineEdgeTest, CompletionOrdersAgainstTimersByItsDispatch) {
+  // Source 0 arrives every 100 ms from 0 ms; its first update runs 0-10 ms.
+  // q0 reads item 1 and is dispatched on arrival at 30 ms.
+  Workload w = Empty(2, 0.25);
+  w.updates = {SourceMs(0, 100, 10, 0)};
+  EngineParams params;
+  params.control_period = 0;
+  {
+    SCOPED_TRACE("timer scheduled before the dispatch");
+    // The 100 ms arrival was scheduled at 0 ms. It comes first and preempts
+    // q0 with no work left; q0 commits once the update is done.
+    w.queries = {QueryMs(0, 30, 70, 1000, 1)};
+    ExpectTieOrder(w, params,
+                   {"0 source 0", "10 update 0", "30 admit q0", "100 source 0",
+                    "110 update 0", "110 resolve q0 success", "200 source 0",
+                    "210 update 0"});
+  }
+  {
+    SCOPED_TRACE("timer scheduled after the dispatch");
+    // q0 runs 30-200 ms. The policy drops the 100 ms delivery by
+    // stretching the period, so the 200 ms arrival is scheduled at 100 ms,
+    // after the dispatch: q0 commits first, and the update finds it
+    // committed, not preempted.
+    w.queries = {QueryMs(0, 30, 170, 1000, 1)};
+    auto stretch_at_100ms = [](EngineContext& e, ItemId item) {
+      const bool drop = e.now() == MillisToSim(100.0);
+      e.db().SetCurrentPeriod(item, MillisToSim(drop ? 1000.0 : 100.0));
+    };
+    ExpectTieOrder(w, params,
+                   {"0 source 0", "10 update 0", "30 admit q0", "100 source 0",
+                    "200 resolve q0 success", "200 source 0", "210 update 0"},
+                   stretch_at_100ms);
+  }
 }
 
 TEST(EngineEdgeTest, ArrivalAtHorizonBoundaryIsDropped) {
@@ -283,6 +459,39 @@ TEST(EngineEdgeDeathTest, BackwardArrivalAbortsInEveryBuild) {
   Workload early = Empty(4, 10.0);
   early.queries.push_back(Query(0, -1.0, 10.0, 5.0, {0}));
   EXPECT_DEATH(run(early), "query 0 arrives at -1 s, before 0 s");
+}
+
+// Update specs the database refuses would leave update chains running for
+// items it never set up (past the end of the item array, for item 4 of 4).
+// Server::Create and RunRecorded return the status; an engine built
+// directly aborts in Run in every build type.
+TEST(EngineEdgeDeathTest, RefusedUpdateSpecsAbortInEveryBuild) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Workload duplicate = Empty(4, 10.0);
+  duplicate.updates = {Source(1, 1.0, 10.0), Source(1, 2.0, 10.0),
+                       Source(2, 1.0, 10.0)};
+  Workload past_end = Empty(4, 10.0);
+  past_end.updates = {Source(1, 1.0, 10.0), Source(4, 1.0, 10.0)};
+  FakePolicy policy;
+  EXPECT_EQ(Engine(duplicate, &policy, {}).workload_status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(ReferenceEngine(past_end, &policy, {}).workload_status().code(),
+            StatusCode::kOutOfRange);
+  for (const bool reference : {false, true}) {
+    auto run = [reference, &policy](const Workload& w) {
+      if (reference) {
+        ReferenceEngine(w, &policy, {}).Run();
+      } else {
+        Engine(w, &policy, {}).Run();
+      }
+    };
+    EXPECT_DEATH(run(duplicate),
+                 "bad workload update specs: ALREADY_EXISTS: duplicate "
+                 "update spec for item 1");
+    EXPECT_DEATH(run(past_end),
+                 "bad workload update specs: OUT_OF_RANGE: item id 4 "
+                 "outside \\[0, 4\\)");
+  }
 }
 
 }  // namespace

@@ -26,14 +26,23 @@ TEST(EventQueueTest, TiesBreakFifo) {
   }
 }
 
-TEST(EventQueueTest, CarriesTypeAndGeneration) {
+TEST(EventQueueTest, CarriesTypeAndPayload) {
   EventQueue q;
-  q.Push(1, EventType::kCompletion, 42, 7);
+  q.Push(1, EventType::kQueryDeadline, 42);
   const Event e = q.Pop();
-  EXPECT_EQ(e.type, EventType::kCompletion);
+  EXPECT_EQ(e.type, EventType::kQueryDeadline);
   EXPECT_EQ(e.payload, 42);
-  EXPECT_EQ(e.generation, 7u);
   EXPECT_EQ(e.time, 1);
+}
+
+TEST(EventQueueTest, TakenSequenceOrdersBetweenPushes) {
+  // A sequence taken without a push sits between the pushes around it.
+  EventQueue q;
+  q.Push(5, EventType::kControlTick, 0);
+  const uint64_t taken = q.TakeSeq();
+  q.Push(5, EventType::kControlTick, 1);
+  EXPECT_LT(q.Pop().seq, taken);
+  EXPECT_GT(q.Pop().seq, taken);
 }
 
 TEST(EventQueueTest, SizeTracksContents) {

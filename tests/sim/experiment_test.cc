@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "unit/faults/schedule.h"
+#include "unit/shard/sharded.h"
+#include "unit/sim/server.h"
 
 namespace unitdb {
 namespace {
@@ -149,6 +151,67 @@ TEST(RunExperimentTest, RejectsWhatItsPathCannotHonour) {
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
         << r.status().ToString();
   }
+}
+
+// A 4-item workload with three update sources, whose second source the
+// database refuses when `second` is item 1 (a duplicate) or item 4 (past
+// the end of the item array).
+Workload RefusedSpecs(ItemId second) {
+  Workload w;
+  w.num_items = 4;
+  w.duration = SecondsToSim(10.0);
+  for (const ItemId item : {ItemId{1}, second, ItemId{2}}) {
+    ItemUpdateSpec u;
+    u.item = item;
+    u.ideal_period = SecondsToSim(1.0);
+    u.update_exec = MillisToSim(10.0);
+    w.updates.push_back(u);
+  }
+  QueryRequest q;
+  q.id = 0;
+  q.arrival = SecondsToSim(1.0);
+  q.exec = MillisToSim(10.0);
+  q.relative_deadline = SecondsToSim(1.0);
+  q.items = {2};
+  w.queries.push_back(q);
+  return w;
+}
+
+TEST(RunExperimentTest, UpdateSpecsTheDatabaseRefusesFailTheRun) {
+  const struct {
+    Workload workload;
+    Status want;
+  } cases[] = {
+      {RefusedSpecs(1),
+       Status::AlreadyExists("duplicate update spec for item 1")},
+      {RefusedSpecs(4), Status::OutOfRange("item id 4 outside [0, 4)")},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.want.ToString());
+    auto server = Server::Create(c.workload, {});
+    ASSERT_FALSE(server.ok());
+    EXPECT_EQ(server.status().ToString(), c.want.ToString());
+    // Monolithic, and sharded: the refused spec lands on one shard.
+    for (const int shards : {0, 1, 2, 3}) {
+      auto run = RunExperiment(c.workload, {.policy = "imu", .shards = shards});
+      ASSERT_FALSE(run.ok()) << "shards=" << shards;
+      EXPECT_EQ(run.status().ToString(), c.want.ToString())
+          << "shards=" << shards;
+    }
+    for (const bool reference : {false, true}) {
+      ShardedParams params;
+      params.shards = 2;
+      params.reference_engines = reference;
+      auto sharded = RunSharded(c.workload, "imu", {}, params);
+      ASSERT_FALSE(sharded.ok()) << "reference=" << reference;
+      EXPECT_EQ(sharded.status().ToString(), c.want.ToString())
+          << "reference=" << reference;
+    }
+  }
+  // With its second source on item 3 instead, the workload runs.
+  Workload fine = RefusedSpecs(3);
+  ASSERT_TRUE(Server::Create(fine, {}).ok());
+  EXPECT_TRUE(RunExperiment(fine, {.shards = 2}).ok());
 }
 
 TEST(RunGridTest, RejectsAVariantThatNamesAFile) {

@@ -56,14 +56,6 @@ TEST(TransactionTest, WorkAccounting) {
   EXPECT_EQ(t.restarts(), 1);
 }
 
-TEST(TransactionTest, DispatchGenerationInvalidation) {
-  Transaction t = Transaction::MakeQuery(1, 0, MillisToSim(10.0),
-                                         SecondsToSim(1.0), 0.9, {0});
-  const uint64_t g0 = t.dispatch_generation();
-  t.BumpDispatchGeneration();
-  EXPECT_EQ(t.dispatch_generation(), g0 + 1);
-}
-
 TEST(TransactionTest, TerminalStates) {
   Transaction t = Transaction::MakeQuery(1, 0, MillisToSim(10.0),
                                          SecondsToSim(1.0), 0.9, {0});
