@@ -13,6 +13,7 @@
 #include "unit/core/admission.h"
 #include "unit/core/lottery.h"
 #include "unit/core/policies/unit_policy.h"
+#include "unit/core/update_modulation.h"
 #include "unit/db/database.h"
 #include "unit/db/lock_manager.h"
 #include "unit/model/reference_engine.h"
@@ -76,6 +77,33 @@ void BM_LotteryTicketUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LotteryTicketUpdate)->Arg(1024)->Arg(16384);
+
+// One Degrade-Update signal: one lottery pick per sourced item, each
+// stretching its victim's period. Items per second are picks.
+void BM_LotteryDegrade(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Database db(n);
+  std::vector<ItemUpdateSpec> specs(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    specs[i].item = i;
+    specs[i].ideal_period = SecondsToSim(1.0);
+    specs[i].update_exec = MillisToSim(5.0);
+  }
+  if (!db.ApplySpecs(specs).ok()) {
+    state.SkipWithError("update specs refused");
+    return;
+  }
+  UpdateModulator um(db, ModulationParams{});
+  Rng rng(8);
+  for (int i = 0; i < n; ++i) {
+    um.OnUpdateArrival(i, MillisToSim(rng.Uniform(1.0, 30.0)), 0);
+  }
+  for (auto _ : state) {
+    um.Degrade(db, rng);
+  }
+  state.SetItemsProcessed(um.total_picks());
+}
+BENCHMARK(BM_LotteryDegrade)->Arg(1024);
 
 void BM_ReadyQueueInsertPop(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

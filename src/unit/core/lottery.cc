@@ -53,30 +53,32 @@ double LotterySampler::WeightOf(int i) const {
 
 int LotterySampler::Sample(Rng& rng) const {
   if (eligible_count_ == 0) return -1;
+  Reanchor();
+  const double total = tree_.total();
+  // All shifted weights are zero: uniform lottery over eligible items.
+  if (total <= kLotteryZeroTotal) return UniformEligible(rng);
+  const double dart = rng.NextDouble() * total;
+  const int pick = static_cast<int>(tree_.FindPrefix(dart));
+  // The dart landed on an ineligible slot: the clamp past the last slot, or
+  // a total() that drifted above the tree's own sum. Fall back to
+  // uniform-eligible.
+  return eligible_[pick] ? pick : UniformEligible(rng);
+}
+
+void LotterySampler::Reanchor() const {
   // The floor may be stale (above-minimum ticket raises don't re-anchor);
   // re-anchor exactly before drawing so probabilities match the paper's
   // (T_j - T_min) weights. The min-tree gives the exact minimum in O(1);
   // the O(n) re-anchor only runs when the minimum actually moved.
-  const double true_min = min_tree_[1];
-  if (true_min != floor_) {
+  if (min_tree_[1] != floor_) {
     const_cast<LotterySampler*>(this)->Rebase();
   }
-  const double total = tree_.total();
-  if (total <= 1e-12) {
-    // All shifted weights are zero: uniform lottery over eligible items.
-    const size_t k = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(eligible_items_.size()) - 1));
-    return eligible_items_[k];
-  }
-  const double dart = rng.NextDouble() * total;
-  int pick = static_cast<int>(tree_.FindPrefix(dart));
-  if (!eligible_[pick]) {
-    // Rounding landed on a zero-weight slot; fall back to uniform-eligible.
-    const size_t k = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(eligible_items_.size()) - 1));
-    pick = eligible_items_[k];
-  }
-  return pick;
+}
+
+int LotterySampler::UniformEligible(Rng& rng) const {
+  const size_t k = static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(eligible_items_.size()) - 1));
+  return eligible_items_[k];
 }
 
 void LotterySampler::Rebase() {

@@ -1,6 +1,8 @@
 #ifndef UNIT_CORE_LOTTERY_H_
 #define UNIT_CORE_LOTTERY_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "unit/common/fenwick.h"
@@ -43,7 +45,20 @@ class LotterySampler {
   /// Draws one eligible item; returns -1 when nothing is eligible.
   int Sample(Rng& rng) const;
 
+  /// Draws k eligible items and hands each to on_pick(int) in draw order:
+  /// the picks, and the Rng state after them, of k Sample calls, provided
+  /// on_pick changes no ticket. Draws nothing when nothing is eligible.
+  /// The darts go eight at a time through one Fenwick descent; a group in
+  /// which a dart lands on an ineligible slot (whose fallback draws an extra
+  /// UniformInt) is replayed one Sample at a time from its Rng state.
+  template <typename OnPick>
+  void SampleBatch(Rng& rng, int k, OnPick&& on_pick) const;
+
  private:
+  /// Re-anchors at the exact minimum if it moved since the last re-anchor.
+  void Reanchor() const;
+  /// Uniform draw over the eligible items (at least one).
+  int UniformEligible(Rng& rng) const;
   void Rebase();
   void RefreshWeight(int i);
   /// Sets item i's leaf of the min-tree (its ticket, or +inf when
@@ -61,6 +76,38 @@ class LotterySampler {
   double floor_ = 0.0;                  ///< min at the last re-anchor (lazy)
   int eligible_count_ = 0;
 };
+
+/// Total weight at or below which every shifted weight counts as zero and
+/// the draw is uniform over the eligible items.
+inline constexpr double kLotteryZeroTotal = 1e-12;
+
+template <typename OnPick>
+void LotterySampler::SampleBatch(Rng& rng, int k, OnPick&& on_pick) const {
+  if (eligible_count_ == 0) return;
+  Reanchor();
+  const double total = tree_.total();
+  if (total <= kLotteryZeroTotal) {
+    for (int i = 0; i < k; ++i) on_pick(UniformEligible(rng));
+    return;
+  }
+  constexpr int kGroup = 8;
+  for (int drawn = 0; drawn < k; drawn += kGroup) {
+    const int group = std::min(kGroup, k - drawn);
+    const Rng start = rng;
+    double darts[kGroup] = {};
+    size_t slots[kGroup];
+    for (int d = 0; d < group; ++d) darts[d] = rng.NextDouble() * total;
+    tree_.FindPrefixes(darts, slots);
+    bool eligible = true;
+    for (int d = 0; d < group; ++d) eligible &= eligible_[slots[d]];
+    if (eligible) {
+      for (int d = 0; d < group; ++d) on_pick(static_cast<int>(slots[d]));
+    } else {
+      rng = start;
+      for (int d = 0; d < group; ++d) on_pick(Sample(rng));
+    }
+  }
+}
 
 }  // namespace unitdb
 

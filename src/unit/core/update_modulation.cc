@@ -97,9 +97,9 @@ void UpdateModulator::Degrade(Database& db, Rng& rng, SimTime now) {
   ++degrade_signals_;
   const int batch = params_.degrade_batch > 0 ? params_.degrade_batch
                                               : sampler_.eligible_count();
-  for (int k = 0; k < batch; ++k) {
-    const int victim = sampler_.Sample(rng);
-    if (victim < 0) return;  // nothing eligible
+  // A signal only stretches periods, so every pick is drawn from the same
+  // tickets: the sampler may throw the batch's darts in groups.
+  sampler_.SampleBatch(rng, batch, [&](int victim) {
     DataItemState& item = db.mutable_item(victim);
     const SimDuration before = item.current_period;
     const double cap =
@@ -108,10 +108,9 @@ void UpdateModulator::Degrade(Database& db, Rng& rng, SimTime now) {
         std::min(cap, static_cast<double>(item.current_period) *
                           (1.0 + params_.c_du));
     db.SetCurrentPeriod(victim, static_cast<SimDuration>(stretched));
-    EmitPeriodChange(victim, before, db.item(victim).current_period,
-                     "degrade", now);
+    EmitPeriodChange(victim, before, item.current_period, "degrade", now);
     ++total_picks_;
-  }
+  });
 }
 
 std::vector<ItemId> UpdateModulator::Upgrade(Database& db, SimTime now) {

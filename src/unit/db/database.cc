@@ -85,11 +85,6 @@ void Database::ApplyUpdate(ItemId id, SimTime value_time) {
   ++it.applied_updates;
 }
 
-void Database::SetCurrentPeriod(ItemId id, SimDuration period) {
-  DataItemState& it = items_[id];
-  it.current_period = std::max(period, it.ideal_period);
-}
-
 int Database::DegradedCount() const {
   int n = 0;
   for (const auto& it : items_) {

@@ -1,6 +1,7 @@
 #ifndef UNIT_DB_DATABASE_H_
 #define UNIT_DB_DATABASE_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "unit/common/item_span.h"
@@ -66,7 +67,10 @@ class Database {
   void RecordAccess(ItemId id) { ++items_[id].query_accesses; }
 
   /// Sets the modulated period pc_j; clamped to >= pi_j.
-  void SetCurrentPeriod(ItemId id, SimDuration period);
+  void SetCurrentPeriod(ItemId id, SimDuration period) {
+    DataItemState& it = items_[id];
+    it.current_period = std::max(period, it.ideal_period);
+  }
 
   /// Number of items whose current period is stretched beyond ideal.
   int DegradedCount() const;

@@ -287,6 +287,10 @@ void Engine::MaybeShed() {
     ++metrics_.queries_shed;
     AbortQuery(victim, Outcome::kRejected);
     resolving_shed_ = false;
+    // The victim's deadline event is still pending and its handler will now
+    // no-op: tombstone it, as a commit does.
+    events_.NoteCancelled();
+    ++metrics_.events_cancelled;
   }
 }
 

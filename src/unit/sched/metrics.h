@@ -46,7 +46,7 @@ enum class OracleRole {
   X(double, busy_s, kSum, kCompared)                                         \
   /* Engine hot path: events handled (staged arrivals, completions and       \
      heap pops, dead deadlines included), deadlines tombstoned by an early   \
-     commit, heap compaction passes, dead events removed, largest            \
+     commit or shed, heap compaction passes, dead events removed, largest    \
      ready-queue size. */                                                    \
   X(int64_t, events_processed, kSum, kTelemetry)                             \
   X(int64_t, events_cancelled, kSum, kTelemetry)                             \

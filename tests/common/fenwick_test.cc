@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "unit/common/rng.h"
@@ -98,6 +100,117 @@ TEST(FenwickTest, SingleSlot) {
   t.Set(0, 5.0);
   EXPECT_EQ(t.FindPrefix(2.5), 0u);
   EXPECT_DOUBLE_EQ(t.PrefixSum(1), 5.0);
+}
+
+// The K-dart descent returns FindPrefix's slot for every dart, whichever
+// lane carries it. Integer weights make every prefix sum exact, so the
+// exact node-boundary targets are hit, and a brute-force scan pins the
+// slot itself; real weights check the lanes against each other. At 11 and
+// 1011 slots a descent step reaches past the end while the last node
+// covers only part of the slots beyond the dart's prefix, so taking the
+// clamped node there would skip weight.
+TEST(FenwickTest, FindPrefixesMatchFindPrefixForEveryDart) {
+  Rng rng(131);
+  for (const size_t n : {1u, 3u, 11u, 13u, 1000u, 1011u, 1024u, 1025u}) {
+    for (const bool integral : {true, false}) {
+      FenwickTree t(n);
+      std::vector<double> w(n, 0.0);
+      for (size_t i = 0; i < n; ++i) {
+        if (rng.Bernoulli(0.25)) continue;  // zero-weight slots tie prefixes
+        w[i] = integral ? static_cast<double>(rng.UniformInt(1, 9))
+                        : rng.Uniform(0.0, 5.0);
+        t.Set(i, w[i]);
+      }
+      const double total = t.total();
+      std::vector<double> targets = {0.0, std::nextafter(total, 0.0), total,
+                                     total + 1.0, 2.0 * total + 1.0};
+      for (size_t i = 1; i <= n; ++i) {
+        const double boundary = t.PrefixSum(i);
+        targets.push_back(boundary);
+        targets.push_back(std::nextafter(boundary, -1.0));
+        targets.push_back(std::nextafter(boundary, 2.0 * total + 1.0));
+      }
+      // Pad to whole groups of eight with further darts.
+      while (targets.size() % 8 != 0) {
+        targets.push_back(rng.NextDouble() * total);
+      }
+      for (size_t g = 0; g < targets.size(); g += 8) {
+        double darts[8];
+        size_t slots[8];
+        for (size_t d = 0; d < 8; ++d) darts[d] = targets[g + d];
+        t.FindPrefixes(darts, slots);
+        for (size_t d = 0; d < 8; ++d) {
+          const double target = darts[d];
+          ASSERT_EQ(slots[d], t.FindPrefix(target))
+              << "n " << n << " target " << target << " lane " << d;
+          if (!integral) continue;
+          // Smallest i whose exact prefix through i exceeds the target.
+          size_t expect = n - 1;
+          double prefix = 0.0;
+          for (size_t i = 0; i < n; ++i) {
+            prefix += w[i];
+            if (prefix > target) {
+              expect = i;
+              break;
+            }
+          }
+          ASSERT_EQ(slots[d], expect) << "n " << n << " target " << target;
+        }
+      }
+    }
+  }
+}
+
+// Sum of `v[0..n)` with Neumaier's compensation: exact to well below the
+// drift the tree accumulates.
+double CompensatedSum(const std::vector<double>& v, size_t n) {
+  double sum = 0.0;
+  double carry = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double next = sum + v[i];
+    carry += std::abs(sum) >= std::abs(v[i]) ? (sum - next) + v[i]
+                                             : (v[i] - next) + sum;
+    sum = next;
+  }
+  return sum + carry;
+}
+
+// total() and the nodes accumulate deltas, so both drift from the weights
+// they stand for. Ten million updates of the modulator's ticket churn over
+// 1024 slots (every weight decays, accesses lower it to a floor at 0,
+// update arrivals raise it by less than one) keep the drift far below
+// anything a draw can see: measured 1.8e-13 relative on a total near 2,300
+// and 4.2e-10 absolute on the worst prefix, checked every million updates.
+TEST(FenwickTest, LongChurnKeepsTotalAndPrefixesNearExact) {
+  constexpr size_t kSlots = 1024;
+  constexpr int kSets = 10'000'000;
+  FenwickTree t(kSlots);
+  std::vector<double> w(kSlots, 0.0);
+  Rng rng(137);
+  double worst_total = 0.0;
+  double worst_prefix = 0.0;
+  for (int step = 1; step <= kSets; ++step) {
+    const size_t i = static_cast<size_t>(rng.UniformInt(0, kSlots - 1));
+    double next = w[i] * std::pow(0.9, rng.NextDouble());
+    if (rng.Bernoulli(0.3)) {
+      next = std::max(0.0, next - rng.Uniform(0.0, 2.0));
+    } else {
+      next += rng.NextDouble();
+    }
+    w[i] = next;
+    t.Set(i, next);
+    if (step % 1'000'000 != 0) continue;
+    const double exact_total = CompensatedSum(w, kSlots);
+    ASSERT_GT(exact_total, 0.0);
+    worst_total = std::max(
+        worst_total, std::abs(t.total() - exact_total) / exact_total);
+    for (size_t p = 1; p <= kSlots; ++p) {
+      worst_prefix = std::max(
+          worst_prefix, std::abs(t.PrefixSum(p) - CompensatedSum(w, p)));
+    }
+  }
+  EXPECT_LT(worst_total, 1e-11);
+  EXPECT_LT(worst_prefix, 1e-8);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "unit/obs/trace_sink.h"
 #include "unit/txn/transaction.h"
 
 namespace unitdb {
@@ -131,6 +135,75 @@ TEST(UpdateModulatorTest, DefaultBatchDrawsOnePickPerPickableItem) {
   Rng rng(3);
   um.Degrade(db, rng);
   EXPECT_EQ(um.total_picks(), 2);
+}
+
+// One signal over 1024 sourced items with varied tickets stretches exactly
+// the periods a hand loop of Sample plus stretch does, and traces each
+// change in draw order; items already at the cap change nothing and trace
+// nothing.
+TEST(UpdateModulatorTest, DegradeBatchEqualsOneSamplePerPick) {
+  constexpr int kItems = 1024;
+  Database db(kItems);
+  std::vector<ItemUpdateSpec> specs;
+  for (ItemId i = 0; i < kItems; ++i) {
+    specs.push_back(Source(i, 1.0 + (i % 7), 5.0 + (i % 11)));
+  }
+  ASSERT_TRUE(db.ApplySpecs(specs).ok());
+  ModulationParams p;
+  p.max_stretch = 2.0;
+  UpdateModulator um(db, p);
+  Rng churn(151);
+  for (int step = 0; step < 4 * kItems; ++step) {
+    const ItemId i = static_cast<ItemId>(churn.UniformInt(0, kItems - 1));
+    const SimTime now = SecondsToSim(0.01 * step);
+    if (churn.Bernoulli(0.3)) {
+      um.OnQueryAccess(i, Query(churn.Uniform(1.0, 80.0), 1.0), now);
+    } else {
+      um.OnUpdateArrival(i, MillisToSim(churn.Uniform(1.0, 30.0)), now);
+    }
+  }
+  for (ItemId i = 0; i < kItems; i += 64) {
+    db.SetCurrentPeriod(i, 2 * db.item(i).ideal_period);  // at the cap
+  }
+  Database hand_db = db;
+  LotterySampler hand = um.sampler();
+  Rng rng(157);
+  Rng hand_rng = rng;
+
+  KeepingSink sink;
+  um.set_trace(&sink);
+  um.Degrade(db, rng, SecondsToSim(50.0));
+
+  std::vector<TraceEvent> expected;
+  for (int k = 0; k < hand.eligible_count(); ++k) {
+    const ItemId v = hand.Sample(hand_rng);
+    const DataItemState& item = hand_db.item(v);
+    const SimDuration before = item.current_period;
+    hand_db.SetCurrentPeriod(
+        v, static_cast<SimDuration>(std::min(
+               static_cast<double>(item.ideal_period) * p.max_stretch,
+               static_cast<double>(before) * (1.0 + p.c_du))));
+    if (item.current_period == before) continue;
+    TraceEvent e;
+    e.item = v;
+    e.period_from = before;
+    e.period_to = item.current_period;
+    expected.push_back(e);
+  }
+  EXPECT_EQ(um.total_picks(), kItems);
+  EXPECT_EQ(rng.NextU64(), hand_rng.NextU64());
+  for (ItemId i = 0; i < kItems; ++i) {
+    ASSERT_EQ(db.item(i).current_period, hand_db.item(i).current_period)
+        << "item " << i;
+  }
+  ASSERT_EQ(sink.kept.size(), expected.size());
+  ASSERT_LT(expected.size(), static_cast<size_t>(kItems));  // some capped
+  for (size_t e = 0; e < expected.size(); ++e) {
+    EXPECT_EQ(sink.kept[e].type, TraceEventType::kPeriodChange);
+    EXPECT_EQ(sink.kept[e].item, expected[e].item) << "event " << e;
+    EXPECT_EQ(sink.kept[e].period_from, expected[e].period_from);
+    EXPECT_EQ(sink.kept[e].period_to, expected[e].period_to);
+  }
 }
 
 TEST(UpdateModulatorTest, DegradeRespectsMaxStretch) {

@@ -438,6 +438,34 @@ TEST(EngineEdgeTest, BusyAccountingMatchesCommittedWork) {
   EXPECT_NEAR(m.busy_s, expected_s, 1e-6);
 }
 
+// A query resolved before its deadline fires leaves that deadline in the
+// heap as a tombstone: a commit (success or stale) or a shed. Without the
+// cache every admitted query pushed one, so the tombstones number exactly
+// the commits plus the sheds.
+TEST(EngineEdgeTest, ShedAndCommitTombstonesAreCounted) {
+  Workload w = Empty(8, 30.0);
+  for (int i = 0; i < 400; ++i) {
+    // Every tenth query is due before it can run: a deadline miss, whose
+    // handler consumes its own event.
+    const double deadline_s = i % 10 == 0 ? 0.03 : 1.0 + (i % 3);
+    w.queries.push_back(Query(i, 0.01 * i, 40.0, deadline_s, {i % 8}));
+  }
+  w.updates = {Source(0, 0.5, 20.0), Source(3, 0.7, 20.0)};
+  FakePolicy policy;
+  policy.periodic_updates = false;  // items 0 and 3 go stale
+  EngineParams params;
+  params.shed_watermark = 4;
+  Engine engine(w, &policy, params);
+  RunMetrics m = engine.Run();
+  EXPECT_GT(m.queries_shed, 0);
+  EXPECT_GT(m.counts.success, 0);
+  EXPECT_GT(m.counts.dsf, 0);
+  EXPECT_GT(m.counts.dmf, 0);
+  EXPECT_GT(m.event_compactions, 0);
+  EXPECT_EQ(m.events_cancelled,
+            m.counts.success + m.counts.dsf + m.queries_shed);
+}
+
 // A trace whose arrivals go backwards would step the clock back. The engine
 // aborts on one in every build type, naming the query and both times, and
 // checks the first arrival against time 0.
