@@ -70,7 +70,7 @@ Status Run(bench::Args& args) {
   std::cout << "=== Engine throughput (perf tracking) ===\n";
   TextTable table;
   table.SetHeader({"cell", "policy", "wall_s", "events/s", "peak_rq",
-                   "cancelled", "compacted", "live_peak"});
+                   "cancelled", "live_peak"});
   std::vector<bench::JsonObject> results;
   const auto grid_t0 = std::chrono::steady_clock::now();
   for (const CellSpec& cell : cells) {
@@ -82,8 +82,8 @@ Status Run(bench::Args& args) {
       });
       if (!r.ok()) return r.status();
       const RunMetrics& m = r->value.metrics;
-      const double events_per_sec = bench::PerSecond(
-          m.events_processed + m.events_compacted, r->wall_s);
+      const double events_per_sec =
+          bench::PerSecond(m.events_processed, r->wall_s);
       results.push_back(bench::JsonObject()
                             .Add("cell", cell.name)
                             .Add("policy", policy)
@@ -91,7 +91,6 @@ Status Run(bench::Args& args) {
                             .Add("events_per_sec", events_per_sec)
                             .Add("events_processed", m.events_processed)
                             .Add("events_cancelled", m.events_cancelled)
-                            .Add("events_compacted", m.events_compacted)
                             .Add("peak_ready_depth", m.peak_ready_depth)
                             .Add("txn_live_peak", m.txn_live_peak)
                             .Add("txn_slots_created", m.txn_slots_created)
@@ -101,7 +100,6 @@ Status Run(bench::Args& args) {
                     Fmt(events_per_sec, 0),
                     std::to_string(m.peak_ready_depth),
                     std::to_string(m.events_cancelled),
-                    std::to_string(m.events_compacted),
                     std::to_string(m.txn_live_peak)});
     }
   }

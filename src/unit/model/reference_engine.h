@@ -28,9 +28,9 @@ namespace unitdb {
 /// RunMetrics, per-query outcomes, and window series, but swaps every
 /// optimized structure for the simplest possible one:
 ///
-///  - event queue: a flat vector, popped by a linear scan for the minimum
-///    (time, seq) element; events invalidated by preemption/abort/commit
-///    are eagerly erased instead of lazily tombstoned and compacted;
+///  - event queue: one flat vector holding every event, popped by a linear
+///    scan for the minimum (time, seq) element; events invalidated by
+///    preemption/abort/commit are erased by a linear search;
 ///  - ready queue: a flat vector, dispatched by a linear scan with the
 ///    same strict (class, deadline, id) priority order; queued-update work
 ///    and queue depths are recomputed by full sums/counts on every call;
@@ -112,8 +112,9 @@ class ReferenceEngine final : public EngineContext {
 
  private:
   /// One scheduled event. Unlike the optimized engine, every trace arrival
-  /// is pushed up front and every completion is pushed at dispatch, and an
-  /// event that can no longer fire is erased eagerly, not tombstoned.
+  /// is pushed up front, every completion at dispatch and every deadline at
+  /// admission, into one list, and an event that can no longer fire is
+  /// erased from it by a linear search.
   struct RefEvent {
     SimTime time = 0;
     uint64_t seq = 0;  ///< FIFO tie-break at equal timestamps

@@ -53,51 +53,62 @@ RunMetrics Engine::Run() {
   }
   policy_->Attach(*this);
   ScheduleInitialEvents();
-  while (staged_ || running_ != nullptr || !events_.empty()) {
-    if (events_.ShouldCompact()) {
-      const size_t removed =
-          events_.CompactIf([this](const Event& ev) { return EventIsDead(ev); });
-      ++metrics_.event_compactions;
-      metrics_.events_compacted += static_cast<int64_t>(removed);
-      continue;  // the pass may have emptied the heap
-    }
+  while (staged_ || running_ != nullptr || !events_.empty() ||
+         !deadlines_.empty()) {
     ++metrics_.events_processed;
-    // Three sources, merged in the (time, seq) order of one queue holding
+    // Four sources, merged in the (time, seq) order of one queue holding
     // them all. The staged arrival wins every tie: pushed up front, arrival
-    // i would hold sequence i, below every other event's. The completion
-    // holds the sequence taken at its dispatch.
-    const Event* top = events_.empty() ? nullptr : &events_.Top();
-    const SimTime done =
-        running_ != nullptr ? run_start_ + running_->remaining() : 0;
-    if (staged_ && (top == nullptr || staged_query_.arrival <= top->time) &&
-        (running_ == nullptr || staged_query_.arrival <= done)) {
+    // i would hold sequence i, below every other event's. Of the rest the
+    // least (time, seq) goes next: the running completion holds the
+    // sequence taken at its dispatch, the earliest deadline the one taken
+    // at its query's admission, and the timer heap's top its push's.
+    enum class Next { kNone, kCompletion, kDeadline, kTimer };
+    Next next = Next::kNone;
+    SimTime time = 0;
+    uint64_t seq = 0;
+    auto offer = [&](Next source, SimTime t, uint64_t s) {
+      if (next == Next::kNone || t < time || (t == time && s < seq)) {
+        next = source;
+        time = t;
+        seq = s;
+      }
+    };
+    if (running_ != nullptr) {
+      offer(Next::kCompletion, run_start_ + running_->remaining(),
+            completion_seq_);
+    }
+    if (!deadlines_.empty()) {
+      const Transaction* due = deadlines_.top();
+      offer(Next::kDeadline, due->absolute_deadline(), due->deadline_seq());
+    }
+    if (!events_.empty()) {
+      offer(Next::kTimer, events_.Top().time, events_.Top().seq);
+    }
+    if (staged_ && (next == Next::kNone || staged_query_.arrival <= time)) {
       now_ = staged_query_.arrival;
       AdmitArrivedQuery(staged_query_);
       StageQuery();
-    } else if (running_ != nullptr &&
-               (top == nullptr || done < top->time ||
-                (done == top->time && completion_seq_ < top->seq))) {
-      assert(done >= now_);
-      now_ = done;
+    } else if (next == Next::kCompletion) {
+      assert(time >= now_);
+      now_ = time;
       CompleteRunning();
+    } else if (next == Next::kDeadline) {
+      assert(time >= now_);
+      now_ = time;
+      Transaction* t = deadlines_.top();
+      deadlines_.Erase(t);
+      AbortQuery(t, Outcome::kDeadlineMiss);
     } else {
       const Event e = events_.Pop();
       assert(e.time >= now_);
-      // Drop dead (lazily cancelled) events before they advance the clock:
-      // their handlers would no-op anyway, and the end-of-run time — which
-      // the trailing window sample observes — must not depend on whether a
-      // deadline tombstone was compacted away earlier.
-      if (EventIsDead(e)) continue;
       now_ = e.time;
       switch (e.type) {
-        case EventType::kQueryArrival:  // staged off the heap (above)
-        case EventType::kCompletion:    // held by running_ (above)
+        case EventType::kQueryArrival:   // staged off the heap (above)
+        case EventType::kCompletion:     // held by running_ (above)
+        case EventType::kQueryDeadline:  // held by deadlines_ (above)
           break;
         case EventType::kUpdateArrival:
           HandleUpdateArrival(static_cast<ItemId>(e.payload));
-          break;
-        case EventType::kQueryDeadline:
-          HandleQueryDeadline(e.payload);
           break;
         case EventType::kControlTick:
           HandleControlTick();
@@ -254,8 +265,8 @@ void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
   }
   if (tracing()) TraceQueryArrival(*t);
   // Result cache sits before admission control: a covered, fresh-enough
-  // query is answered immediately and never enters the ready queue (no
-  // deadline event is pushed, so the event clock is untouched).
+  // query is answered immediately and never enters the ready queue or the
+  // deadline heap.
   if (cache_.enabled() && TryServeFromCache(t)) return;
   if (!policy_->AdmitQuery(*this, *t)) {
     t->set_state(TxnState::kAborted);
@@ -265,8 +276,9 @@ void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
   if (tracing()) TraceSimpleEvent(TraceEventType::kAdmit, t->id());
   t->set_state(TxnState::kReady);
   ReadyInsert(t);
-  events_.Push(t->absolute_deadline(), EventType::kQueryDeadline,
-               t->slab_handle());
+  // The sequence a deadline event pushed now would hold.
+  t->set_deadline_seq(events_.TakeSeq());
+  deadlines_.Push(t);
   if (params_.shed_watermark > 0) MaybeShed();
 }
 
@@ -287,10 +299,6 @@ void Engine::MaybeShed() {
     ++metrics_.queries_shed;
     AbortQuery(victim, Outcome::kRejected);
     resolving_shed_ = false;
-    // The victim's deadline event is still pending and its handler will now
-    // no-op: tombstone it, as a commit does.
-    events_.NoteCancelled();
-    ++metrics_.events_cancelled;
   }
 }
 
@@ -394,10 +402,6 @@ TxnId Engine::IssueOnDemandUpdate(ItemId item) {
   ReadyInsert(t);
   ++metrics_.on_demand_updates;
   return t->id();
-}
-
-void Engine::HandleQueryDeadline(int64_t handle) {
-  AbortQuery(txns_.Get(handle), Outcome::kDeadlineMiss);
 }
 
 void Engine::HandleControlTick() {
@@ -538,9 +542,13 @@ void Engine::PreemptRunning() {
 
 bool Engine::AcquireLocks(Transaction* t) {
   if (t->is_query()) {
-    if (locks_.TryAcquireShared(t)) return true;
-    BlockOnLocks(t);
-    return false;
+    // A query is dispatched only with nothing running and no update ready,
+    // since updates outrank it. Only updates take X locks, and one holding
+    // its lock is running or ready: it locks its one item all or nothing, so
+    // it never waits while holding it. So the S locks are always free.
+    [[maybe_unused]] const bool granted = locks_.TryAcquireShared(t);
+    assert(granted && "a dispatched query met an X lock");
+    return true;
   }
   // Update: X lock on its single item. Its shared holders are queries, a
   // lower class: 2PL-HP restarts them, which frees the item for the retry.
@@ -556,7 +564,7 @@ bool Engine::AcquireLocks(Transaction* t) {
 }
 
 void Engine::BlockOnLocks(Transaction* t) {
-  assert(!t->holds_locks());
+  assert(t->is_update() && !t->holds_locks());
   t->set_state(TxnState::kBlocked);
   blocked_.push_back(t);
 }
@@ -564,7 +572,6 @@ void Engine::BlockOnLocks(Transaction* t) {
 void Engine::UnblockAll() {
   if (blocked_.empty()) return;
   for (Transaction* t : blocked_) {
-    if (t->Terminal()) continue;  // deadline fired while blocked
     t->set_state(TxnState::kReady);
     ReadyInsert(t);
   }
@@ -591,11 +598,9 @@ void Engine::AbortQuery(Transaction* t, Outcome outcome) {
     metrics_.busy_s += SimToSeconds(ran);
     t->set_remaining(t->remaining() - ran);
     running_ = nullptr;
-  } else if (t->state() == TxnState::kReady) {
+  } else {
+    assert(t->state() == TxnState::kReady);
     ReadyRemove(t);
-  } else if (t->state() == TxnState::kBlocked) {
-    auto it = std::find(blocked_.begin(), blocked_.end(), t);
-    if (it != blocked_.end()) blocked_.erase(it);
   }
   ReleaseLocksOf(t);
   t->set_state(TxnState::kAborted);
@@ -603,6 +608,9 @@ void Engine::AbortQuery(Transaction* t, Outcome outcome) {
 }
 
 void Engine::ResolveQuery(Transaction* t, Outcome outcome) {
+  // A commit or a shed comes before the deadline (an expiry erased it
+  // already; a rejection or a cache hit never pushed one).
+  if (deadlines_.Erase(t)) ++metrics_.events_cancelled;
   t->set_outcome(outcome);
   if (tracing()) TraceQueryResolution(*t, outcome);
   assert(outcome != Outcome::kPending && "resolving with pending outcome");
@@ -643,9 +651,7 @@ void Engine::ResolveQuery(Transaction* t, Outcome outcome) {
         break;
     }
   }
-  // Terminal: recycle the slot (and the read set's storage). An outstanding
-  // deadline event carries the now-stale slab handle and resolves to
-  // nullptr.
+  // Terminal: recycle the slot (and the read set's storage).
   txns_.Release(t);
 }
 
@@ -680,11 +686,6 @@ void Engine::CompleteRunning() {
     return;
   }
   // Query commit: evaluate read-set freshness at commit time (Eq. 1).
-  // The query's deadline event is still pending (at an equal timestamp the
-  // deadline, pushed at arrival, would have popped first and aborted us) and
-  // its handler will now no-op — tombstone it.
-  events_.NoteCancelled();
-  ++metrics_.events_cancelled;
   const double freshness = db_.QueryFreshness(t->items(), now_);
   t->set_observed_freshness(freshness);
   for (ItemId item : t->items()) db_.RecordAccess(item);
@@ -884,12 +885,6 @@ void Engine::ReadyInsert(Transaction* t) {
 void Engine::ReadyRemove(Transaction* t) {
   ready_.Remove(t);
   if (t->is_query()) admission_index_.OnRemove(*t);
-}
-
-bool Engine::EventIsDead(const Event& e) const {
-  if (e.type != EventType::kQueryDeadline) return false;
-  const Transaction* t = txns_.Get(e.payload);
-  return t == nullptr || t->Terminal();
 }
 
 }  // namespace unitdb

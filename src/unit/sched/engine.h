@@ -16,6 +16,7 @@
 #include "unit/sched/event_queue.h"
 #include "unit/sched/metrics.h"
 #include "unit/sched/ready_queue.h"
+#include "unit/sched/txn_heap.h"
 #include "unit/session/session.h"
 #include "unit/txn/transaction.h"
 #include "unit/txn/txn_slab.h"
@@ -35,8 +36,8 @@ enum class TraceEventType : uint8_t;
 /// modulation. Deterministic for a fixed (workload, policy, params) triple.
 ///
 /// This is the optimized EngineContext implementation (admission index,
-/// intrusive ready-queue heaps, a timer-only event heap with lazy deadline
-/// cancellation); the semantically identical naive implementation lives in
+/// intrusive heaps of ready transactions and of live deadlines, a timer-only
+/// event heap); the semantically identical naive implementation lives in
 /// model/reference_engine.h.
 class Engine final : public EngineContext {
  public:
@@ -120,11 +121,6 @@ class Engine final : public EngineContext {
   void ReadyInsert(Transaction* t);
   void ReadyRemove(Transaction* t);
 
-  /// Whether a popped event is a tombstone: a deadline whose query already
-  /// resolved (its slot may be recycled). Run skips such an event without
-  /// advancing the clock, and compaction drops it.
-  bool EventIsDead(const Event& e) const;
-
   bool tracing() const { return params_.trace != nullptr; }
   /// Trace emission helpers, one per event kind. Each is called only when
   /// tracing is on, and all are defined noinline/cold in engine.cc so the
@@ -155,8 +151,6 @@ class Engine final : public EngineContext {
   /// end of the trace); aborts in every build type if it arrives before now.
   void StageQuery();
   void HandleUpdateArrival(ItemId item);
-  /// `handle` is the live query's packed slab handle (TxnSlot), not its id.
-  void HandleQueryDeadline(int64_t handle);
   void HandleControlTick();
   /// Flips a fault's effect on (start edge) or off (stop edge).
   void HandleFaultEdge(int64_t edge_index);
@@ -189,16 +183,21 @@ class Engine final : public EngineContext {
   void PreemptRunning();
   /// Commits the running transaction at its completion instant.
   void CompleteRunning();
-  /// Attempts lock acquisition for t; may block t or restart S holders.
-  /// Returns true when t holds everything it needs.
+  /// Attempts lock acquisition for t; may block an update or restart S
+  /// holders. Returns true when t holds everything it needs; always for a
+  /// query.
   bool AcquireLocks(Transaction* t);
+  /// Parks an update behind another update's X lock.
   void BlockOnLocks(Transaction* t);
-  /// Moves every blocked transaction back to the ready queue.
+  /// Moves every blocked update back to the ready queue.
   void UnblockAll();
   /// 2PL-HP restart of a lock-holding query displaced by an update.
   void RestartQuery(Transaction* t);
-  /// Terminal failure of a query (deadline abort); releases everything.
+  /// Terminal failure of a ready or running query (deadline miss or shed);
+  /// releases everything.
   void AbortQuery(Transaction* t, Outcome outcome);
+  /// Records a query's outcome, erases its deadline if still pending, and
+  /// releases its slot.
   void ResolveQuery(Transaction* t, Outcome outcome);
   void ReleaseLocksOf(Transaction* t);
 
@@ -211,6 +210,10 @@ class Engine final : public EngineContext {
   LockManager locks_;
   ReadyQueue ready_;
   EventQueue events_;
+  /// Admitted queries by firm deadline. A query leaves when it commits, is
+  /// shed or expires, so no deadline outlives its query; Run orders the top
+  /// against the timers by (absolute deadline, deadline_seq()).
+  DeadlineHeap deadlines_;
   AdmissionIndex admission_index_;
   Rng rng_;
 
@@ -219,21 +222,23 @@ class Engine final : public EngineContext {
   /// monotonic and unique (next_txn_id_), decoupled from slot indices.
   TxnSlab txns_;
   TxnId next_txn_id_ = 0;
+  /// Updates waiting for an X lock. Queries never wait (see AcquireLocks).
   std::vector<Transaction*> blocked_;
   std::vector<int64_t> pending_updates_per_item_;
 
   /// Cursor over the workload's query trace with the next query staged.
   /// The staged arrival stays out of the event heap: Run takes it first at
-  /// any instant it shares with a heap event or the running completion, the
-  /// order it would have had if every arrival were pushed up front.
+  /// any instant it shares with a timer, a deadline or the running
+  /// completion, the order it would have had if every arrival were pushed up
+  /// front.
   std::unique_ptr<QueryCursor> query_cursor_;
   QueryRequest staged_query_;
   bool staged_ = false;
 
   /// The running transaction completes at run_start_ + remaining() unless
   /// preempted or aborted first, which just clears running_. Its completion
-  /// stays out of the event heap and is ordered against it by
-  /// completion_seq_, the FIFO sequence taken at dispatch.
+  /// stays out of the event heap and is ordered against the timers and the
+  /// deadlines by completion_seq_, the FIFO sequence taken at dispatch.
   Transaction* running_ = nullptr;
   SimTime run_start_ = 0;
   uint64_t completion_seq_ = 0;

@@ -1,5 +1,7 @@
 #include "unit/sched/event_queue.h"
 
+#include <algorithm>
+
 namespace unitdb {
 
 void EventQueue::Push(SimTime time, EventType type, int64_t payload) {

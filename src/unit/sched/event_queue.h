@@ -1,7 +1,6 @@
 #ifndef UNIT_SCHED_EVENT_QUEUE_H_
 #define UNIT_SCHED_EVENT_QUEUE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -11,15 +10,15 @@
 namespace unitdb {
 
 /// Kinds of events the discrete-event engines process. Engine keeps its
-/// staged trace arrival and its running transaction's completion outside
-/// the queue, so it pushes neither kQueryArrival nor kCompletion; the
-/// reference engine pushes both.
+/// staged trace arrival, its running transaction's completion and its
+/// queries' deadlines outside the queue, so it pushes none of
+/// kQueryArrival, kCompletion and kQueryDeadline; the reference engine
+/// pushes all three.
 enum class EventType {
   kQueryArrival = 0,   ///< payload: position in the workload's query trace
   kUpdateArrival,      ///< payload: item id
   kCompletion,         ///< payload: txn id
-  kQueryDeadline,      ///< payload: txn slab handle (Engine) or txn id
-                       ///< (ReferenceEngine); firm-deadline expiry
+  kQueryDeadline,      ///< payload: txn id; firm-deadline expiry
   kControlTick,        ///< periodic policy/monitoring tick
   kFaultEdge,          ///< payload: index into the fault schedule's edges
   kFaultQueryArrival,  ///< payload: index into the injected query list
@@ -34,14 +33,11 @@ struct Event {
   SimTime time = 0;
   uint64_t seq = 0;
   EventType type = EventType::kControlTick;
-  int64_t payload = 0;  ///< txn handle, item id, or index per type
+  int64_t payload = 0;  ///< item id, trace id or index per type
 };
 
-/// Deterministic min-heap of events ordered by (time, seq), with lazy
-/// cancellation support: the engine tombstones events whose handler would
-/// no-op (a query resolved before its deadline event) and periodically
-/// compacts the heap so dead events stop paying O(log n) sift costs on
-/// heavy update traces.
+/// Deterministic min-heap of events ordered by (time, seq). Every event in
+/// it fires: nothing the engine pushes is ever cancelled.
 class EventQueue {
  public:
   /// Out of line (event_queue.cc) on purpose: the inlined push_heap body is
@@ -50,8 +46,8 @@ class EventQueue {
   void Push(SimTime time, EventType type, int64_t payload);
 
   /// Takes the next FIFO sequence without pushing an event: the engine
-  /// orders its running transaction's completion against the queue by the
-  /// sequence a push at dispatch would have had.
+  /// orders its running transaction's completion and each admitted query's
+  /// deadline against the queue by the sequence a push would have had.
   uint64_t TakeSeq() { return next_seq_++; }
 
   bool empty() const { return events_.empty(); }
@@ -64,38 +60,6 @@ class EventQueue {
   /// calls it once per event right next to every inlined handler.
   Event Pop();
 
-  // --- lazy cancellation ---
-
-  /// Records that one scheduled event became a tombstone (its handler will
-  /// no-op when popped). The event itself stays in the heap until the owner
-  /// compacts; correctness never depends on compaction happening.
-  void NoteCancelled() { ++cancelled_; }
-
-  /// Tombstones recorded since the last compaction.
-  size_t cancelled() const { return cancelled_; }
-
-  /// Whether enough tombstones accumulated to be worth a compaction pass:
-  /// more than kCompactMinDead dead events and at least half the heap.
-  bool ShouldCompact() const {
-    return cancelled_ > kCompactMinDead && cancelled_ * 2 > events_.size();
-  }
-
-  /// Removes every event for which `dead(event)` is true and re-heapifies
-  /// in O(n). Survivors keep their sequence numbers, so the pop order of
-  /// live events — and therefore the simulation — is unchanged. Returns the
-  /// number of events removed.
-  template <typename Pred>
-  size_t CompactIf(Pred&& dead) {
-    const auto live_end = std::remove_if(events_.begin(), events_.end(), dead);
-    const size_t removed = static_cast<size_t>(events_.end() - live_end);
-    events_.erase(live_end, events_.end());
-    std::make_heap(events_.begin(), events_.end(), Later{});
-    cancelled_ = 0;
-    return removed;
-  }
-
-  static constexpr size_t kCompactMinDead = 64;
-
  private:
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -106,7 +70,6 @@ class EventQueue {
 
   std::vector<Event> events_;  ///< binary heap under Later
   uint64_t next_seq_ = 0;
-  size_t cancelled_ = 0;
 };
 
 }  // namespace unitdb

@@ -44,10 +44,11 @@ enum class OracleRole {
   /* Simulated run length and CPU busy time (aggregate over shard CPUs). */  \
   X(double, duration_s, kSame, kCompared)                                    \
   X(double, busy_s, kSum, kCompared)                                         \
-  /* Engine hot path: events handled (staged arrivals, completions and       \
-     heap pops, dead deadlines included), deadlines tombstoned by an early   \
-     commit or shed, heap compaction passes, dead events removed, largest    \
-     ready-queue size. */                                                    \
+  /* Engine hot path: events handled (staged arrivals, completions,          \
+     expired deadlines and timer pops; none is dead), deadlines erased by a  \
+     commit or a shed, largest ready-queue size. The two compaction fields   \
+     read 0, since no event is ever dead; they stay because perfbench reads  \
+     them. */                                                                \
   X(int64_t, events_processed, kSum, kTelemetry)                             \
   X(int64_t, events_cancelled, kSum, kTelemetry)                             \
   X(int64_t, event_compactions, kSum, kTelemetry)                            \

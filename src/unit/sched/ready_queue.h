@@ -1,10 +1,11 @@
 #ifndef UNIT_SCHED_READY_QUEUE_H_
 #define UNIT_SCHED_READY_QUEUE_H_
 
-#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "unit/common/types.h"
+#include "unit/sched/txn_heap.h"
 #include "unit/txn/transaction.h"
 
 namespace unitdb {
@@ -17,23 +18,42 @@ enum class QueueDiscipline {
   kFcfs = 1,  ///< first-come-first-served (by transaction id = arrival order)
 };
 
+/// Strict total order within one class: EDF deadline (under kEdf), then
+/// transaction id.
+struct ReadyOrder {
+  QueueDiscipline discipline = QueueDiscipline::kEdf;
+
+  bool operator()(const Transaction* a, const Transaction* b) const {
+    if (discipline == QueueDiscipline::kEdf &&
+        a->absolute_deadline() != b->absolute_deadline()) {
+      return a->absolute_deadline() < b->absolute_deadline();
+    }
+    return a->id() < b->id();
+  }
+};
+
+struct ReadySlot {
+  static int32_t Get(const Transaction& t) { return t.ready_pos(); }
+  static void Set(Transaction& t, int32_t pos) { t.set_ready_pos(pos); }
+};
+
 /// The paper's dispatching discipline: a dual-priority ready queue where
 /// update transactions always rank above user queries, with EDF (or FCFS)
 /// ordering transactions within each class. Ties break by transaction id
 /// (arrival order), making dispatch deterministic.
 ///
-/// Implemented as two intrusive binary heaps: each Transaction carries its
-/// heap slot (`ready_pos`), so Insert/Remove/PopTop are O(log n) with zero
-/// per-node allocation (the seed used node-allocating std::sets). Dispatch
-/// order is identical to the seed's: the comparator is a strict total order
-/// (class, then deadline/arrival, then id), so the heap minimum is unique.
+/// Implemented as two intrusive heaps (sched/txn_heap.h), one per class,
+/// each Transaction carrying its slot (`ready_pos`), so Insert/Remove/PopTop
+/// are O(log n) with zero per-node allocation. The order is a strict total
+/// order (class, then deadline/arrival, then id), so the heap minimum is
+/// unique.
 ///
 /// Stores non-owning pointers; the engine owns all transactions.
 class ReadyQueue {
  public:
   explicit ReadyQueue(QueueDiscipline discipline = QueueDiscipline::kEdf);
 
-  QueueDiscipline discipline() const { return discipline_; }
+  QueueDiscipline discipline() const { return updates_.order().discipline; }
 
   /// Inserts a transaction (must not already be present).
   void Insert(Transaction* txn);
@@ -56,7 +76,7 @@ class ReadyQueue {
   int size() const { return update_count() + query_count(); }
 
   /// The queued queries, in heap order (no priority order to rely on).
-  const std::vector<Transaction*>& queries() const { return queries_; }
+  const std::vector<Transaction*>& queries() const { return queries_.items(); }
 
   /// Largest size() ever observed (perf telemetry; monotonic).
   int peak_size() const { return peak_size_; }
@@ -69,27 +89,10 @@ class ReadyQueue {
   bool HigherPriority(const Transaction& a, const Transaction& b) const;
 
  private:
-  /// Strict total order within one class: EDF deadline (under kEdf), then
-  /// transaction id.
-  bool Before(const Transaction* a, const Transaction* b) const {
-    if (discipline_ == QueueDiscipline::kEdf &&
-        a->absolute_deadline() != b->absolute_deadline()) {
-      return a->absolute_deadline() < b->absolute_deadline();
-    }
-    return a->id() < b->id();
-  }
+  using Heap = TxnHeap<ReadyOrder, ReadySlot>;
 
-  void HeapPush(std::vector<Transaction*>& heap, Transaction* t);
-  bool HeapErase(std::vector<Transaction*>& heap, Transaction* t);
-  bool HeapContains(const std::vector<Transaction*>& heap,
-                    const Transaction* t) const;
-  void SiftUp(std::vector<Transaction*>& heap, size_t i);
-  void SiftDown(std::vector<Transaction*>& heap, size_t i);
-  static void Place(std::vector<Transaction*>& heap, size_t i, Transaction* t);
-
-  QueueDiscipline discipline_;
-  std::vector<Transaction*> updates_;
-  std::vector<Transaction*> queries_;
+  Heap updates_;
+  Heap queries_;
   SimDuration update_work_ = 0;
   int peak_size_ = 0;
 };

@@ -109,20 +109,23 @@ class Transaction {
   int32_t ready_pos() const { return ready_pos_; }
   void set_ready_pos(int32_t pos) { ready_pos_ = pos; }
 
+  /// Slot of this query in its engine's deadline heap (-1 when absent:
+  /// before admission and once the query resolves). Owned by the heap.
+  int32_t deadline_pos() const { return deadline_pos_; }
+  void set_deadline_pos(int32_t pos) { deadline_pos_ = pos; }
+
+  /// The FIFO sequence the engine took when it admitted this query: its
+  /// deadline orders by (absolute_deadline(), deadline_seq()) against the
+  /// timers and the running completion due at the same instant.
+  uint64_t deadline_seq() const { return deadline_seq_; }
+  void set_deadline_seq(uint64_t seq) { deadline_seq_ = seq; }
+
   /// Freshness of the read set at commit (queries only; -1 before commit).
   double observed_freshness() const { return observed_freshness_; }
   void set_observed_freshness(double f) { observed_freshness_ = f; }
 
-  /// Packed {slot index, generation} handle of this transaction in its
-  /// owning TxnSlab (txn/txn_slab.h); 0 when the transaction does not live
-  /// in a slab (reference engine, tests). Stamped by the slab on allocation
-  /// and carried by deadline events so a recycled slot turns a stale
-  /// deadline into a no-op.
-  int64_t slab_handle() const { return slab_handle_; }
-  void set_slab_handle(int64_t h) { slab_handle_ = h; }
-
  private:
-  friend class TxnSlab;  // constructs empty slot objects, re-stamps handles
+  friend class TxnSlab;  // constructs empty slot objects
   Transaction() = default;
 
   TxnId id_ = kInvalidTxn;
@@ -146,7 +149,8 @@ class Transaction {
   SimTime commit_time_ = -1;
   double observed_freshness_ = -1.0;
   int32_t ready_pos_ = -1;
-  int64_t slab_handle_ = 0;
+  int32_t deadline_pos_ = -1;
+  uint64_t deadline_seq_ = 0;
 };
 
 }  // namespace unitdb

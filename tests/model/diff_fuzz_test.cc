@@ -18,8 +18,8 @@ constexpr uint64_t kFuzzSeed = 20060402;  // ICDE 2006 vintage
 
 // GenerateCase rotates policy = [unit, imu, odu, qmf][index % 4], so a
 // contiguous index range [base, base + 4 * kCasesPerPolicy) covers every
-// policy kCasesPerPolicy times, with the index/compaction/fault toggles
-// rotating independently underneath.
+// policy kCasesPerPolicy times, with the case matrix's other toggles
+// (src/unit/model/gen.h) rotating underneath.
 constexpr int kCasesPerPolicy = 200;
 
 class DiffFuzzTest : public ::testing::TestWithParam<int> {};

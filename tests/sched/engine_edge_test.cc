@@ -152,13 +152,14 @@ TEST(EngineEdgeTest, DeadlineScheduledBeforeDispatchBeatsTheCompletion) {
 
 // --- Tie order at one instant -------------------------------------------
 //
-// Engine keeps the staged trace arrival and the running transaction's
-// completion out of its event heap and merges them in. At one instant the
-// arrival comes first; the completion comes after the heap events
-// scheduled before its dispatch and before those scheduled after it. The
-// tests below log what a scripted policy sees, in order, on both engines
-// (the reference engine pushes every event into one list), and run the
-// same workload through RunDiff.
+// Engine keeps the staged trace arrival, the running transaction's
+// completion and the queries' deadlines out of its timer heap and merges
+// them in. At one instant the arrival comes first; the completion comes
+// after the timers and deadlines scheduled before its dispatch and before
+// those scheduled after it, and a deadline likewise by its query's
+// admission. The tests below log what a scripted policy sees, in order, on
+// both engines (the reference engine pushes every event into one list), and
+// run the same workload through RunDiff.
 
 using Log = std::vector<std::string>;
 
@@ -323,6 +324,48 @@ TEST(EngineEdgeTest, CompletionOrdersAgainstTimersByItsDispatch) {
   }
 }
 
+TEST(EngineEdgeTest, DeadlineOrdersAgainstTimersByItsAdmission) {
+  // Under FCFS q1 waits behind q0, which runs 0-3000 ms, until its deadline
+  // at 2000 ms, the instant of the second control tick. That tick is pushed
+  // when the first fires, at 1000 ms.
+  EngineParams params;
+  params.discipline = QueueDiscipline::kFcfs;
+  {
+    SCOPED_TRACE("query admitted before the timer was pushed");
+    // q1 is admitted at 500 ms: its deadline comes first.
+    Workload w = Empty(2, 3.5);
+    w.queries = {QueryMs(0, 0, 3000, 5000, 0), QueryMs(1, 500, 100, 1500, 1)};
+    ExpectTieOrder(w, params,
+                   {"0 admit q0", "500 admit q1", "1000 tick",
+                    "2000 resolve q1 dmf", "2000 tick",
+                    "3000 resolve q0 success", "3000 tick"});
+  }
+  {
+    SCOPED_TRACE("query admitted after the timer was pushed");
+    // q1 is admitted at 1500 ms: the tick comes first.
+    Workload w = Empty(2, 3.5);
+    w.queries = {QueryMs(0, 0, 3000, 5000, 0), QueryMs(1, 1500, 100, 500, 1)};
+    ExpectTieOrder(w, params,
+                   {"0 admit q0", "1000 tick", "1500 admit q1", "2000 tick",
+                    "2000 resolve q1 dmf", "3000 resolve q0 success",
+                    "3000 tick"});
+  }
+}
+
+TEST(EngineEdgeTest, DeadlineAdmittedAfterTheDispatchLosesToTheCompletion) {
+  // Under FCFS q0 runs 0-1000 ms. q1 arrives at 200 ms, after q0's
+  // dispatch, and is due at 1000 ms: q0 commits first, then q1, dispatched
+  // at that instant, misses its deadline.
+  Workload w = Empty(2, 5.0);
+  w.queries = {QueryMs(0, 0, 1000, 5000, 0), QueryMs(1, 200, 100, 800, 1)};
+  EngineParams params;
+  params.control_period = 0;
+  params.discipline = QueueDiscipline::kFcfs;
+  ExpectTieOrder(w, params,
+                 {"0 admit q0", "200 admit q1", "1000 resolve q0 success",
+                  "1000 resolve q1 dmf"});
+}
+
 TEST(EngineEdgeTest, ArrivalAtHorizonBoundaryIsDropped) {
   // An update phase beyond the duration never generates or applies.
   Workload w = Empty(1, 5.0);
@@ -438,15 +481,15 @@ TEST(EngineEdgeTest, BusyAccountingMatchesCommittedWork) {
   EXPECT_NEAR(m.busy_s, expected_s, 1e-6);
 }
 
-// A query resolved before its deadline fires leaves that deadline in the
-// heap as a tombstone: a commit (success or stale) or a shed. Without the
-// cache every admitted query pushed one, so the tombstones number exactly
-// the commits plus the sheds.
-TEST(EngineEdgeTest, ShedAndCommitTombstonesAreCounted) {
+// A query resolved before its deadline leaves the deadline heap at once: a
+// commit (success or stale) or a shed erases its deadline. Without the cache
+// every admitted query entered the heap, so the erased deadlines number
+// exactly the commits plus the sheds, and no event is ever dead.
+TEST(EngineEdgeTest, ShedAndCommitDeadlinesAreErased) {
   Workload w = Empty(8, 30.0);
   for (int i = 0; i < 400; ++i) {
-    // Every tenth query is due before it can run: a deadline miss, whose
-    // handler consumes its own event.
+    // Every tenth query is due before it can run: a deadline miss, which
+    // takes its deadline off the heap as it fires.
     const double deadline_s = i % 10 == 0 ? 0.03 : 1.0 + (i % 3);
     w.queries.push_back(Query(i, 0.01 * i, 40.0, deadline_s, {i % 8}));
   }
@@ -461,9 +504,10 @@ TEST(EngineEdgeTest, ShedAndCommitTombstonesAreCounted) {
   EXPECT_GT(m.counts.success, 0);
   EXPECT_GT(m.counts.dsf, 0);
   EXPECT_GT(m.counts.dmf, 0);
-  EXPECT_GT(m.event_compactions, 0);
   EXPECT_EQ(m.events_cancelled,
             m.counts.success + m.counts.dsf + m.queries_shed);
+  EXPECT_EQ(m.event_compactions, 0);
+  EXPECT_EQ(m.events_compacted, 0);
 }
 
 // A trace whose arrivals go backwards would step the clock back. The engine

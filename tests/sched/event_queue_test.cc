@@ -74,50 +74,5 @@ TEST(EventQueueTest, TopPeeksWithoutRemoving) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST(EventQueueTest, ShouldCompactNeedsManyDeadAndHalfTheHeap) {
-  EventQueue q;
-  for (int i = 0; i < 200; ++i) q.Push(i, EventType::kControlTick, i);
-  for (size_t i = 0; i <= EventQueue::kCompactMinDead; ++i) q.NoteCancelled();
-  // 65 tombstones out of 200 events: above the floor but not half the heap.
-  EXPECT_FALSE(q.ShouldCompact());
-  for (int i = 0; i < 40; ++i) q.NoteCancelled();
-  EXPECT_TRUE(q.ShouldCompact());  // 105 * 2 > 200
-  EXPECT_EQ(q.cancelled(), 105u);
-}
-
-TEST(EventQueueTest, CompactIfDropsDeadAndPreservesLiveOrder) {
-  EventQueue q;
-  // Interleave live and dead events, with ties at equal timestamps so the
-  // FIFO seq tie-break is also exercised across a re-heapify.
-  for (int i = 0; i < 100; ++i) {
-    q.Push(/*time=*/i / 2, EventType::kControlTick, /*payload=*/i);
-  }
-  auto dead = [](const Event& e) { return e.payload % 3 == 0; };
-  for (int i = 0; i < 100; ++i) {
-    if (i % 3 == 0) q.NoteCancelled();
-  }
-  const size_t removed = q.CompactIf(dead);
-  EXPECT_EQ(removed, 34u);
-  EXPECT_EQ(q.size(), 66u);
-  EXPECT_EQ(q.cancelled(), 0u);  // counter resets with the pass
-
-  std::vector<int64_t> got;
-  while (!q.empty()) got.push_back(q.Pop().payload);
-  std::vector<int64_t> want;
-  for (int i = 0; i < 100; ++i) {
-    if (i % 3 != 0) want.push_back(i);  // original (time, seq) order
-  }
-  EXPECT_EQ(got, want);
-}
-
-TEST(EventQueueTest, CompactIfCanEmptyTheQueue) {
-  EventQueue q;
-  for (int i = 0; i < 5; ++i) q.Push(i, EventType::kQueryDeadline, i);
-  EXPECT_EQ(q.CompactIf([](const Event&) { return true; }), 5u);
-  EXPECT_TRUE(q.empty());
-  q.Push(1, EventType::kControlTick, 7);  // still usable afterwards
-  EXPECT_EQ(q.Pop().payload, 7);
-}
-
 }  // namespace
 }  // namespace unitdb

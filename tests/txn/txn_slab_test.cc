@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "unit/common/rng.h"
@@ -18,46 +18,31 @@ Transaction Query(TxnId id) {
                                 /*freshness_req=*/0.9, {ItemId{0}});
 }
 
-TEST(TxnSlabTest, CreateStampsAResolvableHandle) {
+TEST(TxnSlabTest, CreateCountsALiveSlot) {
   TxnSlab slab;
   Transaction* t = slab.Create(Query(1));
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->id(), 1);
-  EXPECT_EQ(slab.Get(t->slab_handle()), t);
+  EXPECT_EQ(t->ready_pos(), -1);
+  EXPECT_EQ(t->deadline_pos(), -1);
   EXPECT_EQ(slab.live(), 1);
   EXPECT_EQ(slab.high_water(), 1);
   EXPECT_EQ(slab.slots_created(), 1);
 }
 
-TEST(TxnSlabTest, ReleaseInvalidatesTheHandle) {
-  TxnSlab slab;
-  Transaction* t = slab.Create(Query(1));
-  const int64_t handle = t->slab_handle();
-  slab.Release(t);
-  EXPECT_EQ(slab.Get(handle), nullptr);
-  EXPECT_EQ(slab.live(), 0);
-  EXPECT_EQ(slab.released(), 1);
-}
-
-TEST(TxnSlabTest, ReusedSlotRejectsTheStaleGeneration) {
+TEST(TxnSlabTest, ReleasedSlotIsReusedBeforeANewOneIsCut) {
   TxnSlab slab;
   Transaction* a = slab.Create(Query(1));
-  const int64_t stale = a->slab_handle();
-  slab.Release(a);
   Transaction* b = slab.Create(Query(2));
-  // Same slot, new generation: the old handle must not resolve to b.
-  EXPECT_EQ(slab.slots_created(), 1);
-  EXPECT_NE(b->slab_handle(), stale);
-  EXPECT_EQ(slab.Get(stale), nullptr);
-  EXPECT_EQ(slab.Get(b->slab_handle()), b);
+  slab.Release(a);
+  EXPECT_EQ(slab.live(), 1);
+  EXPECT_EQ(slab.released(), 1);
+  Transaction* c = slab.Create(Query(3));
+  EXPECT_EQ(c, a);  // same slot, new occupant
+  EXPECT_EQ(c->id(), 3);
   EXPECT_EQ(b->id(), 2);
-}
-
-TEST(TxnSlabTest, PackUnpackRoundTripsIndexAndGeneration) {
-  const TxnSlot slot{/*index=*/123456u, /*generation=*/0xDEADBEEFu};
-  const TxnSlot back = TxnSlot::Unpack(slot.Pack());
-  EXPECT_EQ(back.index, slot.index);
-  EXPECT_EQ(back.generation, slot.generation);
+  EXPECT_EQ(slab.slots_created(), 2);
+  EXPECT_EQ(slab.high_water(), 2);
 }
 
 TEST(TxnSlabTest, PointersStayStableAcrossChunkGrowth) {
@@ -65,10 +50,7 @@ TEST(TxnSlabTest, PointersStayStableAcrossChunkGrowth) {
   std::vector<Transaction*> ptrs;
   // Cross several 256-slot chunk boundaries without releasing anything.
   for (TxnId id = 0; id < 1000; ++id) ptrs.push_back(slab.Create(Query(id)));
-  for (TxnId id = 0; id < 1000; ++id) {
-    EXPECT_EQ(ptrs[id]->id(), id);
-    EXPECT_EQ(slab.Get(ptrs[id]->slab_handle()), ptrs[id]);
-  }
+  for (TxnId id = 0; id < 1000; ++id) EXPECT_EQ(ptrs[id]->id(), id);
   EXPECT_EQ(slab.high_water(), 1000);
 }
 
@@ -97,40 +79,43 @@ TEST(TxnSlabTest, HighWaterStaysBoundedUnderTenfoldChurn) {
   }
 }
 
-// Randomized churn: interleave creates and releases, tracking every handle
-// ever minted. Live handles must resolve to the right transaction; every
-// retired handle must resolve to nullptr even after its slot is reused.
-TEST(TxnSlabTest, RandomChurnNeverResolvesAStaleHandle) {
+// Randomized churn: interleave creates and releases. Every live
+// transaction keeps its id while other slots churn, and a create reuses the
+// most recently released slot while one waits, cutting a new slot only when
+// none does.
+TEST(TxnSlabTest, RandomChurnKeepsIdsAndReusesReleasedSlots) {
   TxnSlab slab;
   Rng rng(7);
-  std::unordered_map<int64_t, TxnId> live;     // handle -> expected id
-  std::vector<int64_t> stale_handles;
+  std::vector<std::pair<Transaction*, TxnId>> live;
+  std::vector<Transaction*> released;  // waiting slots, most recent last
   TxnId next_id = 0;
   for (int step = 0; step < 50000; ++step) {
     if (live.empty() || rng.Bernoulli(0.55)) {
+      const int64_t cut = slab.slots_created();
       Transaction* t = slab.Create(Query(next_id));
-      live[t->slab_handle()] = next_id;
+      if (released.empty()) {
+        ASSERT_EQ(slab.slots_created(), cut + 1);
+      } else {
+        ASSERT_EQ(t, released.back());
+        ASSERT_EQ(slab.slots_created(), cut);
+        released.pop_back();
+      }
+      live.emplace_back(t, next_id);
       ++next_id;
     } else {
-      auto it = live.begin();
-      std::advance(it, rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
-      Transaction* t = slab.Get(it->first);
-      ASSERT_NE(t, nullptr);
-      ASSERT_EQ(t->id(), it->second);
-      slab.Release(t);
-      stale_handles.push_back(it->first);
-      live.erase(it);
+      const size_t pick = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      ASSERT_EQ(live[pick].first->id(), live[pick].second);
+      slab.Release(live[pick].first);
+      released.push_back(live[pick].first);
+      live[pick] = live.back();
+      live.pop_back();
     }
   }
-  for (const auto& [handle, id] : live) {
-    Transaction* t = slab.Get(handle);
-    ASSERT_NE(t, nullptr);
-    EXPECT_EQ(t->id(), id);
-  }
-  for (const int64_t handle : stale_handles) {
-    EXPECT_EQ(slab.Get(handle), nullptr);
-  }
+  for (const auto& [t, id] : live) EXPECT_EQ(t->id(), id);
   EXPECT_EQ(slab.live(), static_cast<int64_t>(live.size()));
+  EXPECT_EQ(slab.slots_created(),
+            static_cast<int64_t>(live.size() + released.size()));
   EXPECT_EQ(slab.high_water(), slab.slots_created());
 }
 
