@@ -45,8 +45,6 @@
 #include "harness.h"
 #include "unit/common/fan_out.h"
 #include "unit/common/stats.h"
-#include "unit/core/policies/odu.h"
-#include "unit/sched/engine.h"
 #include "unit/sim/experiment.h"
 #include "unit/sim/report.h"
 
@@ -503,36 +501,25 @@ Status PrintA3(const FigureRun& run) {
 
 Status PrintA4(const FigureRun& run) {
   const Panel& dt = run.panels[0];
-  if (run.shards > 1) {
-    return Status::InvalidArgument(
-        "a4's ODU dedupe panel runs one engine directly; shards= must be at "
-        "most 1");
-  }
   std::cout << "trace " << dt.workload(0, 0).update_trace_name << "\n";
   std::cout << "\n--- dt_scale (access shielding strength, Eq. 6) ---\n";
   PrintVariantTable(dt, {"dt_scale"}, NameOf, 0);
   std::cout << "\n--- upgrade policy (Eq. 10 reading) ---\n";
   PrintVariantTable(run.panels[1], {"upgrade"}, NameOf, 0);
 
-  // ODU's dedupe switch is a constructor argument, not a policy name or
-  // option, so this panel runs the engine directly on the grid's workloads.
   std::cout << "\n--- ODU in-flight refresh dedupe ---\n";
+  const Panel& odu = run.panels[2];  // policies odu, odu-nodedupe
   TextTable table;
   table.SetHeader({"dedupe", "USM", "success", "dmf", "refreshes"});
-  for (bool dedupe : {true, false}) {
-    RunningStat usm, success, dmf, refreshes;
-    for (int i = 0; i < dt.spec.replications; ++i) {
-      OduPolicy policy(dedupe);
-      Engine engine(dt.workload(0, i), &policy, {});
-      const RunMetrics m = engine.Run();
-      usm.Add(UsmAverage(m.counts, UsmWeights{}));
-      success.Add(m.counts.SuccessRatio());
-      dmf.Add(m.counts.DmfRatio());
-      refreshes.Add(static_cast<double>(m.on_demand_updates));
-    }
-    table.AddRow({dedupe ? "on" : "off", Fmt(usm.mean(), 3),
-                  FmtPercent(success.mean()), FmtPercent(dmf.mean()),
-                  Fmt(refreshes.mean(), 0)});
+  for (int k = 0; k < odu.policies(); ++k) {
+    const GridCellResult& c = odu.cell(0, 0, k);
+    const double refreshes =
+        odu.Mean(0, c, [](const ExperimentResult& r, const Workload&) {
+          return static_cast<double>(r.metrics.on_demand_updates);
+        });
+    table.AddRow({k == 0 ? "on" : "off", Fmt(MeanUsm(c), 3),
+                  FmtPercent(c.result.success_ratio.mean()),
+                  FmtPercent(c.result.dmf_ratio.mean()), Fmt(refreshes, 0)});
   }
   table.Print(std::cout);
   return Status::Ok();
@@ -975,7 +962,8 @@ StatusOr<std::vector<Figure>> Figures(std::optional<double> scale,
                      m.selective_upgrade = u.selective;
                      m.linear_upgrade = u.linear;
                    }),
-             kUniform, kMedium)},
+             kUniform, kMedium),
+        Axes({"odu", "odu-nodedupe"}, {}, kUniform, kMedium)},
        1.0, 1, PrintA4},
       {"a5",
        "Ablation A5: EDF vs FCFS intra-class dispatch",

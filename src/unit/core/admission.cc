@@ -26,6 +26,7 @@ int64_t EndangeredCap(double dmf_cost, double rejection_cost,
 void AdmissionIndex::Init(const Workload& /*workload*/) {
   root_ = kNil;
   free_ = kNil;
+  first_ = kNil;
   nodes_.clear();
 }
 
@@ -53,18 +54,18 @@ void AdmissionIndex::Pull(int32_t x) {
   n.work = through;
 }
 
-void AdmissionIndex::Split(int32_t t, SimTime deadline, TxnId id,
+void AdmissionIndex::Split(int32_t t, SimTime d, const Transaction* txn,
                            int32_t* before, int32_t* after) {
   if (t == kNil) {
     *before = *after = kNil;
     return;
   }
   Node& n = nodes_[t];
-  if (KeyBefore(deadline, id, n)) {
-    Split(n.left, deadline, id, before, &n.left);
+  if (KeyBefore(d, txn, n)) {
+    Split(n.left, d, txn, before, &n.left);
     *after = t;
   } else {
-    Split(n.right, deadline, id, &n.right, after);
+    Split(n.right, d, txn, &n.right, after);
     *before = t;
   }
   Pull(t);
@@ -76,11 +77,11 @@ int32_t AdmissionIndex::InsertAt(int32_t t, int32_t x) {
   Node& node = nodes_[x];
   if (node.priority > n.priority) {
     // x becomes this subtree's root: split only the subtree it displaces.
-    Split(t, node.deadline, node.id, &node.left, &node.right);
+    Split(t, node.deadline, node.txn, &node.left, &node.right);
     Pull(x);
     return x;
   }
-  if (KeyBefore(node.deadline, node.id, n)) {
+  if (KeyBefore(node.deadline, node.txn, n)) {
     n.left = InsertAt(n.left, x);
   } else {
     n.right = InsertAt(n.right, x);
@@ -102,26 +103,26 @@ int32_t AdmissionIndex::Join(int32_t a, int32_t b) {
   return b;
 }
 
-int32_t AdmissionIndex::EraseAt(int32_t t, SimTime deadline, TxnId id) {
+int32_t AdmissionIndex::EraseAt(int32_t t, SimTime d, const Transaction* txn) {
   assert(t != kNil && "erasing a query the index does not hold");
   Node& n = nodes_[t];
-  if (n.deadline == deadline && n.id == id) {
+  if (n.txn == txn) {
     const int32_t joined = Join(n.left, n.right);
     n.left = free_;
     free_ = t;
     return joined;
   }
-  if (KeyBefore(deadline, id, n)) {
-    n.left = EraseAt(n.left, deadline, id);
+  if (KeyBefore(d, txn, n)) {
+    n.left = EraseAt(n.left, d, txn);
   } else {
-    n.right = EraseAt(n.right, deadline, id);
+    n.right = EraseAt(n.right, d, txn);
   }
   Pull(t);
   return t;
 }
 
-void AdmissionIndex::OnInsert(const Transaction& query) {
-  assert(query.is_query());
+void AdmissionIndex::OnInsert(Transaction* query) {
+  assert(query->is_query());
   int32_t x = free_;
   if (x != kNil) {
     free_ = nodes_[x].left;
@@ -130,19 +131,28 @@ void AdmissionIndex::OnInsert(const Transaction& query) {
     nodes_.emplace_back();
   }
   Node& n = nodes_[x];
-  n.deadline = query.absolute_deadline();
-  n.id = query.id();
+  n.deadline = query->absolute_deadline();
+  n.txn = query;
   n.priority = static_cast<uint32_t>(
-      SplitMix64(static_cast<uint64_t>(query.id())) >> 32);
-  n.own_work = query.remaining();
+      SplitMix64(static_cast<uint64_t>(query->id())) >> 32);
+  n.own_work = query->remaining();
   n.left = n.right = kNil;
   Pull(x);
+  if (first_ == kNil || KeyBefore(n.deadline, query, nodes_[first_])) {
+    first_ = x;
+  }
   root_ = InsertAt(root_, x);
 }
 
-void AdmissionIndex::OnRemove(const Transaction& query) {
-  assert(query.is_query());
-  root_ = EraseAt(root_, query.absolute_deadline(), query.id());
+void AdmissionIndex::OnRemove(const Transaction* query) {
+  assert(query->is_query() && first_ != kNil);
+  const bool was_first = nodes_[first_].txn == query;
+  root_ = EraseAt(root_, query->absolute_deadline(), query);
+  if (!was_first) return;
+  first_ = root_;  // the next key ends the left spine
+  while (first_ != kNil && nodes_[first_].left != kNil) {
+    first_ = nodes_[first_].left;
+  }
 }
 
 AdmissionIndex::Projection AdmissionIndex::Project(SimTime deadline,

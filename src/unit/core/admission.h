@@ -31,7 +31,8 @@ int64_t EndangeredCap(double dmf_cost, double rejection_cost, int64_t bound);
 
 /// Online EST/admission index over the queued queries, owned by the engine
 /// and kept in sync at every ready-queue mutation of a query transaction.
-/// The engine answers EngineContext::ProjectAdmission from it.
+/// The engine answers EngineContext::ProjectAdmission from it, and takes the
+/// earliest queued firm deadline from first().
 ///
 /// A treap keyed on (absolute deadline, txn id) — EDF order, which admission
 /// projects under either dispatch discipline — holds exactly the queued
@@ -68,9 +69,16 @@ class AdmissionIndex {
   bool enabled() const { return true; }
 
   /// The query entered the ready queue (remaining stays fixed while queued).
-  void OnInsert(const Transaction& query);
+  /// The index holds `query` until OnRemove.
+  void OnInsert(Transaction* query);
   /// The query left the ready queue.
-  void OnRemove(const Transaction& query);
+  void OnRemove(const Transaction* query);
+
+  /// The first queued query in (deadline, id) order (nullptr when none),
+  /// kept in a field: when it leaves, one left-spine walk finds the next.
+  Transaction* first() const {
+    return first_ == kNil ? nullptr : nodes_[first_].txn;
+  }
 
   /// What one descent reads (see Project): the remaining demand of the
   /// queued queries due no later than the candidate, and the endangered
@@ -96,8 +104,8 @@ class AdmissionIndex {
 
   /// One cache line per node.
   struct alignas(64) Node {
-    SimTime deadline = 0;  ///< key, major
-    TxnId id = 0;          ///< key, minor
+    SimTime deadline = 0;        ///< key, major
+    Transaction* txn = nullptr;  ///< the query, whose id is the minor key
     int64_t own_work = 0;  ///< this query's remaining demand
     int64_t work = 0;      ///< sum of remaining demand in the subtree
     int64_t min_m = 0;     ///< min over subtree of deadline - local prefix work
@@ -110,21 +118,21 @@ class AdmissionIndex {
     uint32_t priority = 0;
   };
 
-  /// Whether (deadline, id) sorts before node `n`'s key.
-  static bool KeyBefore(SimTime deadline, TxnId id, const Node& n) {
-    return deadline != n.deadline ? deadline < n.deadline : id < n.id;
+  /// Whether key (d, txn's id) sorts before node `n`'s key.
+  static bool KeyBefore(SimTime d, const Transaction* txn, const Node& n) {
+    return d != n.deadline ? d < n.deadline : txn->id() < n.txn->id();
   }
   /// Recomputes node `x`'s aggregates from its children.
   void Pull(int32_t x);
   /// Inserts node `x` into subtree `t`; returns the new subtree root.
   int32_t InsertAt(int32_t t, int32_t x);
-  /// Splits subtree `t` into the keys before and after (deadline, id).
-  void Split(int32_t t, SimTime deadline, TxnId id, int32_t* before,
-             int32_t* after);
+  /// Splits subtree `t` into the keys before and after (deadline, txn).
+  void Split(int32_t t, SimTime deadline, const Transaction* txn,
+             int32_t* before, int32_t* after);
   /// Joins subtrees `a` and `b`, every key of `a` before every key of `b`.
   int32_t Join(int32_t a, int32_t b);
-  /// Erases key (deadline, id) from subtree `t`; returns its new root.
-  int32_t EraseAt(int32_t t, SimTime deadline, TxnId id);
+  /// Erases `txn`, due at `d`, from subtree `t`; returns its new root.
+  int32_t EraseAt(int32_t t, SimTime d, const Transaction* txn);
   /// Project over subtree `t`, whose keys due no later than `d` it skips;
   /// `acc` carries the queued work ahead of the subtree in EDF order and is
   /// advanced past it until the count reaches `cap`.
@@ -137,6 +145,7 @@ class AdmissionIndex {
 
   int32_t root_ = kNil;
   int32_t free_ = kNil;     ///< head of the free-node list
+  int32_t first_ = kNil;    ///< the node with the least key
   std::vector<Node> nodes_;  ///< node pool
 };
 

@@ -222,7 +222,9 @@ DiffCase GenerateCase(uint64_t seed, int64_t index) {
   // to a 5 ms grid, which the control periods already sit on, makes
   // arrivals, completions, deadlines and timers tie: the engine's merge of
   // its staged arrival and running completion into the event heap must
-  // then order them as the reference engine's single event list does.
+  // then order them as the reference engine's single event list does. Half
+  // of them also tick on the grid, so ticks pushed after a dispatch land on
+  // its completion.
   const bool coarse_on = (index / 8) % 4 == 1;  // a quarter, every policy
   if (coarse_on) {
     constexpr SimDuration kGrid = MillisToSim(5.0);
@@ -238,6 +240,7 @@ DiffCase GenerateCase(uint64_t seed, int64_t index) {
       u.update_exec = std::max(kGrid, snap(u.update_exec));
       u.phase = std::min(snap(u.phase), u.ideal_period - kGrid);
     }
+    if ((index / 32) % 2 == 0) c.engine.control_period = kGrid;
     c.shape = flash_on ? "flash+coarse" : "coarse";
   }
 

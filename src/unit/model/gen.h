@@ -31,7 +31,9 @@ namespace unitdb {
 ///   coarse clock        = (index / 8) % 4 == 1  (every policy; arrivals,
 ///                         query exec times and deadlines, and update
 ///                         periods, phases and exec times snapped to a
-///                         5 ms grid, so events tie)
+///                         5 ms grid, so events tie; when also
+///                         (index / 32) % 2 == 0, the control period is
+///                         the 5 ms grid, so ticks land on completions)
 ///
 /// DescribeCase prints the last two as shape=plain|flash|coarse|
 /// flash+coarse.

@@ -344,7 +344,7 @@ void ReferenceEngine::MaybeShed() {
     // Erase the victim's pending deadline event eagerly, as the commit path
     // does: a stale deadline left behind would advance this engine's clock
     // (and the final window flush) past the optimized engine's, whose
-    // deadline heap drops the victim at once.
+    // deadlines leave with their queries.
     CancelEvent(EventType::kQueryDeadline, victim->id());
     AbortQuery(victim, Outcome::kRejected);
   }
@@ -758,7 +758,7 @@ void ReferenceEngine::CompleteRunning(Transaction* t) {
     return;
   }
   // Query commit: its deadline event is still pending; erase it eagerly
-  // (the optimized engine erases it from its deadline heap).
+  // (the optimized engine's deadlines leave with their queries).
   CancelEvent(EventType::kQueryDeadline, t->id());
   const double freshness = db_.QueryFreshness(t->items(), now_);
   t->set_observed_freshness(freshness);

@@ -54,32 +54,41 @@ RunMetrics Engine::Run() {
   policy_->Attach(*this);
   ScheduleInitialEvents();
   while (staged_ || running_ != nullptr || !events_.empty() ||
-         !deadlines_.empty()) {
+         admission_index_.first() != nullptr) {
     ++metrics_.events_processed;
     // Four sources, merged in the (time, seq) order of one queue holding
     // them all. The staged arrival wins every tie: pushed up front, arrival
     // i would hold sequence i, below every other event's. Of the rest the
     // least (time, seq) goes next: the running completion holds the
-    // sequence taken at its dispatch, the earliest deadline the one taken
-    // at its query's admission, and the timer heap's top its push's.
+    // sequence taken at its dispatch, a deadline the one taken at its
+    // query's admission, and the timer heap's top its push's. A live
+    // deadline's query runs or is queued, so the earliest is the running
+    // query's or the admission index's first (DESIGN.md §7).
     enum class Next { kNone, kCompletion, kDeadline, kTimer };
     Next next = Next::kNone;
     SimTime time = 0;
     uint64_t seq = 0;
-    auto offer = [&](Next source, SimTime t, uint64_t s) {
+    Transaction* due = nullptr;  // the query whose deadline is next
+    auto offer = [&](Next source, SimTime t, uint64_t s,
+                     Transaction* query = nullptr) {
       if (next == Next::kNone || t < time || (t == time && s < seq)) {
         next = source;
         time = t;
         seq = s;
+        due = query;
       }
     };
     if (running_ != nullptr) {
       offer(Next::kCompletion, run_start_ + running_->remaining(),
             completion_seq_);
+      if (running_->is_query()) {
+        offer(Next::kDeadline, running_->absolute_deadline(),
+              running_->deadline_seq(), running_);
+      }
     }
-    if (!deadlines_.empty()) {
-      const Transaction* due = deadlines_.top();
-      offer(Next::kDeadline, due->absolute_deadline(), due->deadline_seq());
+    if (Transaction* queued = admission_index_.first()) {
+      offer(Next::kDeadline, queued->absolute_deadline(),
+            queued->deadline_seq(), queued);
     }
     if (!events_.empty()) {
       offer(Next::kTimer, events_.Top().time, events_.Top().seq);
@@ -95,9 +104,7 @@ RunMetrics Engine::Run() {
     } else if (next == Next::kDeadline) {
       assert(time >= now_);
       now_ = time;
-      Transaction* t = deadlines_.top();
-      deadlines_.Erase(t);
-      AbortQuery(t, Outcome::kDeadlineMiss);
+      AbortQuery(due, Outcome::kDeadlineMiss);
     } else {
       const Event e = events_.Pop();
       assert(e.time >= now_);
@@ -105,7 +112,7 @@ RunMetrics Engine::Run() {
       switch (e.type) {
         case EventType::kQueryArrival:   // staged off the heap (above)
         case EventType::kCompletion:     // held by running_ (above)
-        case EventType::kQueryDeadline:  // held by deadlines_ (above)
+        case EventType::kQueryDeadline:  // read off its query (above)
           break;
         case EventType::kUpdateArrival:
           HandleUpdateArrival(static_cast<ItemId>(e.payload));
@@ -265,8 +272,7 @@ void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
   }
   if (tracing()) TraceQueryArrival(*t);
   // Result cache sits before admission control: a covered, fresh-enough
-  // query is answered immediately and never enters the ready queue or the
-  // deadline heap.
+  // query is answered immediately and never enters the ready queue.
   if (cache_.enabled() && TryServeFromCache(t)) return;
   if (!policy_->AdmitQuery(*this, *t)) {
     t->set_state(TxnState::kAborted);
@@ -278,7 +284,6 @@ void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
   ReadyInsert(t);
   // The sequence a deadline event pushed now would hold.
   t->set_deadline_seq(events_.TakeSeq());
-  deadlines_.Push(t);
   if (params_.shed_watermark > 0) MaybeShed();
 }
 
@@ -297,6 +302,7 @@ void Engine::MaybeShed() {
     shed_depth_ = ready_.query_count();
     resolving_shed_ = true;
     ++metrics_.queries_shed;
+    ++metrics_.events_cancelled;  // the victim's deadline is never reached
     AbortQuery(victim, Outcome::kRejected);
     resolving_shed_ = false;
   }
@@ -608,9 +614,6 @@ void Engine::AbortQuery(Transaction* t, Outcome outcome) {
 }
 
 void Engine::ResolveQuery(Transaction* t, Outcome outcome) {
-  // A commit or a shed comes before the deadline (an expiry erased it
-  // already; a rejection or a cache hit never pushed one).
-  if (deadlines_.Erase(t)) ++metrics_.events_cancelled;
   t->set_outcome(outcome);
   if (tracing()) TraceQueryResolution(*t, outcome);
   assert(outcome != Outcome::kPending && "resolving with pending outcome");
@@ -686,6 +689,7 @@ void Engine::CompleteRunning() {
     return;
   }
   // Query commit: evaluate read-set freshness at commit time (Eq. 1).
+  ++metrics_.events_cancelled;  // its deadline is never reached
   const double freshness = db_.QueryFreshness(t->items(), now_);
   t->set_observed_freshness(freshness);
   for (ItemId item : t->items()) db_.RecordAccess(item);
@@ -879,12 +883,12 @@ void Engine::RecordWindowSample() {
 
 void Engine::ReadyInsert(Transaction* t) {
   ready_.Insert(t);
-  if (t->is_query()) admission_index_.OnInsert(*t);
+  if (t->is_query()) admission_index_.OnInsert(t);
 }
 
 void Engine::ReadyRemove(Transaction* t) {
   ready_.Remove(t);
-  if (t->is_query()) admission_index_.OnRemove(*t);
+  if (t->is_query()) admission_index_.OnRemove(t);
 }
 
 }  // namespace unitdb

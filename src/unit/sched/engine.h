@@ -16,7 +16,6 @@
 #include "unit/sched/event_queue.h"
 #include "unit/sched/metrics.h"
 #include "unit/sched/ready_queue.h"
-#include "unit/sched/txn_heap.h"
 #include "unit/session/session.h"
 #include "unit/txn/transaction.h"
 #include "unit/txn/txn_slab.h"
@@ -35,10 +34,10 @@ enum class TraceEventType : uint8_t;
 /// freshness, and policy hooks for admission control and update frequency
 /// modulation. Deterministic for a fixed (workload, policy, params) triple.
 ///
-/// This is the optimized EngineContext implementation (admission index,
-/// intrusive heaps of ready transactions and of live deadlines, a timer-only
-/// event heap); the semantically identical naive implementation lives in
-/// model/reference_engine.h.
+/// This is the optimized EngineContext implementation: an admission index
+/// that also yields the earliest queued deadline, intrusive ready-queue
+/// heaps and a timer-only event heap. The semantically identical naive
+/// implementation lives in model/reference_engine.h.
 class Engine final : public EngineContext {
  public:
   /// `workload` and `policy` must outlive the engine; neither is owned.
@@ -196,8 +195,7 @@ class Engine final : public EngineContext {
   /// Terminal failure of a ready or running query (deadline miss or shed);
   /// releases everything.
   void AbortQuery(Transaction* t, Outcome outcome);
-  /// Records a query's outcome, erases its deadline if still pending, and
-  /// releases its slot.
+  /// Records a query's outcome and releases its slot.
   void ResolveQuery(Transaction* t, Outcome outcome);
   void ReleaseLocksOf(Transaction* t);
 
@@ -210,10 +208,9 @@ class Engine final : public EngineContext {
   LockManager locks_;
   ReadyQueue ready_;
   EventQueue events_;
-  /// Admitted queries by firm deadline. A query leaves when it commits, is
-  /// shed or expires, so no deadline outlives its query; Run orders the top
-  /// against the timers by (absolute deadline, deadline_seq()).
-  DeadlineHeap deadlines_;
+  /// The queued queries by (absolute deadline, id). Its first query's
+  /// deadline and the running query's are the earliest live ones: Run
+  /// orders them against the timers by (absolute deadline, deadline_seq()).
   AdmissionIndex admission_index_;
   Rng rng_;
 

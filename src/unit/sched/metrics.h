@@ -45,10 +45,10 @@ enum class OracleRole {
   X(double, duration_s, kSame, kCompared)                                    \
   X(double, busy_s, kSum, kCompared)                                         \
   /* Engine hot path: events handled (staged arrivals, completions,          \
-     expired deadlines and timer pops; none is dead), deadlines erased by a  \
-     commit or a shed, largest ready-queue size. The two compaction fields   \
-     read 0, since no event is ever dead; they stay because perfbench reads  \
-     them. */                                                                \
+     expired deadlines and timer pops; none is dead), deadlines a commit or  \
+     a shed left unreached, largest ready-queue size. The two compaction     \
+     fields read 0, since no event is ever dead; they stay because perfbench \
+     reads them. */                                                          \
   X(int64_t, events_processed, kSum, kTelemetry)                             \
   X(int64_t, events_cancelled, kSum, kTelemetry)                             \
   X(int64_t, event_compactions, kSum, kTelemetry)                            \

@@ -1,7 +1,6 @@
 #ifndef UNIT_SCHED_READY_QUEUE_H_
 #define UNIT_SCHED_READY_QUEUE_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "unit/common/types.h"
@@ -30,11 +29,6 @@ struct ReadyOrder {
     }
     return a->id() < b->id();
   }
-};
-
-struct ReadySlot {
-  static int32_t Get(const Transaction& t) { return t.ready_pos(); }
-  static void Set(Transaction& t, int32_t pos) { t.set_ready_pos(pos); }
 };
 
 /// The paper's dispatching discipline: a dual-priority ready queue where
@@ -89,7 +83,7 @@ class ReadyQueue {
   bool HigherPriority(const Transaction& a, const Transaction& b) const;
 
  private:
-  using Heap = TxnHeap<ReadyOrder, ReadySlot>;
+  using Heap = TxnHeap<ReadyOrder>;
 
   Heap updates_;
   Heap queries_;

@@ -11,14 +11,13 @@ namespace unitdb {
 
 /// Intrusive binary min-heap of transactions. `Order` is a strict total
 /// order over the members (`order(a, b)`: a comes first), so the minimum is
-/// unique and the layout depends only on the sequence of calls. `Slot` names
-/// the Transaction field holding each member's heap index (-1 when absent):
-/// `Slot::Get(t)` reads it and `Slot::Set(t, pos)` writes it. Push and
+/// unique and the layout depends only on the sequence of calls. Each member
+/// keeps its heap index in Transaction::ready_pos (-1 when absent). Push and
 /// Erase are O(log n), Contains and top O(1), and nothing is allocated per
-/// member. A transaction sits in at most one heap per slot field.
+/// member. A transaction sits in at most one heap.
 ///
 /// Stores non-owning pointers; the engine owns all transactions.
-template <typename Order, typename Slot>
+template <typename Order>
 class TxnHeap {
  public:
   explicit TxnHeap(Order order = Order{}) : order_(order) {}
@@ -32,7 +31,7 @@ class TxnHeap {
   const std::vector<Transaction*>& items() const { return heap_; }
 
   bool Contains(const Transaction* t) const {
-    const int32_t pos = Slot::Get(*t);
+    const int32_t pos = t->ready_pos();
     return pos >= 0 && static_cast<size_t>(pos) < heap_.size() &&
            heap_[static_cast<size_t>(pos)] == t;
   }
@@ -46,8 +45,8 @@ class TxnHeap {
   /// Removes `t` if it is a member; returns whether it was.
   bool Erase(Transaction* t) {
     if (!Contains(t)) return false;
-    const size_t pos = static_cast<size_t>(Slot::Get(*t));
-    Slot::Set(*t, -1);
+    const size_t pos = static_cast<size_t>(t->ready_pos());
+    t->set_ready_pos(-1);
     Transaction* last = heap_.back();
     heap_.pop_back();
     if (pos == heap_.size()) return true;  // erased the tail slot
@@ -62,7 +61,7 @@ class TxnHeap {
  private:
   void Place(size_t i, Transaction* t) {
     heap_[i] = t;
-    Slot::Set(*t, static_cast<int32_t>(i));
+    t->set_ready_pos(static_cast<int32_t>(i));
   }
 
   /// Moves `t`, bound for the hole at `i`, up past every parent it
@@ -95,27 +94,6 @@ class TxnHeap {
   Order order_;
   std::vector<Transaction*> heap_;
 };
-
-/// The order of live firm deadlines: absolute deadline, then the FIFO
-/// sequence taken at admission (Transaction::deadline_seq), which is the
-/// (time, seq) a deadline event pushed at admission would have had.
-struct DeadlineOrder {
-  bool operator()(const Transaction* a, const Transaction* b) const {
-    if (a->absolute_deadline() != b->absolute_deadline()) {
-      return a->absolute_deadline() < b->absolute_deadline();
-    }
-    return a->deadline_seq() < b->deadline_seq();
-  }
-};
-
-struct DeadlineSlot {
-  static int32_t Get(const Transaction& t) { return t.deadline_pos(); }
-  static void Set(Transaction& t, int32_t pos) { t.set_deadline_pos(pos); }
-};
-
-/// The admitted queries whose firm deadline has not passed and that have not
-/// resolved, earliest deadline on top.
-using DeadlineHeap = TxnHeap<DeadlineOrder, DeadlineSlot>;
 
 }  // namespace unitdb
 

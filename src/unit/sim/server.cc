@@ -32,8 +32,8 @@ StatusOr<std::unique_ptr<Policy>> MakePolicy(const std::string& name,
   if (name == "imu") {
     return std::unique_ptr<Policy>(new ImuPolicy());
   }
-  if (name == "odu") {
-    return std::unique_ptr<Policy>(new OduPolicy());
+  if (name == "odu" || name == "odu-nodedupe") {
+    return std::unique_ptr<Policy>(new OduPolicy(name == "odu"));
   }
   if (name == "qmf") {
     return std::unique_ptr<Policy>(new QmfPolicy());
@@ -52,7 +52,7 @@ StatusOr<std::unique_ptr<Policy>> MakePolicy(const std::string& name,
 
 std::vector<std::string> KnownPolicies() {
   return {"unit", "imu", "odu", "qmf", "unit-hybrid",
-          "unit-noac", "unit-noum", "unit-bare"};
+          "unit-noac", "unit-noum", "unit-bare", "odu-nodedupe"};
 }
 
 StatusOr<std::unique_ptr<Server>> Server::Create(const Workload& workload,

@@ -22,7 +22,8 @@ struct PolicyOptions {
 
 /// Builds a policy by name: "unit", "imu", "odu", "qmf", and the ablation
 /// variants "unit-noac" (no admission control), "unit-noum" (no update
-/// modulation), "unit-bare" (neither). Unknown names fail with NotFound; a
+/// modulation), "unit-bare" (neither) and "odu-nodedupe" (ODU without its
+/// in-flight refresh dedupe). Unknown names fail with NotFound; a
 /// weight (G_s or a penalty) that is negative or not finite fails with
 /// InvalidArgument naming the field.
 StatusOr<std::unique_ptr<Policy>> MakePolicy(const std::string& name,

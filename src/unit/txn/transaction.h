@@ -109,11 +109,6 @@ class Transaction {
   int32_t ready_pos() const { return ready_pos_; }
   void set_ready_pos(int32_t pos) { ready_pos_ = pos; }
 
-  /// Slot of this query in its engine's deadline heap (-1 when absent:
-  /// before admission and once the query resolves). Owned by the heap.
-  int32_t deadline_pos() const { return deadline_pos_; }
-  void set_deadline_pos(int32_t pos) { deadline_pos_ = pos; }
-
   /// The FIFO sequence the engine took when it admitted this query: its
   /// deadline orders by (absolute_deadline(), deadline_seq()) against the
   /// timers and the running completion due at the same instant.
@@ -149,7 +144,6 @@ class Transaction {
   SimTime commit_time_ = -1;
   double observed_freshness_ = -1.0;
   int32_t ready_pos_ = -1;
-  int32_t deadline_pos_ = -1;
   uint64_t deadline_seq_ = 0;
 };
 

@@ -16,9 +16,9 @@ namespace unitdb {
 /// their slot (and their read-set storage) for reuse, so a run's memory
 /// footprint is O(peak live transactions) instead of O(total
 /// transactions). Slots live in fixed-size chunks so Transaction* stays
-/// stable for the lifetime of its slot (the ready queue, the deadline heap,
-/// the blocked list, the lock table and the running pointer all hold raw
-/// pointers). Released slots wait on a stack, and Create takes the most
+/// stable for the lifetime of its slot (the ready queue, the admission
+/// index, the blocked list, the lock table and the running pointer all hold
+/// raw pointers). Released slots wait on a stack, and Create takes the most
 /// recently released one before it cuts a new slot.
 class TxnSlab {
  public:
@@ -50,8 +50,7 @@ class TxnSlab {
   /// point at it.
   void Release(Transaction* t) {
     assert(!t->holds_locks() && "the lock table points at this slot");
-    assert(t->ready_pos() < 0 && t->deadline_pos() < 0 &&
-           "a heap points at this slot");
+    assert(t->ready_pos() < 0 && "the ready queue points at this slot");
     free_.push_back(t);
     --live_;
     ++released_;

@@ -246,6 +246,11 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
 
   std::vector<bool> queued(kQueries, false);
   int64_t queued_count = 0;
+  auto edf_before = [](const Transaction* a, const Transaction* b) {
+    if (a->absolute_deadline() != b->absolute_deadline())
+      return a->absolute_deadline() < b->absolute_deadline();
+    return a->id() < b->id();
+  };
   // Reference answers come from re-simulating a scan over the queued set in
   // EDF (deadline, id) order: a query's lag is its deadline minus the work
   // of every queued query through itself, earlier-deadline ones included.
@@ -255,12 +260,7 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
     for (int i = 0; i < kQueries; ++i) {
       if (queued[i]) edf.push_back(&txns[i]);
     }
-    std::sort(edf.begin(), edf.end(),
-              [](const Transaction* a, const Transaction* b) {
-                if (a->absolute_deadline() != b->absolute_deadline())
-                  return a->absolute_deadline() < b->absolute_deadline();
-                return a->id() < b->id();
-              });
+    std::sort(edf.begin(), edf.end(), edf_before);
     *earlier = 0;
     int64_t prefix = 0;
     int64_t endangered = 0;
@@ -282,6 +282,16 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
   auto probe = [&](int step) {
     ASSERT_EQ(index.occupied(), queued_count) << "step " << step;
     if (queued_count == 0) ++empty_probes;
+    // first() is the least queued query in (deadline, id) order, and
+    // nullptr when none is queued.
+    const Transaction* want_first = nullptr;
+    for (int i = 0; i < kQueries; ++i) {
+      if (queued[i] && (want_first == nullptr ||
+                        edf_before(&txns[i], want_first))) {
+        want_first = &txns[i];
+      }
+    }
+    ASSERT_EQ(index.first(), want_first) << "step " << step;
     // Probe near a random query's deadline (often exactly on a tie run)
     // with a random lag window and a random cap (0 counts nothing).
     const int at = static_cast<int>(rng() % kQueries);
@@ -310,7 +320,7 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
       // refill after it reuses freed nodes.
       for (int i = 0; i < kQueries; ++i) {
         if (!queued[i]) continue;
-        index.OnRemove(txns[i]);
+        index.OnRemove(&txns[i]);
         queued[i] = false;
         --queued_count;
       }
@@ -319,14 +329,14 @@ TEST(AdmissionIndexTest, RandomizedMatchesBruteForce) {
     }
     const int i = static_cast<int>(rng() % kQueries);
     if (queued[i]) {
-      index.OnRemove(txns[i]);
+      index.OnRemove(&txns[i]);
       queued[i] = false;
       --queued_count;
     } else {
       // Remaining work only changes while a query is out of the queue.
       txns[i].set_remaining(1 + static_cast<SimDuration>(
                                     rng() % txns[i].exec_time()));
-      index.OnInsert(txns[i]);
+      index.OnInsert(&txns[i]);
       queued[i] = true;
       ++queued_count;
     }
@@ -363,8 +373,9 @@ TEST(AdmissionIndexTest, EqualDeadlinesOrderByTxnIdWhateverInsertionOrder) {
   int permutations = 0;
   do {
     AdmissionIndex index;
-    for (int k : order) index.OnInsert(txns[static_cast<size_t>(k)]);
+    for (int k : order) index.OnInsert(&txns[static_cast<size_t>(k)]);
     SCOPED_TRACE(::testing::PrintToString(order));
+    EXPECT_EQ(index.first(), &txns[4]);  // id 1, due at 2 s
     // A random cap per probe: the count is the true one, capped.
     auto project = [&](SimTime d, int64_t lo, int64_t hi, int64_t want) {
       const int64_t cap = static_cast<int64_t>(rng() % 6);

@@ -366,6 +366,20 @@ TEST(EngineEdgeTest, DeadlineAdmittedAfterTheDispatchLosesToTheCompletion) {
                   "1000 resolve q1 dmf"});
 }
 
+TEST(EngineEdgeTest, RunningAndQueuedQueriesDueTogetherMissInAdmissionOrder) {
+  // q0 runs from 0 ms and q1, admitted at 200 ms, queues behind it; both
+  // are due at 1000 ms. Both miss there, q0 first: its deadline holds the
+  // earlier admission's sequence. q1 is dispatched at that instant and
+  // misses as the running query.
+  Workload w = Empty(2, 5.0);
+  w.queries = {QueryMs(0, 0, 2000, 1000, 0), QueryMs(1, 200, 100, 800, 1)};
+  EngineParams params;
+  params.control_period = 0;
+  ExpectTieOrder(w, params,
+                 {"0 admit q0", "200 admit q1", "1000 resolve q0 dmf",
+                  "1000 resolve q1 dmf"});
+}
+
 TEST(EngineEdgeTest, ArrivalAtHorizonBoundaryIsDropped) {
   // An update phase beyond the duration never generates or applies.
   Workload w = Empty(1, 5.0);
@@ -481,15 +495,15 @@ TEST(EngineEdgeTest, BusyAccountingMatchesCommittedWork) {
   EXPECT_NEAR(m.busy_s, expected_s, 1e-6);
 }
 
-// A query resolved before its deadline leaves the deadline heap at once: a
-// commit (success or stale) or a shed erases its deadline. Without the cache
-// every admitted query entered the heap, so the erased deadlines number
-// exactly the commits plus the sheds, and no event is ever dead.
+// A query resolved before its deadline takes the deadline with it: a commit
+// (success or stale) or a shed leaves it unreached. Without the cache every
+// admitted query has a live deadline, so the unreached ones number exactly
+// the commits plus the sheds, and no event is ever dead.
 TEST(EngineEdgeTest, ShedAndCommitDeadlinesAreErased) {
   Workload w = Empty(8, 30.0);
   for (int i = 0; i < 400; ++i) {
-    // Every tenth query is due before it can run: a deadline miss, which
-    // takes its deadline off the heap as it fires.
+    // Every tenth query is due before it can run: a deadline miss, whose
+    // deadline is reached.
     const double deadline_s = i % 10 == 0 ? 0.03 : 1.0 + (i % 3);
     w.queries.push_back(Query(i, 0.01 * i, 40.0, deadline_s, {i % 8}));
   }

@@ -24,7 +24,6 @@ TEST(TxnSlabTest, CreateCountsALiveSlot) {
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->id(), 1);
   EXPECT_EQ(t->ready_pos(), -1);
-  EXPECT_EQ(t->deadline_pos(), -1);
   EXPECT_EQ(slab.live(), 1);
   EXPECT_EQ(slab.high_water(), 1);
   EXPECT_EQ(slab.slots_created(), 1);
